@@ -358,61 +358,83 @@ mod harness {
         let a = v.devices[0].global(scc::geometry::CoreId(0));
         let d = v.devices[1].global(scc::geometry::CoreId(0));
         let s = v.session_builder().participants(vec![a, d]).build();
-        s.run_app(move |r| async move {
-            let peer = 1 - r.id();
-            let msg = vec![0xA5u8; size];
-            let mut buf = vec![0u8; size];
-            for _ in 0..reps {
-                if r.id() == 0 {
-                    r.send(&msg, peer).await;
-                    r.recv(&mut buf, peer).await;
-                } else {
-                    r.recv(&mut buf, peer).await;
-                    r.send(&buf, peer).await;
-                }
-            }
-        })
-        .unwrap();
+        s.run_app(move |r| bounce(r, size, reps)).unwrap();
         sim
     }
 
-    /// Data-path scenario: wall-clock events/sec of an inter-device
-    /// ping-pong plus exact allocations per one-way message.
+    /// Two cores of one device bouncing `size` bytes through the on-chip
+    /// `BlockingProtocol`: put, flag, CL1INVMB and get over the L1 model,
+    /// the shape of one BT on-chip chunk.
+    fn onchip_pingpong(size: usize, reps: usize) -> Sim {
+        let sim = Sim::new();
+        let dev = scc::device::SccDevice::new(&sim, scc::geometry::DeviceId(0));
+        let s = rcce::SessionBuilder::new(&sim, vec![dev])
+            .max_ranks(2)
+            .onchip_protocol(std::rc::Rc::new(rcce::BlockingProtocol::default()))
+            .build();
+        s.run_app(move |r| bounce(r, size, reps)).unwrap();
+        sim
+    }
+
+    /// Rank body of a ping-pong: rank 0 sends first, rank 1 echoes.
+    async fn bounce(r: rcce::Rcce, size: usize, reps: usize) {
+        let peer = 1 - r.id();
+        let msg = vec![0xA5u8; size];
+        let mut buf = vec![0u8; size];
+        for _ in 0..reps {
+            if r.id() == 0 {
+                r.send(&msg, peer).await;
+                r.recv(&mut buf, peer).await;
+            } else {
+                r.recv(&mut buf, peer).await;
+                r.send(&buf, peer).await;
+            }
+        }
+    }
+
+    /// Data-path scenario: wall-clock events/sec of a ping-pong
+    /// (`pingpong(reps)` builds and runs one) plus exact allocations per
+    /// one-way message.
     ///
     /// The per-message cost is isolated by *rep differencing*: two
     /// identical systems run `R_LOW` and `R_HIGH` ping-pong reps, and
     /// the allocation delta divided by the extra messages cancels all
     /// setup/teardown allocations. Both runs are deterministic, so the
     /// quotient is exact and stable across hosts.
-    fn datapath(name: &'static str, scheme: CommScheme, size: usize) -> Outcome {
+    fn datapath(name: &'static str, pingpong: impl Fn(usize) -> Sim) -> Outcome {
         const R_LOW: usize = 4;
         const R_HIGH: usize = 36;
         let low = {
             let before = counting_alloc::count();
-            black_box(interdevice_pingpong(scheme, size, R_LOW));
+            black_box(pingpong(R_LOW));
             counting_alloc::count() - before
         };
         let high = {
             let before = counting_alloc::count();
-            black_box(interdevice_pingpong(scheme, size, R_HIGH));
+            black_box(pingpong(R_HIGH));
             counting_alloc::count() - before
         };
         // 2 one-way messages per ping-pong rep.
         let allocs_per_msg = (high - low) as f64 / (2 * (R_HIGH - R_LOW)) as f64;
-        let mut o = measure(name, samples(8), || {
-            let sim = interdevice_pingpong(scheme, size, R_HIGH);
-            engine_events(&sim)
-        });
+        let mut o = measure(name, samples(8), || engine_events(&pingpong(R_HIGH)));
         o.allocs_per_msg = Some(allocs_per_msg);
         o
     }
 
     fn datapath_1k() -> Outcome {
-        datapath("datapath/interdevice_1k_wcb", CommScheme::RemotePutWcb, 1024)
+        datapath("datapath/interdevice_1k_wcb", |reps| {
+            interdevice_pingpong(CommScheme::RemotePutWcb, 1024, reps)
+        })
     }
 
     fn datapath_8k() -> Outcome {
-        datapath("datapath/interdevice_8k_swcache", CommScheme::LocalPutRemoteGet, 8192)
+        datapath("datapath/interdevice_8k_swcache", |reps| {
+            interdevice_pingpong(CommScheme::LocalPutRemoteGet, 8192, reps)
+        })
+    }
+
+    fn datapath_onchip_8k() -> Outcome {
+        datapath("datapath/onchip_8k_blocking", |reps| onchip_pingpong(8192, reps))
     }
 
     /// Audit-stream overhead pair: the vDMA data-path ping-pong bare and
@@ -783,6 +805,7 @@ mod harness {
             datapath_8k(),
             audit_off,
             audit_on,
+            datapath_onchip_8k(),
         ];
         outcomes.extend(scaling_outcomes());
         for o in &outcomes {

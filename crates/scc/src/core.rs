@@ -170,41 +170,14 @@ impl CoreHandle {
         if len == 0 {
             return cost.op_overhead;
         }
-        let first_line = addr.offset as usize / LINE_BYTES;
-        let last_line = (addr.offset as usize + len - 1) / LINE_BYTES;
         let req_start = addr.offset as usize;
-        // Copies the overlap of one 32 B line with the requested window
-        // straight into `buf` — no intermediate flat assembly buffer.
-        fn copy_line_window(buf: &mut [u8], req_start: usize, line: usize, data: &[u8]) {
-            let line_start = line * LINE_BYTES;
-            let lo = line_start.max(req_start);
-            let hi = (line_start + LINE_BYTES).min(req_start + buf.len());
-            buf[lo - req_start..hi - req_start]
-                .copy_from_slice(&data[lo - line_start..hi - line_start]);
-        }
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        // Which lines miss (need truth)? A request spans at most the whole
-        // MPB region (256 lines), so a stack bitmap replaces a heap Vec.
-        let mut miss_bits = [0u64; MPB_BYTES / LINE_BYTES / 64];
-        let (mut fetch_first, mut fetch_last) = (usize::MAX, 0usize);
-        for line in first_line..=last_line {
-            match self.l1.lookup((addr.owner, line as u16)) {
-                Some(cached) => {
-                    hits += 1;
-                    copy_line_window(buf, req_start, line, &cached);
-                }
-                None => {
-                    misses += 1;
-                    let rel = line - first_line;
-                    debug_assert!(rel < MPB_BYTES / LINE_BYTES, "read spans beyond one MPB");
-                    miss_bits[rel / 64] |= 1 << (rel % 64);
-                    fetch_first = fetch_first.min(line);
-                    fetch_last = line;
-                }
-            }
-        }
-        if misses > 0 {
+        let window_lines = ((req_start + len - 1) / LINE_BYTES - req_start / LINE_BYTES + 1) as u64;
+        // Cached lines land in `buf` straight away (stale or not); one
+        // fetch then covers the first through the last missed line.
+        let missed = self.l1.probe(addr.owner, req_start, buf);
+        let misses = missed.len() as u64;
+        let hits = window_lines - misses;
+        if let (Some(fetch_first), Some(fetch_last)) = (missed.first(), missed.last()) {
             let span = (fetch_last - fetch_first + 1) * LINE_BYTES;
             let local_buf;
             let remote_buf;
@@ -228,17 +201,7 @@ impl CoreHandle {
                     .await;
                 &remote_buf
             };
-            for line in fetch_first..=fetch_last {
-                let rel = line - first_line;
-                if miss_bits[rel / 64] & (1 << (rel % 64)) == 0 {
-                    continue;
-                }
-                let off = (line - fetch_first) * LINE_BYTES;
-                let mut l = [0u8; LINE_BYTES];
-                l.copy_from_slice(&truth[off..off + LINE_BYTES]);
-                self.l1.fill((addr.owner, line as u16), l);
-                copy_line_window(buf, req_start, line, &l);
-            }
+            self.l1.fill(addr.owner, missed, truth, req_start, buf);
         }
 
         let per_miss = if self.is_local_device(addr) {
@@ -258,12 +221,7 @@ impl CoreHandle {
             monitor.core_write(self.who, addr, data, flow);
         }
         self.device.mpb(addr.owner.core).write(addr.offset as usize, data);
-        let mut off = addr.offset as usize;
-        for chunk in data.chunks(LINE_BYTES - off % LINE_BYTES) {
-            let line = (off / LINE_BYTES) as u16;
-            self.l1.write_through((addr.owner, line), off % LINE_BYTES, chunk);
-            off += chunk.len();
-        }
+        self.l1.write_through(addr.owner, addr.offset as usize, data);
     }
 
     // ------------------------------------------------------------------
@@ -295,11 +253,7 @@ impl CoreHandle {
                 monitor.core_write(self.who, addr, &[value], flow);
             }
             self.device.mpb(addr.owner.core).write_byte(addr.offset as usize, value);
-            self.l1.write_through(
-                (addr.owner, addr.line()),
-                addr.offset as usize % LINE_BYTES,
-                &[value],
-            );
+            self.l1.write_through(addr.owner, addr.offset as usize, &[value]);
         } else {
             self.sim.delay(cost.op_overhead).await;
             self.device.fabric().write_f(self.who, addr, pooled_copy(&[value]), flow).await;
@@ -492,6 +446,27 @@ mod tests {
                 c.mpb_write(addr, &[2; 32]).await; // write-through updates it
                 c.mpb_read(addr, &mut buf).await;
                 assert_eq!(buf, [2; 32]);
+            })
+            .unwrap();
+    }
+
+    #[test]
+    fn unaligned_multi_line_store_updates_every_cached_line() {
+        let (sim, dev) = setup();
+        sim.clone()
+            .block_on(async move {
+                let c = CoreHandle::new(&dev, CoreId(0));
+                let base = dev.global(CoreId(0));
+                // Cache lines 0-4, then store from mid-line 0 to mid-line 3.
+                let mut cached = [0u8; 160];
+                c.mpb_read(MpbAddr::new(base, 0), &mut cached).await;
+                let data: Vec<u8> = (1..=100u8).collect();
+                c.mpb_write(MpbAddr::new(base, 17), &data).await;
+                // No CL1INVMB: the write-through must have kept L1 current.
+                let mut back = [0u8; 160];
+                c.mpb_read(MpbAddr::new(base, 0), &mut back).await;
+                assert_eq!(back[17..117], data[..]);
+                assert!(back[..17].iter().chain(&back[117..]).all(|&b| b == 0));
             })
             .unwrap();
     }

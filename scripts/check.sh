@@ -66,6 +66,16 @@ echo "== shard smoke (VSCC_SHARDS=5 fig6b audit byte-identical to serial) =="
 VSCC_SHARDS=5 VSCC_AUDIT="$AUDIT_TMP/s.json" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
 cmp -s "$AUDIT_TMP/a.json" "$AUDIT_TMP/s.json" || { echo "VSCC_SHARDS=5 audit diverged from serial"; exit 1; }
 
+echo "== benchmark smoke (all six workloads at ~1/20 scale: no failed op, digests match) =="
+# Exits non-zero on a failed op or a digest mismatch. The benchmark
+# refuses any VSCC_* variable (exit 2), so they are unset for this stage
+# only — VSCC_PERF_SKIP and friends still apply to the stages around it.
+(
+    for v in $(compgen -e | grep '^VSCC_' || true); do unset "$v"; done
+    cargo run --release -q --offline \
+        --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml -- --smoke >/dev/null
+)
+
 if [ "${VSCC_PERF_SKIP:-}" = "1" ]; then
     echo "== perf smoke: skipped (VSCC_PERF_SKIP=1) =="
 else

@@ -5,12 +5,16 @@
 //! structures the protocols rely on (counter flags, chunking, the host
 //! WCB reassembly, cache selectivity, the executor clock).
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use des::faultplan::{FaultSpec, Phase};
 use des::Sim;
 use rcce::layout::counter_reached;
 use rcce::protocol::chunk_ranges;
+use scc::cache::L1Model;
+use scc::{GlobalCore, LINE_BYTES, MPB_BYTES};
 use vscc::{CommScheme, VsccBuilder};
 
 /// Map a generated `(mode, start, len)` triple onto a valid phase bound:
@@ -29,6 +33,48 @@ fn phase_of(mode: u8, start: u64, len: u64) -> Phase {
 /// generated specs readable in failure output).
 fn prob_of(milli: u32) -> f64 {
     milli as f64 / 1024.0
+}
+
+/// Reference L1 for `scc::cache::L1Model`: one `HashMap` entry per cached
+/// 32 B line, every operation walked line by line.
+#[derive(Default)]
+struct RefL1 {
+    lines: HashMap<(GlobalCore, usize), [u8; LINE_BYTES]>,
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+}
+
+impl RefL1 {
+    /// Read `[off, off + len)` of `owner`'s region whose true content is
+    /// `mem`: hits serve the cached copy, misses install the line first.
+    fn read(&mut self, owner: GlobalCore, off: usize, len: usize, mem: &[u8]) -> Vec<u8> {
+        for line in off / LINE_BYTES..=(off + len - 1) / LINE_BYTES {
+            if self.lines.contains_key(&(owner, line)) {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                let at = line * LINE_BYTES;
+                self.lines.insert((owner, line), mem[at..at + LINE_BYTES].try_into().unwrap());
+            }
+        }
+        (off..off + len).map(|b| self.lines[&(owner, b / LINE_BYTES)][b % LINE_BYTES]).collect()
+    }
+
+    fn write_through(&mut self, owner: GlobalCore, off: usize, data: &[u8]) {
+        for (i, &b) in data.iter().enumerate() {
+            let byte = off + i;
+            if let Some(line) = self.lines.get_mut(&(owner, byte / LINE_BYTES)) {
+                line[byte % LINE_BYTES] = b;
+            }
+        }
+    }
+
+    fn invalidate_range(&mut self, owner: GlobalCore, off: usize, len: usize) {
+        for line in off / LINE_BYTES..=(off + len - 1) / LINE_BYTES {
+            self.lines.remove(&(owner, line));
+        }
+    }
 }
 
 fn scheme_strategy() -> impl Strategy<Value = CommScheme> {
@@ -214,6 +260,72 @@ proptest! {
         prop_assert_eq!(hit.is_some(), fully_valid);
         if let Some(bytes) = hit {
             prop_assert_eq!(bytes, shadow[probe_off..probe_off + probe_len].to_vec());
+        }
+    }
+
+    /// The span-granular L1 model against the per-line `HashMap` oracle:
+    /// random probe/fill reads, single-line lookups, aligned and unaligned
+    /// write-throughs, selective and full invalidations, and stores by
+    /// other cores (memory changes the caches must not see) over three
+    /// owners agree on every byte, every counter and the resident count.
+    #[test]
+    fn l1_model_matches_per_line_oracle(
+        ops in prop::collection::vec(
+            ((0u8..7, 0usize..3), (0usize..MPB_BYTES, 1usize..600), (any::<u8>(), any::<bool>())),
+            1..80,
+        ),
+    ) {
+        let owners = [GlobalCore::new(0, 0), GlobalCore::new(0, 5), GlobalCore::new(1, 0)];
+        let l1 = L1Model::new();
+        let mut oracle = RefL1::default();
+        let mut mem = vec![vec![0u8; MPB_BYTES]; owners.len()];
+        for ((kind, o), (off, len), (val, near)) in ops {
+            // Half the ops crowd the first 24 lines so that they overlap.
+            let off = if near { off % 768 } else { off };
+            let len = len.min(MPB_BYTES - off);
+            let owner = owners[o];
+            match kind {
+                0 => {
+                    let mut got = vec![0xEE; len];
+                    let missed = l1.probe(owner, off, &mut got);
+                    if let (Some(a), Some(z)) = (missed.first(), missed.last()) {
+                        let fetched = &mem[o][a * LINE_BYTES..(z + 1) * LINE_BYTES];
+                        l1.fill(owner, missed, fetched, off, &mut got);
+                    }
+                    prop_assert_eq!(got, oracle.read(owner, off, len, &mem[o]));
+                }
+                1 => {
+                    let line = off / LINE_BYTES;
+                    let want = oracle.lines.get(&(owner, line)).copied();
+                    if want.is_some() { oracle.hits += 1 } else { oracle.misses += 1 }
+                    prop_assert_eq!(l1.lookup((owner, line as u16)), want);
+                }
+                2 | 3 => {
+                    let (off, len) = if kind == 2 {
+                        let at = off / LINE_BYTES * LINE_BYTES;
+                        (at, (len.div_ceil(LINE_BYTES) * LINE_BYTES).min(MPB_BYTES - at))
+                    } else {
+                        (off, len)
+                    };
+                    let data: Vec<u8> = (0..len).map(|i| val.wrapping_add(i as u8)).collect();
+                    mem[o][off..off + len].copy_from_slice(&data);
+                    l1.write_through(owner, off, &data);
+                    oracle.write_through(owner, off, &data);
+                }
+                4 => {
+                    let len = len.min(64);
+                    l1.invalidate_range(owner, off as u16, len);
+                    oracle.invalidate_range(owner, off, len);
+                }
+                5 => {
+                    l1.invalidate_all();
+                    oracle.lines.clear();
+                    oracle.invalidations += 1;
+                }
+                _ => mem[o][off..off + len].fill(val),
+            }
+            prop_assert_eq!(l1.stats(), (oracle.hits, oracle.misses, oracle.invalidations));
+            prop_assert_eq!(l1.resident(), oracle.lines.len());
         }
     }
 
