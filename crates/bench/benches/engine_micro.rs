@@ -191,11 +191,6 @@ mod harness {
     /// measured back-to-back in the same process, so the ratio is the
     /// audit tax itself, not host drift.
     const AUDIT_GATE_RATIO: f64 = 0.90;
-    /// Scaling gate: on a host with >= 4 cores, the 4-device sharded run
-    /// must reach at least this multiple of its 1-worker twin's
-    /// events/sec (same plan, same windows — pure thread-level speedup).
-    /// Hosts with fewer cores record the numbers but skip enforcement.
-    const SCALING_GATE_RATIO: f64 = 1.80;
 
     struct Outcome {
         name: &'static str,
@@ -485,226 +480,6 @@ mod harness {
         )
     }
 
-    /// Device-count scaling workload (DESIGN.md §5i): one shard per SCC
-    /// device, each running an on-chip RCCE ping-pong session, linked
-    /// into a TLP token ring at the PCIe-derived lookahead. Returns the
-    /// aggregated engine-event count — identical at any worker count
-    /// (the sharded engine's byte-identity contract), so events/sec is
-    /// comparable between the serial (1-worker) and sharded runs.
-    fn sharded_ring(devices: usize, workers: usize) -> u64 {
-        use des::shard::{ShardPlan, Tlp};
-        use std::sync::Arc;
-
-        // Dense shard-local traffic (4 concurrent on-chip ping-pong
-        // pairs per device) keeps each epoch window busy, so the barrier
-        // cost amortizes over real per-window work.
-        const ONCHIP_RANKS: usize = 8;
-        const ONCHIP_REPS: usize = 24;
-        const RING_LAPS: u64 = 16;
-        let lookahead = pcie::PcieModel::default().shard_lookahead();
-        let mut plan: ShardPlan<()> = ShardPlan::new(lookahead);
-        for d in 0..devices {
-            let n = devices;
-            plan.shard(&format!("dev{d}"), move |sim, ctx| {
-                // Shard-local on-chip traffic: a two-rank ping-pong
-                // session on this device (built here, on the worker —
-                // the device id space is shard-local, so each shard's
-                // lone device is id 0).
-                let dev = scc::device::SccDevice::new(sim, scc::geometry::DeviceId(0));
-                let sess =
-                    rcce::SessionBuilder::new(sim, vec![dev]).max_ranks(ONCHIP_RANKS).build();
-                let _handles = sess.spawn_ranks(|r| async move {
-                    let peer = r.id() ^ 1;
-                    let msg = vec![0x5Au8; 1024];
-                    let mut buf = vec![0u8; 1024];
-                    for _ in 0..ONCHIP_REPS {
-                        if r.id() % 2 == 0 {
-                            r.send(&msg, peer).await;
-                            r.recv(&mut buf, peer).await;
-                        } else {
-                            r.recv(&mut buf, peer).await;
-                            r.send(&msg, peer).await;
-                        }
-                    }
-                });
-                // Ring forwarder: conduit `d` leaves shard d, conduit
-                // `(d + n - 1) % n` enters it. A token circles the ring
-                // RING_LAPS times, then a poison sweep retires every
-                // forwarder.
-                let tx = ctx.tx(d);
-                let rx = ctx.rx((d + n - 1) % n);
-                let next = ((d + 1) % n) as u32;
-                let token = move |kind: u32, tag: u64| Tlp {
-                    kind,
-                    src: d as u32,
-                    dst: next,
-                    tag,
-                    payload: Arc::from(&[0u8; 32][..]),
-                };
-                sim.spawn(async move {
-                    if d == 0 {
-                        tx.send(token(0, RING_LAPS * n as u64));
-                    }
-                    loop {
-                        let t = rx.recv().await;
-                        match (t.kind, t.tag) {
-                            (0, 0) => {
-                                tx.send(token(1, n as u64 - 1));
-                                break;
-                            }
-                            (0, ttl) => tx.send(token(0, ttl - 1)),
-                            (_, 0) => break,
-                            (_, k) => {
-                                tx.send(token(1, k - 1));
-                                break;
-                            }
-                        }
-                    }
-                });
-                || ()
-            });
-        }
-        for d in 0..devices {
-            plan.conduit(&format!("ring{d}"), d, (d + 1) % devices, lookahead);
-        }
-        let report = plan.run(workers).expect("scaling workload completes");
-        report.stats.events()
-    }
-
-    /// Fig6b-shaped scaling workload: the partition the latency-stamped
-    /// MMIO boundary yields on the calibrated system — one host shard
-    /// servicing doorbell TLPs plus one shard per device, each device
-    /// running dense on-chip traffic interleaved with doorbell/answer
-    /// round trips to the host. Every conduit runs at the MMIO crossing
-    /// cost, which *is* the tunnel lookahead
-    /// (`PcieModel::mmio_crossing_cycles() == shard_lookahead()`), so
-    /// this is the same coupling graph `VsccBuilder::shards` partitions
-    /// on a real fig6b system, driven through the true multi-worker
-    /// engine. Returns the aggregated engine-event count (identical at
-    /// any worker count).
-    fn fig6b_sharded(devices: usize, workers: usize) -> u64 {
-        use des::shard::{ShardPlan, Tlp};
-        use std::sync::Arc;
-
-        const ONCHIP_RANKS: usize = 8;
-        const ONCHIP_REPS: usize = 24;
-        const DOORBELLS: u64 = 16;
-        // Conduit layout: 2d = doorbell (dev d -> host), 2d+1 = answer.
-        const DOORBELL: u32 = 0;
-        const ANSWER: u32 = 1;
-        const POISON: u32 = 2;
-        let lookahead = pcie::PcieModel::default().mmio_crossing_cycles();
-        let line = || Arc::from(&[0u8; 32][..]);
-        let mut plan: ShardPlan<()> = ShardPlan::new(lookahead);
-        let n = devices;
-        plan.shard("host", move |sim, ctx| {
-            for d in 0..n {
-                let rx = ctx.rx(2 * d);
-                let tx = ctx.tx(2 * d + 1);
-                sim.spawn(async move {
-                    loop {
-                        let t = rx.recv().await;
-                        if t.kind == POISON {
-                            break;
-                        }
-                        tx.send(Tlp {
-                            kind: ANSWER,
-                            src: 0,
-                            dst: (1 + d) as u32,
-                            tag: t.tag,
-                            payload: line(),
-                        });
-                    }
-                });
-            }
-            || ()
-        });
-        for d in 0..devices {
-            plan.shard(&format!("dev{d}"), move |sim, ctx| {
-                let dev = scc::device::SccDevice::new(sim, scc::geometry::DeviceId(0));
-                let sess =
-                    rcce::SessionBuilder::new(sim, vec![dev]).max_ranks(ONCHIP_RANKS).build();
-                let _handles = sess.spawn_ranks(|r| async move {
-                    let peer = r.id() ^ 1;
-                    let msg = vec![0x5Au8; 1024];
-                    let mut buf = vec![0u8; 1024];
-                    for _ in 0..ONCHIP_REPS {
-                        if r.id() % 2 == 0 {
-                            r.send(&msg, peer).await;
-                            r.recv(&mut buf, peer).await;
-                        } else {
-                            r.recv(&mut buf, peer).await;
-                            r.send(&msg, peer).await;
-                        }
-                    }
-                });
-                let tx = ctx.tx(2 * d);
-                let rx = ctx.rx(2 * d + 1);
-                sim.spawn(async move {
-                    let doorbell = move |kind: u32, tag: u64| Tlp {
-                        kind,
-                        src: (1 + d) as u32,
-                        dst: 0,
-                        tag,
-                        payload: line(),
-                    };
-                    for i in 0..DOORBELLS {
-                        tx.send(doorbell(DOORBELL, i));
-                        let ans = rx.recv().await;
-                        assert_eq!(ans.tag, i, "answer out of order");
-                    }
-                    tx.send(doorbell(POISON, 0));
-                });
-                || ()
-            });
-        }
-        for d in 0..devices {
-            plan.conduit(&format!("doorbell{d}"), 1 + d, 0, lookahead);
-            plan.conduit(&format!("answer{d}"), 0, 1 + d, lookahead);
-        }
-        let report = plan.run(workers).expect("fig6b scaling workload completes");
-        report.stats.events()
-    }
-
-    /// The scaling scenario table: `(name, devices, workers)`. Serial is
-    /// the 1-worker run of the *same* plan (same windows, same barriers),
-    /// so the sharded/serial ratio isolates thread-level speedup.
-    const SCALING: &[(&str, usize, usize)] = &[
-        ("scaling/ring_1dev_serial", 1, 1),
-        ("scaling/ring_2dev_serial", 2, 1),
-        ("scaling/ring_2dev_sharded", 2, 2),
-        ("scaling/ring_4dev_serial", 4, 1),
-        ("scaling/ring_4dev_sharded", 4, 4),
-    ];
-
-    /// The fig6b-shaped pair: 4 devices + host = 5 execution groups, so
-    /// the sharded run uses one worker per group.
-    const FIG6B_SCALING: &[(&str, usize)] =
-        &[("scaling/fig6b_4dev_serial", 1), ("scaling/fig6b_4dev_sharded", 5)];
-
-    fn scaling_outcomes() -> Vec<Outcome> {
-        let mut outcomes: Vec<Outcome> = SCALING
-            .iter()
-            .map(|&(name, devices, workers)| {
-                measure(name, samples(6), || sharded_ring(devices, workers))
-            })
-            .collect();
-        outcomes.extend(
-            FIG6B_SCALING
-                .iter()
-                .map(|&(name, workers)| measure(name, samples(6), || fig6b_sharded(4, workers))),
-        );
-        // Byte-identity spot check: the serial and sharded runs of one
-        // plan must schedule exactly the same events.
-        for pair in [(1usize, 2usize), (3, 4), (5, 6)] {
-            assert_eq!(
-                outcomes[pair.0].events, outcomes[pair.1].events,
-                "sharded run diverged from its serial twin"
-            );
-        }
-        outcomes
-    }
-
     fn samples(full: usize) -> usize {
         if std::env::var("VSCC_PERF_FAST").map(|v| v == "1").unwrap_or(false) {
             3
@@ -718,31 +493,15 @@ mod harness {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
     }
 
-    /// True for a sharded-scaling scenario measured on a host that
-    /// cannot actually run its workers in parallel. Such numbers are
-    /// *not* a perf baseline — a 1-core container once shipped sub-1x
-    /// "sharded" baselines that later gated honest multi-core runs —
-    /// so they are excluded from the JSON artifact entirely.
-    fn unshippable(o: &Outcome, cores: usize) -> bool {
-        cores < 4 && o.name.starts_with("scaling/") && o.name.ends_with("_sharded")
-    }
-
-    fn write_json(outcomes: &[Outcome], cores: usize, path: &std::path::Path) {
-        let shippable: Vec<&Outcome> = outcomes.iter().filter(|o| !unshippable(o, cores)).collect();
-        let excluded = outcomes.len() - shippable.len();
-        if excluded > 0 {
-            println!(
-                "  (excluding {excluded} sharded scaling scenario(s) from the JSON artifact: \
-                 {cores} host core(s) cannot produce an honest parallel baseline)"
-            );
-        }
+    fn write_json(outcomes: &[Outcome], path: &std::path::Path) {
+        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         let mut s = String::from("{\n  \"schema\": \"vscc-engine-bench-v4\",\n");
         s.push_str(&format!("  \"host_cores\": {cores},\n"));
         s.push_str(&format!(
             "  \"pre_pr_baseline\": {{ \"spawn_delay_10k_tasks_ms\": {{ \"mean\": {PRE_PR_SPAWN_DELAY_MEAN_MS}, \"min\": {PRE_PR_SPAWN_DELAY_MIN_MS} }}, \"datapath_allocs_per_msg\": {{ \"interdevice_1k_wcb\": {PRE_PR_DATAPATH_1K_ALLOCS_PER_MSG}, \"interdevice_8k_swcache\": {PRE_PR_DATAPATH_8K_ALLOCS_PER_MSG} }} }},\n"
         ));
         s.push_str("  \"scenarios\": [\n");
-        for (i, o) in shippable.iter().enumerate() {
+        for (i, o) in outcomes.iter().enumerate() {
             let allocs = match o.allocs_per_msg {
                 Some(a) => format!(", \"allocs_per_msg\": {a:.2}"),
                 None => String::new(),
@@ -756,7 +515,7 @@ mod harness {
                 o.events,
                 o.events_per_sec(),
                 allocs,
-                if i + 1 < shippable.len() { "," } else { "" }
+                if i + 1 < outcomes.len() { "," } else { "" }
             ));
         }
         s.push_str("  ]\n}\n");
@@ -794,7 +553,7 @@ mod harness {
         );
 
         let (audit_off, audit_on) = audit_pair();
-        let mut outcomes = vec![
+        let outcomes = vec![
             spawn_delay_10k(),
             timer_cancel_churn(),
             counter_inc(),
@@ -807,7 +566,6 @@ mod harness {
             audit_on,
             datapath_onchip_8k(),
         ];
-        outcomes.extend(scaling_outcomes());
         for o in &outcomes {
             let allocs = match o.allocs_per_msg {
                 Some(a) => format!("{a:.1}"),
@@ -872,55 +630,11 @@ mod harness {
             std::process::exit(1);
         }
 
-        let eps = |name: &str| {
-            outcomes
-                .iter()
-                .find(|o| o.name == name)
-                .map(Outcome::events_per_sec)
-                .expect("scaling scenario present")
-        };
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        println!();
-        println!(
-            "sharded engine device-count scaling (VSCC_SHARDS, DESIGN.md §5i; \
-             detected {cores} host core(s)):"
-        );
-        for (label, serial, sharded) in [
-            ("ring, 2 devices", "scaling/ring_2dev_serial", "scaling/ring_2dev_sharded"),
-            ("ring, 4 devices", "scaling/ring_4dev_serial", "scaling/ring_4dev_sharded"),
-            (
-                "fig6b, 4 devices + host (5 groups)",
-                "scaling/fig6b_4dev_serial",
-                "scaling/fig6b_4dev_sharded",
-            ),
-        ] {
-            println!(
-                "  {label:<36} serial {:>12.0} ev/s   sharded {:>12.0} ev/s   {:.2}x",
-                eps(serial),
-                eps(sharded),
-                eps(sharded) / eps(serial)
-            );
-        }
-        let scaling_4dev = eps("scaling/ring_4dev_sharded") / eps("scaling/ring_4dev_serial");
-        println!("  gate: 4-device sharded >= {SCALING_GATE_RATIO:.2}x serial");
-        if cores < 4 {
-            println!(
-                "  [skip] scaling gate skipped: needs >= 4 host cores, detected {cores}; \
-                 numbers recorded, speedup not enforced"
-            );
-        } else if gate && scaling_4dev < SCALING_GATE_RATIO {
-            eprintln!(
-                "PERF GATE FAILED: 4-device sharded scaling {scaling_4dev:.2}x \
-                 below the {SCALING_GATE_RATIO:.2}x floor"
-            );
-            std::process::exit(1);
-        }
-
         let out_path = match std::env::var("VSCC_PERF_OUT") {
             Ok(p) => std::path::PathBuf::from(p),
             Err(_) => repo_root().join("target/BENCH_engine.json"),
         };
-        write_json(&outcomes, cores, &out_path);
+        write_json(&outcomes, &out_path);
         println!("wrote {}", out_path.display());
 
         let baseline_path = repo_root().join("BENCH_engine.json");

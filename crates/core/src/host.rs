@@ -275,10 +275,10 @@ pub struct HostSide {
     registered: RefCell<std::collections::HashMap<GlobalCore, (u16, usize)>>,
     workers: RefCell<Vec<Sender<HostCmd>>>,
     /// Per-device doorbell queues: the host side of the latency-stamped
-    /// MMIO boundary (DESIGN.md §5i, "multi-group vSCC"). Cores enqueue
-    /// stamped conduit TLPs; the `mmio-d<N>` actor services each at its
-    /// stamped arrival, so no control signal crosses the host↔device
-    /// boundary in under one `PcieModel::mmio_crossing_cycles()`.
+    /// MMIO boundary (DESIGN.md §5i). Cores enqueue stamped conduit
+    /// TLPs; the `mmio-d<N>` actor services each at its stamped arrival,
+    /// so no control signal crosses the host↔device boundary in under
+    /// one `PcieModel::mmio_crossing_cycles()`.
     doorbells: RefCell<Vec<Sender<DoorbellMsg>>>,
 }
 

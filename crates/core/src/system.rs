@@ -37,7 +37,6 @@ pub struct VsccBuilder {
     monitors: bool,
     monitor_fail_fast: bool,
     poll_watchdog: Option<Cycles>,
-    shards: Option<u32>,
 }
 
 impl VsccBuilder {
@@ -56,7 +55,6 @@ impl VsccBuilder {
             monitors: true,
             monitor_fail_fast: true,
             poll_watchdog: None,
-            shards: None,
         }
     }
 
@@ -121,21 +119,6 @@ impl VsccBuilder {
         self
     }
 
-    /// Opt in to the sharded engine with `n` workers (DESIGN.md §5i).
-    /// Takes precedence over the `VSCC_SHARDS` environment knob. The
-    /// host↔device MMIO boundary is latency-stamped at exactly one
-    /// tunnel lookahead ([`pcie::PcieModel::mmio_crossing_cycles`]), so
-    /// the system partitions into one execution group per device plus
-    /// one for the host ([`Vscc::shard_groups`] echoes the resolved
-    /// partition). The run is driven in lockstep epoch windows of one
-    /// lookahead ([`pcie::PcieModel::shard_lookahead`]), byte-identical
-    /// to the serial engine at any worker count.
-    pub fn shards(mut self, n: u32) -> Self {
-        assert!(n >= 1, "shard count must be at least 1");
-        self.shards = Some(n);
-        self
-    }
-
     /// Abort any single RCCE flag wait exceeding `limit` cycles with a
     /// diagnosed timeout (threads through to sessions built from this
     /// system).
@@ -195,46 +178,6 @@ impl VsccBuilder {
                 self.host_cfg.faults = spec;
             }
         }
-        let shards = self
-            .shards
-            .or_else(|| des::shard::effective_shards().unwrap_or_else(|e| panic!("{e}")));
-        // The system's coupling graph (DESIGN.md §5i, "multi-group
-        // vSCC"): shard 0 is the host, shard 1+d is device d, and every
-        // host↔device edge is latency-stamped at the MMIO crossing cost.
-        // The crossing equals the lookahead, so the partitioner cuts
-        // every edge: one execution group per device plus the host.
-        let lookahead = self.host_cfg.model.shard_lookahead();
-        let shard_names: Vec<String> = std::iter::once("host".to_string())
-            .chain((0..self.n_devices).map(|d| format!("dev{d}")))
-            .collect();
-        let edges: Vec<des::shard::CouplingEdge> = (0..self.n_devices as usize)
-            .map(|d| (0, 1 + d, Some(self.host_cfg.model.mmio_crossing_cycles())))
-            .collect();
-        let shard_groups: Vec<Vec<String>> =
-            des::shard::partition_groups(shard_names.len(), lookahead, &edges)
-                .into_iter()
-                .map(|g| g.into_iter().map(|s| shard_names[s].clone()).collect())
-                .collect();
-        if let Some(n) = shards {
-            // Epoch-slice the engine at the tunnel lookahead: every
-            // group advances through the same bounded windows, so the
-            // sharded run is byte-identical to the serial one at any
-            // worker count (pinned by tests/golden_exports.rs).
-            self.sim.set_epoch_slice(lookahead);
-            // Echo the resolved partition once per process, so a user
-            // can see that sharding genuinely split the system.
-            static ECHO: std::sync::Once = std::sync::Once::new();
-            let (groups, workers) = (shard_groups.len(), (n as usize).min(shard_groups.len()));
-            ECHO.call_once(|| {
-                let names: Vec<String> = shard_groups.iter().map(|g| g.join("+")).collect();
-                println!(
-                    "[engine] {}={n}: workers={workers} groups={groups} ({}), \
-                     lockstep epochs of {lookahead} cycles",
-                    des::shard::SHARDS_ENV,
-                    names.join(" | "),
-                );
-            });
-        }
         let poll_watchdog = self.poll_watchdog.or(self.host_cfg.faults.watchdog);
         let metrics = self.metrics.unwrap_or_default();
         let devices: Vec<Rc<SccDevice>> =
@@ -275,8 +218,6 @@ impl VsccBuilder {
             trace: self.trace,
             monitors,
             poll_watchdog,
-            shards,
-            shard_groups,
         }
     }
 }
@@ -296,8 +237,6 @@ pub struct Vscc {
     trace: Trace,
     monitors: Option<Rc<Monitors>>,
     poll_watchdog: Option<Cycles>,
-    shards: Option<u32>,
-    shard_groups: Vec<Vec<String>>,
 }
 
 impl Vscc {
@@ -315,22 +254,6 @@ impl Vscc {
     /// The system-wide structured trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// The sharded-engine worker count this system was built with
-    /// ([`None`] = serial engine; see [`VsccBuilder::shards`]).
-    pub fn shards(&self) -> Option<u32> {
-        self.shards
-    }
-
-    /// The resolved execution-group partition (DESIGN.md §5i): member
-    /// shard names per group, in group order — `["host"]` plus one
-    /// `["dev<N>"]` group per device, because every host↔device MMIO
-    /// signal is latency-stamped at the tunnel lookahead. Computed for
-    /// serial builds too, so tooling can inspect what a sharded run of
-    /// the same system would partition into.
-    pub fn shard_groups(&self) -> &[Vec<String>] {
-        &self.shard_groups
     }
 
     /// The installed invariant monitors ([`None`] if disabled).

@@ -51,13 +51,12 @@ pub const DEFAULT_EPOCH_CYCLES: u64 = 25_000;
 /// unset: a zoom window on a huge epoch keeps the *last* N decisions.
 pub const DEFAULT_ZOOM_RING: usize = 4096;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// One FNV-1a word fold: `h' = (h ^ x) * prime`. Shared with the shard
-/// engine's chain merge (`crate::shard::merge_chains`).
+/// One FNV-1a word fold: `h' = (h ^ x) * prime`.
 #[inline]
-pub(crate) fn fold(h: u64, x: u64) -> u64 {
+fn fold(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(FNV_PRIME)
 }
 

@@ -255,26 +255,6 @@ impl<P> TimerWheel<P> {
         Some(self.pop_front_validated())
     }
 
-    /// Pop the earliest live timer whose deadline is at or before `cap`;
-    /// `None` leaves the base at or before `cap`, so an epoch-sliced run
-    /// can later insert cross-window deliveries below any further-out
-    /// deadline without tripping the past-insert guard.
-    pub fn pop_next_capped(&mut self, cap: Cycles) -> Option<(Cycles, P)> {
-        self.peek_capped(cap)?;
-        Some(self.pop_front_validated())
-    }
-
-    /// Earliest live deadline *without* walking the base (O(slab) scan).
-    /// The epoch driver calls this between windows, where a later insert
-    /// below the scanned deadline must stay legal — `peek_deadline` would
-    /// advance the base past it.
-    pub fn earliest_live_deadline(&self) -> Option<Cycles> {
-        if self.live == 0 {
-            return None;
-        }
-        self.slab.iter().filter_map(|e| e.payload.as_ref().map(|_| e.deadline)).min()
-    }
-
     /// Pop the earliest live timer only if it fires exactly at `deadline`
     /// (used to batch same-timestamp wakeups). The base never advances
     /// past `deadline` here, even when the next timer is far out.
@@ -560,36 +540,6 @@ mod tests {
         assert!(wh.pop_next_at(5).is_some());
         assert!(wh.pop_next_at(5).is_none());
         assert_eq!(wh.pop_next().map(|(d, _)| d), Some(6));
-    }
-
-    #[test]
-    fn pop_next_capped_holds_the_base() {
-        let mut wh = TimerWheel::new();
-        wh.insert(70_000, 0u32);
-        // Everything lives beyond the cap: nothing pops, and the base
-        // must not have walked past the cap — an insert below the far
-        // deadline stays legal.
-        assert_eq!(wh.pop_next_capped(1_000), None);
-        wh.insert(500, 1);
-        assert_eq!(wh.pop_next_capped(1_000), Some((500, 1)));
-        assert_eq!(wh.pop_next_capped(1_000), None);
-        assert_eq!(wh.pop_next(), Some((70_000, 0)));
-    }
-
-    #[test]
-    fn earliest_live_deadline_is_non_mutating() {
-        let mut wh = TimerWheel::new();
-        assert_eq!(wh.earliest_live_deadline(), None);
-        let a = wh.insert(9_000, 0u32);
-        wh.insert(WHEEL_SPAN * 2, 1);
-        assert_eq!(wh.earliest_live_deadline(), Some(9_000));
-        // The scan must not have advanced the base: inserting well below
-        // the scanned deadline is still legal.
-        wh.insert(3, 2);
-        assert_eq!(wh.earliest_live_deadline(), Some(3));
-        wh.cancel(a);
-        assert_eq!(wh.pop_next(), Some((3, 2)));
-        assert_eq!(wh.earliest_live_deadline(), Some(WHEEL_SPAN * 2));
     }
 
     #[test]

@@ -89,26 +89,13 @@ impl PcieModel {
         2 * (self.sif_packet_cycles + self.hw_latency) + self.sw_answer_cycles
     }
 
-    /// Conservative lookahead of the sharded engine (DESIGN.md §5i): the
-    /// minimum virtual time any signal needs to cross a device boundary —
-    /// one SIF packet crossing plus the one-way PCIe hardware hop. No
-    /// cross-shard message sent at cycle `t` can become visible before
-    /// `t + shard_lookahead()`, so lockstep epoch windows of this width
-    /// cannot reorder deliveries relative to the serial engine.
-    pub fn shard_lookahead(&self) -> Cycles {
-        self.sif_packet_cycles + self.hw_latency
-    }
-
     /// One-way cost of an MMIO doorbell or status TLP crossing the SIF
     /// boundary: one 32 B packet through the SIF pipeline plus the PCIe
-    /// hardware hop — the same two terms as [`Self::shard_lookahead`],
-    /// and deliberately *equal* to it. The vSCC MMIO plane stamps every
-    /// host↔device control signal with this cost (a doorbell write is
-    /// a posted TLP; a status read is a non-posted TLP plus an answer
-    /// stamped with the same cost on the way back), which makes the
-    /// host↔device coupling a legal PDES cut: no control signal can
-    /// become visible across the boundary in under one lookahead, so
-    /// each device may run as its own execution group (DESIGN.md §5i).
+    /// hardware hop. The vSCC MMIO plane stamps every host↔device
+    /// control signal with this cost (a doorbell write is a posted TLP;
+    /// a status read is a non-posted TLP plus an answer stamped with the
+    /// same cost on the way back), so no control signal becomes visible
+    /// across the boundary any sooner (DESIGN.md §5i).
     pub fn mmio_crossing_cycles(&self) -> Cycles {
         self.sif_packet_cycles + self.hw_latency
     }
@@ -200,27 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_lookahead_is_the_minimum_crossing_cost() {
+    fn mmio_crossing_is_the_minimum_crossing_cost() {
         let m = PcieModel::default();
         // Default calibration: 400 (SIF packet) + 600 (hw hop) = 1000.
-        assert_eq!(m.shard_lookahead(), 1_000);
+        assert_eq!(m.mmio_crossing_cycles(), 1_000);
         // It must lower-bound every modeled cross-device interaction.
-        assert!(m.shard_lookahead() <= m.host_answered_round_trip());
-        assert!(m.shard_lookahead() * 4 <= m.routed_line_round_trip());
-        assert!(m.shard_lookahead() >= 1, "zero lookahead would stall epochs");
-    }
-
-    #[test]
-    fn mmio_crossing_equals_the_lookahead() {
-        // The multi-group partition (DESIGN.md §5i) rests on this
-        // identity: every MMIO control signal costs exactly one
-        // lookahead to cross the boundary, so the host↔device coupling
-        // is a legal PDES cut at any parameterisation of the model.
-        let m = PcieModel::default();
-        assert_eq!(m.mmio_crossing_cycles(), m.shard_lookahead());
-        let skewed = PcieModel { sif_packet_cycles: 123, hw_latency: 456, ..PcieModel::default() };
-        assert_eq!(skewed.mmio_crossing_cycles(), skewed.shard_lookahead());
-        assert_eq!(skewed.mmio_crossing_cycles(), 579);
+        assert!(m.mmio_crossing_cycles() <= m.host_answered_round_trip());
+        assert!(m.mmio_crossing_cycles() * 4 <= m.routed_line_round_trip());
     }
 
     #[test]

@@ -305,22 +305,19 @@ fn faulty_runs_are_byte_identical_across_reruns() {
     assert!(a.fault_events > 0, "the plan must actually have injected something");
 }
 
-/// Determinism across engines under faults (DESIGN.md §5i): a seeded
-/// fault plan must produce byte-identical audited exports whether the
-/// run is serial or epoch-sliced at any `VSCC_SHARDS` count. Each run
-/// renders on a dedicated thread (fresh chunk-pool state, and the
-/// thread-local `force_shards` hook never races other tests through the
-/// process environment).
+/// Audit determinism under fault plans: a seeded corruption plan and a
+/// storm plan (phase-bounded ack-loss burst plus corruption) must each
+/// produce the same virtual clock and a byte-identical audited export
+/// when run twice. Each run renders on a dedicated thread, so both
+/// start from fresh chunk-pool state.
 #[test]
-fn faulty_audited_exports_are_identical_across_shard_counts() {
-    fn audited_run(shards: Option<u32>) -> (u64, String) {
+fn faulty_audited_exports_are_identical_across_reruns() {
+    fn audited_run(scheme: CommScheme, spec: String, size: usize) -> (u64, String) {
         std::thread::spawn(move || {
-            des::shard::force_shards(shards);
-            let spec = FaultSpec::parse(&format!("seed=61,corrupt=0.05,recovery=on,{WATCHDOG}"))
-                .expect("chaos spec");
+            let spec = FaultSpec::parse(&spec).expect("chaos spec");
             let (point, audit) = vscc_apps::pingpong::interdevice_audited(
-                CommScheme::LocalPutLocalGet,
-                6000,
+                scheme,
+                size,
                 4,
                 des::audit::DEFAULT_EPOCH_CYCLES,
                 None,
@@ -332,46 +329,24 @@ fn faulty_audited_exports_are_identical_across_shard_counts() {
         .expect("audited chaos run")
     }
 
-    let (serial_end, serial_json) = audited_run(None);
-    for shards in [1u32, 2, 4, 5] {
-        let (end, json) = audited_run(Some(shards));
-        assert_eq!(end, serial_end, "shards={shards}: virtual clock diverged from serial");
-        assert_eq!(json, serial_json, "shards={shards}: audited export diverged from serial");
+    let plans = [
+        (
+            CommScheme::LocalPutLocalGet,
+            format!("seed=61,corrupt=0.05,recovery=on,{WATCHDOG}"),
+            6000,
+        ),
+        (
+            CommScheme::RemotePutHwAck,
+            format!("seed=29,ackloss=0.6@..600000,corrupt=0.03,recovery=on,{WATCHDOG}"),
+            4096,
+        ),
+    ];
+    for (scheme, spec, size) in plans {
+        let (end_a, json_a) = audited_run(scheme, spec.clone(), size);
+        let (end_b, json_b) = audited_run(scheme, spec.clone(), size);
+        assert_eq!(end_a, end_b, "{spec}: virtual clock diverged across reruns");
+        assert_eq!(json_a, json_b, "{spec}: audited export diverged across reruns");
     }
-}
-
-/// Same identity under a *storm* plan (phase-bounded ack-loss burst plus
-/// corruption) at the full one-worker-per-group shard count: the
-/// multi-group partition (DESIGN.md §5i) must not let a fault storm
-/// observe the engine selection. Shards 1 vs 5 bracket the partition —
-/// one worker driving every group vs one worker per group.
-#[test]
-fn storm_plan_is_identical_at_shards_1_and_5() {
-    fn audited_storm(shards: Option<u32>) -> (u64, String) {
-        std::thread::spawn(move || {
-            des::shard::force_shards(shards);
-            let spec = FaultSpec::parse(&format!(
-                "seed=29,ackloss=0.6@..600000,corrupt=0.03,recovery=on,{WATCHDOG}"
-            ))
-            .expect("storm spec");
-            let (point, audit) = vscc_apps::pingpong::interdevice_audited(
-                CommScheme::RemotePutHwAck,
-                4096,
-                4,
-                des::audit::DEFAULT_EPOCH_CYCLES,
-                None,
-                Some(spec),
-            );
-            (point.cycles, audit.to_json())
-        })
-        .join()
-        .expect("audited storm run")
-    }
-
-    let (end_1, json_1) = audited_storm(Some(1));
-    let (end_5, json_5) = audited_storm(Some(5));
-    assert_eq!(end_1, end_5, "storm run diverged between shards 1 and 5");
-    assert_eq!(json_1, json_5, "storm audit export diverged between shards 1 and 5");
 }
 
 /// A drop storm past what the retry ladder can absorb must be converted

@@ -31,41 +31,29 @@ const SCHEMES: [(&str, CommScheme); 5] = [
 /// boundary the fig6b dip analysis cares about.
 const SIZES: [usize; 2] = [1024, 8192];
 
-/// Render the trace/metrics exports with the given engine selection
-/// (`None` = serial, `Some(n)` = sharded via the thread-local
-/// [`des::shard::force_shards`] hook — tests must not race the
-/// process-global environment). Rendered on a dedicated thread so the
-/// force override never leaks into other tests.
-fn render_exports(shards: Option<u32>) -> (String, String) {
-    std::thread::spawn(move || {
-        des::shard::force_shards(shards);
-        let mut traces = String::new();
-        let mut metrics = String::new();
-        for (name, scheme) in SCHEMES {
-            for size in SIZES {
-                let (point, trace, reg) =
-                    vscc_apps::pingpong::interdevice_observed(scheme, size, 1);
-                traces.push_str(&format!("=== {name} size={size} cycles={} ===\n", point.cycles));
-                traces.push_str(&des::obs::chrome_trace_json(&[("pingpong", &trace)]));
-                traces.push('\n');
-                metrics.push_str(&format!("=== {name} size={size} cycles={} ===\n", point.cycles));
-                metrics.push_str(&reg.snapshot().to_json());
-                metrics.push('\n');
-            }
+fn render_exports() -> (String, String) {
+    let mut traces = String::new();
+    let mut metrics = String::new();
+    for (name, scheme) in SCHEMES {
+        for size in SIZES {
+            let (point, trace, reg) = vscc_apps::pingpong::interdevice_observed(scheme, size, 1);
+            traces.push_str(&format!("=== {name} size={size} cycles={} ===\n", point.cycles));
+            traces.push_str(&des::obs::chrome_trace_json(&[("pingpong", &trace)]));
+            traces.push('\n');
+            metrics.push_str(&format!("=== {name} size={size} cycles={} ===\n", point.cycles));
+            metrics.push_str(&reg.snapshot().to_json());
+            metrics.push('\n');
         }
-        (traces, metrics)
-    })
-    .join()
-    .expect("render thread")
+    }
+    (traces, metrics)
 }
 
 /// The `VSCC_TIMESERIES` export golden: the two headline schemes,
 /// sampled at the default cadence. Rendered on a dedicated thread
 /// because the pool-occupancy series reads the thread-local chunk pool
 /// — a fresh thread pins its starting state.
-fn render_timeseries(shards: Option<u32>) -> String {
-    std::thread::spawn(move || {
-        des::shard::force_shards(shards);
+fn render_timeseries() -> String {
+    std::thread::spawn(|| {
         let mut out = String::new();
         for (name, scheme) in [
             ("local_put_remote_get", CommScheme::LocalPutRemoteGet),
@@ -90,9 +78,8 @@ fn render_timeseries(shards: Option<u32>) -> String {
 /// the default epoch cadence. Rendered on a dedicated thread because
 /// the audit sink is thread-local and the runs must start from a fresh
 /// chunk-pool state, exactly like the time-series golden.
-fn render_audit(shards: Option<u32>) -> String {
-    std::thread::spawn(move || {
-        des::shard::force_shards(shards);
+fn render_audit() -> String {
+    std::thread::spawn(|| {
         let mut out = String::new();
         for (name, scheme) in [
             ("local_put_remote_get", CommScheme::LocalPutRemoteGet),
@@ -121,7 +108,7 @@ fn goldens_dir() -> PathBuf {
 
 #[test]
 fn interdevice_exports_are_byte_identical_to_goldens() {
-    let (traces, metrics) = render_exports(None);
+    let (traces, metrics) = render_exports();
     let dir = goldens_dir();
     let trace_path = dir.join("fig6b_trace_exports.txt");
     let metrics_path = dir.join("fig6b_metrics_exports.txt");
@@ -153,7 +140,7 @@ fn interdevice_exports_are_byte_identical_to_goldens() {
 
 #[test]
 fn interdevice_timeseries_export_matches_golden() {
-    let timeseries = render_timeseries(None);
+    let timeseries = render_timeseries();
     let path = goldens_dir().join("fig6b_timeseries_exports.txt");
 
     if std::env::var("VSCC_GOLDEN_REGEN").map(|v| v == "1").unwrap_or(false) {
@@ -171,7 +158,7 @@ fn interdevice_timeseries_export_matches_golden() {
 
 #[test]
 fn interdevice_audit_export_matches_golden() {
-    let audit = render_audit(None);
+    let audit = render_audit();
     let path = goldens_dir().join("fig6b_audit_exports.txt");
 
     if std::env::var("VSCC_GOLDEN_REGEN").map(|v| v == "1").unwrap_or(false) {
@@ -185,58 +172,6 @@ fn interdevice_audit_export_matches_golden() {
         panic!("missing golden {} ({e}); run with VSCC_GOLDEN_REGEN=1 to create it", path.display())
     });
     assert_exports_equal("audit", &want, &audit);
-}
-
-/// The sharded engine's correctness contract (DESIGN.md §5i): with
-/// `VSCC_SHARDS` in effect, every fig6b export — trace, metrics,
-/// time-series, audit — must stay **byte-identical** to the committed
-/// *serial* goldens at any worker count. The host↔device MMIO boundary
-/// is latency-stamped at the tunnel lookahead, so the fig6b system
-/// partitions into one execution group per device plus the host; this
-/// test pins that neither the epoch-sliced windows nor the partition
-/// can perturb virtual time, metrics, sampling, or the audited
-/// decision stream — at one worker, at two, and at the full
-/// one-worker-per-group count.
-#[test]
-fn sharded_exports_match_serial_goldens() {
-    if std::env::var("VSCC_GOLDEN_REGEN").map(|v| v == "1").unwrap_or(false) {
-        // Goldens are always regenerated from the serial engine.
-        return;
-    }
-    let dir = goldens_dir();
-    let want = |file: &str| {
-        let path = dir.join(file);
-        std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden {} ({e}); run with VSCC_GOLDEN_REGEN=1 to create it",
-                path.display()
-            )
-        })
-    };
-
-    for shards in [1u32, 2, 5] {
-        let (traces, metrics) = render_exports(Some(shards));
-        assert_exports_equal(
-            &format!("sharded({shards}) trace"),
-            &want("fig6b_trace_exports.txt"),
-            &traces,
-        );
-        assert_exports_equal(
-            &format!("sharded({shards}) metrics"),
-            &want("fig6b_metrics_exports.txt"),
-            &metrics,
-        );
-        assert_exports_equal(
-            &format!("sharded({shards}) timeseries"),
-            &want("fig6b_timeseries_exports.txt"),
-            &render_timeseries(Some(shards)),
-        );
-        assert_exports_equal(
-            &format!("sharded({shards}) audit"),
-            &want("fig6b_audit_exports.txt"),
-            &render_audit(Some(shards)),
-        );
-    }
 }
 
 /// Byte-compare with a diff-friendly failure: report the first
