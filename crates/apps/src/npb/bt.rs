@@ -230,8 +230,7 @@ impl BtRank {
         let expect = self.payload(len, iter, phase, stage, from);
         if buf != expect {
             let first_bad = buf.iter().zip(&expect).position(|(a, b)| a != b).unwrap();
-            // Structured record for the trace export, stderr for humans.
-            let me = self.r.id();
+            // Structured record for the trace export.
             self.r.ctx().session.trace().instant(
                 self.r.sim().now(),
                 des::trace::Category::App,
@@ -248,14 +247,6 @@ impl BtRank {
                     ]
                 },
             );
-            if std::env::var("BT_DEBUG").is_ok() {
-                eprintln!(
-                    "MISMATCH rank{me} <- rank{from} iter{iter} phase{phase} stage{stage} len{len} first_bad@{first_bad} got {:?} want {:?} (got hdr {:?})",
-                    &buf[first_bad..(first_bad + 8).min(len)],
-                    &expect[first_bad..(first_bad + 8).min(len)],
-                    &buf[..8.min(len)]
-                );
-            }
         }
         self.ok &= buf == expect;
         self.messages += 1;

@@ -71,7 +71,7 @@ pub fn onchip(pipelined: bool, size: usize, reps: usize) -> PingPongPoint {
 
 /// Like [`onchip`], but with the device metrics registered and all trace
 /// categories enabled; returns the observability handles alongside the
-/// measurement (for `VSCC_TRACE` / `VSCC_METRICS` exports).
+/// measurement (for trace and metrics exports).
 pub fn onchip_observed(
     pipelined: bool,
     size: usize,
@@ -135,7 +135,7 @@ pub fn interdevice_observed(
 /// Like [`interdevice_observed`], but additionally running the
 /// virtual-time metrics sampler at `cadence` cycles; the returned
 /// [`des::obs::TimeSeries`] is finished at app completion (partial tail
-/// window flushed), ready for `VSCC_TIMESERIES` export or Chrome-trace
+/// window flushed), ready for a time-series export or Chrome-trace
 /// counter tracks.
 pub fn interdevice_sampled(
     scheme: CommScheme,
@@ -165,9 +165,9 @@ pub fn interdevice_sampled(
 /// Like [`interdevice`], but running under an installed
 /// [`des::audit::Audit`] stream: every scheduler decision of the run is
 /// folded into per-epoch chain hashes at `cadence` cycles per epoch
-/// (ready for `VSCC_AUDIT` export). `zoom` selects an epoch whose raw
-/// decisions are kept and whose window arms every trace category
-/// (`VSCC_AUDIT_ZOOM`); `faults` optionally runs the whole thing under
+/// (ready for [`des::audit::Audit::to_json`]). `zoom` selects an epoch
+/// whose raw decisions are kept and whose window arms every trace
+/// category; `faults` optionally runs the whole thing under
 /// a seeded fault plan, so two audits differing only in the seed can be
 /// bisected to the first divergent decision.
 pub fn interdevice_audited(

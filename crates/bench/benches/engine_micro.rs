@@ -433,7 +433,7 @@ mod harness {
     }
 
     /// Audit-stream overhead pair: the vDMA data-path ping-pong bare and
-    /// with the hash-chained audit stream installed (`VSCC_AUDIT`). The
+    /// with the hash-chained audit stream installed (`des::audit`). The
     /// audited run folds every scheduler decision into the FNV chain, so
     /// its events/sec against the bare twin is exactly the per-decision
     /// audit cost. The samples are interleaved (off, on, off, on, ...)
@@ -615,7 +615,7 @@ mod harness {
         let (audit_off, audit_on) = (&outcomes[8], &outcomes[9]);
         let audit_ratio = audit_on.events_per_sec() / audit_off.events_per_sec();
         println!();
-        println!("audit-stream overhead (hash-chained scheduler audit, VSCC_AUDIT):");
+        println!("audit-stream overhead (hash-chained scheduler audit, des::audit):");
         println!(
             "  off {:>14.0} ev/s   on {:>14.0} ev/s   ratio {audit_ratio:.3}x (gate >= {AUDIT_GATE_RATIO:.2}x)",
             audit_off.events_per_sec(),
@@ -709,12 +709,4 @@ mod harness {
 fn main() {
     benches();
     harness::run();
-
-    if vscc_bench::observability_requested() {
-        // The micro-bench runs themselves are host-time measurements; for
-        // the export, trace one simulated vDMA ping-pong.
-        let (_, trace, reg) =
-            vscc_apps::pingpong::interdevice_observed(CommScheme::LocalPutLocalGet, 65_536, 1);
-        vscc_bench::export_observability(&reg, &[("vdma-64K", &trace)]);
-    }
 }

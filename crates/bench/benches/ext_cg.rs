@@ -74,15 +74,16 @@ fn main() {
         );
     }
 
-    if vscc_bench::observability_requested() {
-        // A fully-traced 16-rank CG run for export.
+    // The designated run: 16-rank CG over two devices, fully traced.
+    vscc_bench::observe("cg-16", || {
         let sim = Sim::new();
         let v = VsccBuilder::new(&sim, 2)
             .scheme(CommScheme::LocalPutLocalGet)
             .trace_categories(&des::trace::Category::ALL)
             .build();
         let s = v.session_builder().cores_per_device(8).build();
+        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
         run_cg(&s, &CgConfig::new(CgClass::A, 16)).expect("CG");
-        vscc_bench::export_observability(v.metrics(), &[("cg-16", v.trace())]);
-    }
+        vscc_bench::Observed::of(&v, series)
+    });
 }

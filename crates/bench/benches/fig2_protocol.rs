@@ -8,14 +8,14 @@
 
 use std::rc::Rc;
 
-use des::obs::Registry;
-use des::trace::Trace;
+use des::obs::{Registry, SamplerSpec, TimeSeries};
 use des::Sim;
 use rcce::{PipelinedProtocol, SessionBuilder};
 use scc::device::SccDevice;
 use scc::geometry::DeviceId;
+use vscc_bench::Observed;
 
-fn run(pipelined: bool, size: usize) -> (u64, String, Trace, Registry) {
+fn run(pipelined: bool, size: usize) -> (u64, String, Observed) {
     let sim = Sim::new();
     let reg = Registry::new();
     let dev = SccDevice::new(&sim, DeviceId(0));
@@ -25,6 +25,7 @@ fn run(pipelined: bool, size: usize) -> (u64, String, Trace, Registry) {
         b = b.onchip_protocol(Rc::new(PipelinedProtocol::default()));
     }
     let s = b.build();
+    let series = TimeSeries::spawn(&sim, &reg, &SamplerSpec::default());
     s.run_app(move |r| async move {
         if r.id() == 0 {
             r.send(&vec![7u8; size], 1).await;
@@ -34,7 +35,8 @@ fn run(pipelined: bool, size: usize) -> (u64, String, Trace, Registry) {
         }
     })
     .expect("protocol run");
-    (sim.now(), s.trace().render(), s.trace(), reg)
+    series.finish(sim.now());
+    (sim.now(), s.trace().render(), Observed { trace: s.trace(), metrics: reg, series })
 }
 
 fn main() {
@@ -45,7 +47,7 @@ fn main() {
     // timeline). Trace/metrics objects are Rc-based, so the observability
     // paths below re-run deterministically on this thread.
     let timed = vscc_bench::parallel_sweep(&[false, true], |&pipelined| {
-        let (t, rendered, _, _) = run(pipelined, size);
+        let (t, rendered, _) = run(pipelined, size);
         (t, rendered)
     });
     let (t_block, trace_block) = &timed[0];
@@ -64,24 +66,20 @@ fn main() {
         assert!(t_pipe < t_block, "Fig. 2's qualitative result must hold");
     }
 
-    if vscc_bench::critpath_requested() || vscc_bench::observability_requested() {
-        let (_, _, events_block, _) = run(false, size);
-        let (_, _, events_pipe, metrics_pipe) = run(true, size);
-        if vscc_bench::critpath_requested() {
-            println!("\ncritical-path attribution (cycles, one {size} B on-chip message):");
-            let rows = vec![
-                ("RCCE blocking".to_string(), events_block.clone(), t_block),
-                ("iRCCE pipelined".to_string(), events_pipe.clone(), t_pipe),
-            ];
-            print!("{}", vscc_bench::critpath_table("protocol", &rows));
-            println!(
-                "  (pipelining shrinks mpb-wait: the receiver drains each slot while\n  \
-                 the sender fills the other one)"
-            );
-        }
-        vscc_bench::export_observability(
-            &metrics_pipe,
-            &[("blocking", &events_block), ("pipelined", &events_pipe)],
+    if vscc_bench::observe("ircce-pipelined-16K", || run(true, size).2) {
+        println!("\ncritical-path attribution (cycles, one {size} B on-chip message):");
+        let rows: Vec<(String, des::trace::Trace, u64)> =
+            [("RCCE blocking", false), ("iRCCE pipelined", true)]
+                .into_iter()
+                .map(|(label, pipelined)| {
+                    let (t, _, obs) = run(pipelined, size);
+                    (label.to_string(), obs.trace, t)
+                })
+                .collect();
+        print!("{}", vscc_bench::critpath_table("protocol", &rows));
+        println!(
+            "  (pipelining shrinks mpb-wait: the receiver drains each slot while\n  \
+             the sender fills the other one)"
         );
     }
 }

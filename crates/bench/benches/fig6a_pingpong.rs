@@ -46,13 +46,13 @@ fn main() {
         assert!((110.0..200.0).contains(&max_onchip), "on-chip ceiling out of the calibrated band");
     }
 
-    if vscc_bench::observability_requested() {
-        let (_, onchip_trace, _) = pingpong::onchip_observed(true, 64 * 1024, 1);
-        let (_, vdma_trace, vdma_reg) =
-            pingpong::interdevice_observed(CommScheme::LocalPutLocalGet, 64 * 1024, 1);
-        vscc_bench::export_observability(
-            &vdma_reg,
-            &[("ircce-onchip-64K", &onchip_trace), ("vdma-interdevice-64K", &vdma_trace)],
+    vscc_bench::observe("vdma-interdevice-64K", || {
+        let (_, trace, metrics, series) = pingpong::interdevice_sampled(
+            CommScheme::LocalPutLocalGet,
+            64 * 1024,
+            1,
+            des::obs::DEFAULT_CADENCE,
         );
-    }
+        vscc_bench::Observed { trace, metrics, series }
+    });
 }

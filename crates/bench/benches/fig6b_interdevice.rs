@@ -70,9 +70,21 @@ fn main() {
         dip(CommScheme::LocalPutLocalGet)
     );
 
-    if vscc_bench::critpath_requested() {
-        // VSCC_CRITPATH=1: where does one round trip spend its cycles?
-        // The per-phase columns sum to the measured completion exactly.
+    // The designated run: the vDMA 8 KiB point, sampled (tunnel
+    // busy-fraction, MPB window occupancy, commtask busy-fraction, ...)
+    // and audited. An active VSCC_FAULTS plan rides along, seed and all.
+    let observed = vscc_bench::observe("vdma-8K", || {
+        let (_, trace, metrics, series) = pingpong::interdevice_sampled(
+            CommScheme::LocalPutLocalGet,
+            8192,
+            1,
+            des::obs::DEFAULT_CADENCE,
+        );
+        vscc_bench::Observed { trace, metrics, series }
+    });
+    if observed {
+        // Where does one round trip spend its cycles? The per-phase
+        // columns sum to the measured completion exactly.
         println!("\ncritical-path attribution (cycles per 1-rep round trip):");
         for size in [2048usize, 7424, 8192, 32 * 1024] {
             let rows: Vec<(String, des::trace::Trace, u64)> = CommScheme::ALL
@@ -91,38 +103,5 @@ fn main() {
              8192 B), while vDMA keeps streaming chunk-pipelined (pcie-wire\n  \
              scales smoothly) -- the local put / local get curve has no 8 KiB dip."
         );
-    }
-
-    if vscc_bench::observability_requested() {
-        // Sampled runs: counter tracks (tunnel busy-fraction, MPB window
-        // occupancy, commtask busy-fraction, ...) ride the Chrome trace,
-        // and the vDMA run's series is the `VSCC_TIMESERIES` export.
-        let cadence = des::obs::DEFAULT_CADENCE;
-        let (_, vdma_trace, vdma_reg, vdma_ts) =
-            pingpong::interdevice_sampled(CommScheme::LocalPutLocalGet, 8192, 1, cadence);
-        let (_, lprg_trace, _, lprg_ts) =
-            pingpong::interdevice_sampled(CommScheme::LocalPutRemoteGet, 8192, 1, cadence);
-        vscc_bench::export_observability_sampled(
-            &vdma_reg,
-            &[("vdma-8K", &vdma_trace), ("lprg-8K", &lprg_trace)],
-            &[("vdma-8K", &vdma_ts), ("lprg-8K", &lprg_ts)],
-        );
-    }
-
-    if vscc_bench::audit_requested() {
-        // VSCC_AUDIT=out.json: re-run the vDMA 8 KiB point under the
-        // hash-chained scheduler audit stream and export the per-epoch
-        // digests (byte-identical across reruns). VSCC_AUDIT_ZOOM=<epoch>
-        // additionally dumps that epoch's raw decisions for bisection;
-        // an active VSCC_FAULTS plan rides along, seed and all.
-        let (_, audit) = pingpong::interdevice_audited(
-            CommScheme::LocalPutLocalGet,
-            8192,
-            1,
-            des::audit::DEFAULT_EPOCH_CYCLES,
-            vscc_bench::audit_zoom_from_env(),
-            des::faultplan::spec_from_env(),
-        );
-        vscc_bench::export_audit(&audit);
     }
 }

@@ -65,17 +65,19 @@ fn main() {
         );
     }
 
-    if vscc_bench::observability_requested() {
-        // One small fully-observed BT run for the exports.
+    // The designated run sits inside the figure's regime: 64 ranks over
+    // two devices with vDMA, so the tunnels carry BT's boundary faces.
+    vscc_bench::observe("bt-class-c-64x2", || {
         let sim = Sim::new();
-        let v = VsccBuilder::new(&sim, 1)
+        let v = VsccBuilder::new(&sim, 2)
             .scheme(CommScheme::LocalPutLocalGet)
             .trace_categories(&des::trace::Category::ALL)
             .build();
-        let s = v.session_with_ranks(16);
-        let mut cfg = BtConfig::new(BtClass::C, 16);
+        let s = v.session_with_ranks(64);
+        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        let mut cfg = BtConfig::new(BtClass::C, 64);
         cfg.measured = 1;
         run_bt(&s, &cfg).expect("observed BT run");
-        vscc_bench::export_observability(v.metrics(), &[("bt-class-c-16", v.trace())]);
-    }
+        vscc_bench::Observed::of(&v, series)
+    });
 }

@@ -11,29 +11,29 @@ use vscc::{CommScheme, VsccBuilder};
 use vscc_apps::npb::{run_bt, BtClass, BtConfig};
 use vscc_apps::traffic::TrafficMatrix;
 
+fn bt_config(ranks: usize) -> BtConfig {
+    let mut cfg = BtConfig::new(BtClass::C, ranks);
+    cfg.measured = 2;
+    cfg
+}
+
 fn main() {
     vscc_bench::banner("Figure 8", "NPB BT (class C) communication traffic of 64 cores");
     let ranks = 64usize;
     // One big BT world: run it through the sweep pool like the other
-    // bench targets (the closure owns the whole non-Send sim, including
-    // the observability export, and hands back only printable data).
+    // bench targets (the closure owns the whole non-Send sim and hands
+    // back only printable data).
     let summaries = vscc_bench::parallel_sweep(&[ranks], |&ranks| {
         let sim = Sim::new();
-        let mut b = VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet);
-        if vscc_bench::observability_requested() {
-            b = b.trace_categories(&des::trace::Category::ALL);
-        }
-        let v = b.build();
+        let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet).build();
         let s = v.session_with_ranks(ranks);
-        let mut cfg = BtConfig::new(BtClass::C, ranks);
-        cfg.measured = 2;
+        let cfg = bt_config(ranks);
         let res = run_bt(&s, &cfg).expect("BT run");
 
         // Scale the recorded (warmup + measured) iterations to the full run.
         let simulated_iters = (cfg.warmup + cfg.measured) as u64;
         let full =
             TrafficMatrix::capture(&s).scaled(BtClass::C.full_iterations() as u64, simulated_iters);
-        vscc_bench::export_observability(v.metrics(), &[("bt-class-c-64", v.trace())]);
         let (src, dst, bytes) = full.max_pair();
         (
             res.verified,
@@ -68,4 +68,18 @@ fn main() {
         );
         assert!(*neigh9 > 0.5, "the pattern must be neighbourhood-based");
     }
+
+    // The designated run: the figure's own 64-rank, two-device run,
+    // fully traced.
+    vscc_bench::observe("bt-class-c-64", || {
+        let sim = Sim::new();
+        let v = VsccBuilder::new(&sim, 2)
+            .scheme(CommScheme::LocalPutLocalGet)
+            .trace_categories(&des::trace::Category::ALL)
+            .build();
+        let s = v.session_with_ranks(ranks);
+        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        run_bt(&s, &bt_config(ranks)).expect("observed BT run");
+        vscc_bench::Observed::of(&v, series)
+    });
 }

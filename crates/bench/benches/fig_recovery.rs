@@ -15,6 +15,7 @@
 use des::faultplan::FaultSpec;
 use des::Sim;
 use vscc::{CommScheme, VsccBuilder};
+use vscc_bench::Observed;
 
 /// The storm: 80% injected ack loss on every posted line until cycle
 /// 800 k, nothing after. Recovery on; a generous watchdog converts any
@@ -40,7 +41,9 @@ struct RunOut {
     still_demoted: usize,
 }
 
-fn run(faults: Option<FaultSpec>) -> RunOut {
+/// One storm run (or its fault-free twin without `faults`). `observed`
+/// traces every category and samples the run for `VSCC_OBS`.
+fn run(faults: Option<FaultSpec>, observed: bool) -> (RunOut, Option<Observed>) {
     let sim = Sim::new();
     // Dense canary cadence so the whole demote→probe→heal arc fits one
     // short figure run; the production default derives a sparser
@@ -49,16 +52,19 @@ fn run(faults: Option<FaultSpec>) -> RunOut {
         enabled: true,
         probe_interval: 20_000,
         probe_backoff_max: 160_000,
-        ..Default::default()
     };
     let mut b = VsccBuilder::new(&sim, 2).scheme(CommScheme::RemotePutHwAck).recovery_config(rc);
     if let Some(spec) = faults {
         b = b.faults(spec);
     }
+    if observed {
+        b = b.trace_categories(&des::trace::Category::ALL);
+    }
     let v = b.build();
     let a = v.devices[0].global(scc::geometry::CoreId(0));
     let bb = v.devices[1].global(scc::geometry::CoreId(0));
     let s = v.session_builder().participants(vec![a, bb]).build();
+    let series = observed.then(|| v.spawn_sampler(&des::obs::SamplerSpec::default()));
     // Hold the clock open past the storm plus the probe backoff so the
     // (daemon) probers can finish the healing arc even if the app's
     // traffic drains first.
@@ -85,14 +91,15 @@ fn run(faults: Option<FaultSpec>) -> RunOut {
         .expect("recovery figure run must complete");
     let times = out.into_iter().find(|t| !t.is_empty()).expect("receiver times");
     let transitions = v.host.health.transitions();
-    RunOut {
+    let out = RunOut {
         times,
         demotions: v.host.rstats.demotions.get(),
         promotions: v.host.health.promotions.get(),
         first_demote: transitions.iter().find(|t| t.trigger == "demote").map(|t| t.time),
         last_promote: transitions.iter().rev().find(|t| t.trigger == "promote").map(|t| t.time),
         still_demoted: v.host.demoted_pairs().len(),
-    }
+    };
+    (out, series.map(|series| Observed::of(&v, series)))
 }
 
 /// Mean cycles per message across `times[lo..hi]`, measured from the
@@ -116,8 +123,8 @@ fn main() {
     let spec = des::faultplan::spec_from_env()
         .unwrap_or_else(|| FaultSpec::parse(STORM).expect("built-in storm spec"));
     println!("plan: {spec}");
-    let faulty = run(Some(spec));
-    let clean = run(None);
+    let (faulty, _) = run(Some(spec.clone()), false);
+    let (clean, _) = run(None, false);
 
     // Phase boundaries from the run itself: the storm window, the
     // degraded (fallback) window up to the last re-promotion, and the
@@ -173,48 +180,8 @@ fn main() {
         );
     }
 
-    if vscc_bench::observability_requested() {
-        // Export one traced healing run so the Health-category instants
-        // and the degraded-pairs counter track are visible on the
-        // timeline.
-        let sim = Sim::new();
-        let rc = vscc::host::RecoveryConfig {
-            enabled: true,
-            probe_interval: 20_000,
-            probe_backoff_max: 160_000,
-            ..Default::default()
-        };
-        let v = VsccBuilder::new(&sim, 2)
-            .scheme(CommScheme::RemotePutHwAck)
-            .recovery_config(rc)
-            .trace_categories(&des::trace::Category::ALL)
-            .faults(FaultSpec::parse(STORM).expect("built-in storm spec"))
-            .build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let b = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, b]).build();
-        let ts = v.spawn_sampler(&des::obs::SamplerSpec::every(des::obs::DEFAULT_CADENCE));
-        let keepalive = sim.clone();
-        sim.spawn_named("post-storm-idle", async move {
-            keepalive.delay(2_000_000).await;
-        });
-        s.run_app(|r| async move {
-            for i in 0..MSGS {
-                let fill = (i as u8).wrapping_mul(29).wrapping_add(3);
-                if r.id() == 0 {
-                    r.send(&vec![fill; SIZE], 1).await;
-                } else {
-                    let mut buf = vec![0u8; SIZE];
-                    r.recv(&mut buf, 0).await;
-                }
-            }
-        })
-        .expect("traced healing run");
-        ts.finish(sim.now());
-        vscc_bench::export_observability_sampled(
-            v.metrics(),
-            &[("healing", v.trace())],
-            &[("healing", &ts)],
-        );
-    }
+    // The designated run: the storm run itself, traced and sampled, so
+    // the Health-category instants and the degraded-pairs counter track
+    // show the whole arc.
+    vscc_bench::observe("healing", || run(Some(spec), true).1.expect("observed run"));
 }

@@ -9,6 +9,7 @@
 use std::rc::Rc;
 
 use des::Sim;
+use rcce::Session;
 use scc::geometry::CoreId;
 use vscc::schemes::CachedGetProtocol;
 use vscc::{CommScheme, VsccBuilder};
@@ -17,13 +18,22 @@ const SIZE: usize = 64 * 1024;
 const REPS: usize = 3;
 
 fn pair_throughput(v: &vscc::Vscc, proto: Option<Rc<dyn rcce::PointToPoint>>) -> f64 {
+    pingpong(v, &pair_session(v, proto))
+}
+
+/// A session over core 0 of devices 0 and 1.
+fn pair_session(v: &vscc::Vscc, proto: Option<Rc<dyn rcce::PointToPoint>>) -> Session {
     let a = v.devices[0].global(CoreId(0));
     let b = v.devices[1].global(CoreId(0));
     let mut sb = v.session_builder().participants(vec![a, b]);
     if let Some(p) = proto {
         sb = sb.interdevice_protocol(p);
     }
-    let s = sb.build();
+    sb.build()
+}
+
+/// `REPS` round trips of `SIZE` bytes over `s`; returns MB/s.
+fn pingpong(v: &vscc::Vscc, s: &Session) -> f64 {
     s.run_app(move |r| async move {
         for _ in 0..REPS {
             if r.id() == 0 {
@@ -136,20 +146,18 @@ fn main() {
         }
     }
 
-    if vscc_bench::observability_requested() {
-        // Export the two ends of the vDMA-chunk ablation, fully traced.
-        let traced = |chunk: usize| {
-            let sim = Sim::new();
-            let v = VsccBuilder::new(&sim, 2)
-                .scheme(CommScheme::LocalPutLocalGet)
-                .dma_chunk(chunk)
-                .trace_categories(&des::trace::Category::ALL)
-                .build();
-            pair_throughput(&v, None);
-            (v.trace().clone(), v.metrics().clone())
-        };
-        let (small, _) = traced(256);
-        let (large, reg) = traced(1920);
-        vscc_bench::export_observability(&reg, &[("chunk-256", &small), ("chunk-1920", &large)]);
-    }
+    // The designated run: the small end of the vDMA-chunk ablation,
+    // where per-chunk overhead dominates, fully traced.
+    vscc_bench::observe("chunk-256", || {
+        let sim = Sim::new();
+        let v = VsccBuilder::new(&sim, 2)
+            .scheme(CommScheme::LocalPutLocalGet)
+            .dma_chunk(256)
+            .trace_categories(&des::trace::Category::ALL)
+            .build();
+        let s = pair_session(&v, None);
+        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        pingpong(&v, &s);
+        vscc_bench::Observed::of(&v, series)
+    });
 }

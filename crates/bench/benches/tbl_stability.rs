@@ -19,6 +19,7 @@
 
 use des::Sim;
 use vscc::{host::HostConfig, CommScheme, VsccBuilder};
+use vscc_bench::Observed;
 
 /// Generous per-wait watchdog for the recovered runs: an order of
 /// magnitude above the worst legitimate wait (a 7680 B message plus a
@@ -68,18 +69,28 @@ struct Recovered {
 
 /// The same stream with the host recovery layer on: identical seeds and
 /// fast-ack draw sequence, but lost acks are retransmitted and lossy
-/// pairs demoted instead of poisoning the session.
-fn stream_recovered(n_devices: u8, volume: usize, seed: u64) -> Recovered {
+/// pairs demoted instead of poisoning the session. `observed` traces
+/// every category and samples the run for `VSCC_OBS`.
+fn stream_recovered(
+    n_devices: u8,
+    volume: usize,
+    seed: u64,
+    observed: bool,
+) -> (Recovered, Option<Observed>) {
     let sim = Sim::new();
-    let v = VsccBuilder::new(&sim, n_devices)
+    let mut builder = VsccBuilder::new(&sim, n_devices)
         .scheme(CommScheme::RemotePutHwAck)
         .host_config(HostConfig { seed, ..HostConfig::default() })
         .recovery(true)
-        .poll_watchdog(WATCHDOG_CYCLES)
-        .build();
+        .poll_watchdog(WATCHDOG_CYCLES);
+    if observed {
+        builder = builder.trace_categories(&des::trace::Category::ALL);
+    }
+    let v = builder.build();
     let a = v.devices[0].global(scc::geometry::CoreId(0));
     let b = v.devices[1].global(scc::geometry::CoreId(0));
     let s = v.session_builder().participants(vec![a, b]).build();
+    let series = observed.then(|| v.spawn_sampler(&des::obs::SamplerSpec::default()));
     let msg = 7680usize.min(volume);
     let msgs = volume / msg;
     // Each rank reports (payloads verified, its completion time). The
@@ -121,7 +132,7 @@ fn stream_recovered(n_devices: u8, volume: usize, seed: u64) -> Recovered {
             _ => {}
         }
     }
-    Recovered {
+    let recovered = Recovered {
         verified: out.iter().all(|&(ok, _)| ok),
         lost_acks: lost,
         retransmits: v.host.rstats.fastack_retransmits.get(),
@@ -130,7 +141,8 @@ fn stream_recovered(n_devices: u8, volume: usize, seed: u64) -> Recovered {
         promotions: v.host.health.promotions.get(),
         heal_kcycles: if healed > 0 { spans as f64 / healed as f64 / 1000.0 } else { 0.0 },
         mbps: des::time::CORE_FREQ.mbytes_per_sec(volume as u64, end.max(1)),
-    }
+    };
+    (recovered, series.map(|series| Observed::of(&v, series)))
 }
 
 fn main() {
@@ -211,7 +223,8 @@ fn main() {
     // Heaviest volume only: the interesting regime is where the seed
     // model falls over. Same seed as the legacy 16MB column.
     let counts: Vec<u8> = (2u8..=5).collect();
-    let recovered = vscc_bench::parallel_sweep(&counts, |&n| stream_recovered(n, volumes[2], 42));
+    let recovered =
+        vscc_bench::parallel_sweep(&counts, |&n| stream_recovered(n, volumes[2], 42, false).0);
     for (&n, r) in counts.iter().zip(&recovered) {
         all_verified &= r.verified;
         if n >= 3 {
@@ -248,27 +261,10 @@ fn main() {
         );
     }
 
-    if vscc_bench::observability_requested() {
-        // Export one traced 4-device stream so the lost-ack recovery
-        // stalls are visible on the timeline.
-        let sim = Sim::new();
-        let v = VsccBuilder::new(&sim, 4)
-            .scheme(CommScheme::RemotePutHwAck)
-            .host_config(HostConfig { seed: 41, ..HostConfig::default() })
-            .trace_categories(&des::trace::Category::ALL)
-            .build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let b = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, b]).build();
-        s.run_app(|r| async move {
-            if r.id() == 0 {
-                r.send(&vec![3u8; 7680], 1).await;
-            } else {
-                let mut buf = vec![0u8; 7680];
-                r.recv(&mut buf, 0).await;
-            }
-        })
-        .expect("traced stream");
-        vscc_bench::export_observability(v.metrics(), &[("hwack-4dev", v.trace())]);
-    }
+    // The designated run: the 5-device point with recovery on, at the
+    // lightest volume (same seed as the legacy 1MB column), so lost acks,
+    // retransmits and demotions show on the timeline.
+    vscc_bench::observe("hwack-recovered-5dev-1MB", || {
+        stream_recovered(5, volumes[0], 40, true).1.expect("observed run")
+    });
 }

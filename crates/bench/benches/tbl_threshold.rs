@@ -73,16 +73,14 @@ fn main() {
         }
     }
 
-    if vscc_bench::observability_requested() {
-        // Export one traced sub-threshold message (the direct path) next
-        // to one over-threshold message (the controller path).
-        let (_, direct, reg) =
-            vscc_apps::pingpong::interdevice_observed(CommScheme::LocalPutLocalGet, 64, 1);
-        let (_, controller, _) =
-            vscc_apps::pingpong::interdevice_observed(CommScheme::LocalPutLocalGet, 512, 1);
-        vscc_bench::export_observability(
-            &reg,
-            &[("direct-64B", &direct), ("vdma-512B", &controller)],
+    // The designated run: one sub-threshold message on the direct path.
+    vscc_bench::observe("direct-64B", || {
+        let (_, trace, metrics, series) = vscc_apps::pingpong::interdevice_sampled(
+            CommScheme::LocalPutLocalGet,
+            64,
+            1,
+            des::obs::DEFAULT_CADENCE,
         );
-    }
+        vscc_bench::Observed { trace, metrics, series }
+    });
 }

@@ -7,20 +7,28 @@
 //! DESIGN.md §5); the *shapes* — orderings, ratios, crossovers — are the
 //! reproduction targets and are recorded in EXPERIMENTS.md.
 
+use std::path::PathBuf;
 use std::sync::Mutex;
 
-use des::obs::{Registry, TimeSeries, AUDIT_ENV, METRICS_ENV, TIMESERIES_ENV, TRACE_ENV};
+use des::audit::Audit;
+use des::obs::report::Exports;
+use des::obs::{Registry, TimeSeries};
 use des::trace::Trace;
+use vscc::Vscc;
 
 /// Print a figure/table banner. If a `VSCC_FAULTS` plan is active it is
 /// echoed here, so exported tables are never mistaken for clean-run
-/// numbers.
+/// numbers. A `VSCC_OBS` request is parsed (and a malformed one
+/// rejected) here too, before the target spends time on its tables.
 pub fn banner(id: &str, caption: &str) {
     println!("\n================================================================");
     println!("{id}: {caption}");
     println!("================================================================");
     if let Some(spec) = des::faultplan::spec_from_env() {
         println!("[faults] {} plan active: {spec}", des::obs::FAULTS_ENV);
+    }
+    if let Some(req) = obs_request() {
+        println!("[obs] designated run exports to {} ({OBS_ENV})", req.dir.display());
     }
 }
 
@@ -61,90 +69,109 @@ pub fn headline_asserts() -> bool {
     des::faultplan::spec_from_env().is_none()
 }
 
-/// Whether either observability env var asks for an export. Benches use
-/// this to skip the extra fully-traced run when nobody wants the output.
-pub fn observability_requested() -> bool {
-    let set = |var: &str| std::env::var(var).map(|v| !v.is_empty()).unwrap_or(false);
-    set(TRACE_ENV) || set(METRICS_ENV) || set(TIMESERIES_ENV)
+/// The observability switch, `VSCC_OBS=<dir>[@<epoch>]`: the one
+/// environment variable (besides `VSCC_FAULTS`) a bench target reads.
+pub const OBS_ENV: &str = "VSCC_OBS";
+
+/// A parsed `VSCC_OBS` value: the export directory and, after the last
+/// `@`, an optional audit zoom epoch.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ObsRequest {
+    pub dir: PathBuf,
+    /// Epoch whose raw scheduler decisions the audit keeps (bisection
+    /// step two; see `des::audit`).
+    pub zoom: Option<u64>,
 }
 
-/// Honour the observability env vars at the end of a bench target: write
-/// the Chrome trace of `traces` when `VSCC_TRACE=path` is set and the
-/// metrics snapshot of `registry` when `VSCC_METRICS=path` is set (see
-/// DESIGN.md §"Observability"). Prints the paths written so the user can
-/// find the artifacts in the bench output.
-pub fn export_observability(registry: &Registry, traces: &[(&str, &Trace)]) {
-    export_observability_sampled(registry, traces, &[]);
-}
-
-/// [`export_observability`] for targets that also ran the virtual-time
-/// sampler: `series` pairs are merged into the Chrome trace as Perfetto
-/// counter tracks, and — when `VSCC_TIMESERIES=path` is set — the first
-/// series is written there as the windowed time-series export. Targets
-/// that pass no series print a hint instead of silently ignoring the
-/// request.
-pub fn export_observability_sampled(
-    registry: &Registry,
-    traces: &[(&str, &Trace)],
-    series: &[(&str, &TimeSeries)],
-) {
-    match des::obs::export_trace_if_env_with_tracks(traces, series) {
-        Ok(Some(path)) => println!("[obs] Chrome trace written to {path} ({TRACE_ENV})"),
-        Ok(None) => {}
-        Err(e) => eprintln!("[obs] {TRACE_ENV} export failed: {e}"),
-    }
-    match des::obs::export_metrics_if_env(registry) {
-        Ok(Some(path)) => println!("[obs] metrics snapshot written to {path} ({METRICS_ENV})"),
-        Ok(None) => {}
-        Err(e) => eprintln!("[obs] {METRICS_ENV} export failed: {e}"),
-    }
-    let timeseries_wanted = std::env::var(TIMESERIES_ENV).map(|v| !v.is_empty()).unwrap_or(false);
-    match series.first() {
-        Some((name, ts)) => match des::obs::export_timeseries_if_env(ts) {
-            Ok(Some(path)) => {
-                println!("[obs] time-series ({name}) written to {path} ({TIMESERIES_ENV})")
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("[obs] {TIMESERIES_ENV} export failed: {e}"),
-        },
-        None if timeseries_wanted => {
-            println!("[obs] {TIMESERIES_ENV} set but this target runs no sampler; no export")
+impl ObsRequest {
+    /// Parse a `VSCC_OBS` value; `None` when empty. Panics on a
+    /// malformed value, like `des::faultplan::spec_from_env`: a typo
+    /// should fail loudly, not quietly produce an unzoomed audit.
+    pub fn parse(value: &str) -> Option<ObsRequest> {
+        if value.is_empty() {
+            return None;
         }
-        None => {}
-    }
-}
-
-/// Whether `VSCC_AUDIT` asks for an audit-stream export. Benches use
-/// this to skip the extra audited run when nobody wants the output.
-pub fn audit_requested() -> bool {
-    des::obs::audit_requested()
-}
-
-/// The `VSCC_AUDIT_ZOOM=<epoch>` zoom target, if set.
-pub fn audit_zoom_from_env() -> Option<u64> {
-    des::obs::audit_zoom_from_env()
-}
-
-/// Honour `VSCC_AUDIT` at the end of a bench target: write the audit
-/// stream there and print the path (and the active zoom window, if
-/// any), mirroring [`export_observability`].
-pub fn export_audit(audit: &des::audit::Audit) {
-    match des::obs::export_audit_if_env(audit) {
-        Ok(Some(path)) => match audit_zoom_from_env() {
-            Some(epoch) => {
-                println!("[obs] audit stream (zoom epoch {epoch}) written to {path} ({AUDIT_ENV})")
+        let malformed = |why: &str| -> ! {
+            panic!("malformed {OBS_ENV}={value:?}: {why} (want <dir>[@<epoch>])")
+        };
+        let (dir, zoom) = match value.rsplit_once('@') {
+            Some((dir, epoch)) => {
+                (dir, Some(epoch.parse().unwrap_or_else(|_| malformed("bad epoch"))))
             }
-            None => println!("[obs] audit stream written to {path} ({AUDIT_ENV})"),
-        },
-        Ok(None) => {}
-        Err(e) => eprintln!("[obs] {AUDIT_ENV} export failed: {e}"),
+            None => (value, None),
+        };
+        if dir.is_empty() {
+            malformed("empty directory");
+        }
+        Some(ObsRequest { dir: dir.into(), zoom })
     }
 }
 
-/// Whether `VSCC_CRITPATH=1` asks the benches to print critical-path
-/// phase-attribution tables (see `des::critpath`).
-pub fn critpath_requested() -> bool {
-    des::obs::critpath_requested()
+/// The `VSCC_OBS` request from the environment, if set and non-empty.
+fn obs_request() -> Option<ObsRequest> {
+    ObsRequest::parse(&std::env::var(OBS_ENV).ok()?)
+}
+
+/// The handles of one observed run: its trace (all categories), its
+/// metrics registry, and its finished virtual-time sampler.
+pub struct Observed {
+    pub trace: Trace,
+    pub metrics: Registry,
+    pub series: TimeSeries,
+}
+
+impl Observed {
+    /// Finish `series` at the end of `v`'s run and collect `v`'s handles.
+    pub fn of(v: &Vscc, series: TimeSeries) -> Observed {
+        series.finish(v.sim.now());
+        Observed { trace: v.trace().clone(), metrics: v.metrics().clone(), series }
+    }
+}
+
+/// The observability front door. When `VSCC_OBS=<dir>[@<epoch>]` is set,
+/// execute the target's designated run (`run`, on this thread) under a
+/// hash-chained audit stream, then write `trace.json`, `metrics.json`,
+/// `timeseries.json`, `audit.json` and `report.md` into `<dir>` (see
+/// `des::obs::report`) and print what was written. `label` names the
+/// run in the trace. Returns whether `VSCC_OBS` was set, so targets can
+/// print their extra diagnostics (critical-path tables) alongside. An
+/// unwritable directory is reported on stderr; the target still passes.
+pub fn observe(label: &str, run: impl FnOnce() -> Observed) -> bool {
+    let Some(req) = obs_request() else {
+        return false;
+    };
+    let started = std::time::Instant::now();
+    let cadence = des::audit::DEFAULT_EPOCH_CYCLES;
+    let audit = match req.zoom {
+        Some(epoch) => Audit::with_zoom(cadence, epoch),
+        None => Audit::new(cadence),
+    };
+    let guard = audit.install();
+    let obs = run();
+    drop(guard);
+    let exports = Exports {
+        trace: des::obs::chrome_trace_json_with_tracks(
+            &[(label, &obs.trace)],
+            &[(label, &obs.series)],
+        ),
+        metrics: obs.metrics.snapshot().to_json(),
+        timeseries: obs.series.to_json(),
+        audit: audit.to_json(),
+    };
+    match exports.write_dir(&req.dir) {
+        Ok(files) => {
+            let sizes: Vec<String> = files.iter().map(|(f, n)| format!("{f} {n} B")).collect();
+            let zoom = req.zoom.map(|e| format!(", audit zoom epoch {e}")).unwrap_or_default();
+            println!(
+                "[obs] {label}: wrote {} to {} in {:.2} s{zoom} ({OBS_ENV})",
+                sizes.join(", "),
+                req.dir.display(),
+                started.elapsed().as_secs_f64()
+            );
+        }
+        Err(e) => eprintln!("[obs] {OBS_ENV} export to {} failed: {e}", req.dir.display()),
+    }
+    true
 }
 
 /// Render per-run phase attribution: each row is one traced run
@@ -215,6 +242,18 @@ mod tests {
         assert_eq!(size_label(32), "32");
         assert_eq!(size_label(8192), "8K");
         assert_eq!(size_label(7680), "7680");
+    }
+
+    #[test]
+    fn obs_values_parse_or_panic() {
+        assert_eq!(ObsRequest::parse(""), None);
+        assert_eq!(ObsRequest::parse("d"), Some(ObsRequest { dir: "d".into(), zoom: None }));
+        assert_eq!(ObsRequest::parse("d@7"), Some(ObsRequest { dir: "d".into(), zoom: Some(7) }));
+        for bad in ["d@x", "@7", "d@"] {
+            let err = std::panic::catch_unwind(|| ObsRequest::parse(bad)).expect_err(bad);
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains(&format!("{bad:?}")), "{bad}: {msg}");
+        }
     }
 
     #[test]

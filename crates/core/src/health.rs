@@ -6,7 +6,7 @@
 //! forever. This module closes the loop:
 //!
 //! ```text
-//!             consecutive lossy bursts ≥ fallback_threshold
+//!             consecutive lossy bursts ≥ FALLBACK_THRESHOLD
 //!   Healthy ─────────────────────────────────────────────► Degraded
 //!      ▲                                                      │
 //!      │ promote: K consecutive probe successes               │ probe
@@ -14,16 +14,16 @@
 //!   Probing ◄──────────────────────────────────────────── (canary)
 //!      │  probe_fail: back to Degraded, interval doubled
 //!      │
-//!      └── demote_count ≥ quarantine_after ──► Quarantined (terminal)
+//!      └── demote_count ≥ QUARANTINE_AFTER ──► Quarantined (terminal)
 //! ```
 //!
 //! A demoted pair keeps serving traffic over the safe fallback while a
 //! daemon prober sends periodic single-line canaries over the *demoted*
-//! fast path. `promote_after` consecutive successes re-promote the pair;
+//! fast path. `PROMOTE_AFTER` consecutive successes re-promote the pair;
 //! any failure resets the success count and doubles the probe interval
 //! (bounded by `probe_backoff_max`) — exponential hysteresis, so a pair
 //! under an ongoing fault storm is re-tested ever more rarely and cannot
-//! flap. A pair demoted `quarantine_after` times is quarantined: it stays
+//! flap. A pair demoted `QUARANTINE_AFTER` times is quarantined: it stays
 //! on the fallback permanently and its prober retires. Every transition
 //! is timestamped, logged (bounded), traced (`Category::Health`), and
 //! counted (`host.health.*`).

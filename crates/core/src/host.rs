@@ -50,8 +50,6 @@ pub struct HostConfig {
     pub dma_chunk: usize,
     /// Host write-combining buffer granularity in bytes.
     pub wcb_granularity: usize,
-    /// Enable the FPGA fast write-acknowledge path.
-    pub fast_ack: bool,
     /// Seed for fault injection.
     pub seed: u64,
     /// Injected-fault plan specification. [`FaultSpec::none`] (the
@@ -67,7 +65,6 @@ impl Default for HostConfig {
             model: PcieModel::default(),
             dma_chunk: 1024,
             wcb_granularity: 1024,
-            fast_ack: false,
             seed: 0,
             faults: FaultSpec::none(),
             recovery: RecoveryConfig::default(),
@@ -75,74 +72,44 @@ impl Default for HostConfig {
     }
 }
 
+/// Retry attempts before a tunnel transfer is abandoned (the loss is
+/// then surfaced, not silently dropped).
+pub const MAX_RETRIES: u32 = 6;
+/// Consecutive lossy posted-write bursts on one device pair before the
+/// commtask demotes the pair from remote-put to the host-acked path.
+pub const FALLBACK_THRESHOLD: u32 = 3;
+/// Consecutive successful canaries before a demoted pair re-promotes to
+/// the fast path.
+pub const PROMOTE_AFTER: u32 = 3;
+/// Demotions of one pair before it is quarantined (permanent fallback,
+/// prober retired).
+pub const QUARANTINE_AFTER: u32 = 5;
+
 /// Configuration of the host recovery layer. Disabled by default — the
 /// 2012 prototype had no recovery and the baseline figures must stay
-/// byte-identical. Zero timing fields mean "derive from the PCIe model"
-/// when the host is built (see `retry_timeout_cycles` /
-/// `retry_backoff_base` on [`PcieModel`] for the rationale).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// byte-identical. Retry timing derives from the PCIe model
+/// (`retry_timeout_cycles` / `retry_backoff_base` on [`PcieModel`]);
+/// the counts are the module constants ([`MAX_RETRIES`], ...). Zero
+/// probe fields mean "derive from the PCIe model" when the host is
+/// built.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Master switch: tunnel checksums, retries, idempotent vDMA
     /// re-programming, and fast-ack fallback demotion.
     pub enabled: bool,
-    /// Per-attempt timeout before a lost tunnel transfer is retried.
-    pub timeout_cycles: Cycles,
-    /// First-retry backoff; doubles per attempt.
-    pub backoff_base: Cycles,
-    /// Backoff cap.
-    pub backoff_max: Cycles,
-    /// Retry attempts before a transfer is abandoned (the loss is then
-    /// surfaced, not silently dropped).
-    pub max_retries: u32,
-    /// Consecutive lossy posted-write bursts on one device pair before
-    /// the commtask demotes the pair from remote-put to the host-acked
-    /// path.
-    pub fallback_threshold: u32,
     /// Base interval between health-probe canaries on a demoted pair
     /// (0 derives `probe_interval_base` from the model).
     pub probe_interval: Cycles,
     /// Cap of the exponential probe backoff (0 derives
     /// `probe_interval_max` from the model).
     pub probe_backoff_max: Cycles,
-    /// Consecutive successful canaries before a demoted pair re-promotes
-    /// to the fast path.
-    pub promote_after: u32,
-    /// Demotions of one pair before it is quarantined (permanent
-    /// fallback, prober retired).
-    pub quarantine_after: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            enabled: false,
-            timeout_cycles: 0,
-            backoff_base: 0,
-            backoff_max: 0,
-            max_retries: 6,
-            fallback_threshold: 3,
-            probe_interval: 0,
-            probe_backoff_max: 0,
-            promote_after: 3,
-            quarantine_after: 5,
-        }
-    }
 }
 
 impl RecoveryConfig {
-    /// Fill derived timing fields from the PCIe model and honor a
+    /// Fill derived probe timing from the PCIe model and honor a
     /// `recovery=on` override riding the fault spec.
     fn resolve(mut self, model: &PcieModel, spec: &FaultSpec) -> Self {
         self.enabled |= spec.recovery;
-        if self.timeout_cycles == 0 {
-            self.timeout_cycles = model.retry_timeout_cycles();
-        }
-        if self.backoff_base == 0 {
-            self.backoff_base = model.retry_backoff_base();
-        }
-        if self.backoff_max == 0 {
-            self.backoff_max = 16 * self.backoff_base;
-        }
         if self.probe_interval == 0 {
             self.probe_interval = model.probe_interval_base();
         }
@@ -314,7 +281,7 @@ impl HostSide {
     ) -> Rc<Self> {
         let fabric = HostFabric::new(cfg.model.clone(), n_devices);
         fabric.register_metrics(registry);
-        let fast = cfg.fast_ack || scheme == CommScheme::RemotePutHwAck;
+        let fast = scheme == CommScheme::RemotePutHwAck;
         let stats = HostStats::default();
         stats.register(registry);
         let rstats = RecoveryStats::default();
@@ -560,7 +527,7 @@ impl HostSide {
                     }
                 }
                 attempt += 1;
-                if attempt > self.recovery.max_retries {
+                if attempt > MAX_RETRIES {
                     self.rstats.giveups.inc();
                     return;
                 }
@@ -680,7 +647,7 @@ impl HostSide {
                     // (adaptive per-pair budget once samples exist).
                     sim.delay(self.health.timeout_for(
                         pair,
-                        self.recovery.timeout_cycles,
+                        self.cfg.model.retry_timeout_cycles(),
                         self.cfg.model.adaptive_timeout_floor(),
                         self.cfg.model.adaptive_timeout_ceiling(),
                     ))
@@ -697,7 +664,7 @@ impl HostSide {
                 }
             }
             attempt += 1;
-            if attempt > self.recovery.max_retries {
+            if attempt > MAX_RETRIES {
                 self.rstats.giveups.inc();
                 self.trace.instant_f(
                     sim.now(),
@@ -718,8 +685,8 @@ impl HostSide {
                 || "host-recovery",
                 || fields![attempt = attempt as u64, bytes = data.len() as u64],
             );
-            let backoff =
-                (self.recovery.backoff_base << (attempt - 1)).min(self.recovery.backoff_max);
+            let base = self.cfg.model.retry_backoff_base();
+            let backoff = (base << (attempt - 1)).min(16 * base);
             sim.delay(backoff).await;
             // The re-sent bytes occupy the wire again.
             let arrival = if to_device {
@@ -1277,7 +1244,7 @@ impl RemoteFabric for HostSide {
                             || fields![lines = lost as u64],
                         );
                         let arr = sport.egress.reserve(&sim, lost as u64 * LINE_BYTES as u64);
-                        let resume = arr.max(sim.now() + self.recovery.backoff_base);
+                        let resume = arr.max(sim.now() + self.cfg.model.retry_backoff_base());
                         sim.delay_until(resume).await;
                     }
                     self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
@@ -1413,17 +1380,12 @@ impl HostSide {
     /// fallback path, the transition recorded, and a canary prober
     /// spawned to earn the pair's way back (DESIGN.md §5h).
     fn note_ack_result(self: &Rc<Self>, pair: (u8, u8), lossy: bool, flow: Option<u64>) {
-        if !self.health.note_ack_burst(pair, lossy, self.recovery.fallback_threshold) {
+        if !self.health.note_ack_burst(pair, lossy, FALLBACK_THRESHOLD) {
             return;
         }
         let tr = self
             .health
-            .demote(
-                self.sim.now(),
-                pair,
-                self.recovery.probe_interval,
-                self.recovery.quarantine_after,
-            )
+            .demote(self.sim.now(), pair, self.recovery.probe_interval, QUARANTINE_AFTER)
             .expect("note_ack_burst fired on a Healthy pair");
         self.rstats.demotions.inc();
         // The legacy Fault-category instant stays for trace consumers
@@ -1500,7 +1462,7 @@ impl HostSide {
                 } else if let Some(tr) = this.health.note_probe_ok(
                     sim.now(),
                     pair,
-                    this.recovery.promote_after,
+                    PROMOTE_AFTER,
                     this.recovery.probe_interval,
                 ) {
                     this.emit_health(&tr, None);

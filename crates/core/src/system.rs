@@ -136,13 +136,10 @@ impl VsccBuilder {
 
     /// Enable structured tracing for `cats` across every layer (host,
     /// PCIe, vDMA, and the RCCE protocols of sessions built from this
-    /// system). With `VSCC_FLIGHT=N` in the environment the trace becomes
-    /// a flight recorder bounded to the last `N` events.
+    /// system). For a flight recorder bounded to the last `N` events,
+    /// pass [`Trace::with_categories_ring`] to [`VsccBuilder::trace`].
     pub fn trace_categories(mut self, cats: &[Category]) -> Self {
-        self.trace = match des::obs::flight_capacity_from_env() {
-            Some(n) => Trace::with_categories_ring(cats, n),
-            None => Trace::with_categories(cats),
-        };
+        self.trace = Trace::with_categories(cats);
         self
     }
 
@@ -169,9 +166,9 @@ impl VsccBuilder {
     /// Build devices, boot them, start the communication task.
     ///
     /// If no fault plan was configured programmatically, `VSCC_FAULTS` in
-    /// the environment installs one (mirroring `VSCC_TRACE` /
-    /// `VSCC_CRITPATH`): any bench or test built through this builder can
-    /// be chaos-tested without code changes.
+    /// the environment installs one (the only environment variable the
+    /// library crates read): any bench or test built through this
+    /// builder can be chaos-tested without code changes.
     pub fn build(mut self) -> Vscc {
         if !self.host_cfg.faults.is_active() {
             if let Some(spec) = des::faultplan::spec_from_env() {

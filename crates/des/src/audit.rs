@@ -10,14 +10,16 @@
 //! decisions in the same order; the first divergent epoch brackets the
 //! first divergent decision to a `cadence`-cycle window.
 //!
-//! Bisection is a two-step protocol:
+//! Bisection is a two-step protocol over a bench target's designated
+//! run, whose export is `audit.json` under its `VSCC_OBS` directory:
 //!
-//! 1. run twice with `VSCC_AUDIT=a.json` / `b.json`, then
-//!    `audit_diff a.json b.json` → first divergent epoch `E`;
-//! 2. re-run both with `VSCC_AUDIT_ZOOM=E` — inside epoch `E` every raw
-//!    decision is kept (in a ring bounded by `VSCC_FLIGHT`) and all
-//!    trace categories are armed; `audit_diff` on the zoomed dumps then
-//!    names the first divergent *decision* (kind, operands, cycle).
+//! 1. run twice with `VSCC_OBS=a` / `VSCC_OBS=b`, then
+//!    `vscc_obs diff a b` → first divergent epoch `E`;
+//! 2. re-run both with `VSCC_OBS=a@E` / `VSCC_OBS=b@E` — inside epoch
+//!    `E` every raw decision is kept (in a ring of the last
+//!    [`DEFAULT_ZOOM_RING`]) and all registered traces are armed with
+//!    every category; `vscc_obs diff` on the zoomed dumps then names the
+//!    first divergent *decision* (kind, operands, cycle).
 //!
 //! Recording is a thread-local ambient sink behind a `const`-initialised
 //! `Cell<bool>` fast path: with no audit installed every hook is a
@@ -47,8 +49,9 @@ use crate::trace::Trace;
 /// default cadence so the two planes window identically.
 pub const DEFAULT_EPOCH_CYCLES: u64 = 25_000;
 
-/// Default bound on the zoomed raw-decision ring when `VSCC_FLIGHT` is
-/// unset: a zoom window on a huge epoch keeps the *last* N decisions.
+/// Bound on the zoomed raw-decision ring: a zoom window on a huge epoch
+/// keeps the *last* N decisions ([`Audit::set_zoom_ring_cap`] overrides
+/// it).
 pub const DEFAULT_ZOOM_RING: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -398,7 +401,6 @@ impl Audit {
 
     fn build(cadence: u64, zoom: Option<u64>) -> Audit {
         assert!(cadence > 0, "audit epoch cadence must be positive");
-        let ring_cap = crate::obs::flight_capacity_from_env().unwrap_or(DEFAULT_ZOOM_RING);
         let inner = Rc::new(AuditInner {
             cadence,
             chain: Cell::new(FNV_OFFSET),
@@ -408,7 +410,7 @@ impl Audit {
             counts: std::array::from_fn(|_| Cell::new(0)),
             rows: RefCell::new(Vec::new()),
             zoom,
-            zoom_ring_cap: Cell::new(ring_cap.max(1)),
+            zoom_ring_cap: Cell::new(DEFAULT_ZOOM_RING),
             ring: RefCell::new(VecDeque::new()),
             ring_dropped: Cell::new(0),
             armed: RefCell::new(Vec::new()),
@@ -420,8 +422,7 @@ impl Audit {
         Audit { inner }
     }
 
-    /// Override the zoom-ring bound (defaults to `VSCC_FLIGHT` or
-    /// [`DEFAULT_ZOOM_RING`]).
+    /// Override the zoom-ring bound (default [`DEFAULT_ZOOM_RING`]).
     pub fn set_zoom_ring_cap(&self, cap: usize) {
         self.inner.zoom_ring_cap.set(cap.max(1));
     }
@@ -483,7 +484,8 @@ impl Audit {
         self.inner.ring.borrow().iter().copied().collect()
     }
 
-    /// Deterministic line-oriented JSON export (`VSCC_AUDIT` target).
+    /// Deterministic line-oriented JSON export (`audit.json` under a
+    /// `VSCC_OBS` directory); [`parse_export`] reads it back.
     pub fn to_json(&self) -> String {
         let rows = self.epochs();
         let zoomed = self.zoomed();
@@ -542,7 +544,8 @@ impl Audit {
 }
 
 // ---------------------------------------------------------------------------
-// Export diffing (shared by `examples/audit_diff.rs` and the tests).
+// Export reading and diffing (shared by `examples/vscc_obs.rs`, the run
+// report and the tests).
 
 /// A parsed epoch line of an audit export.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -589,8 +592,8 @@ fn jstr<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     rest.split('"').next()
 }
 
-/// Parse a `VSCC_AUDIT` export. Errors on inputs that do not carry the
-/// audit schema marker.
+/// Parse an [`Audit::to_json`] export. Errors on inputs that do not
+/// carry the audit schema marker.
 pub fn parse_export(json: &str) -> Result<ParsedAudit, String> {
     if !json.contains("\"schema\": \"vscc-audit-v1\"") {
         return Err("not a vscc-audit-v1 export".to_string());

@@ -7,8 +7,9 @@
 //! segments, each segment is charged to the highest-priority phase active
 //! in it (gaps go to [`Phase::Other`]), so the per-phase cycles always
 //! sum to the window length. That is what lets the fig2/fig6b benches
-//! print tables whose rows add up to the measured latency under
-//! `VSCC_CRITPATH=1` (see [`crate::obs::CRITPATH_ENV`]).
+//! print tables whose rows add up to the measured latency whenever
+//! `VSCC_OBS` is set, and the run report (`crate::obs::report`) attribute
+//! each exported process's whole run.
 //!
 //! The phase vocabulary is defined here, in the engine crate, so the
 //! protocol layers above (rcce, vscc) and the consumers below (benches,

@@ -6,73 +6,40 @@
 //! as a sorted text table or JSON. The exporters turn a
 //! [`crate::trace::Trace`] into Chrome-trace-event JSON (loadable in
 //! Perfetto; `ts` is the virtual clock in cycles) and a [`Registry`]
-//! into a metrics-snapshot JSON, both gated on environment variables:
+//! into a metrics-snapshot JSON. Each export's reader sits next to its
+//! writer ([`chrome_lines`] and [`lint_trace`], [`Snapshot::from_json`],
+//! [`timeseries::parse_json`], [`crate::audit::parse_export`]), and
+//! [`report::Exports`] renders one run's four exports as a Markdown
+//! report.
 //!
-//! - `VSCC_TRACE=path.json` — write the Chrome trace of the run there.
-//! - `VSCC_METRICS=path.json` — write the metrics snapshot there.
+//! This crate reads no environment variable for observability: the
+//! bench harness's `VSCC_OBS=<dir>[@<epoch>]` switch writes one
+//! designated run's exports through these functions, and the
+//! `vscc_obs` example reads them back.
 //!
 //! Everything is deterministic: timestamps are [`crate::time::Cycles`],
 //! iteration is insertion-ordered (trace) or name-sorted (metrics), and
 //! two seeded runs produce byte-identical exports.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::stats::{Counter, Gauge, Log2Histogram};
 use crate::trace::{SpanPhase, Trace};
 
+pub mod report;
 pub mod timeseries;
 
 pub use timeseries::{
     PointValue, SamplerSpec, SeriesExport, SeriesKind, TimeSeries, DEFAULT_CADENCE,
 };
 
-/// Environment variable naming the Chrome-trace output file.
-pub const TRACE_ENV: &str = "VSCC_TRACE";
-/// Environment variable naming the metrics-snapshot output file.
-pub const METRICS_ENV: &str = "VSCC_METRICS";
-/// Environment variable naming the time-series output file
-/// (`VSCC_TIMESERIES=out.json`; see [`timeseries`]).
-pub const TIMESERIES_ENV: &str = "VSCC_TIMESERIES";
-/// Environment variable enabling the critical-path attribution tables
-/// (see [`crate::critpath`]); any non-empty value turns them on.
-pub const CRITPATH_ENV: &str = "VSCC_CRITPATH";
-/// Environment variable bounding the trace as a flight recorder:
-/// `VSCC_FLIGHT=N` keeps only the last N events.
-pub const FLIGHT_ENV: &str = "VSCC_FLIGHT";
 /// Environment variable naming a fault plan to inject
 /// (`VSCC_FAULTS=<spec>`; see [`crate::faultplan::FaultSpec::parse`] for
-/// the grammar).
+/// the grammar). The only environment variable the library crates read.
 pub const FAULTS_ENV: &str = "VSCC_FAULTS";
-/// Environment variable naming the audit-stream output file
-/// (`VSCC_AUDIT=out.json`; see [`crate::audit`]).
-pub const AUDIT_ENV: &str = "VSCC_AUDIT";
-/// Environment variable selecting the audit zoom epoch
-/// (`VSCC_AUDIT_ZOOM=<epoch>`; raw decisions are recorded and every
-/// trace category armed only inside that epoch).
-pub const AUDIT_ZOOM_ENV: &str = "VSCC_AUDIT_ZOOM";
-
-/// Whether `VSCC_CRITPATH` asks for critical-path tables.
-pub fn critpath_requested() -> bool {
-    std::env::var(CRITPATH_ENV).map(|v| !v.is_empty()).unwrap_or(false)
-}
-
-/// The `VSCC_FLIGHT=N` flight-recorder bound, if set to a positive count.
-pub fn flight_capacity_from_env() -> Option<usize> {
-    std::env::var(FLIGHT_ENV).ok()?.parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Whether `VSCC_AUDIT` asks for an audit-stream export.
-pub fn audit_requested() -> bool {
-    std::env::var(AUDIT_ENV).map(|v| !v.is_empty()).unwrap_or(false)
-}
-
-/// The `VSCC_AUDIT_ZOOM=<epoch>` zoom target, if set.
-pub fn audit_zoom_from_env() -> Option<u64> {
-    std::env::var(AUDIT_ZOOM_ENV).ok()?.parse().ok()
-}
 
 /// One registered instrument.
 #[derive(Clone)]
@@ -478,6 +445,25 @@ impl Snapshot {
         out
     }
 
+    /// Read a [`Snapshot::to_json`] export back. This reads exactly that
+    /// line format (one metric per line), not general JSON; a malformed
+    /// metric line is an error naming it.
+    pub fn from_json(json: &str) -> Result<Snapshot, String> {
+        if json.lines().nth(1).is_none_or(|l| l.trim() != "\"metrics\": {") {
+            return Err("missing \"metrics\" header (not a metrics export?)".to_string());
+        }
+        let mut entries = Vec::new();
+        for (n, line) in json.lines().enumerate().skip(2) {
+            let line = line.trim().trim_end_matches(',');
+            if line.starts_with('"') {
+                let entry = parse_metric_line(line)
+                    .ok_or_else(|| format!("line {}: malformed metric: {line}", n + 1))?;
+                entries.push(entry);
+            }
+        }
+        Ok(Snapshot { entries })
+    }
+
     /// Compare two snapshots; `self` is the old side, `other` the new.
     ///
     /// The result is name-sorted, so rendering it is the "diff two metrics
@@ -516,6 +502,42 @@ impl Snapshot {
         }
         diff
     }
+}
+
+/// One `"name": {"type": ..., ...}` line of a [`Snapshot::to_json`] export.
+fn parse_metric_line(line: &str) -> Option<(String, MetricValue)> {
+    let (name, rest) = line.strip_prefix('"')?.split_once("\": ")?;
+    let body = rest.strip_prefix('{')?.strip_suffix('}')?;
+    let field = |key: &str| -> Option<&str> {
+        let (_, tail) = body.split_once(&format!("\"{key}\": "))?;
+        tail.split([',', ']']).next().map(str::trim)
+    };
+    let int = |key: &str| field(key)?.parse::<u64>().ok();
+    let value = match field("type")? {
+        "\"counter\"" => MetricValue::Counter { value: int("value")? },
+        "\"gauge\"" => MetricValue::Gauge {
+            value: field("value")?.parse().ok()?,
+            high_watermark: field("high_watermark")?.parse().ok()?,
+        },
+        "\"histogram\"" => {
+            let list = body.split_once("\"buckets\": [")?.1.split(']').next()?;
+            let buckets = if list.is_empty() {
+                Vec::new()
+            } else {
+                list.split(", ").map(str::parse).collect::<Result<_, _>>().ok()?
+            };
+            MetricValue::Histogram {
+                count: int("count")?,
+                sum: field("sum")?.parse().ok()?,
+                max: int("max")?,
+                p50: int("p50")?,
+                p99: int("p99")?,
+                buckets,
+            }
+        }
+        _ => return None,
+    };
+    Some((name.to_string(), value))
 }
 
 /// The delta between two [`Snapshot`]s, each section name-sorted.
@@ -758,63 +780,181 @@ pub fn chrome_trace_json_with_tracks(
     out
 }
 
-/// If `VSCC_TRACE` is set, write the Chrome trace there and return the
-/// path written.
-pub fn export_trace_if_env(processes: &[(&str, &Trace)]) -> std::io::Result<Option<String>> {
-    export_trace_if_env_with_tracks(processes, &[])
+/// One event line of a [`chrome_trace_json_with_tracks`] export, read
+/// back. The reader knows exactly that line format (one event per line,
+/// compact `"key":value` pairs, the event's own keys before its `args`);
+/// it is not a general JSON parser.
+#[derive(Clone, Copy, Debug)]
+pub struct ChromeLine<'a> {
+    /// 1-based line number in the export.
+    pub lineno: usize,
+    /// Chrome phase: `M`etadata, `B`egin, `E`nd, `i`nstant, flow
+    /// `s`/`t`/`f`, or `C`ounter sample.
+    pub ph: &'a str,
+    pub name: &'a str,
+    pub pid: u64,
+    pub tid: u64,
+    raw: &'a str,
 }
 
-/// [`export_trace_if_env`], with sampled time-series merged into the
-/// export as Perfetto counter tracks.
-pub fn export_trace_if_env_with_tracks(
-    processes: &[(&str, &Trace)],
-    tracks: &[(&str, &timeseries::TimeSeries)],
-) -> std::io::Result<Option<String>> {
-    match std::env::var(TRACE_ENV) {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, chrome_trace_json_with_tracks(processes, tracks))?;
-            Ok(Some(path))
-        }
-        _ => Ok(None),
+impl<'a> ChromeLine<'a> {
+    /// The event's `ts`; `None` on metadata lines.
+    pub fn ts(&self) -> Option<u64> {
+        json_num(self.raw, "ts")
+    }
+
+    /// The event's `cat` (`None` on metadata lines).
+    pub fn cat(&self) -> Option<&'a str> {
+        json_str(self.raw, "cat")
+    }
+
+    /// The flow-arrow `id` of an `s`/`t`/`f` line.
+    pub fn id(&self) -> Option<u64> {
+        json_num(self.raw, "id")
+    }
+
+    /// The raw `args` object body (without braces), if any.
+    pub fn args(&self) -> Option<&'a str> {
+        let p = self.raw.find("\"args\":{")?;
+        Some(self.raw[p + 8..].trim_end_matches('}'))
+    }
+
+    /// String argument `key` (e.g. a metadata line's `name`).
+    pub fn arg_str(&self, key: &str) -> Option<&'a str> {
+        json_str(self.args()?, key)
+    }
+
+    /// Unsigned argument `key`.
+    pub fn arg_num(&self, key: &str) -> Option<u64> {
+        json_num(self.args()?, key)
     }
 }
 
-/// If `VSCC_METRICS` is set, write the snapshot JSON there and return the
-/// path written.
-pub fn export_metrics_if_env(registry: &Registry) -> std::io::Result<Option<String>> {
-    match std::env::var(METRICS_ENV) {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, registry.snapshot().to_json())?;
-            Ok(Some(path))
-        }
-        _ => Ok(None),
-    }
+/// First string value of compact `"key":"..."` in `s`.
+fn json_str<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":\"");
+    s[s.find(&pat)? + pat.len()..].split('"').next()
 }
 
-/// If `VSCC_TIMESERIES` is set, write the time-series JSON there and
-/// return the path written.
-pub fn export_timeseries_if_env(
-    series: &timeseries::TimeSeries,
-) -> std::io::Result<Option<String>> {
-    match std::env::var(TIMESERIES_ENV) {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, series.to_json())?;
-            Ok(Some(path))
-        }
-        _ => Ok(None),
-    }
+/// First unsigned value of compact `"key":N` in `s`.
+fn json_num(s: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let rest = &s[s.find(&pat)? + pat.len()..];
+    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
-/// If `VSCC_AUDIT` is set, write the audit-stream JSON there and return
-/// the path written.
-pub fn export_audit_if_env(audit: &crate::audit::Audit) -> std::io::Result<Option<String>> {
-    match std::env::var(AUDIT_ENV) {
-        Ok(path) if !path.is_empty() => {
-            std::fs::write(&path, audit.to_json())?;
-            Ok(Some(path))
+/// Every event line of a Chrome-trace export, metadata included, in
+/// file order.
+pub fn chrome_lines(json: &str) -> impl Iterator<Item = ChromeLine<'_>> {
+    json.lines().enumerate().filter_map(|(i, line)| {
+        let raw = line.trim().trim_end_matches(',');
+        if !raw.starts_with('{') || !raw.ends_with('}') {
+            return None;
         }
-        _ => Ok(None),
+        Some(ChromeLine {
+            lineno: i + 1,
+            ph: json_str(raw, "ph")?,
+            name: json_str(raw, "name").unwrap_or("?"),
+            pid: json_num(raw, "pid").unwrap_or(0),
+            tid: json_num(raw, "tid").unwrap_or(0),
+            raw,
+        })
+    })
+}
+
+/// Check a Chrome-trace export's structural invariants; returns one
+/// message per violation (empty when clean):
+///
+/// - timestamps are monotone per track: per `(pid, counter name)` for
+///   `ph:"C"` samples, per `(pid, tid)` for span ends and instants
+///   (recorded at the current virtual time; begins may step back,
+///   because wire-occupancy spans open retroactively once the arrival
+///   time is known);
+/// - every `E` closes an open `B` of the same kind on its track, no
+///   earlier than it began, and no span is left open;
+/// - every flow arrow that starts (`s`) also finishes (`f`), and vice
+///   versa;
+/// - counter samples carry only non-negative integer values.
+pub fn lint_trace(json: &str) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut span_last: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    let mut counter_last: BTreeMap<(u64, &str), u64> = BTreeMap::new();
+    // Open-span stacks per (pid, tid, kind): the matching discipline of
+    // `crate::critpath`, tolerant of retroactive begins.
+    let mut open: BTreeMap<(u64, u64, &str), Vec<u64>> = BTreeMap::new();
+    let mut flows: [BTreeSet<u64>; 2] = Default::default();
+    let mut events = 0usize;
+    for e in chrome_lines(json).filter(|e| e.ph != "M") {
+        events += 1;
+        let (pid, tid, name, at) = (e.pid, e.tid, e.name, e.lineno);
+        let Some(ts) = e.ts() else {
+            violations.push(format!("line {at}: event without numeric ts"));
+            continue;
+        };
+        let step = |last: &mut u64, track: String, violations: &mut Vec<String>| {
+            if ts < *last {
+                violations.push(format!("line {at}: {track}: ts {ts} steps back from {last}"));
+            }
+            *last = (*last).max(ts);
+        };
+        match e.ph {
+            "B" => open.entry((pid, tid, name)).or_default().push(ts),
+            "E" | "i" => {
+                let track = format!("pid {pid} tid {tid}");
+                step(span_last.entry((pid, tid)).or_insert(0), track, &mut violations);
+                if e.ph == "E" {
+                    match open.get_mut(&(pid, tid, name)).and_then(Vec::pop) {
+                        Some(t0) if t0 <= ts => {}
+                        Some(t0) => violations.push(format!(
+                            "line {at}: pid {pid} tid {tid}: \"{name}\" ends at {ts} before its begin {t0}"
+                        )),
+                        None => violations.push(format!(
+                            "line {at}: pid {pid} tid {tid}: E \"{name}\" without open B"
+                        )),
+                    }
+                }
+            }
+            "s" | "t" | "f" => match e.id() {
+                Some(id) if e.ph == "s" => drop(flows[0].insert(id)),
+                Some(id) if e.ph == "f" => drop(flows[1].insert(id)),
+                Some(_) => {}
+                None => violations.push(format!("line {at}: flow event without id")),
+            },
+            "C" => {
+                let track = format!("counter \"{name}\"");
+                step(counter_last.entry((pid, name)).or_insert(0), track, &mut violations);
+                let values = e.args().map(|a| a.split(',').filter_map(|kv| kv.split_once(':')));
+                let Some(mut values) = values else {
+                    violations.push(format!("line {at}: counter \"{name}\" without args"));
+                    continue;
+                };
+                if let Some((_, v)) =
+                    values.find(|(_, v)| v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()))
+                {
+                    violations.push(format!(
+                        "line {at}: counter \"{name}\": non-numeric or negative value {v}"
+                    ));
+                }
+            }
+            other => violations.push(format!("line {at}: unknown phase \"{other}\"")),
+        }
     }
+    for ((pid, tid, kind), stack) in open {
+        for t0 in stack {
+            violations.push(format!("pid {pid} tid {tid}: \"{kind}\" opened at {t0} never closed"));
+        }
+    }
+    for id in flows[0].difference(&flows[1]) {
+        violations.push(format!("flow {id}: started (ph:\"s\") but never finished (ph:\"f\")"));
+    }
+    for id in flows[1].difference(&flows[0]) {
+        violations.push(format!("flow {id}: finished (ph:\"f\") but never started (ph:\"s\")"));
+    }
+    if events == 0 {
+        violations.push("no events found (not a Chrome-trace export?)".to_string());
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -1042,10 +1182,41 @@ mod tests {
     }
 
     #[test]
-    fn flight_env_parses_positive_counts() {
-        // Not set in the test environment: both helpers take the default.
-        assert!(!critpath_requested() || std::env::var(CRITPATH_ENV).is_ok());
-        assert!(flight_capacity_from_env().is_none() || std::env::var(FLIGHT_ENV).is_ok());
+    fn snapshot_json_reads_back() {
+        let reg = Registry::new();
+        reg.counter("a.count").add(7);
+        reg.gauge("b.level").set(-3);
+        reg.histogram("c.lat").record(5);
+        reg.histogram("d.empty");
+        let snap = reg.snapshot();
+        assert_eq!(Snapshot::from_json(&snap.to_json()), Ok(snap));
+        assert!(Snapshot::from_json("{\n  \"cadence\": 1,\n}\n").is_err());
+        let bad = reg.snapshot().to_json().replace("\"value\": 7", "\"value\": x");
+        assert!(Snapshot::from_json(&bad).unwrap_err().contains("a.count"));
+    }
+
+    #[test]
+    fn trace_lint_accepts_the_writer_and_names_violations() {
+        let t = Trace::enabled();
+        t.begin(10, Category::Protocol, "send", || "rank0", Vec::new);
+        t.instant_f(12, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
+        t.instant_f(15, Category::Vdma, "get", Some(7), || "rank1", Vec::new);
+        t.end(20, Category::Protocol, "send", || "rank0");
+        let json = chrome_trace_json(&[("run", &t)]);
+        assert_eq!(lint_trace(&json), Vec::<String>::new());
+        let names: Vec<(&str, &str)> = chrome_lines(&json).map(|e| (e.ph, e.name)).collect();
+        assert_eq!(names[0], ("M", "process_name"));
+        assert_eq!(chrome_lines(&json).next().unwrap().arg_str("name"), Some("run"));
+        // A dropped span end, an unpaired arrow and a negative counter.
+        let broken = json
+            .replace("\"ph\":\"E\"", "\"ph\":\"i\"")
+            .replace("\"ph\":\"f\"", "\"ph\":\"t\"")
+            .replace("\n]", ",\n{\"name\":\"q\",\"cat\":\"obs\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\"tid\":0,\"args\":{\"level\":-1}}\n]");
+        let v = lint_trace(&broken);
+        assert!(v.iter().any(|m| m.contains("\"send\" opened at 10 never closed")), "{v:?}");
+        assert!(v.iter().any(|m| m.contains("never finished")), "{v:?}");
+        assert!(v.iter().any(|m| m.contains("non-numeric or negative value -1")), "{v:?}");
+        assert_eq!(lint_trace("{}"), vec!["no events found (not a Chrome-trace export?)"]);
     }
 
     #[test]

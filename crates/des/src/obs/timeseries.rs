@@ -22,12 +22,14 @@
 //! keep the simulation alive, so enabling it cannot move `sim.now()` at
 //! app completion or any non-`obs.*` metric — see DESIGN.md §5f.
 //!
-//! Exports: [`TimeSeries::to_json`] (the `VSCC_TIMESERIES` payload,
-//! byte-identical across identical runs) and
+//! Exports: [`TimeSeries::to_json`] (`timeseries.json` under a
+//! `VSCC_OBS` directory, byte-identical across identical runs) and
 //! [`super::chrome_trace_json_with_tracks`] (Perfetto counter tracks
-//! merged into the `VSCC_TRACE` export).
+//! merged into `trace.json`). [`parse_json`] reads the former back;
+//! [`lint`] checks it and [`diff`] names where two exports first part.
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -95,6 +97,9 @@ pub enum SeriesKind {
 }
 
 impl SeriesKind {
+    const ALL: [SeriesKind; 4] =
+        [SeriesKind::Rate, SeriesKind::Busy, SeriesKind::Level, SeriesKind::Window];
+
     /// Stable lowercase name used in the JSON export.
     pub fn name(self) -> &'static str {
         match self {
@@ -426,6 +431,150 @@ impl TimeSeries {
     }
 }
 
+/// A [`TimeSeries::to_json`] export read back by [`parse_json`].
+#[derive(Clone, Debug)]
+pub struct ParsedExport {
+    pub cadence: Cycles,
+    /// Sampling instants, as the header states them.
+    pub samples: u64,
+    /// Name-ordered as exported.
+    pub series: Vec<SeriesExport>,
+}
+
+/// Read a [`TimeSeries::to_json`] export back. This reads exactly that
+/// line format (one series per line), not general JSON; a malformed
+/// line, a negative count or an unknown kind is an error naming it.
+pub fn parse_json(json: &str) -> Result<ParsedExport, String> {
+    let mut out = ParsedExport { cadence: 0, samples: 0, series: Vec::new() };
+    let mut header = false;
+    for (n, line) in json.lines().enumerate() {
+        let line = line.trim().trim_end_matches(',');
+        let bad = || format!("line {}: malformed time-series line: {line}", n + 1);
+        if let Some(v) = line.strip_prefix("\"cadence\": ") {
+            out.cadence = v.parse().map_err(|_| bad())?;
+            header = true;
+        } else if let Some(v) = line.strip_prefix("\"samples\": ") {
+            out.samples = v.parse().map_err(|_| bad())?;
+        } else if line.contains("\"points\": [") {
+            out.series.push(parse_series_line(line).ok_or_else(bad)?);
+        }
+    }
+    if !header {
+        return Err("missing \"cadence\" header (not a time-series export?)".to_string());
+    }
+    Ok(out)
+}
+
+/// One `"name": {"kind": "...", "points": [...]}` line.
+fn parse_series_line(line: &str) -> Option<SeriesExport> {
+    let (name, body) = line.strip_prefix('"')?.split_once("\": {\"kind\": \"")?;
+    let (kind, points) = body.split_once("\", \"points\": [")?;
+    let kind = SeriesKind::ALL.into_iter().find(|k| k.name() == kind)?;
+    let points = points.strip_suffix("]}")?;
+    let points = if points.is_empty() {
+        Vec::new()
+    } else {
+        let tuples = points.strip_prefix('[')?.strip_suffix(']')?.split("], [");
+        tuples.map(|p| parse_point(kind, p)).collect::<Option<_>>()?
+    };
+    Some(SeriesExport { name: name.to_string(), kind, points })
+}
+
+/// One `t, v` (or `t, count, p50, p99`) tuple body.
+fn parse_point(kind: SeriesKind, tuple: &str) -> Option<(Cycles, PointValue)> {
+    let fields: Vec<&str> = tuple.split(", ").collect();
+    let u = |i: usize| fields.get(i)?.parse::<u64>().ok();
+    let value = match (kind, fields.len()) {
+        (SeriesKind::Rate, 2) => PointValue::Rate(u(1)?),
+        (SeriesKind::Busy, 2) => PointValue::Busy(u(1)?),
+        (SeriesKind::Level, 2) => PointValue::Level(fields[1].parse().ok()?),
+        (SeriesKind::Window, 4) => PointValue::Window { count: u(1)?, p50: u(2)?, p99: u(3)? },
+        _ => return None,
+    };
+    Some((u(0)?, value))
+}
+
+/// Check a time-series export against the sampler's invariants; returns
+/// one message per violation (empty when clean): the export parses
+/// (integer values, known kinds, non-negative rates and windows), series
+/// are name-sorted, each holds one point per sampling instant with
+/// timestamps that never step back, busy percents stay within
+/// `[0, 100]`, and window quantiles are ordered (`p50 <= p99`, both 0 in
+/// an empty window).
+pub fn lint(json: &str) -> Vec<String> {
+    let parsed = match parse_json(json) {
+        Ok(p) => p,
+        Err(e) => return vec![e],
+    };
+    let mut violations = Vec::new();
+    if parsed.series.is_empty() {
+        violations.push("no series found".to_string());
+    }
+    if !parsed.series.windows(2).all(|w| w[0].name < w[1].name) {
+        violations.push("series are not sorted by name".to_string());
+    }
+    for s in &parsed.series {
+        let name = &s.name;
+        if s.points.len() as u64 != parsed.samples {
+            let n = s.points.len();
+            violations.push(format!("series {name:?}: {n} points for {} samples", parsed.samples));
+        }
+        if let Some(w) = s.points.windows(2).find(|w| w[1].0 < w[0].0) {
+            violations.push(format!("series {name:?}: ts {} steps back from {}", w[1].0, w[0].0));
+        }
+        for (t, v) in &s.points {
+            let ok = match *v {
+                PointValue::Busy(pct) => pct <= 100,
+                PointValue::Window { count, p50, p99 } => p50 <= p99 && (count > 0 || p99 == 0),
+                PointValue::Rate(_) | PointValue::Level(_) => true,
+            };
+            if !ok {
+                violations.push(format!("series {name:?}: inconsistent point {v:?} at t={t}"));
+            }
+        }
+    }
+    violations
+}
+
+/// Compare two parsed exports series by series: one line per differing
+/// series, naming its first divergent sample (index and virtual time),
+/// or that it exists on one side only. Empty when identical.
+pub fn diff(a: &[SeriesExport], b: &[SeriesExport]) -> Vec<String> {
+    let mut sides: BTreeMap<&str, [Option<&SeriesExport>; 2]> = BTreeMap::new();
+    for (i, side) in [a, b].into_iter().enumerate() {
+        for s in side {
+            sides.entry(&s.name).or_default()[i] = Some(s);
+        }
+    }
+    let mut out = Vec::new();
+    for (name, pair) in sides {
+        let line = match pair {
+            [Some(_), None] => "only in the first export".to_string(),
+            [None, Some(_)] => "only in the second export".to_string(),
+            [Some(sa), Some(sb)] if sa.kind != sb.kind => {
+                format!("kind {} -> {}", sa.kind.name(), sb.kind.name())
+            }
+            [Some(sa), Some(sb)] => {
+                match sa.points.iter().zip(&sb.points).position(|(pa, pb)| pa != pb) {
+                    Some(i) => {
+                        let ((ta, va), (tb, vb)) = (sa.points[i], sb.points[i]);
+                        format!("first divergent sample #{i}: {va:?} at t={ta} -> {vb:?} at t={tb}")
+                    }
+                    None if sa.points.len() != sb.points.len() => format!(
+                        "common prefix equal; sample count {} -> {}",
+                        sa.points.len(),
+                        sb.points.len()
+                    ),
+                    None => continue,
+                }
+            }
+            [None, None] => unreachable!("every entry has a side"),
+        };
+        out.push(format!("{name:<44} {line}"));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,6 +726,40 @@ mod tests {
         let a = j1.find("a.depth").unwrap();
         let z = j1.find("z.bytes").unwrap();
         assert!(a < z, "series must be name-sorted");
+    }
+
+    #[test]
+    fn json_export_reads_back_and_lints_clean() {
+        let reg = Registry::new();
+        let c = reg.counter("a.bytes");
+        let busy = reg.counter("b.busy_cycles");
+        let h = reg.histogram("c.lat");
+        reg.gauge("d.depth").set(-2);
+        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10));
+        c.add(4);
+        busy.add(5);
+        h.record(100);
+        ts.sample_now(10);
+        ts.sample_now(20);
+        let json = ts.to_json();
+        let parsed = parse_json(&json).expect("parses");
+        assert_eq!((parsed.cadence, parsed.samples), (10, 2));
+        let want = ts.series();
+        assert_eq!(parsed.series.len(), want.len());
+        for (p, w) in parsed.series.iter().zip(&want) {
+            assert_eq!((&p.name, p.kind, &p.points), (&w.name, w.kind, &w.points));
+        }
+        assert_eq!(lint(&json), Vec::<String>::new());
+        assert!(diff(&parsed.series, &want).is_empty());
+        // Out-of-range busy percent, a backwards timestamp, a negative
+        // rate (unparseable), and a missing header are each named.
+        let hot = json.replace("[[10, 50], [20, 0]]", "[[10, 50], [20, 101]]");
+        assert!(lint(&hot).iter().any(|v| v.contains("Busy(101)")), "{:?}", lint(&hot));
+        let back = json.replace("[[10, 50], [20, 0]]", "[[20, 50], [10, 0]]");
+        assert!(lint(&back).iter().any(|v| v.contains("steps back")), "{:?}", lint(&back));
+        let neg = json.replace("[[10, 4], [20, 0]]", "[[10, -4], [20, 0]]");
+        assert!(lint(&neg)[0].contains("malformed"), "{:?}", lint(&neg));
+        assert!(parse_json("{}").is_err());
     }
 
     #[test]

@@ -34,25 +34,26 @@ echo "== golden exports (fault-free runs byte-identical to committed goldens) ==
 # recovery layer perturbed a clean run.
 cargo test -q --test golden_exports
 
-echo "== trace lint (structural invariants of a sampled fig6b-style export) =="
-# No argument: the example generates a small sampled inter-device export
-# (counter tracks included) in-process and lints it; exit 1 on violation.
-cargo run -q --example trace_lint
-
 echo "== cadence-sweep smoke (two cadences, same run, same final snapshot) =="
 cargo test -q --test observability cadence_sweep
 
-echo "== audit smoke (two audited fig6b runs must export identical digests) =="
-# VSCC_AUDIT makes the fig6b target re-run its vDMA 8 KiB point under the
-# hash-chained scheduler audit stream and export the per-epoch digests.
-# Two back-to-back runs (separate processes) must be byte-identical:
-# audit_diff exits 0 on identity, 1 on divergence (killing the script).
-AUDIT_TMP="$(mktemp -d)"
-trap 'rm -rf "$AUDIT_TMP"' EXIT
-VSCC_AUDIT="$AUDIT_TMP/a.json" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
-VSCC_AUDIT="$AUDIT_TMP/b.json" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
-cmp -s "$AUDIT_TMP/a.json" "$AUDIT_TMP/b.json" || { echo "audit exports not byte-identical"; exit 1; }
-cargo run -q --example audit_diff -- "$AUDIT_TMP/a.json" "$AUDIT_TMP/b.json"
+echo "== obs smoke (two VSCC_OBS fig6b runs: identical exports, clean lint, report) =="
+# VSCC_OBS=<dir> makes the fig6b target export its designated run (the
+# vDMA 8 KiB point: trace, metrics, time series, audit stream, report).
+# Two back-to-back runs (separate processes) must be byte-identical, the
+# trace and time-series exports must lint clean, vscc_obs diff must find
+# no divergence (exit 1 would kill the script), and vscc_obs report must
+# reproduce report.md byte for byte.
+OBS_TMP="$(mktemp -d)"
+trap 'rm -rf "$OBS_TMP"' EXIT
+VSCC_OBS="$OBS_TMP/a" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
+VSCC_OBS="$OBS_TMP/b" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
+for f in trace.json metrics.json timeseries.json audit.json report.md; do
+    cmp -s "$OBS_TMP/a/$f" "$OBS_TMP/b/$f" || { echo "$f not byte-identical"; exit 1; }
+done
+cargo run -q --example vscc_obs -- lint "$OBS_TMP/a"
+cargo run -q --example vscc_obs -- diff "$OBS_TMP/a" "$OBS_TMP/b"
+cargo run -q --example vscc_obs -- report "$OBS_TMP/a" | cmp - "$OBS_TMP/a/report.md"
 
 echo "== benchmark smoke (all six workloads at ~1/20 scale: no failed op, digests match) =="
 # Exits non-zero on a failed op or a digest mismatch. The benchmark

@@ -2,8 +2,8 @@
 //! workload (inter-device ping-pong, every scheme).
 //!
 //! The zero-copy payload plane (and any future data-path change) must
-//! not perturb virtual time or metrics: a clean run's `VSCC_TRACE` and
-//! `VSCC_METRICS` exports are required to stay **byte-identical**. This
+//! not perturb virtual time or metrics: a clean run's Chrome-trace and
+//! metrics exports are required to stay **byte-identical**. This
 //! test renders both exports for each scheme at a sub-chunk and an
 //! over-chunk size and compares them against the committed goldens in
 //! `tests/goldens/`.
@@ -48,7 +48,7 @@ fn render_exports() -> (String, String) {
     (traces, metrics)
 }
 
-/// The `VSCC_TIMESERIES` export golden: the two headline schemes,
+/// The time-series export golden: the two headline schemes,
 /// sampled at the default cadence. Rendered on a dedicated thread
 /// because the pool-occupancy series reads the thread-local chunk pool
 /// — a fresh thread pins its starting state.
@@ -74,7 +74,7 @@ fn render_timeseries() -> String {
     .expect("render thread")
 }
 
-/// The `VSCC_AUDIT` export golden: the two headline schemes audited at
+/// The audit export golden: the two headline schemes audited at
 /// the default epoch cadence. Rendered on a dedicated thread because
 /// the audit sink is thread-local and the runs must start from a fresh
 /// chunk-pool state, exactly like the time-series golden.

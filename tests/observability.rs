@@ -223,7 +223,7 @@ fn timeseries_export_is_byte_identical_across_runs() {
     };
     let (ts_a, trace_a) = run();
     let (ts_b, trace_b) = run();
-    assert_eq!(ts_a, ts_b, "VSCC_TIMESERIES export must be deterministic");
+    assert_eq!(ts_a, ts_b, "time-series export must be deterministic");
     assert_eq!(trace_a, trace_b, "counter-track trace export must be deterministic");
     // Sanity: the acceptance-criteria tracks ride both exports.
     for name in [
@@ -368,7 +368,7 @@ fn audit_export_is_byte_identical_across_fresh_threads() {
         .expect("run thread")
     };
     let (a, b) = (run(), run());
-    assert_eq!(a, b, "VSCC_AUDIT export must be deterministic");
+    assert_eq!(a, b, "audit export must be deterministic");
     assert!(a.contains("\"schema\": \"vscc-audit-v1\""));
     // The stream really covers the engine: scheduler, timers, payloads.
     for kind in ["spawn", "poll", "wake", "timer_arm", "timer_fire", "payload"] {
@@ -625,4 +625,94 @@ fn health_transitions_ride_trace_metrics_and_timeseries() {
         ts_json.contains("host.health.degraded_pairs"),
         "health gauges must become time-series tracks"
     );
+}
+
+// ---- the VSCC_OBS front door: readers, lints and the run report ----
+
+/// The four exports of fig6b's designated run (the vDMA 8 KiB point,
+/// sampled and audited), rendered on a fresh thread exactly as the bench
+/// writes them under `VSCC_OBS`.
+fn fig6b_exports() -> des::obs::report::Exports {
+    std::thread::spawn(|| {
+        let audit = audit::Audit::new(audit::DEFAULT_EPOCH_CYCLES);
+        let guard = audit.install();
+        let (_, trace, reg, ts) = pingpong::interdevice_sampled(
+            CommScheme::LocalPutLocalGet,
+            8192,
+            1,
+            des::obs::DEFAULT_CADENCE,
+        );
+        drop(guard);
+        des::obs::report::Exports {
+            trace: des::obs::chrome_trace_json_with_tracks(
+                &[("vdma-8K", &trace)],
+                &[("vdma-8K", &ts)],
+            ),
+            metrics: reg.snapshot().to_json(),
+            timeseries: ts.to_json(),
+            audit: audit.to_json(),
+        }
+    })
+    .join()
+    .expect("render thread")
+}
+
+#[test]
+fn fig6b_trace_and_timeseries_exports_lint_clean() {
+    let e = fig6b_exports();
+    assert_eq!(des::obs::lint_trace(&e.trace), Vec::<String>::new());
+    assert_eq!(des::obs::timeseries::lint(&e.timeseries), Vec::<String>::new());
+    // The lints have teeth on real exports: an unclosed span and an
+    // out-of-range busy percent are both named.
+    let first_end = e.trace.lines().find(|l| l.contains("\"ph\":\"E\"")).expect("a span end");
+    let cut = e.trace.replacen(&format!("{first_end}\n"), "", 1);
+    assert!(des::obs::lint_trace(&cut).iter().any(|v| v.contains("never closed")));
+    let busy = e.timeseries.lines().find(|l| l.contains("\"kind\": \"busy\"")).expect("busy");
+    let hot = busy.replacen(", 0]", ", 101]", 1);
+    assert_ne!(busy, hot, "the busy series must hold an idle sample to corrupt");
+    let bad = e.timeseries.replacen(busy, &hot, 1);
+    assert!(des::obs::timeseries::lint(&bad).iter().any(|v| v.contains("Busy(101)")));
+}
+
+#[test]
+fn run_report_is_byte_identical_from_the_same_exports() {
+    let e = fig6b_exports();
+    let report = e.report().expect("exports parse");
+    assert_eq!(report, e.report().expect("exports parse"), "same exports, same bytes");
+    assert_eq!(report, fig6b_exports().report().unwrap(), "a rerun renders the same report");
+    for section in ["## Headline metrics", "## Critical path", "## Utilization", "## Audit"] {
+        assert!(report.contains(section), "{section} missing");
+    }
+    assert!(!report.contains("## Faults & recovery"), "a clean run has no fault section");
+    // Through the directory, as `vscc_obs report <dir>` reads it back.
+    let dir = std::env::temp_dir().join(format!("vscc-obs-report-{}", std::process::id()));
+    let written = e.write_dir(&dir).expect("write exports");
+    assert_eq!(
+        written.iter().map(|(f, _)| *f).collect::<Vec<_>>(),
+        des::obs::report::Exports::FILES
+    );
+    let back = des::obs::report::Exports::read_dir(&dir).expect("read exports back");
+    let on_disk = std::fs::read_to_string(dir.join("report.md")).expect("report.md");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    assert_eq!(back, e);
+    assert_eq!(on_disk, report);
+}
+
+#[test]
+fn export_readers_round_trip_the_writers() {
+    let e = fig6b_exports();
+    let snap = des::obs::Snapshot::from_json(&e.metrics).expect("metrics parse");
+    assert_eq!(snap.to_json(), e.metrics, "metrics reader must invert the writer");
+    let ts = des::obs::timeseries::parse_json(&e.timeseries).expect("timeseries parse");
+    assert!(ts.series.len() > 10 && ts.samples > 0);
+    assert!(des::obs::timeseries::diff(&ts.series, &ts.series).is_empty());
+    // One shifted sample is named with its index and virtual time.
+    let mut shifted = ts.series.clone();
+    let rate = shifted.iter_mut().find(|s| s.kind == des::obs::SeriesKind::Rate).expect("a rate");
+    let t = rate.points[1].0;
+    rate.points[1].1 = des::obs::PointValue::Rate(u64::MAX);
+    let d = des::obs::timeseries::diff(&ts.series, &shifted);
+    assert_eq!(d.len(), 1);
+    assert!(d[0].contains("first divergent sample #1: Rate("), "{}", d[0]);
+    assert!(d[0].ends_with(&format!("at t={t} -> Rate({}) at t={t}", u64::MAX)), "{}", d[0]);
 }
