@@ -172,14 +172,40 @@ impl BtRank {
         self.rank_of(pi as usize, pj as usize)
     }
 
-    fn payload(&self, len: usize, iter: usize, phase: u8, stage: usize, src: usize) -> Vec<u8> {
-        let mut v = vec![(iter as u8) ^ (stage as u8).wrapping_mul(37) ^ phase; len];
+    /// The message `src` sends in (`iter`, `phase`, `stage`): `len`
+    /// copies of the fill byte, the first up-to-8 overwritten by the
+    /// header.
+    fn payload(len: usize, iter: usize, phase: u8, stage: usize, src: usize) -> Vec<u8> {
+        let (fill, header) = Self::pattern(iter, phase, stage, src);
+        let mut v = vec![fill; len];
+        let k = len.min(8);
+        v[..k].copy_from_slice(&header[..k]);
+        v
+    }
+
+    /// Fill byte and header of [`BtRank::payload`].
+    fn pattern(iter: usize, phase: u8, stage: usize, src: usize) -> (u8, [u8; 8]) {
+        let fill = (iter as u8) ^ (stage as u8).wrapping_mul(37) ^ phase;
         let header =
             ((iter as u64) << 32) | ((phase as u64) << 24) | ((stage as u64) << 12) | src as u64;
-        let h = header.to_le_bytes();
-        let k = len.min(8);
-        v[..k].copy_from_slice(&h[..k]);
-        v
+        (fill, header.to_le_bytes())
+    }
+
+    /// Index of the first byte of `buf` that differs from the payload
+    /// `src` sends in (`iter`, `phase`, `stage`), checked in place.
+    fn first_bad(buf: &[u8], iter: usize, phase: u8, stage: usize, src: usize) -> Option<usize> {
+        const BLOCK: usize = 256;
+        let (fill, header) = Self::pattern(iter, phase, stage, src);
+        let k = buf.len().min(8);
+        if let Some(i) = buf[..k].iter().zip(&header).position(|(a, b)| a != b) {
+            return Some(i);
+        }
+        // OR-fold each block branch-free (it vectorises); search a block
+        // byte by byte only once it is known to hold a mismatch.
+        buf[k..].chunks(BLOCK).enumerate().find_map(|(c, block)| {
+            let diff = block.iter().fold(0, |acc, &b| acc | (b ^ fill));
+            (diff != 0).then(|| k + c * BLOCK + block.iter().position(|&b| b != fill).unwrap())
+        })
     }
 
     async fn exchange(
@@ -195,8 +221,7 @@ impl BtRank {
         // Deadlock-free pairwise exchange on a torus: lower rank sends
         // first. (NPB posts receives early; this is the blocking-RCCE
         // equivalent.)
-        let out = self.payload(len, iter, phase, stage, me);
-        let expect = self.payload(len, iter, phase, stage, from);
+        let out = Self::payload(len, iter, phase, stage, me);
         let mut inbuf = vec![0u8; len];
         if me < to.min(from) || (to == from && me < to) {
             self.r.send(&out, to).await;
@@ -205,7 +230,7 @@ impl BtRank {
             self.r.recv(&mut inbuf, from).await;
             self.r.send(&out, to).await;
         }
-        self.ok &= inbuf == expect;
+        self.ok &= Self::first_bad(&inbuf, iter, phase, stage, from).is_none();
         self.messages += 2;
     }
 
@@ -219,7 +244,7 @@ impl BtRank {
         phase: u8,
         stage: usize,
     ) -> rcce::ircce::SendRequest {
-        let out = self.payload(len, iter, phase, stage, self.r.id());
+        let out = Self::payload(len, iter, phase, stage, self.r.id());
         self.messages += 1;
         self.r.isend(out, to)
     }
@@ -227,9 +252,7 @@ impl BtRank {
     async fn recv_stage(&mut self, from: usize, len: usize, iter: usize, phase: u8, stage: usize) {
         let mut buf = vec![0u8; len];
         self.r.recv(&mut buf, from).await;
-        let expect = self.payload(len, iter, phase, stage, from);
-        if buf != expect {
-            let first_bad = buf.iter().zip(&expect).position(|(a, b)| a != b).unwrap();
+        if let Some(first_bad) = Self::first_bad(&buf, iter, phase, stage, from) {
             // Structured record for the trace export.
             self.r.ctx().session.trace().instant(
                 self.r.sim().now(),
@@ -247,8 +270,8 @@ impl BtRank {
                     ]
                 },
             );
+            self.ok = false;
         }
-        self.ok &= buf == expect;
         self.messages += 1;
     }
 
@@ -391,6 +414,53 @@ mod tests {
     #[should_panic(expected = "square")]
     fn non_square_ranks_rejected() {
         BtConfig::new(BtClass::S, 6).q();
+    }
+
+    /// The materialised check the in-place one replaced: build the whole
+    /// expected message, compare, locate the first differing byte.
+    fn oracle_first_bad(
+        buf: &[u8],
+        iter: usize,
+        phase: u8,
+        stage: usize,
+        src: usize,
+    ) -> Option<usize> {
+        let len = buf.len();
+        let mut expect = vec![(iter as u8) ^ (stage as u8).wrapping_mul(37) ^ phase; len];
+        let header =
+            ((iter as u64) << 32) | ((phase as u64) << 24) | ((stage as u64) << 12) | src as u64;
+        let h = header.to_le_bytes();
+        let k = len.min(8);
+        expect[..k].copy_from_slice(&h[..k]);
+        if buf == expect {
+            return None;
+        }
+        Some(buf.iter().zip(&expect).position(|(a, b)| a != b).unwrap())
+    }
+
+    #[test]
+    fn in_place_check_agrees_with_materialised_oracle() {
+        let (iter, phase, stage, src) = (3, 11, 7, 42);
+        for len in [1, 7, 8, 9, 4096, 145_200] {
+            let sent = BtRank::payload(len, iter, phase, stage, src);
+            assert_eq!(oracle_first_bad(&sent, iter, phase, stage, src), None);
+            for bad in [None, Some(0), Some(7), Some(8), Some(len - 1)] {
+                let mut buf = sent.clone();
+                if let Some(at) = bad.filter(|&at| at < len) {
+                    // Corrupt the last byte too: the check must name the first.
+                    for i in [at, len - 1] {
+                        buf[i] = !sent[i];
+                    }
+                }
+                let want = oracle_first_bad(&buf, iter, phase, stage, src);
+                assert_eq!(want, bad.filter(|&at| at < len), "len {len}");
+                assert_eq!(BtRank::first_bad(&buf, iter, phase, stage, src), want, "len {len}");
+            }
+            // The check is bound to the sender: another source's header fails.
+            let other = BtRank::first_bad(&sent, iter, phase, stage, src + 1);
+            assert_eq!(other, oracle_first_bad(&sent, iter, phase, stage, src + 1));
+            assert_eq!(other, Some(0));
+        }
     }
 
     #[test]

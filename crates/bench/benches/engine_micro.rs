@@ -26,57 +26,8 @@ use scc::device::SccDevice;
 use scc::geometry::DeviceId;
 use vscc::{CommScheme, VsccBuilder};
 
-/// Counting global allocator: wraps `System`, bumping a per-thread
-/// counter on every `alloc`/`realloc`/`alloc_zeroed`. The harness
-/// differences the counter around deterministic workloads to report
-/// allocations-per-message for the data-path scenarios; per-thread
-/// counting keeps criterion's own threads out of the numbers. The
-/// counter is a const-initialised `thread_local` `Cell`, so bumping it
-/// never allocates (no recursion into the allocator).
-mod counting_alloc {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    thread_local! {
-        static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub struct CountingAlloc;
-
-    fn bump() {
-        // try_with: TLS may be mid-teardown during thread exit.
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    }
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            bump();
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            bump();
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            bump();
-            System.alloc_zeroed(layout)
-        }
-    }
-
-    /// Allocations performed by this thread so far.
-    pub fn count() -> u64 {
-        ALLOCS.try_with(|c| c.get()).unwrap_or(0)
-    }
-}
-
 #[global_allocator]
-static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
+static ALLOC: vscc_bench::datapath::CountingAlloc = vscc_bench::datapath::CountingAlloc;
 
 fn bench_executor(c: &mut Criterion) {
     c.bench_function("des/spawn_delay_10k_tasks", |b| {
@@ -162,9 +113,10 @@ mod harness {
     use des::obs::Registry;
     use des::trace::{Category, Trace};
     use des::Sim;
-    use vscc::{CommScheme, VsccBuilder};
-
-    use super::counting_alloc;
+    use vscc::CommScheme;
+    use vscc_bench::datapath::{
+        self, baseline_field, interdevice_pingpong, PingPong, ALLOC_GATE_RATIO, R_HIGH, SCENARIOS,
+    };
 
     /// Wall-time of the `des/spawn_delay_10k_tasks` criterion bench
     /// before this optimisation pass (BinaryHeap timers, per-poll
@@ -182,9 +134,6 @@ mod harness {
     /// Regression gate: fail `VSCC_PERF_GATE=1` runs when a scenario's
     /// events/sec drops below this fraction of the committed baseline.
     const GATE_RATIO: f64 = 0.70;
-    /// Allocation gate: fail when a data-path scenario allocates more
-    /// than this multiple of the committed allocations-per-message.
-    const ALLOC_GATE_RATIO: f64 = 1.20;
     /// Audit-overhead gate: the audited data-path run must keep at least
     /// this fraction of its audit-off twin's events/sec (i.e. the
     /// hash-chained audit stream may cost at most ~10 %). The twin is
@@ -343,93 +292,14 @@ mod harness {
         })
     }
 
-    /// One inter-device ping-pong run through the full payload stack
-    /// (MPB → tunnel → host delivery); returns the `Sim` for its engine
-    /// counters. This is the workload the allocations-per-message
-    /// numbers are differenced over.
-    fn interdevice_pingpong(scheme: CommScheme, size: usize, reps: usize) -> Sim {
-        let sim = Sim::new();
-        let v = VsccBuilder::new(&sim, 2).scheme(scheme).build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let d = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, d]).build();
-        s.run_app(move |r| bounce(r, size, reps)).unwrap();
-        sim
-    }
-
-    /// Two cores of one device bouncing `size` bytes through the on-chip
-    /// `BlockingProtocol`: put, flag, CL1INVMB and get over the L1 model,
-    /// the shape of one BT on-chip chunk.
-    fn onchip_pingpong(size: usize, reps: usize) -> Sim {
-        let sim = Sim::new();
-        let dev = scc::device::SccDevice::new(&sim, scc::geometry::DeviceId(0));
-        let s = rcce::SessionBuilder::new(&sim, vec![dev])
-            .max_ranks(2)
-            .onchip_protocol(std::rc::Rc::new(rcce::BlockingProtocol::default()))
-            .build();
-        s.run_app(move |r| bounce(r, size, reps)).unwrap();
-        sim
-    }
-
-    /// Rank body of a ping-pong: rank 0 sends first, rank 1 echoes.
-    async fn bounce(r: rcce::Rcce, size: usize, reps: usize) {
-        let peer = 1 - r.id();
-        let msg = vec![0xA5u8; size];
-        let mut buf = vec![0u8; size];
-        for _ in 0..reps {
-            if r.id() == 0 {
-                r.send(&msg, peer).await;
-                r.recv(&mut buf, peer).await;
-            } else {
-                r.recv(&mut buf, peer).await;
-                r.send(&buf, peer).await;
-            }
-        }
-    }
-
-    /// Data-path scenario: wall-clock events/sec of a ping-pong
-    /// (`pingpong(reps)` builds and runs one) plus exact allocations per
-    /// one-way message.
-    ///
-    /// The per-message cost is isolated by *rep differencing*: two
-    /// identical systems run `R_LOW` and `R_HIGH` ping-pong reps, and
-    /// the allocation delta divided by the extra messages cancels all
-    /// setup/teardown allocations. Both runs are deterministic, so the
-    /// quotient is exact and stable across hosts.
-    fn datapath(name: &'static str, pingpong: impl Fn(usize) -> Sim) -> Outcome {
-        const R_LOW: usize = 4;
-        const R_HIGH: usize = 36;
-        let low = {
-            let before = counting_alloc::count();
-            black_box(pingpong(R_LOW));
-            counting_alloc::count() - before
-        };
-        let high = {
-            let before = counting_alloc::count();
-            black_box(pingpong(R_HIGH));
-            counting_alloc::count() - before
-        };
-        // 2 one-way messages per ping-pong rep.
-        let allocs_per_msg = (high - low) as f64 / (2 * (R_HIGH - R_LOW)) as f64;
+    /// A data-path scenario of [`SCENARIOS`]: wall-clock events/sec of
+    /// its `R_HIGH`-rep ping-pong plus exact allocations per one-way
+    /// message ([`datapath::allocs_per_msg`]).
+    fn datapath_outcome((name, pingpong): (&'static str, PingPong)) -> Outcome {
+        let allocs_per_msg = datapath::allocs_per_msg(pingpong);
         let mut o = measure(name, samples(8), || engine_events(&pingpong(R_HIGH)));
         o.allocs_per_msg = Some(allocs_per_msg);
         o
-    }
-
-    fn datapath_1k() -> Outcome {
-        datapath("datapath/interdevice_1k_wcb", |reps| {
-            interdevice_pingpong(CommScheme::RemotePutWcb, 1024, reps)
-        })
-    }
-
-    fn datapath_8k() -> Outcome {
-        datapath("datapath/interdevice_8k_swcache", |reps| {
-            interdevice_pingpong(CommScheme::LocalPutRemoteGet, 8192, reps)
-        })
-    }
-
-    fn datapath_onchip_8k() -> Outcome {
-        datapath("datapath/onchip_8k_blocking", |reps| onchip_pingpong(8192, reps))
     }
 
     /// Audit-stream overhead pair: the vDMA data-path ping-pong bare and
@@ -440,15 +310,14 @@ mod harness {
     /// so host-frequency drift hits both sides alike and the min-based
     /// ratio stays meaningful on a busy machine.
     fn audit_pair() -> (Outcome, Outcome) {
-        const REPS: usize = 36;
         let run_off = || {
-            let sim = interdevice_pingpong(CommScheme::LocalPutLocalGet, 8192, REPS);
+            let sim = interdevice_pingpong(CommScheme::LocalPutLocalGet, 8192, R_HIGH);
             engine_events(&sim)
         };
         let run_on = || {
             let audit = des::audit::Audit::new(des::audit::DEFAULT_EPOCH_CYCLES);
             let guard = audit.install();
-            let sim = interdevice_pingpong(CommScheme::LocalPutLocalGet, 8192, REPS);
+            let sim = interdevice_pingpong(CommScheme::LocalPutLocalGet, 8192, R_HIGH);
             drop(guard);
             assert!(audit.total_decisions() > 0, "the audited twin must fold decisions");
             black_box(audit.chain());
@@ -525,21 +394,6 @@ mod harness {
         std::fs::write(path, s).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     }
 
-    /// Pull one numeric field of the named scenario out of a baseline
-    /// file written by [`write_json`] (no JSON dep available). Each
-    /// scenario is one line, so the search for `key` is confined to the
-    /// line holding the matching name.
-    fn baseline_field(text: &str, name: &str, key: &str) -> Option<f64> {
-        let needle = format!("\"name\": \"{name}\"");
-        let at = text.find(&needle)?;
-        let line = text[at..].lines().next()?;
-        let key = format!("\"{key}\": ");
-        let k = line.find(&key)?;
-        let tail = &line[k + key.len()..];
-        let end = tail.find(|c: char| !c.is_ascii_digit() && c != '.' && c != '-')?;
-        tail[..end].parse().ok()
-    }
-
     fn baseline_events_per_sec(text: &str, name: &str) -> Option<f64> {
         baseline_field(text, name, "events_per_sec")
     }
@@ -560,11 +414,11 @@ mod harness {
             histogram_record(),
             disabled_trace(),
             interned_trace(),
-            datapath_1k(),
-            datapath_8k(),
+            datapath_outcome(SCENARIOS[0]),
+            datapath_outcome(SCENARIOS[1]),
             audit_off,
             audit_on,
-            datapath_onchip_8k(),
+            datapath_outcome(SCENARIOS[2]),
         ];
         for o in &outcomes {
             let allocs = match o.allocs_per_msg {

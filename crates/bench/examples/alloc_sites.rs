@@ -14,8 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-use des::Sim;
-use vscc::{CommScheme, VsccBuilder};
+use vscc::CommScheme;
+use vscc_bench::datapath::interdevice_pingpong as pingpong;
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
@@ -83,32 +83,6 @@ unsafe impl GlobalAlloc for SamplingAlloc {
 
 #[global_allocator]
 static ALLOC: SamplingAlloc = SamplingAlloc;
-
-/// The same 2-device ping-pong the `engine_micro` data-path scenarios
-/// measure.
-fn pingpong(scheme: CommScheme, size: usize, reps: usize) -> Sim {
-    let sim = Sim::new();
-    let v = VsccBuilder::new(&sim, 2).scheme(scheme).build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let d = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, d]).build();
-    s.run_app(move |r| async move {
-        let peer = 1 - r.id();
-        let msg = vec![0xA5u8; size];
-        let mut buf = vec![0u8; size];
-        for _ in 0..reps {
-            if r.id() == 0 {
-                r.send(&msg, peer).await;
-                r.recv(&mut buf, peer).await;
-            } else {
-                r.recv(&mut buf, peer).await;
-                r.send(&buf, peer).await;
-            }
-        }
-    })
-    .unwrap();
-    sim
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);

@@ -10,6 +10,8 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+pub mod datapath;
+
 use des::audit::Audit;
 use des::obs::report::Exports;
 use des::obs::{Registry, TimeSeries};

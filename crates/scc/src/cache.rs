@@ -64,7 +64,7 @@ impl LineSet {
 
     /// Lowest line in the set.
     pub fn first(&self) -> Option<usize> {
-        self.iter().next()
+        self.find_from(0, true)
     }
 
     /// Highest line in the set.
@@ -73,19 +73,30 @@ impl LineSet {
         Some(w * 64 + 63 - self.0[w].leading_zeros() as usize)
     }
 
-    /// Lines in ascending order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> {
-        let words = self.0;
-        (0..words.len()).flat_map(move |w| {
-            let mut bits = words[w];
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + b
-                })
-            })
+    /// Maximal runs of consecutive lines, as ascending `start..end`
+    /// line ranges. Runs are found a word at a time, so a run costs a
+    /// few bit scans however many lines it holds.
+    pub(crate) fn runs(self) -> impl Iterator<Item = Range<usize>> {
+        let mut from = 0;
+        std::iter::from_fn(move || {
+            let start = self.find_from(from, true)?;
+            let end = self.find_from(start, false).unwrap_or(REGION_LINES);
+            from = end;
+            Some(start..end)
         })
+    }
+
+    /// First line at or after `from` that is in the set (`present`) or
+    /// not in it (`!present`).
+    fn find_from(&self, from: usize, present: bool) -> Option<usize> {
+        let flip = if present { 0 } else { u64::MAX };
+        let mut w = from / 64;
+        let mut bits = (*self.0.get(w)? ^ flip) & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.0.get(w)? ^ flip;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
     }
 
     fn zip(self, other: LineSet, f: impl Fn(u64, u64) -> u64) -> LineSet {
@@ -93,40 +104,31 @@ impl LineSet {
     }
 }
 
-/// The overlap of `line` with the byte window `[offset, offset + len)`, as
-/// (range within the line, range within the window).
-fn overlap(line: usize, offset: usize, len: usize) -> (Range<usize>, Range<usize>) {
-    let start = line * LINE_BYTES;
-    let (lo, hi) = (start.max(offset), (start + LINE_BYTES).min(offset + len));
-    (lo - start..hi - start, lo - offset..hi - offset)
+/// The bytes of the line run `lines` that fall inside the window
+/// `[offset, offset + len)`, as a byte range of the region.
+fn clip(lines: Range<usize>, offset: usize, len: usize) -> Range<usize> {
+    (lines.start * LINE_BYTES).max(offset)..(lines.end * LINE_BYTES).min(offset + len)
 }
-
-/// Slot-index value of a line that has no slab entry yet.
-const NO_SLOT: u32 = u32::MAX;
 
 /// The lines one L1 holds of one owner's MPB region.
 struct OwnerLines {
     owner: GlobalCore,
-    /// Slab index of each line; assigned on the line's first fill and kept
-    /// (for refills) until `CL1INVMB`.
-    slot: [u32; REGION_LINES],
+    /// A region-sized shadow: byte `i` of a present line is the cached
+    /// (possibly stale) copy of byte `i` of the region. Bytes of absent
+    /// lines are never read.
+    shadow: Box<[u8]>,
     /// Lines currently cached.
     present: LineSet,
 }
 
-/// Per-owner tables over one shared line slab. Both are cleared, keeping
-/// their capacity, by `CL1INVMB`, so storage tracks the lines touched
-/// since the last one.
-#[derive(Default)]
-struct Lines {
-    owners: Vec<OwnerLines>,
-    slab: Vec<[u8; LINE_BYTES]>,
-}
-
 /// Per-core L1 model for MPBT lines.
+///
+/// One table per owner region this core has read from. `CL1INVMB`
+/// clears the presence bits and keeps the tables, so storage is one
+/// region-sized shadow per owner ever read, fixed after warm-up.
 #[derive(Default)]
 pub struct L1Model {
-    lines: RefCell<Lines>,
+    owners: RefCell<Vec<OwnerLines>>,
     hits: Counter,
     misses: Counter,
     invalidations: Counter,
@@ -143,12 +145,12 @@ impl L1Model {
     /// one hit or miss per line, and returns the lines that missed.
     pub fn probe(&self, owner: GlobalCore, offset: usize, buf: &mut [u8]) -> LineSet {
         let want = LineSet::covering(offset, buf.len());
-        let lines = self.lines.borrow();
+        let owners = self.owners.borrow();
         let mut missed = want;
-        if let Some(t) = lines.owners.iter().find(|t| t.owner == owner) {
-            for line in want.zip(t.present, |w, p| w & p).iter() {
-                let (in_line, in_buf) = overlap(line, offset, buf.len());
-                buf[in_buf].copy_from_slice(&lines.slab[t.slot[line] as usize][in_line]);
+        if let Some(t) = owners.iter().find(|t| t.owner == owner) {
+            for run in want.zip(t.present, |w, p| w & p).runs() {
+                let bytes = clip(run, offset, buf.len());
+                buf[bytes.start - offset..bytes.end - offset].copy_from_slice(&t.shadow[bytes]);
             }
             missed = want.zip(t.present, |w, p| w & !p);
         }
@@ -169,28 +171,24 @@ impl L1Model {
         buf: &mut [u8],
     ) {
         let Some(first) = missed.first() else { return };
-        let mut lines = self.lines.borrow_mut();
-        let Lines { owners, slab } = &mut *lines;
+        let base = first * LINE_BYTES;
+        let mut owners = self.owners.borrow_mut();
         let t = match owners.iter().position(|t| t.owner == owner) {
             Some(i) => &mut owners[i],
             None => {
                 owners.push(OwnerLines {
                     owner,
-                    slot: [NO_SLOT; REGION_LINES],
+                    shadow: vec![0; MPB_BYTES].into_boxed_slice(),
                     present: LineSet::default(),
                 });
                 owners.last_mut().expect("table just pushed")
             }
         };
-        for line in missed.iter() {
-            if t.slot[line] == NO_SLOT {
-                t.slot[line] = slab.len() as u32;
-                slab.push([0; LINE_BYTES]);
-            }
-            let data = &mut slab[t.slot[line] as usize];
-            data.copy_from_slice(&fetched[(line - first) * LINE_BYTES..][..LINE_BYTES]);
-            let (in_line, in_buf) = overlap(line, offset, buf.len());
-            buf[in_buf].copy_from_slice(&data[in_line]);
+        for run in missed.runs() {
+            let lines = run.start * LINE_BYTES..run.end * LINE_BYTES;
+            t.shadow[lines.clone()].copy_from_slice(&fetched[lines.start - base..lines.end - base]);
+            let bytes = clip(run, offset, buf.len());
+            buf[bytes.start - offset..bytes.end - offset].copy_from_slice(&t.shadow[bytes]);
         }
         t.present = t.present.zip(missed, |p, m| p | m);
     }
@@ -205,30 +203,30 @@ impl L1Model {
     /// updates the cached copy of every line it touches that is present —
     /// no write-allocate.
     pub fn write_through(&self, owner: GlobalCore, offset: usize, data: &[u8]) {
-        let mut lines = self.lines.borrow_mut();
-        let Lines { owners, slab } = &mut *lines;
-        if let Some(t) = owners.iter().find(|t| t.owner == owner) {
+        let mut owners = self.owners.borrow_mut();
+        if let Some(t) = owners.iter_mut().find(|t| t.owner == owner) {
             let touched = LineSet::covering(offset, data.len()).zip(t.present, |w, p| w & p);
-            for line in touched.iter() {
-                let (in_line, in_data) = overlap(line, offset, data.len());
-                slab[t.slot[line] as usize][in_line].copy_from_slice(&data[in_data]);
+            for run in touched.runs() {
+                let bytes = clip(run, offset, data.len());
+                let from = bytes.start - offset..bytes.end - offset;
+                t.shadow[bytes].copy_from_slice(&data[from]);
             }
         }
     }
 
     /// `CL1INVMB`: drop every MPBT line.
     pub fn invalidate_all(&self) {
-        let mut lines = self.lines.borrow_mut();
-        lines.owners.clear();
-        lines.slab.clear();
+        for t in self.owners.borrow_mut().iter_mut() {
+            t.present = LineSet::default();
+        }
         self.invalidations.inc();
     }
 
     /// Drop the lines covering `[offset, offset+len)` of `owner`'s region
     /// (selective invalidation used by the host software cache protocol).
     pub fn invalidate_range(&self, owner: GlobalCore, offset: u16, len: usize) {
-        let mut lines = self.lines.borrow_mut();
-        if let Some(t) = lines.owners.iter_mut().find(|t| t.owner == owner) {
+        let mut owners = self.owners.borrow_mut();
+        if let Some(t) = owners.iter_mut().find(|t| t.owner == owner) {
             let dropped = LineSet::covering(offset as usize, len);
             t.present = t.present.zip(dropped, |p, d| p & !d);
         }
@@ -241,7 +239,7 @@ impl L1Model {
 
     /// Number of resident lines.
     pub fn resident(&self) -> usize {
-        self.lines.borrow().owners.iter().map(|t| t.present.len()).sum()
+        self.owners.borrow().iter().map(|t| t.present.len()).sum()
     }
 }
 
@@ -406,9 +404,25 @@ mod tests {
         assert_eq!((all.len(), all.first(), all.last()), (256, Some(0), Some(255)));
         let s = LineSet::range(63, 129);
         assert_eq!((s.len(), s.first(), s.last()), (67, Some(63), Some(129)));
-        assert_eq!(s.iter().collect::<Vec<_>>(), (63..=129).collect::<Vec<_>>());
+        assert_eq!(s.runs().next(), Some(63..130));
+        assert_eq!(s.runs().count(), 1);
         assert_eq!(LineSet::covering(31, 2), LineSet::range(0, 1));
         assert!(LineSet::covering(64, 0).is_empty());
+    }
+
+    #[test]
+    fn line_set_runs_merge_across_words() {
+        assert_eq!(LineSet::default().runs().count(), 0);
+        let all = LineSet::range(0, REGION_LINES - 1);
+        assert_eq!(all.runs().next(), Some(0..REGION_LINES));
+        assert_eq!(all.runs().count(), 1);
+        // Lines 0, 60..=130 and 255, with 64..=127 filling a whole word.
+        let s = LineSet::range(0, 0)
+            .zip(LineSet::range(60, 130), |a, b| a | b)
+            .zip(LineSet::range(255, 255), |a, b| a | b);
+        assert_eq!(s.runs().collect::<Vec<_>>(), [0..1, 60..131, 255..256]);
+        let holes = all.zip(s, |a, b| a & !b);
+        assert_eq!(holes.runs().collect::<Vec<_>>(), [1..60, 131..255]);
     }
 
     #[test]

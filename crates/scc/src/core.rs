@@ -144,6 +144,7 @@ impl CoreHandle {
 
     /// Read `buf.len()` bytes at `addr` into registers, through L1.
     pub async fn mpb_read(&self, addr: MpbAddr, buf: &mut [u8]) {
+        assert!(addr.offset as usize + buf.len() <= MPB_BYTES, "mpb_read overruns MPB region");
         let cycles = self.read_through_l1(addr, buf, None).await;
         self.sim.delay(cycles).await;
     }
@@ -467,6 +468,20 @@ mod tests {
                 c.mpb_read(MpbAddr::new(base, 0), &mut back).await;
                 assert_eq!(back[17..117], data[..]);
                 assert!(back[..17].iter().chain(&back[117..]).all(|&b| b == 0));
+            })
+            .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "mpb_read overruns MPB region")]
+    fn mpb_read_past_region_end_panics() {
+        let (sim, dev) = setup();
+        sim.clone()
+            .block_on(async move {
+                let c = CoreHandle::new(&dev, CoreId(0));
+                // 64 bytes at 8160: the last 32 lie past the region end.
+                let mut buf = [0u8; 64];
+                c.mpb_read(MpbAddr::new(dev.global(CoreId(0)), 8160), &mut buf).await;
             })
             .unwrap();
     }

@@ -263,29 +263,45 @@ proptest! {
         }
     }
 
-    /// The span-granular L1 model against the per-line `HashMap` oracle:
-    /// random probe/fill reads, single-line lookups, aligned and unaligned
-    /// write-throughs, selective and full invalidations, and stores by
-    /// other cores (memory changes the caches must not see) over three
-    /// owners agree on every byte, every counter and the resident count.
+    /// The run-granular L1 model against the per-line `HashMap` oracle:
+    /// random probe/fill reads with windows up to a whole region (so runs
+    /// cross the 64-line bitmap words), single-line lookups, aligned and
+    /// unaligned write-throughs, selective and full invalidations,
+    /// `CL1INVMB`-then-read cycles that refill the retained tables, and
+    /// stores by other cores (memory changes the caches must not see)
+    /// over six owners agree on every byte, every counter and the
+    /// resident count.
     #[test]
     fn l1_model_matches_per_line_oracle(
         ops in prop::collection::vec(
-            ((0u8..7, 0usize..3), (0usize..MPB_BYTES, 1usize..600), (any::<u8>(), any::<bool>())),
-            1..80,
+            ((0u8..8, 0usize..6), (0usize..MPB_BYTES, 1usize..=MPB_BYTES), (any::<u8>(), any::<bool>())),
+            1..120,
         ),
     ) {
-        let owners = [GlobalCore::new(0, 0), GlobalCore::new(0, 5), GlobalCore::new(1, 0)];
+        let owners = [
+            GlobalCore::new(0, 0),
+            GlobalCore::new(0, 5),
+            GlobalCore::new(0, 47),
+            GlobalCore::new(1, 0),
+            GlobalCore::new(1, 5),
+            GlobalCore::new(4, 23),
+        ];
         let l1 = L1Model::new();
         let mut oracle = RefL1::default();
         let mut mem = vec![vec![0u8; MPB_BYTES]; owners.len()];
         for ((kind, o), (off, len), (val, near)) in ops {
-            // Half the ops crowd the first 24 lines so that they overlap.
-            let off = if near { off % 768 } else { off };
+            // Half the ops crowd the first 24 lines with short windows so
+            // that they overlap; the rest reach anywhere, up to a region.
+            let (off, len) = if near { (off % 768, len % 600 + 1) } else { (off, len) };
             let len = len.min(MPB_BYTES - off);
             let owner = owners[o];
+            if kind == 7 {
+                l1.invalidate_all();
+                oracle.lines.clear();
+                oracle.invalidations += 1;
+            }
             match kind {
-                0 => {
+                0 | 7 => {
                     let mut got = vec![0xEE; len];
                     let missed = l1.probe(owner, off, &mut got);
                     if let (Some(a), Some(z)) = (missed.first(), missed.last()) {
