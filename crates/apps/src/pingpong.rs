@@ -69,27 +69,6 @@ pub fn onchip(pipelined: bool, size: usize, reps: usize) -> PingPongPoint {
     point(&sim, size, reps)
 }
 
-/// Like [`onchip`], but with the device metrics registered and all trace
-/// categories enabled; returns the observability handles alongside the
-/// measurement (for trace and metrics exports).
-pub fn onchip_observed(
-    pipelined: bool,
-    size: usize,
-    reps: usize,
-) -> (PingPongPoint, Trace, Registry) {
-    let sim = Sim::new();
-    let reg = Registry::new();
-    let dev = SccDevice::new(&sim, DeviceId(0));
-    dev.register_metrics(&reg);
-    let mut b = SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace().with_metrics(&reg);
-    if pipelined {
-        b = b.onchip_protocol(std::rc::Rc::new(PipelinedProtocol::default()));
-    }
-    let s = b.build();
-    s.run_app(move |r| bounce(r, size, reps)).expect("on-chip ping-pong");
-    (point(&sim, size, reps), s.trace(), reg)
-}
-
 /// The fig6b platform: the paper's physical setup is five SCC devices
 /// behind one Xeon host (Fig. 1), with the inter-device measurement
 /// running on one pair while the rest sit idle. Idle devices add fabric

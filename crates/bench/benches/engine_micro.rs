@@ -217,11 +217,11 @@ mod harness {
         })
     }
 
-    /// Pre-registered counter handle: per-increment cost must be a
-    /// `Cell` update — no string hash, no registry lookup.
+    /// A counter resolved once from the registry: per-increment cost
+    /// must be a `Cell` update — no string hash, no registry lookup.
     fn counter_inc() -> Outcome {
         let registry = Registry::new();
-        let counter = registry.scoped("bench").register_counter("inc");
+        let counter = registry.scoped("bench").counter("inc");
         measure("metrics/counter_inc_10m", samples(10), move || {
             const N: u64 = 10_000_000;
             for _ in 0..N {
@@ -233,11 +233,11 @@ mod harness {
         })
     }
 
-    /// Pre-registered histogram handle: per-record cost is a bucket
-    /// increment.
+    /// A histogram resolved once from the registry: per-record cost is
+    /// a bucket increment.
     fn histogram_record() -> Outcome {
         let registry = Registry::new();
-        let hist = registry.scoped("bench").register_histogram("rec");
+        let hist = registry.scoped("bench").histogram("rec");
         measure("metrics/histogram_record_10m", samples(10), move || {
             const N: u64 = 10_000_000;
             for i in 0..N {

@@ -50,7 +50,9 @@ pub struct HostConfig {
     pub dma_chunk: usize,
     /// Host write-combining buffer granularity in bytes.
     pub wcb_granularity: usize,
-    /// Seed for fault injection.
+    /// Seed of the fast-ack emulation's base-instability streams
+    /// ([`FastAck::new`]). Injected faults draw from [`FaultSpec::seed`]
+    /// instead.
     pub seed: u64,
     /// Injected-fault plan specification. [`FaultSpec::none`] (the
     /// default) builds no plan at all: the zero-perturbation path.
@@ -239,7 +241,6 @@ pub struct HostSide {
     cfg: HostConfig,
     me: Weak<HostSide>,
     devices: RefCell<Vec<Weak<SccDevice>>>,
-    registered: RefCell<std::collections::HashMap<GlobalCore, (u16, usize)>>,
     workers: RefCell<Vec<Sender<HostCmd>>>,
     /// Per-device doorbell queues: the host side of the latency-stamped
     /// MMIO boundary (DESIGN.md §5i). Cores enqueue stamped conduit
@@ -262,14 +263,8 @@ enum DoorbellMsg {
 
 impl HostSide {
     /// Create the host side for `n_devices` devices with `scheme` active,
-    /// then [`HostSide::attach`] the devices. Metrics land in a private
-    /// registry and tracing is off; see [`HostSide::with_obs`].
-    pub fn new(sim: &Sim, n_devices: u8, scheme: CommScheme, cfg: HostConfig) -> Rc<Self> {
-        Self::with_obs(sim, n_devices, scheme, cfg, &Registry::new(), Trace::disabled())
-    }
-
-    /// Like [`HostSide::new`], but reporting into a shared `registry`
-    /// (`host.*`, `pcie.*` names) and emitting structured events into
+    /// then [`HostSide::attach`] the devices. Metrics report into
+    /// `registry` (`host.*`, `pcie.*` names) and structured events go to
     /// `trace` ([`Category::Pcie`] / [`Category::Vdma`]).
     pub fn with_obs(
         sim: &Sim,
@@ -318,8 +313,8 @@ impl HostSide {
             sim: sim.clone(),
             fabric,
             scheme,
-            cache: SwCache::with_registry(registry),
-            wcb: HostWcb::with_registry(cfg.wcb_granularity, registry),
+            cache: SwCache::new(registry),
+            wcb: HostWcb::new(cfg.wcb_granularity, registry),
             fastack,
             stats,
             rstats,
@@ -338,7 +333,6 @@ impl HostSide {
             cfg,
             me: me.clone(),
             devices: RefCell::new(Vec::new()),
-            registered: RefCell::new(std::collections::HashMap::new()),
             workers: RefCell::new(Vec::new()),
             doorbells: RefCell::new(Vec::new()),
         })
@@ -393,17 +387,6 @@ impl HostSide {
         addr.offset >= OFF_PAYLOAD
     }
 
-    /// A registered buffer covers `addr` (classification table, §3.1).
-    pub fn is_registered(&self, addr: MpbAddr, len: usize) -> bool {
-        self.registered
-            .borrow()
-            .get(&addr.owner)
-            .map(|&(off, rlen)| {
-                addr.offset >= off && addr.offset as usize + len <= off as usize + rlen
-            })
-            .unwrap_or(false)
-    }
-
     // ------------------------------------------------------------------
     // Daemon workers
     // ------------------------------------------------------------------
@@ -450,7 +433,7 @@ impl HostSide {
                         .await;
                 }
                 // Handled synchronously at MMIO arrival; never queued.
-                HostCmd::CacheInvalidate { .. } | HostCmd::RegisterBuffer { .. } => {}
+                HostCmd::CacheInvalidate { .. } => {}
             }
             busy.add(self.sim.now() - cmd_start);
         }
@@ -556,7 +539,6 @@ impl HostSide {
             HostCmd::VdmaStart { .. } => "mmio_vdma_start",
             HostCmd::CacheUpdate { .. } => "mmio_cache_update",
             HostCmd::CacheInvalidate { .. } => "mmio_cache_invalidate",
-            HostCmd::RegisterBuffer { .. } => "mmio_register_buffer",
         };
         let flow = match &cmd {
             HostCmd::VdmaStart { flow, .. } | HostCmd::CacheUpdate { flow, .. } => *flow,
@@ -571,9 +553,6 @@ impl HostSide {
             || fields![core = line.src.core.0 as u64],
         );
         match cmd {
-            HostCmd::RegisterBuffer { owner, offset, len } => {
-                self.registered.borrow_mut().insert(owner, (offset, len));
-            }
             HostCmd::CacheInvalidate { owner, offset, len } => {
                 self.cache.invalidate(owner, offset, len);
             }

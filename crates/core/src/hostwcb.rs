@@ -19,7 +19,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use des::bytes::{pooled_with_capacity, Bytes, BytesMut};
-use des::obs::{CounterHandle, GaugeHandle, Registry};
+use des::obs::Registry;
+use des::stats::{Counter, Gauge};
 use scc::{GlobalCore, MPB_BYTES};
 
 /// One buffered contiguous write run for a destination, frozen for
@@ -58,34 +59,26 @@ pub struct HostWcbStats {
 pub struct HostWcb {
     state: Rc<RefCell<State>>,
     granularity: usize,
-    flushes: CounterHandle,
-    merges: CounterHandle,
-    depth: GaugeHandle,
+    flushes: Counter,
+    merges: Counter,
+    depth: Gauge,
 }
 
 impl HostWcb {
-    /// Create a buffer flushing at `granularity` bytes per destination.
-    pub fn new(granularity: usize) -> Self {
+    /// Create a buffer flushing at `granularity` bytes per destination,
+    /// with the counters registered in `registry` under
+    /// `host.wcb.{flushes, merges, depth}` — `depth` is the bytes
+    /// currently buffered across all destinations.
+    pub fn new(granularity: usize, registry: &Registry) -> Self {
         assert!(granularity > 0 && granularity <= MPB_BYTES);
+        let scope = registry.scoped("host").scoped("wcb");
         HostWcb {
             state: Rc::new(RefCell::new(State::default())),
             granularity,
-            flushes: CounterHandle::default(),
-            merges: CounterHandle::default(),
-            depth: GaugeHandle::default(),
+            flushes: scope.counter("flushes"),
+            merges: scope.counter("merges"),
+            depth: scope.gauge("depth"),
         }
-    }
-
-    /// Like [`HostWcb::new`], but with the counters registered in
-    /// `registry` under `host.wcb.{flushes, merges, depth}` — `depth` is
-    /// the bytes currently buffered across all destinations.
-    pub fn with_registry(granularity: usize, registry: &Registry) -> Self {
-        let scope = registry.scoped("host").scoped("wcb");
-        let mut wcb = Self::new(granularity);
-        wcb.flushes = scope.register_counter("flushes");
-        wcb.merges = scope.register_counter("merges");
-        wcb.depth = scope.register_gauge("depth");
-        wcb
     }
 
     /// The flush granularity in bytes.
@@ -209,7 +202,7 @@ mod tests {
 
     #[test]
     fn small_writes_accumulate() {
-        let w = HostWcb::new(1024);
+        let w = HostWcb::new(1024, &Registry::new());
         assert!(w.append(dst(), 512, &[1; 100]).is_empty());
         assert!(w.append(dst(), 612, &[2; 100]).is_empty());
         assert_eq!(w.buffered(dst()), 200);
@@ -219,7 +212,7 @@ mod tests {
     #[test]
     fn registry_backed_wcb_reports_named_metrics() {
         let reg = Registry::new();
-        let w = HostWcb::with_registry(256, &reg);
+        let w = HostWcb::new(256, &reg);
         w.append(dst(), 0, &[1; 256]);
         assert_eq!(reg.counter("host.wcb.flushes").get(), 1);
         assert_eq!(w.stats(), HostWcbStats { flushes: 1, merges: 0 });
@@ -228,7 +221,7 @@ mod tests {
     #[test]
     fn depth_gauge_tracks_buffered_bytes() {
         let reg = Registry::new();
-        let w = HostWcb::with_registry(256, &reg);
+        let w = HostWcb::new(256, &reg);
         let depth = reg.gauge("host.wcb.depth");
         w.append(dst(), 0, &[1; 100]);
         assert_eq!(depth.get(), 100);
@@ -241,7 +234,7 @@ mod tests {
 
     #[test]
     fn granularity_reached_emits_flush() {
-        let w = HostWcb::new(256);
+        let w = HostWcb::new(256, &Registry::new());
         let ready = w.append(dst(), 512, &[7; 600]);
         assert_eq!(ready.len(), 2);
         assert_eq!(ready[0].offset, 512);
@@ -252,7 +245,7 @@ mod tests {
 
     #[test]
     fn drain_returns_remainder_in_order() {
-        let w = HostWcb::new(1024);
+        let w = HostWcb::new(1024, &Registry::new());
         w.append(dst(), 512, &[1; 10]);
         w.append(dst(), 700, &[2; 10]); // non-contiguous: second run
         let runs = w.drain(dst());
@@ -264,7 +257,7 @@ mod tests {
 
     #[test]
     fn destinations_are_independent() {
-        let w = HostWcb::new(1024);
+        let w = HostWcb::new(1024, &Registry::new());
         let other = GlobalCore::new(3, 0);
         w.append(dst(), 512, &[1; 50]);
         w.append(other, 512, &[2; 60]);
@@ -276,7 +269,7 @@ mod tests {
 
     #[test]
     fn flush_preserves_bytes_exactly() {
-        let w = HostWcb::new(128);
+        let w = HostWcb::new(128, &Registry::new());
         let payload: Vec<u8> = (0..200u8).collect();
         let mut got = w.append(dst(), 512, &payload);
         got.extend(w.drain(dst()));

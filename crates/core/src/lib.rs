@@ -26,7 +26,6 @@
 //! [`schemes`] packages all of this as drop-in inter-device protocols for
 //! the RCCE session layer; [`system`] builds complete vSCC machines.
 
-pub mod async_ext;
 pub mod health;
 pub mod host;
 pub mod hostwcb;

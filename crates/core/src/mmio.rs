@@ -5,8 +5,8 @@
 //! *control* (§3.3, Fig. 5) — are laid out contiguously within one 32 B
 //! line, so the SCC's write-combining buffer fuses programming them into a
 //! single PCIe transaction. Cache-control operations (explicit update /
-//! invalidate of the host software cache, §3.1) and buffer registration
-//! use further lines of the same window.
+//! invalidate of the host software cache, §3.1) use a further line of the
+//! same window.
 
 use scc::remote::{pack_vdma_line, unpack_vdma_line, RegisterLine};
 use scc::{GlobalCore, LINE_BYTES};
@@ -15,8 +15,6 @@ use scc::{GlobalCore, LINE_BYTES};
 pub const REG_VDMA: u16 = 0;
 /// Register line index of the cache-control registers.
 pub const REG_CACHE: u16 = 1;
-/// Register line index of buffer registration.
-pub const REG_REGISTER: u16 = 2;
 /// Register line index of the read-only status register.
 pub const REG_STATUS: u16 = 3;
 
@@ -24,7 +22,6 @@ pub const REG_STATUS: u16 = 3;
 const OP_VDMA_START: u64 = 1;
 const OP_CACHE_UPDATE: u64 = 2;
 const OP_CACHE_INVALIDATE: u64 = 3;
-const OP_REGISTER_BUFFER: u64 = 4;
 
 /// A decoded command for the communication task.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,16 +73,6 @@ pub enum HostCmd {
         /// Start offset.
         offset: u16,
         /// Length in bytes.
-        len: usize,
-    },
-    /// Register the issuing rank's communication buffer with the task
-    /// (start address and length, §3.1).
-    RegisterBuffer {
-        /// Owner core.
-        owner: GlobalCore,
-        /// Buffer start offset.
-        offset: u16,
-        /// Buffer length in bytes.
         len: usize,
     },
 }
@@ -167,11 +154,6 @@ pub fn encode_cache(offset: u16, len: usize, update: bool, flow: Option<u64>) ->
     seal(offset as u64, len as u64, op | pack_flow(flow), 0)
 }
 
-/// Encode a buffer registration.
-pub fn encode_register(offset: u16, len: usize) -> [u8; LINE_BYTES] {
-    seal(offset as u64, len as u64, OP_REGISTER_BUFFER, 0)
-}
-
 /// Decode a register-line write into a command. Returns `None` for
 /// malformed writes (unknown opcode or wrong register line).
 pub fn decode(line: &RegisterLine) -> Option<HostCmd> {
@@ -196,11 +178,6 @@ pub fn decode(line: &RegisterLine) -> Option<HostCmd> {
             flow: unpack_flow(control),
         }),
         (REG_CACHE, OP_CACHE_INVALIDATE) => Some(HostCmd::CacheInvalidate {
-            owner: line.src,
-            offset: address as u16,
-            len: count as usize,
-        }),
-        (REG_REGISTER, OP_REGISTER_BUFFER) => Some(HostCmd::RegisterBuffer {
             owner: line.src,
             offset: address as u16,
             len: count as usize,
@@ -273,17 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn register_roundtrip() {
-        let src = GlobalCore::new(4, 47);
-        let cmd = decode(&line(src, REG_REGISTER, encode_register(512, 7680))).unwrap();
-        assert_eq!(cmd, HostCmd::RegisterBuffer { owner: src, offset: 512, len: 7680 });
-    }
-
-    #[test]
     fn malformed_writes_rejected() {
         let src = GlobalCore::new(0, 0);
         // Wrong line for the opcode.
-        assert!(decode(&line(src, REG_CACHE, encode_register(0, 1))).is_none());
+        assert!(decode(&line(src, REG_VDMA, encode_cache(0, 1, true, None))).is_none());
         // Garbage.
         assert!(decode(&line(src, REG_VDMA, [0xFF; LINE_BYTES])).is_none());
     }
@@ -295,7 +265,7 @@ mod tests {
         for enc in [
             encode_vdma(512, dst, 4352, 3840, 9, 5, 77, Some(123_456)),
             encode_cache(512, 7680, true, Some(7)),
-            encode_register(512, 7680),
+            encode_cache(600, 100, false, None),
         ] {
             let l = line(src, REG_VDMA, enc);
             assert!(verify(&l), "pristine encoder output must verify");

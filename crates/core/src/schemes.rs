@@ -16,7 +16,8 @@
 //! deliver into the receiver's MPB.
 
 use des::fields;
-use des::obs::{GaugeHandle, Registry};
+use des::obs::Registry;
+use des::stats::Gauge;
 use des::trace::Category;
 use rcce::layout::{self, CHUNK_BYTES};
 use rcce::protocol::{chunk_ranges, flag_wait_reached, LocalBoxFuture, PointToPoint};
@@ -62,18 +63,12 @@ impl CommScheme {
         }
     }
 
-    /// The point-to-point protocol implementing this scheme.
-    pub fn protocol(self) -> std::rc::Rc<dyn PointToPoint> {
-        self.protocol_with_windows(WindowGauges::default())
-    }
-
-    /// Like [`CommScheme::protocol`], but with MPB payload-window
-    /// occupancy gauges reporting into `registry` (`vscc.window.*`).
+    /// The point-to-point protocol implementing this scheme, with MPB
+    /// payload-window occupancy gauges reporting into `registry`
+    /// (`vscc.window.*`). Protocols built on one registry share the
+    /// gauges.
     pub fn protocol_with_obs(self, registry: &Registry) -> std::rc::Rc<dyn PointToPoint> {
-        self.protocol_with_windows(WindowGauges::register(registry))
-    }
-
-    fn protocol_with_windows(self, windows: WindowGauges) -> std::rc::Rc<dyn PointToPoint> {
+        let windows = WindowGauges::register(registry);
         match self {
             CommScheme::SimpleRouting => std::rc::Rc::new(rcce::BlockingProtocol::default()),
             CommScheme::RemotePutHwAck | CommScheme::RemotePutWcb => {
@@ -94,21 +89,22 @@ impl CommScheme {
 /// consumed": the producer side adds at the end of its put, the consumer
 /// side subtracts when it copies the bytes out (for the vDMA send slots,
 /// when the controller's drain flag confirms the slots were captured).
-/// Handles are resolved once at protocol construction, so the per-chunk
-/// update on the data path is a plain `Cell` add — no lookup, no
-/// allocation. Detached (default) handles make every update a no-op.
+/// The gauges are resolved once at protocol construction, so the
+/// per-chunk update on the data path is a plain `Cell` add — no lookup,
+/// no allocation. Default gauges are detached: they count but report
+/// into no registry.
 #[derive(Clone, Default)]
 pub struct WindowGauges {
     /// Direct-transfer slot (`DIRECT_OFF..DIRECT_OFF+DIRECT_MAX`).
-    pub direct: GaugeHandle,
+    pub direct: Gauge,
     /// Remote-put receive window (`REMOTE_PUT_OFF..` one chunk).
-    pub remote_put: GaugeHandle,
+    pub remote_put: Gauge,
     /// Cached-get local put window (`0..LPRG_CHUNK`).
-    pub lprg: GaugeHandle,
+    pub lprg: Gauge,
     /// vDMA send slots (`0..2*VDMA_SLOT`).
-    pub vdma_send: GaugeHandle,
+    pub vdma_send: Gauge,
     /// vDMA receive slots (`2*VDMA_SLOT..4*VDMA_SLOT`).
-    pub vdma_recv: GaugeHandle,
+    pub vdma_recv: Gauge,
 }
 
 impl WindowGauges {
@@ -116,11 +112,11 @@ impl WindowGauges {
     pub fn register(registry: &Registry) -> Self {
         let scope = registry.scoped("vscc").scoped("window");
         WindowGauges {
-            direct: scope.scoped("direct").register_gauge("bytes"),
-            remote_put: scope.scoped("remote_put").register_gauge("bytes"),
-            lprg: scope.scoped("lprg").register_gauge("bytes"),
-            vdma_send: scope.scoped("vdma_send").register_gauge("bytes"),
-            vdma_recv: scope.scoped("vdma_recv").register_gauge("bytes"),
+            direct: scope.scoped("direct").gauge("bytes"),
+            remote_put: scope.scoped("remote_put").gauge("bytes"),
+            lprg: scope.scoped("lprg").gauge("bytes"),
+            vdma_send: scope.scoped("vdma_send").gauge("bytes"),
+            vdma_recv: scope.scoped("vdma_recv").gauge("bytes"),
         }
     }
 }
@@ -842,6 +838,7 @@ mod tests {
     #[test]
     fn protocols_expose_paper_names() {
         assert!(CommScheme::LocalPutLocalGet.name().contains("vDMA"));
-        assert!(CommScheme::SimpleRouting.protocol().name().contains("local put"));
+        let proto = CommScheme::SimpleRouting.protocol_with_obs(&Registry::new());
+        assert!(proto.name().contains("local put"));
     }
 }

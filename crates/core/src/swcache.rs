@@ -14,7 +14,8 @@ use std::rc::Rc;
 
 use des::bytes::{pooled, Bytes};
 use des::event::Notify;
-use des::obs::{CounterHandle, Registry};
+use des::obs::Registry;
+use des::stats::Counter;
 use scc::{GlobalCore, MPB_BYTES};
 
 struct Entry {
@@ -47,33 +48,28 @@ pub struct SwCacheStats {
 }
 
 /// The software cache: one optional mirror per remote core region.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct SwCache {
     entries: Rc<RefCell<HashMap<GlobalCore, Entry>>>,
     notify: Notify,
-    hits: CounterHandle,
-    misses: CounterHandle,
-    invalidations: CounterHandle,
-    updates: CounterHandle,
+    hits: Counter,
+    misses: Counter,
+    invalidations: Counter,
+    updates: Counter,
 }
 
 impl SwCache {
-    /// Empty cache with private (unregistered) counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty cache whose counters are registered in `registry` under
     /// `host.swcache.{hits, misses, updates, invalidations}`.
-    pub fn with_registry(registry: &Registry) -> Self {
+    pub fn new(registry: &Registry) -> Self {
         let scope = registry.scoped("host").scoped("swcache");
         SwCache {
             entries: Rc::default(),
             notify: Notify::new(),
-            hits: scope.register_counter("hits"),
-            misses: scope.register_counter("misses"),
-            updates: scope.register_counter("updates"),
-            invalidations: scope.register_counter("invalidations"),
+            hits: scope.counter("hits"),
+            misses: scope.counter("misses"),
+            updates: scope.counter("updates"),
+            invalidations: scope.counter("invalidations"),
         }
     }
 
@@ -199,7 +195,7 @@ mod tests {
 
     #[test]
     fn miss_before_update_hit_after() {
-        let c = SwCache::new();
+        let c = SwCache::new(&Registry::new());
         assert!(c.read(owner(), 512, 64).is_none());
         c.begin_update(owner());
         c.complete_update(owner(), 512, &[7u8; 64]);
@@ -211,7 +207,7 @@ mod tests {
     #[test]
     fn registry_backed_cache_reports_named_metrics() {
         let reg = Registry::new();
-        let c = SwCache::with_registry(&reg);
+        let c = SwCache::new(&reg);
         assert!(c.read(owner(), 0, 8).is_none());
         c.begin_update(owner());
         c.complete_update(owner(), 0, &[1u8; 8]);
@@ -226,7 +222,7 @@ mod tests {
 
     #[test]
     fn partial_validity_is_a_miss() {
-        let c = SwCache::new();
+        let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
         c.complete_update(owner(), 512, &[1u8; 32]);
         // Request extends past the updated range.
@@ -235,7 +231,7 @@ mod tests {
 
     #[test]
     fn invalidate_makes_range_stale() {
-        let c = SwCache::new();
+        let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
         c.complete_update(owner(), 512, &[1u8; 128]);
         c.invalidate(owner(), 544, 32);
@@ -248,7 +244,7 @@ mod tests {
     fn stale_data_served_without_explicit_update() {
         // The cache is *relaxed*: a second write to the device without an
         // update leaves the host copy stale — and the cache serves it.
-        let c = SwCache::new();
+        let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
         c.complete_update(owner(), 512, &[0xAA; 32]);
         // Device memory changed to 0xBB, but no update was issued:
@@ -258,7 +254,7 @@ mod tests {
     #[test]
     fn reader_waits_for_inflight_update() {
         let sim = Sim::new();
-        let c = SwCache::new();
+        let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
         let (c2, s2) = (c.clone(), sim.clone());
         sim.spawn_named("reader", async move {
@@ -276,7 +272,7 @@ mod tests {
 
     #[test]
     fn regions_are_independent() {
-        let c = SwCache::new();
+        let c = SwCache::new(&Registry::new());
         let a = GlobalCore::new(0, 0);
         let b = GlobalCore::new(1, 0);
         c.begin_update(a);

@@ -219,11 +219,6 @@ pub fn pooled_copy(src: &[u8]) -> Bytes {
     GLOBAL_POOL.with(|p| p.copy(src))
 }
 
-/// Stats of the thread-local global pool.
-pub fn global_pool_stats() -> PoolStats {
-    GLOBAL_POOL.with(|p| p.stats())
-}
-
 /// Free-buffer gauge of the thread-local global pool (see
 /// [`Pool::free_gauge`]).
 pub fn global_pool_free_gauge() -> Gauge {

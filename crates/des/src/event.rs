@@ -34,11 +34,6 @@ impl Notify {
         }
     }
 
-    /// Number of registered waiters (diagnostics).
-    pub fn waiter_count(&self) -> usize {
-        self.waiters.borrow().len()
-    }
-
     /// Wait until `pred()` returns `Some(v)`, re-checking after every
     /// notification. The predicate is checked immediately before any
     /// registration, so an already-true condition never blocks.

@@ -403,11 +403,6 @@ impl Sim {
         }
     }
 
-    /// Number of unfinished tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.inner.live.get()
-    }
-
     /// Number of registered-but-unfired timers. After a clean run this is
     /// zero: dropped delays (e.g. losing `race` arms and poll-watchdog
     /// budgets) withdraw their wheel entries.

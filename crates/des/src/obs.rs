@@ -61,137 +61,10 @@ impl Metric {
 
 #[derive(Default)]
 struct RegistryInner {
-    /// Slab of `(full_name, instrument)` in registration order; a
-    /// [`MetricId`] is an index into it — resolution is one bounds check,
-    /// no string hash.
+    /// `(full_name, instrument)` in registration order.
     slab: Vec<(Rc<str>, Metric)>,
     /// Name → slab index, used only at registration / lookup time.
     index: HashMap<Rc<str>, u32>,
-}
-
-/// Slab index of a registered metric. Obtained at registration time
-/// (from [`Registry::register_counter`] and friends, or the `adopt_*`
-/// calls); resolves back to the instrument or its full name in O(1)
-/// without hashing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct MetricId(u32);
-
-/// A pre-registered counter: the resolved instrument plus its slab id.
-/// Every operation is a direct `Cell` update — no registry access, no
-/// string hash, no allocation. The default value is a *detached* counter
-/// (not in any registry), for subsystems that only sometimes register.
-#[derive(Clone, Default)]
-pub struct CounterHandle {
-    c: Counter,
-    id: Option<MetricId>,
-}
-
-impl CounterHandle {
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.c.inc();
-    }
-
-    /// Add `k`.
-    #[inline]
-    pub fn add(&self, k: u64) {
-        self.c.add(k);
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.c.get()
-    }
-
-    /// The slab id, if this handle came from a registry.
-    pub fn id(&self) -> Option<MetricId> {
-        self.id
-    }
-}
-
-/// A pre-registered gauge; see [`CounterHandle`] for the cost model.
-#[derive(Clone, Default)]
-pub struct GaugeHandle {
-    g: Gauge,
-    id: Option<MetricId>,
-}
-
-impl GaugeHandle {
-    /// Set the current level.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.g.set(v);
-    }
-
-    /// Move the level by `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.g.add(d);
-    }
-
-    /// Decrease the level by `d`.
-    #[inline]
-    pub fn sub(&self, d: i64) {
-        self.g.sub(d);
-    }
-
-    /// Current level.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.g.get()
-    }
-
-    /// Highest level ever set.
-    #[inline]
-    pub fn high_watermark(&self) -> i64 {
-        self.g.high_watermark()
-    }
-
-    /// The slab id, if this handle came from a registry.
-    pub fn id(&self) -> Option<MetricId> {
-        self.id
-    }
-}
-
-/// A pre-registered log2 histogram; see [`CounterHandle`] for the cost
-/// model.
-#[derive(Clone, Default)]
-pub struct HistogramHandle {
-    h: Log2Histogram,
-    id: Option<MetricId>,
-}
-
-impl HistogramHandle {
-    /// Record one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.h.record(v);
-    }
-
-    /// Number of samples.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.h.count()
-    }
-
-    /// Arithmetic mean of samples (0 when empty).
-    #[inline]
-    pub fn mean(&self) -> f64 {
-        self.h.mean()
-    }
-
-    /// Largest sample.
-    #[inline]
-    pub fn max(&self) -> u64 {
-        self.h.max()
-    }
-
-    /// The slab id, if this handle came from a registry.
-    pub fn id(&self) -> Option<MetricId> {
-        self.id
-    }
 }
 
 /// A shared, hierarchically-named metrics registry.
@@ -200,11 +73,12 @@ impl HistogramHandle {
 /// a view that prefixes every name, so a subsystem can register
 /// `"hits"` and have it appear as `"host.swcache.hits"`.
 ///
-/// Hot sites register once — [`Registry::register_counter`] /
-/// [`Registry::register_gauge`] / [`Registry::register_histogram`] hand
-/// back a [`CounterHandle`]-family handle whose per-operation cost is a
-/// `Cell` update. The string-keyed accessors ([`Registry::counter`], …)
-/// stay as the registration-time / test-convenience API.
+/// Every instrument is a [`crate::stats`] `Rc<Cell>` value: a site
+/// resolves its name once, at construction, and keeps the returned
+/// instrument, so an update is a `Cell` write with no registry access.
+/// [`Registry::counter`] and friends get or create — two sites asking
+/// for one name share one instrument. The `adopt_*` calls register an
+/// instrument a subsystem already owns, and panic on a taken name.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Rc<RefCell<RegistryInner>>,
@@ -226,25 +100,25 @@ impl Registry {
         format!("{}{name}", self.prefix)
     }
 
-    fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> (MetricId, Metric) {
+    fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let full = self.full_name(name);
         let mut inner = self.inner.borrow_mut();
         if let Some(&idx) = inner.index.get(full.as_str()) {
-            return (MetricId(idx), inner.slab[idx as usize].1.clone());
+            return inner.slab[idx as usize].1.clone();
         }
         let m = make();
         let idx = inner.slab.len() as u32;
         let key: Rc<str> = Rc::from(full);
         inner.slab.push((key.clone(), m.clone()));
         inner.index.insert(key, idx);
-        (MetricId(idx), m)
+        m
     }
 
     /// Get or register the counter `name`.
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &str) -> Counter {
-        match self.get_or_insert(name, || Metric::Counter(Counter::new())).1 {
+        match self.get_or_insert(name, || Metric::Counter(Counter::new())) {
             Metric::Counter(c) => c,
             m => panic!("metric {:?} is a {}, not a counter", self.full_name(name), m.kind()),
         }
@@ -252,7 +126,7 @@ impl Registry {
 
     /// Get or register the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        match self.get_or_insert(name, || Metric::Gauge(Gauge::new())).1 {
+        match self.get_or_insert(name, || Metric::Gauge(Gauge::new())) {
             Metric::Gauge(g) => g,
             m => panic!("metric {:?} is a {}, not a gauge", self.full_name(name), m.kind()),
         }
@@ -260,59 +134,32 @@ impl Registry {
 
     /// Get or register the log2 histogram `name`.
     pub fn histogram(&self, name: &str) -> Log2Histogram {
-        match self.get_or_insert(name, || Metric::Histogram(Log2Histogram::new())).1 {
+        match self.get_or_insert(name, || Metric::Histogram(Log2Histogram::new())) {
             Metric::Histogram(h) => h,
             m => panic!("metric {:?} is a {}, not a histogram", self.full_name(name), m.kind()),
         }
     }
 
-    /// Get or register the counter `name` as a pre-resolved handle (the
-    /// hot-site API: one hash at registration, `Cell` updates after).
-    pub fn register_counter(&self, name: &str) -> CounterHandle {
-        match self.get_or_insert(name, || Metric::Counter(Counter::new())) {
-            (id, Metric::Counter(c)) => CounterHandle { c, id: Some(id) },
-            (_, m) => panic!("metric {:?} is a {}, not a counter", self.full_name(name), m.kind()),
-        }
-    }
-
-    /// Get or register the gauge `name` as a pre-resolved handle.
-    pub fn register_gauge(&self, name: &str) -> GaugeHandle {
-        match self.get_or_insert(name, || Metric::Gauge(Gauge::new())) {
-            (id, Metric::Gauge(g)) => GaugeHandle { g, id: Some(id) },
-            (_, m) => panic!("metric {:?} is a {}, not a gauge", self.full_name(name), m.kind()),
-        }
-    }
-
-    /// Get or register the histogram `name` as a pre-resolved handle.
-    pub fn register_histogram(&self, name: &str) -> HistogramHandle {
-        match self.get_or_insert(name, || Metric::Histogram(Log2Histogram::new())) {
-            (id, Metric::Histogram(h)) => HistogramHandle { h, id: Some(id) },
-            (_, m) => {
-                panic!("metric {:?} is a {}, not a histogram", self.full_name(name), m.kind())
-            }
-        }
-    }
-
-    /// Register an *existing* counter handle under `name`, so a value
-    /// already shared elsewhere (e.g. a link's byte counter) surfaces in
-    /// snapshots without double counting. Returns the slab id.
+    /// Register an *existing* counter under `name`, so a value already
+    /// shared elsewhere (e.g. a link's byte counter) surfaces in
+    /// snapshots without double counting.
     ///
     /// Panics if `name` is already registered.
-    pub fn adopt_counter(&self, name: &str, counter: &Counter) -> MetricId {
-        self.adopt(name, Metric::Counter(counter.clone()))
+    pub fn adopt_counter(&self, name: &str, counter: &Counter) {
+        self.adopt(name, Metric::Counter(counter.clone()));
     }
 
-    /// Register an existing gauge handle under `name`.
-    pub fn adopt_gauge(&self, name: &str, gauge: &Gauge) -> MetricId {
-        self.adopt(name, Metric::Gauge(gauge.clone()))
+    /// Register an existing gauge under `name`.
+    pub fn adopt_gauge(&self, name: &str, gauge: &Gauge) {
+        self.adopt(name, Metric::Gauge(gauge.clone()));
     }
 
-    /// Register an existing histogram handle under `name`.
-    pub fn adopt_histogram(&self, name: &str, histogram: &Log2Histogram) -> MetricId {
-        self.adopt(name, Metric::Histogram(histogram.clone()))
+    /// Register an existing histogram under `name`.
+    pub fn adopt_histogram(&self, name: &str, histogram: &Log2Histogram) {
+        self.adopt(name, Metric::Histogram(histogram.clone()));
     }
 
-    fn adopt(&self, name: &str, metric: Metric) -> MetricId {
+    fn adopt(&self, name: &str, metric: Metric) {
         let full = self.full_name(name);
         let mut inner = self.inner.borrow_mut();
         assert!(!inner.index.contains_key(full.as_str()), "metric {full:?} registered twice");
@@ -320,7 +167,6 @@ impl Registry {
         let key: Rc<str> = Rc::from(full);
         inner.slab.push((key.clone(), metric));
         inner.index.insert(key, idx);
-        MetricId(idx)
     }
 
     /// All registered full names, in registration order.
@@ -332,16 +178,6 @@ impl Registry {
     pub fn get(&self, full_name: &str) -> Option<Metric> {
         let inner = self.inner.borrow();
         inner.index.get(full_name).map(|&idx| inner.slab[idx as usize].1.clone())
-    }
-
-    /// Resolve a slab id to its instrument — O(1), no hashing.
-    pub fn get_by_id(&self, id: MetricId) -> Option<Metric> {
-        self.inner.borrow().slab.get(id.0 as usize).map(|(_, m)| m.clone())
-    }
-
-    /// Resolve a slab id to its full name — O(1), no hashing.
-    pub fn name_by_id(&self, id: MetricId) -> Option<Rc<str>> {
-        self.inner.borrow().slab.get(id.0 as usize).map(|(n, _)| n.clone())
     }
 
     /// A point-in-time copy of every metric's value, sorted by name.
@@ -993,70 +829,11 @@ mod tests {
     }
 
     #[test]
-    fn handles_share_state_with_string_api() {
+    #[should_panic(expected = "registered twice")]
+    fn adopting_a_taken_name_panics() {
         let reg = Registry::new();
-        let h = reg.register_counter("host.hits");
-        h.inc();
-        h.add(4);
-        // The string accessor resolves to the same instrument.
-        assert_eq!(reg.counter("host.hits").get(), 5);
-        // And the slab id round-trips without hashing.
-        let id = h.id().expect("registered handle has an id");
-        assert_eq!(reg.name_by_id(id).unwrap().as_ref(), "host.hits");
-        match reg.get_by_id(id).unwrap() {
-            Metric::Counter(c) => assert_eq!(c.get(), 5),
-            other => panic!("expected counter, got {}", other.kind()),
-        }
-    }
-
-    #[test]
-    fn gauge_and_histogram_handles() {
-        let reg = Registry::new();
-        let g = reg.register_gauge("depth");
-        g.add(3);
-        g.sub(1);
-        assert_eq!(g.get(), 2);
-        assert_eq!(g.high_watermark(), 3);
-        let h = reg.register_histogram("lat");
-        h.record(7);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 7);
-        assert_eq!(reg.names(), vec!["depth", "lat"]);
-    }
-
-    #[test]
-    fn detached_handles_work_unregistered() {
-        let c = CounterHandle::default();
-        c.inc();
-        assert_eq!(c.get(), 1);
-        assert_eq!(c.id(), None);
-        let g = GaugeHandle::default();
-        g.set(-2);
-        assert_eq!(g.get(), -2);
-        let h = HistogramHandle::default();
-        h.record(9);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a gauge")]
-    fn register_kind_mismatch_panics() {
-        let reg = Registry::new();
-        reg.register_counter("x");
-        reg.register_gauge("x");
-    }
-
-    #[test]
-    fn adopt_returns_resolvable_id() {
-        let reg = Registry::new();
-        let c = Counter::new();
-        let id = reg.adopt_counter("link.bytes", &c);
-        c.add(3);
-        assert_eq!(reg.name_by_id(id).unwrap().as_ref(), "link.bytes");
-        match reg.get_by_id(id).unwrap() {
-            Metric::Counter(seen) => assert_eq!(seen.get(), 3),
-            other => panic!("expected counter, got {}", other.kind()),
-        }
+        reg.counter("link.bytes");
+        reg.adopt_counter("link.bytes", &Counter::new());
     }
 
     #[test]

@@ -200,7 +200,7 @@ struct Inner {
     /// meaningless first delta).
     sealed: Cell<bool>,
     /// The sampler's own footprint, under `obs.sampler.*`.
-    samples_taken: super::CounterHandle,
+    samples_taken: Counter,
 }
 
 /// Deterministic virtual-time series over a registry's instruments.
@@ -220,8 +220,8 @@ impl TimeSeries {
     pub fn manual(now: Cycles, registry: &Registry, spec: &SamplerSpec) -> TimeSeries {
         assert!(spec.cadence > 0, "sampler cadence must be positive");
         let obs = registry.scoped("obs").scoped("sampler");
-        let samples_taken = obs.register_counter("samples");
-        let selected = obs.register_gauge("series");
+        let samples_taken = obs.counter("samples");
+        let selected = obs.gauge("series");
         let mut series = Vec::new();
         for name in registry.names() {
             if !spec.selects(&name) {

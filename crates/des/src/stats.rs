@@ -5,29 +5,6 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// A shared monotonically increasing byte counter.
-#[derive(Clone, Default)]
-pub struct ByteCounter {
-    bytes: Rc<Cell<u64>>,
-}
-
-impl ByteCounter {
-    /// Create a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` bytes.
-    pub fn add(&self, n: u64) {
-        self.bytes.set(self.bytes.get() + n);
-    }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.bytes.get()
-    }
-}
-
 /// A shared event counter.
 #[derive(Clone, Default)]
 pub struct Counter {
@@ -244,15 +221,6 @@ mod tests {
         c.inc();
         c.add(9);
         assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn byte_counter_shared_clone() {
-        let b = ByteCounter::new();
-        let b2 = b.clone();
-        b.add(5);
-        b2.add(7);
-        assert_eq!(b.get(), 12);
     }
 
     #[test]

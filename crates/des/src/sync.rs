@@ -1,4 +1,4 @@
-//! Simulated synchronization: FIFO semaphore, mutex, and barrier.
+//! Simulated synchronization: FIFO semaphore, mutex, latch, and race.
 //!
 //! These are *modelled* primitives — they coordinate simulated actors inside
 //! the single-threaded engine; they are not OS locks.
@@ -8,7 +8,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::event::{oneshot, OneshotSender};
-use crate::Sim;
 
 struct SemState {
     permits: Cell<u64>,
@@ -122,60 +121,6 @@ impl SimMutex {
     }
 }
 
-struct BarrierState {
-    parties: usize,
-    arrived: Cell<usize>,
-    generation: Cell<u64>,
-    waiters: RefCell<Vec<OneshotSender<()>>>,
-}
-
-/// A reusable barrier for a fixed set of simulated participants.
-#[derive(Clone)]
-pub struct SimBarrier {
-    state: Rc<BarrierState>,
-}
-
-impl SimBarrier {
-    /// Create a barrier for `parties` participants (must be > 0).
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "barrier needs at least one party");
-        SimBarrier {
-            state: Rc::new(BarrierState {
-                parties,
-                arrived: Cell::new(0),
-                generation: Cell::new(0),
-                waiters: RefCell::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// The barrier generation (number of completed sync rounds).
-    pub fn generation(&self) -> u64 {
-        self.state.generation.get()
-    }
-
-    /// Wait until all parties have arrived. Returns `true` for exactly one
-    /// participant per round (the last arrival), mirroring
-    /// `std::sync::Barrier`'s leader flag.
-    pub async fn wait(&self) -> bool {
-        let arrived = self.state.arrived.get() + 1;
-        if arrived == self.state.parties {
-            self.state.arrived.set(0);
-            self.state.generation.set(self.state.generation.get() + 1);
-            for tx in self.state.waiters.borrow_mut().drain(..) {
-                tx.send(());
-            }
-            true
-        } else {
-            self.state.arrived.set(arrived);
-            let (tx, rx) = oneshot();
-            self.state.waiters.borrow_mut().push(tx);
-            rx.await;
-            false
-        }
-    }
-}
-
 /// A latch: counts down from `n`; waiters resume when it hits zero.
 #[derive(Clone)]
 pub struct Latch {
@@ -203,53 +148,6 @@ impl Latch {
         let remaining = self.remaining.clone();
         self.notify.wait_until(move || remaining.get() == 0).await;
     }
-}
-
-/// Hold a resource for an exclusive async region even across awaits.
-///
-/// Convenience guard-style wrapper used by the fabric models; acquire with
-/// [`ScopedLock::enter`] which returns a guard whose `Drop` releases.
-pub struct ScopedLock {
-    mutex: SimMutex,
-}
-
-impl Default for ScopedLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ScopedLock {
-    /// Create an unlocked scoped lock.
-    pub fn new() -> Self {
-        ScopedLock { mutex: SimMutex::new() }
-    }
-
-    /// Acquire; the returned guard releases on drop.
-    pub async fn enter(&self) -> ScopedGuard {
-        self.mutex.lock().await;
-        ScopedGuard { mutex: self.mutex.clone() }
-    }
-}
-
-/// Guard returned by [`ScopedLock::enter`].
-pub struct ScopedGuard {
-    mutex: SimMutex,
-}
-
-impl Drop for ScopedGuard {
-    fn drop(&mut self) {
-        self.mutex.unlock();
-    }
-}
-
-/// Join all handles of homogeneous spawned tasks.
-pub async fn join_all<T: 'static>(handles: Vec<crate::JoinHandle<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(handles.len());
-    for h in handles {
-        out.push(h.await);
-    }
-    out
 }
 
 /// The winner of a [`race`].
@@ -288,26 +186,10 @@ where
     .await
 }
 
-/// Spawn one named task per element and wait for all of them.
-pub async fn spawn_all<T: 'static, F>(
-    sim: &Sim,
-    name: &str,
-    futs: impl IntoIterator<Item = F>,
-) -> Vec<T>
-where
-    F: std::future::Future<Output = T> + 'static,
-{
-    let handles: Vec<_> = futs
-        .into_iter()
-        .enumerate()
-        .map(|(i, f)| sim.spawn_named(format!("{name}[{i}]"), f))
-        .collect();
-    join_all(handles).await
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sim;
     use std::rc::Rc;
 
     #[test]
@@ -427,45 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_and_elects_leader() {
-        let sim = Sim::new();
-        let barrier = SimBarrier::new(4);
-        let leaders = Rc::new(Cell::new(0u32));
-        for i in 0..4u64 {
-            let (s, b, l) = (sim.clone(), barrier.clone(), leaders.clone());
-            sim.spawn(async move {
-                s.delay(i * 10).await;
-                if b.wait().await {
-                    l.set(l.get() + 1);
-                }
-                // All exit at the last arrival's timestamp.
-                assert_eq!(s.now(), 30);
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(leaders.get(), 1);
-        assert_eq!(barrier.generation(), 1);
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let sim = Sim::new();
-        let barrier = SimBarrier::new(2);
-        for _ in 0..2 {
-            let (s, b) = (sim.clone(), barrier.clone());
-            sim.spawn(async move {
-                for round in 1..=3u64 {
-                    s.delay(1).await;
-                    b.wait().await;
-                    assert_eq!(b.generation(), round);
-                }
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(barrier.generation(), 3);
-    }
-
-    #[test]
     fn latch_releases_at_zero() {
         let sim = Sim::new();
         let latch = Latch::new(3);
@@ -502,24 +345,5 @@ mod tests {
             });
         }
         assert_eq!(sim.run().unwrap(), 20);
-    }
-
-    #[test]
-    fn scoped_lock_releases_on_drop() {
-        let sim = Sim::new();
-        let lock = Rc::new(ScopedLock::new());
-        let (s, l) = (sim.clone(), lock.clone());
-        sim.spawn(async move {
-            let _g = l.enter().await;
-            s.delay(10).await;
-            // guard dropped here
-        });
-        let (s, l) = (sim.clone(), lock.clone());
-        sim.spawn(async move {
-            s.delay(1).await;
-            let _g = l.enter().await;
-            assert_eq!(s.now(), 10);
-        });
-        sim.run().unwrap();
     }
 }

@@ -10,7 +10,7 @@
 //!   the placement rule of hashed hierarchical wheels), push the slab
 //!   index onto that slot's vector.
 //! * **cancel** — O(1): tombstone the slab entry. A losing `race` arm or a
-//!   dropped [`crate::executor::Delay`] withdraws its timer instead of
+//!   dropped [`crate::Sim::delay`] future withdraws its timer instead of
 //!   leaving it to fire spuriously and drag the virtual clock forward.
 //! * **pop** — amortised O(1): walk the base forward over occupancy
 //!   bitmaps (`u64` per level, one bit per slot), cascading higher-level

@@ -306,9 +306,9 @@ impl PointToPoint for BlockingProtocol {
 
 /// iRCCE's pipelined protocol (Fig. 2b): the message is cut into packets
 /// bounced through the two payload slots, so the sender's put of packet
-/// *p+1* overlaps the receiver's get of packet *p*.
+/// *p+1* overlaps the receiver's get of packet *p*. A packet fills one
+/// slot.
 pub struct PipelinedProtocol {
-    packet: usize,
     window_off: usize,
     slot_bytes: usize,
 }
@@ -317,29 +317,23 @@ impl Default for PipelinedProtocol {
     fn default() -> Self {
         // iRCCE ships a static 4 KiB threshold (paper §4.1); our slots are
         // 3840 B, the nearest value that tiles the payload area.
-        PipelinedProtocol { packet: SLOT_BYTES, window_off: 0, slot_bytes: SLOT_BYTES }
+        PipelinedProtocol { window_off: 0, slot_bytes: SLOT_BYTES }
     }
 }
 
 impl PipelinedProtocol {
-    /// Use a custom packet size (clamped to the slot size).
-    pub fn with_packet(packet: usize) -> Self {
-        assert!(packet > 0);
-        PipelinedProtocol { packet: packet.min(SLOT_BYTES), window_off: 0, slot_bytes: SLOT_BYTES }
-    }
-
     /// Confine both slots to `[window_off, window_off + window_len)` of
     /// the payload area (vSCC multi-device sessions).
     pub fn confined(window_off: usize, window_len: usize) -> Self {
         assert!(window_off + window_len <= CHUNK_BYTES);
         let slot_bytes = window_len / PIPELINE_SLOTS;
         assert!(slot_bytes > 0);
-        PipelinedProtocol { packet: slot_bytes, window_off, slot_bytes }
+        PipelinedProtocol { window_off, slot_bytes }
     }
 
     /// The packet size in bytes.
     pub fn packet(&self) -> usize {
-        self.packet
+        self.slot_bytes
     }
 
     fn slot_addr(&self, who: scc::geometry::GlobalCore, i: usize) -> scc::geometry::MpbAddr {
@@ -360,7 +354,7 @@ impl PointToPoint for PipelinedProtocol {
             let my = ctx.who();
             let peer = ctx.session.who(dest);
             let base = ctx.sent_count.borrow()[dest];
-            let ranges = chunk_ranges(data.len(), self.packet);
+            let ranges = chunk_ranges(data.len(), self.slot_bytes);
             let n_packets = ranges.len();
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
@@ -436,7 +430,7 @@ impl PointToPoint for PipelinedProtocol {
             let my = ctx.who();
             let peer = ctx.session.who(src);
             let base = ctx.recv_count.borrow()[src];
-            let ranges = chunk_ranges(buf.len(), self.packet);
+            let ranges = chunk_ranges(buf.len(), self.slot_bytes);
             let n_packets = ranges.len();
             let trace = ctx.session.trace().clone();
             let f = Some(flow);

@@ -11,7 +11,8 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::rc::Rc;
 
-use des::obs::{CounterHandle, HistogramHandle, Registry};
+use des::obs::Registry;
+use des::stats::{Counter, Log2Histogram};
 use des::sync::SimMutex;
 use des::trace::{Category, Trace};
 use des::{Cycles, JoinHandle, Sim};
@@ -51,21 +52,21 @@ pub struct SessionInner {
 pub const SIZE_CLASSES: [(&str, usize); 4] =
     [("le64", 64), ("le1k", 1024), ("le8k", 8192), ("gt8k", usize::MAX)];
 
-/// Pre-resolved registry handles for the hot send/recv paths: one string
-/// hash each at session construction, `Cell` updates per call after.
+/// Instruments of the hot send/recv paths, resolved once at session
+/// construction: `Cell` updates per call after.
 pub(crate) struct RcceMetrics {
-    pub send_lat: Vec<HistogramHandle>,
-    pub recv_lat: Vec<HistogramHandle>,
-    pub send_lock_wait: CounterHandle,
+    pub send_lat: Vec<Log2Histogram>,
+    pub recv_lat: Vec<Log2Histogram>,
+    pub send_lock_wait: Counter,
     /// Cycles each send held its UE's single outgoing-send lock (the MPB
     /// send buffer is one resource; the hold-time distribution is the
     /// send-side serialization the paper's schemes compete on).
-    pub send_lock_hold: HistogramHandle,
+    pub send_lock_hold: Log2Histogram,
     /// Flag-poll loop iterations (`flag_wait_reached` wakeups that
     /// re-read the flag); the time-series sampler turns the delta into a
     /// poll scan rate.
-    pub poll_scans: CounterHandle,
-    pub poll_timeouts: CounterHandle,
+    pub poll_scans: Counter,
+    pub poll_timeouts: Counter,
 }
 
 impl RcceMetrics {
@@ -74,16 +75,16 @@ impl RcceMetrics {
         RcceMetrics {
             send_lat: SIZE_CLASSES
                 .iter()
-                .map(|(label, _)| rcce.register_histogram(&format!("send.lat_cycles.{label}")))
+                .map(|(label, _)| rcce.histogram(&format!("send.lat_cycles.{label}")))
                 .collect(),
             recv_lat: SIZE_CLASSES
                 .iter()
-                .map(|(label, _)| rcce.register_histogram(&format!("recv.lat_cycles.{label}")))
+                .map(|(label, _)| rcce.histogram(&format!("recv.lat_cycles.{label}")))
                 .collect(),
-            send_lock_wait: rcce.register_counter("send.lock_wait_cycles"),
-            send_lock_hold: rcce.register_histogram("send.lock_hold_cycles"),
-            poll_scans: rcce.register_counter("poll.scans"),
-            poll_timeouts: rcce.register_counter("poll_timeouts"),
+            send_lock_wait: rcce.counter("send.lock_wait_cycles"),
+            send_lock_hold: rcce.histogram("send.lock_hold_cycles"),
+            poll_scans: rcce.counter("poll.scans"),
+            poll_timeouts: rcce.counter("poll_timeouts"),
         }
     }
 }
@@ -132,11 +133,6 @@ impl SessionInner {
         } else {
             self.inter.clone()
         }
-    }
-
-    /// Whether ranks `a` and `b` live on different devices.
-    pub fn is_inter_device(&self, a: usize, b: usize) -> bool {
-        self.ranks[a].device != self.ranks[b].device
     }
 
     /// Account `bytes` of payload moved from `src` to `dest` (Fig. 8's
@@ -393,12 +389,6 @@ impl SessionBuilder {
     /// Enable protocol tracing (Fig. 2 regeneration), all categories.
     pub fn with_trace(mut self) -> Self {
         self.trace = Trace::enabled();
-        self
-    }
-
-    /// Enable tracing for selected categories only.
-    pub fn with_trace_categories(mut self, cats: &[Category]) -> Self {
-        self.trace = Trace::with_categories(cats);
         self
     }
 

@@ -13,6 +13,9 @@ rustfmt --edition 2021 --check crates/bench/benches/*.rs
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings: no dangling or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo bench --no-run (figure/table harnesses must keep building) =="
 cargo bench --workspace --no-run
 

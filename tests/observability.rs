@@ -198,6 +198,31 @@ fn non_obs(snap: des::obs::Snapshot) -> Vec<(String, des::obs::MetricValue)> {
 }
 
 #[test]
+fn rebuilt_protocols_share_one_registrys_metrics() {
+    // The repository benchmark's traced pass builds the session twice
+    // over one system and wraps a second copy of the scheme's protocol:
+    // every `vscc.window.*` gauge and `rcce.*` instrument is asked for
+    // again on the same registry. Get-or-create must hand back the
+    // existing instruments — no panic, no extra name.
+    let names = |rebuild: bool| {
+        let sim = des::Sim::new();
+        let scheme = CommScheme::LocalPutLocalGet;
+        let v = vscc::VsccBuilder::new(&sim, 2).scheme(scheme).build();
+        let mut sb = v.session_builder();
+        if rebuild {
+            sb = v.session_builder().interdevice_protocol(scheme.protocol_with_obs(v.metrics()));
+        }
+        sb.build();
+        let snap = v.metrics().snapshot();
+        snap.entries.into_iter().map(|(name, _)| name).collect::<Vec<_>>()
+    };
+    let single = names(false);
+    assert!(single.iter().any(|n| n == "vscc.window.vdma_send.bytes"));
+    assert!(single.iter().any(|n| n == "rcce.send.lock_wait_cycles"));
+    assert_eq!(names(true), single, "a rebuilt pass must register the same name set");
+}
+
+#[test]
 fn timeseries_export_is_byte_identical_across_runs() {
     // The pool-occupancy gauge reads the thread-local chunk pool, whose
     // state persists across runs within a thread — byte-identity is
@@ -264,7 +289,7 @@ fn sampler_does_not_perturb_the_run() {
 #[test]
 fn windowed_quantiles_match_scalar_oracle() {
     let reg = des::obs::Registry::new();
-    let h = reg.register_histogram("lat");
+    let h = reg.histogram("lat");
     let ts = des::obs::TimeSeries::manual(0, &reg, &des::obs::SamplerSpec::every(100));
     // Three windows with very different shapes; the middle one is empty,
     // so a leak across the reset would be unmissable.

@@ -201,7 +201,7 @@ proptest! {
         granularity in 1usize..2_048,
         pieces in prop::collection::vec((0usize..400, 1usize..700), 1..12),
     ) {
-        let wcb = vscc::hostwcb::HostWcb::new(granularity);
+        let wcb = vscc::hostwcb::HostWcb::new(granularity, &des::obs::Registry::new());
         let dst = scc::GlobalCore::new(1, 0);
         let mut shadow = vec![0u8; scc::MPB_BYTES];
         let mut touched = vec![false; scc::MPB_BYTES];
@@ -242,7 +242,7 @@ proptest! {
         probe_off in 0usize..7_500,
         probe_len in 1usize..600,
     ) {
-        let cache = vscc::swcache::SwCache::new();
+        let cache = vscc::swcache::SwCache::new(&des::obs::Registry::new());
         let owner = scc::GlobalCore::new(0, 3);
         let mut valid = vec![false; scc::MPB_BYTES];
         let mut shadow = vec![0u8; scc::MPB_BYTES];
