@@ -184,7 +184,9 @@ mod harness {
     }
 
     /// The headline workload: 10k tasks, each sleeping once. Exercises
-    /// spawn, timer-wheel insert/fire, and the direct task-id wake path.
+    /// spawn, timer insert/fire, and the direct task-id wake path. Its
+    /// 10,000 pending timers are far more than any benchmark workload
+    /// holds at once (225 at most), so it is the timer heap's worst case.
     fn spawn_delay_10k() -> Outcome {
         measure("executor/spawn_delay_10k_tasks", samples(15), || {
             let sim = Sim::new();
@@ -200,8 +202,9 @@ mod harness {
     }
 
     /// Timer cancellation churn: every `race` cancels its losing arm's
-    /// timer. Pre-wheel these lingered in the heap; now the run must end
-    /// with zero pending timers and cancellation must stay O(1)-cheap.
+    /// timer. Before timers were cancellable these lingered in the heap;
+    /// now the run must end with zero pending timers and cancellation
+    /// must stay O(1)-cheap.
     fn timer_cancel_churn() -> Outcome {
         measure("executor/timer_cancel_churn_100k", samples(10), || {
             let sim = Sim::new();
@@ -212,7 +215,7 @@ mod harness {
                 }
             });
             sim.run().unwrap();
-            assert_eq!(sim.pending_timers(), 0, "cancelled race losers must leave the wheel");
+            assert_eq!(sim.pending_timers(), 0, "cancelled race losers must leave the timer queue");
             engine_events(&sim)
         })
     }

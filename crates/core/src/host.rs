@@ -1039,11 +1039,7 @@ impl HostSide {
 }
 
 impl RemoteFabric for HostSide {
-    fn read(&self, src: GlobalCore, addr: MpbAddr, len: usize) -> LocalBoxFuture<'_, Bytes> {
-        self.read_f(src, addr, len, None)
-    }
-
-    fn read_f(
+    fn read(
         &self,
         src: GlobalCore,
         addr: MpbAddr,
@@ -1121,11 +1117,7 @@ impl RemoteFabric for HostSide {
         })
     }
 
-    fn write(&self, src: GlobalCore, addr: MpbAddr, data: Bytes) -> LocalBoxFuture<'_, ()> {
-        self.write_f(src, addr, data, None)
-    }
-
-    fn write_f(
+    fn write(
         &self,
         src: GlobalCore,
         addr: MpbAddr,
@@ -1367,16 +1359,6 @@ impl HostSide {
             .demote(self.sim.now(), pair, self.recovery.probe_interval, QUARANTINE_AFTER)
             .expect("note_ack_burst fired on a Healthy pair");
         self.rstats.demotions.inc();
-        // The legacy Fault-category instant stays for trace consumers
-        // that predate the Health category.
-        self.trace.instant_f(
-            self.sim.now(),
-            Category::Fault,
-            "fallback_demote",
-            flow,
-            || "host-recovery",
-            || fields![src_dev = pair.0 as u64, dst_dev = pair.1 as u64],
-        );
         self.emit_health(&tr, flow);
         if self.health.state(pair) == PairHealth::Degraded {
             self.spawn_prober(pair);

@@ -34,7 +34,6 @@ pub struct VsccBuilder {
     host_cfg: HostConfig,
     metrics: Option<Registry>,
     trace: Trace,
-    monitors: bool,
     monitor_fail_fast: bool,
     poll_watchdog: Option<Cycles>,
 }
@@ -52,7 +51,6 @@ impl VsccBuilder {
             host_cfg: HostConfig::default(),
             metrics: None,
             trace: Trace::disabled(),
-            monitors: true,
             monitor_fail_fast: true,
             poll_watchdog: None,
         }
@@ -143,12 +141,6 @@ impl VsccBuilder {
         self
     }
 
-    /// Enable or disable the protocol invariant monitors (default: on).
-    pub fn monitors(mut self, on: bool) -> Self {
-        self.monitors = on;
-        self
-    }
-
     /// Choose whether a monitor violation panics immediately (default) or
     /// is only recorded for later inspection via [`Vscc::violations`].
     pub fn monitor_fail_fast(mut self, fail_fast: bool) -> Self {
@@ -192,19 +184,16 @@ impl VsccBuilder {
             self.trace.clone(),
         );
         host.attach(&devices);
-        let monitors = self.monitors.then(|| {
-            let m = Rc::new(Monitors::new(
-                &self.sim,
-                self.trace.clone(),
-                self.scheme,
-                self.n_devices,
-                self.monitor_fail_fast,
-            ));
-            for dev in &devices {
-                dev.set_monitor(m.clone());
-            }
-            m
-        });
+        let monitors = Rc::new(Monitors::new(
+            &self.sim,
+            self.trace.clone(),
+            self.scheme,
+            self.n_devices,
+            self.monitor_fail_fast,
+        ));
+        for dev in &devices {
+            dev.set_monitor(monitors.clone());
+        }
         Vscc {
             sim: self.sim,
             devices,
@@ -232,7 +221,7 @@ pub struct Vscc {
     onchip: OnchipProtocol,
     metrics: Registry,
     trace: Trace,
-    monitors: Option<Rc<Monitors>>,
+    monitors: Rc<Monitors>,
     poll_watchdog: Option<Cycles>,
 }
 
@@ -253,15 +242,15 @@ impl Vscc {
         &self.trace
     }
 
-    /// The installed invariant monitors ([`None`] if disabled).
-    pub fn monitors(&self) -> Option<&Rc<Monitors>> {
-        self.monitors.as_ref()
+    /// The invariant monitors installed on every device.
+    pub fn monitors(&self) -> &Rc<Monitors> {
+        &self.monitors
     }
 
     /// Invariant violations recorded so far (always empty when
     /// `monitor_fail_fast` is on — those panic instead).
     pub fn violations(&self) -> Vec<crate::monitor::Violation> {
-        self.monitors.as_ref().map(|m| m.violations()).unwrap_or_default()
+        self.monitors.violations()
     }
 
     /// A pre-wired session builder (on-chip protocol and inter-device

@@ -103,11 +103,11 @@ pub enum DecisionKind {
     Poll = 1,
     /// Task woken onto the ready queue: `a` = task id.
     Wake = 2,
-    /// Timer registered: `a` = deadline, `b` = wheel sequence number.
+    /// Timer registered: `a` = deadline, `b` = timer sequence number.
     TimerArm = 3,
-    /// Timer popped for firing: `a` = deadline, `b` = wheel sequence.
+    /// Timer popped for firing: `a` = deadline, `b` = timer sequence.
     TimerFire = 4,
-    /// Pending timer withdrawn: `a` = slab index, `b` = generation.
+    /// Pending timer withdrawn: `a` = deadline, `b` = timer sequence.
     TimerCancel = 5,
     /// Value queued on a [`crate::channel`]: `a` = queue depth after.
     ChanSend = 6,

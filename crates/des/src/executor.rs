@@ -1,12 +1,12 @@
 //! The virtual-clock executor.
 //!
 //! Single-threaded and strictly deterministic: the ready queue is FIFO, the
-//! timer wheel breaks deadline ties by insertion sequence, and wakers enqueue
+//! timer queue breaks deadline ties by insertion sequence, and wakers enqueue
 //! task ids in wake order. Simulated time advances only when no task is
 //! runnable.
 //!
 //! The hot paths are allocation-free in steady state: timers live in a
-//! hierarchical [`crate::wheel::TimerWheel`] (slab-backed, cancellable —
+//! [`crate::timer::TimerQueue`] (a binary heap over a slab, cancellable —
 //! a dropped [`Delay`] withdraws its entry instead of leaving it to fire)
 //! and carry a bare task id that is pushed straight onto the ready queue
 //! when they fire — an in-task `delay` never touches a [`Waker`] at all.
@@ -29,7 +29,7 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Wake, Waker};
 use std::sync::{Mutex, PoisonError};
 
 use crate::time::Cycles;
-use crate::wheel::{TimerId, TimerWheel};
+use crate::timer::{TimerId, TimerQueue};
 
 type TaskId = usize;
 
@@ -309,7 +309,7 @@ struct Inner {
     tasks: RefCell<Vec<Slot>>,
     free: RefCell<Vec<TaskId>>,
     ready: RefCell<VecDeque<TaskId>>,
-    timers: RefCell<TimerWheel<WakeTarget>>,
+    timers: RefCell<TimerQueue<WakeTarget>>,
     wake_queue: Arc<WakeQueue>,
     /// Reusable drain buffer swapped with the wake queue under one lock.
     wake_scratch: RefCell<Vec<TaskId>>,
@@ -357,7 +357,7 @@ impl Sim {
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 ready: RefCell::new(VecDeque::new()),
-                timers: RefCell::new(TimerWheel::new()),
+                timers: RefCell::new(TimerQueue::new()),
                 wake_queue: wake_queue.clone(),
                 wake_scratch: RefCell::new(Vec::new()),
                 hub: WakerHub {
@@ -405,7 +405,7 @@ impl Sim {
 
     /// Number of registered-but-unfired timers. After a clean run this is
     /// zero: dropped delays (e.g. losing `race` arms and poll-watchdog
-    /// budgets) withdraw their wheel entries.
+    /// budgets) withdraw their timers.
     pub fn pending_timers(&self) -> usize {
         self.inner.timers.borrow().len()
     }
@@ -513,27 +513,24 @@ impl Sim {
 
     fn register_timer(&self, deadline: Cycles, target: WakeTarget) -> TimerId {
         self.inner.stat_timers_set.set(self.inner.stat_timers_set.get() + 1);
-        let mut timers = self.inner.timers.borrow_mut();
-        let seq = timers.next_seq();
-        let id = timers.insert(deadline, target);
+        let id = self.inner.timers.borrow_mut().insert(deadline, target);
         crate::audit::record_at(
             self.inner.now.get(),
             crate::audit::DecisionKind::TimerArm,
             deadline,
-            seq,
+            id.seq(),
         );
         id
     }
 
-    fn cancel_timer(&self, id: TimerId) {
+    fn cancel_timer(&self, deadline: Cycles, id: TimerId) {
         if self.inner.timers.borrow_mut().cancel(id) {
             self.inner.stat_timers_cancelled.set(self.inner.stat_timers_cancelled.get() + 1);
-            let (idx, generation) = id.parts();
             crate::audit::record_at(
                 self.inner.now.get(),
                 crate::audit::DecisionKind::TimerCancel,
-                idx as u64,
-                generation as u64,
+                deadline,
+                id.seq(),
             );
         }
     }
@@ -613,12 +610,9 @@ impl Sim {
                 return Ok(self.inner.now.get());
             }
             // No runnable task: advance time to the next live timer.
-            let fired = {
-                let mut timers = self.inner.timers.borrow_mut();
-                timers.pop_next().map(|(d, t)| (d, t, timers.last_popped_seq()))
-            };
+            let fired = self.inner.timers.borrow_mut().pop_next();
             match fired {
-                Some((deadline, target, seq)) => {
+                Some((deadline, seq, target)) => {
                     debug_assert!(deadline >= self.inner.now.get());
                     if deadline > self.inner.horizon.get() {
                         return Err(SimError::HorizonExceeded(self.inner.horizon.get()));
@@ -635,12 +629,9 @@ impl Sim {
                     // polling, so same-timestamp wakeups are batched
                     // deterministically.
                     loop {
-                        let next = {
-                            let mut timers = self.inner.timers.borrow_mut();
-                            timers.pop_next_at(deadline).map(|t| (t, timers.last_popped_seq()))
-                        };
+                        let next = self.inner.timers.borrow_mut().pop_next_at(deadline);
                         match next {
-                            Some((t, seq)) => {
+                            Some((seq, t)) => {
                                 crate::audit::record_at(
                                     self.inner.now.get(),
                                     crate::audit::DecisionKind::TimerFire,
@@ -790,7 +781,7 @@ impl Future for Delay {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if self.sim.now() >= self.deadline {
             if let Some(id) = self.timer.take() {
-                self.sim.cancel_timer(id);
+                self.sim.cancel_timer(self.deadline, id);
             }
             return Poll::Ready(());
         }
@@ -813,7 +804,7 @@ impl Future for Delay {
 impl Drop for Delay {
     fn drop(&mut self) {
         if let Some(id) = self.timer.take() {
-            self.sim.cancel_timer(id);
+            self.sim.cancel_timer(self.deadline, id);
         }
     }
 }
@@ -1082,9 +1073,9 @@ mod tests {
 
     #[test]
     fn deadlock_reports_at_real_time_not_stale_deadline() {
-        // Pre-wheel, the losing arm's timer stayed in the heap: an
-        // ensuing hang was diagnosed only once the clock had been
-        // dragged to the stale deadline.
+        // Before timers were cancellable, the losing arm's timer stayed
+        // in the heap: an ensuing hang was diagnosed only once the clock
+        // had been dragged to the stale deadline.
         let sim = Sim::new();
         let s = sim.clone();
         sim.spawn_named("hung", async move {

@@ -9,7 +9,7 @@
 //!
 //! The design follows the single-threaded-executor pattern: tasks are woken
 //! through [`std::task::Waker`]s that push task ids onto a wake queue, timers
-//! live in a hierarchical timer wheel ([`wheel::TimerWheel`]) that keys by
+//! live in a binary-heap timer queue ([`timer::TimerQueue`]) that keys by
 //! `(deadline, sequence)` and supports cancellation, and all shared
 //! simulation state is interior-mutable behind `Rc`.
 //!
@@ -41,8 +41,8 @@ pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod time;
+pub mod timer;
 pub mod trace;
-pub mod wheel;
 
 pub use executor::{EngineStats, JoinHandle, Sim, SimError};
 pub use time::{Cycles, Freq};

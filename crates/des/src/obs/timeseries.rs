@@ -16,7 +16,7 @@
 //!   from bucket deltas via
 //!   [`crate::stats::log2_quantile_interpolated`]).
 //!
-//! The sampler is a dedicated daemon actor on the ordinary timer wheel
+//! The sampler is a dedicated daemon actor on the ordinary timer queue
 //! ([`TimeSeries::spawn`]). It only *reads* `Cell`/`RefCell` state and
 //! never touches a shared synchronisation resource, and daemons do not
 //! keep the simulation alive, so enabling it cannot move `sim.now()` at
@@ -206,7 +206,7 @@ struct Inner {
 /// Deterministic virtual-time series over a registry's instruments.
 ///
 /// Cheap to clone (shared state). Build with [`TimeSeries::spawn`] (a
-/// sampling daemon on the timer wheel) or [`TimeSeries::manual`] (the
+/// sampling daemon on the timer queue) or [`TimeSeries::manual`] (the
 /// caller invokes [`TimeSeries::sample_now`], e.g. oracle tests).
 #[derive(Clone)]
 pub struct TimeSeries {
@@ -276,7 +276,7 @@ impl TimeSeries {
     }
 
     /// Resolve `spec` against `registry` and spawn the sampling daemon
-    /// on `sim`'s timer wheel. The daemon fires every `spec.cadence`
+    /// on `sim`'s timer queue. The daemon fires every `spec.cadence`
     /// cycles; being a daemon, its pending timer never extends the run
     /// past app completion.
     pub fn spawn(sim: &Sim, registry: &Registry, spec: &SamplerSpec) -> TimeSeries {

@@ -163,10 +163,9 @@ pub enum Either<A, B> {
 ///
 /// Polls the left future first, so when both become ready in the same
 /// scheduler step the left one wins — ties are deterministic. The loser is
-/// dropped; a losing [`crate::Sim::delay`] withdraws its timer-wheel
-/// entry on drop, so a timeout race that wins early leaves no stale
-/// deadline behind and cannot drag the clock forward on an otherwise
-/// idle simulation.
+/// dropped; a losing [`crate::Sim::delay`] withdraws its timer on drop,
+/// so a timeout race that wins early leaves no stale deadline behind and
+/// cannot drag the clock forward on an otherwise idle simulation.
 pub async fn race<FA, FB>(a: FA, b: FB) -> Either<FA::Output, FB::Output>
 where
     FA: std::future::Future,

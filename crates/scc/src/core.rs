@@ -115,7 +115,7 @@ impl CoreHandle {
             let fabric = self.device.fabric();
             // One pooled copy out of the app's buffer; every later hop
             // (tunnel, retries, delivery) shares it.
-            fabric.write_f(self.who, addr, pooled_copy(data), flow).await;
+            fabric.write(self.who, addr, pooled_copy(data), flow).await;
             let end = (start + dram).max(mc_done).max(self.sim.now());
             self.sim.delay_until(end).await;
         }
@@ -159,7 +159,7 @@ impl CoreHandle {
             self.write_region_local(addr, data, None);
         } else {
             self.sim.delay(cost.op_overhead).await;
-            self.device.fabric().write(self.who, addr, pooled_copy(data)).await;
+            self.device.fabric().write(self.who, addr, pooled_copy(data), None).await;
         }
     }
 
@@ -193,7 +193,7 @@ impl CoreHandle {
                 remote_buf = self
                     .device
                     .fabric()
-                    .read_f(
+                    .read(
                         self.who,
                         MpbAddr::new(addr.owner, (fetch_first * LINE_BYTES) as u16),
                         span,
@@ -257,7 +257,7 @@ impl CoreHandle {
             self.l1.write_through(addr.owner, addr.offset as usize, &[value]);
         } else {
             self.sim.delay(cost.op_overhead).await;
-            self.device.fabric().write_f(self.who, addr, pooled_copy(&[value]), flow).await;
+            self.device.fabric().write(self.who, addr, pooled_copy(&[value]), flow).await;
         }
     }
 

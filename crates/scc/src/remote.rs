@@ -42,36 +42,27 @@ pub struct RegisterLine {
 /// free, copying only where bytes are actually rewritten.
 pub trait RemoteFabric {
     /// Read `len` bytes at `addr` on another device, on behalf of `src`.
-    fn read(&self, src: GlobalCore, addr: MpbAddr, len: usize) -> LocalBoxFuture<'_, Bytes>;
-
-    /// Write `data` to `addr` on another device, on behalf of `src`.
-    /// Resolves when the write is complete *from the issuing core's
-    /// perspective* (i.e. when the fabric's ack policy says so).
-    fn write(&self, src: GlobalCore, addr: MpbAddr, data: Bytes) -> LocalBoxFuture<'_, ()>;
-
-    /// [`RemoteFabric::read`] carrying the message-provenance flow id, so
-    /// an instrumenting fabric can tag the hop. Defaults to ignoring it.
-    fn read_f(
+    /// `flow` is the message-provenance flow id the fabric tags the hop
+    /// with (`None` for untagged traffic).
+    fn read(
         &self,
         src: GlobalCore,
         addr: MpbAddr,
         len: usize,
-        _flow: Option<u64>,
-    ) -> LocalBoxFuture<'_, Bytes> {
-        self.read(src, addr, len)
-    }
+        flow: Option<u64>,
+    ) -> LocalBoxFuture<'_, Bytes>;
 
-    /// [`RemoteFabric::write`] carrying the flow id; defaults to ignoring
-    /// it.
-    fn write_f(
+    /// Write `data` to `addr` on another device, on behalf of `src`,
+    /// tagged with `flow` like [`RemoteFabric::read`]. Resolves when the
+    /// write is complete *from the issuing core's perspective* (i.e. when
+    /// the fabric's ack policy says so).
+    fn write(
         &self,
         src: GlobalCore,
         addr: MpbAddr,
         data: Bytes,
-        _flow: Option<u64>,
-    ) -> LocalBoxFuture<'_, ()> {
-        self.write(src, addr, data)
-    }
+        flow: Option<u64>,
+    ) -> LocalBoxFuture<'_, ()>;
 
     /// Deliver one fused register-line write to the host register window.
     fn mmio_write(&self, line: RegisterLine) -> LocalBoxFuture<'_, ()>;

@@ -1,5 +1,5 @@
 //! Engine-level regression tests: golden determinism of a fig6b-shaped
-//! run, timer-wheel ordering/cancellation properties against a reference
+//! run, timer-queue ordering/cancellation properties against a reference
 //! heap, and the poll-watchdog clock-accounting fix.
 
 use std::cell::Cell;
@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use des::wheel::TimerWheel;
+use des::timer::TimerQueue;
 use des::Sim;
 use vscc::{CommScheme, VsccBuilder};
 use vscc_apps::pingpong;
@@ -62,15 +62,15 @@ fn golden_fig6b_shaped_run_is_byte_identical_and_pinned() {
 }
 
 // ---------------------------------------------------------------------
-// Timer wheel vs reference heap
+// Timer queue vs reference heap
 // ---------------------------------------------------------------------
 
-/// Interpreted wheel operation; values are reduced modulo the legal
-/// range at execution time.
+/// Interpreted timer-queue operation; values are reduced modulo the
+/// legal range at execution time.
 fn run_ops(ops: &[(u8, u64, u64)]) {
-    let mut wheel: TimerWheel<u32> = TimerWheel::new();
-    // Reference: straightforward min-heap of (deadline, seq) plus a
-    // cancelled set, exactly the pre-wheel executor structure.
+    let mut timers: TimerQueue<u32> = TimerQueue::new();
+    // Reference: straightforward min-heap of (deadline, seq) that drops
+    // cancelled entries eagerly, where the queue skips them lazily.
     let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
     let mut cancelled: Vec<bool> = Vec::new();
     let mut ids = Vec::new();
@@ -80,10 +80,10 @@ fn run_ops(ops: &[(u8, u64, u64)]) {
 
     let pop_reference = |heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
                          cancelled: &[bool]|
-     -> Option<(u64, u32)> {
-        while let Some(Reverse((d, _, p))) = heap.pop() {
+     -> Option<(u64, u64, u32)> {
+        while let Some(Reverse((d, s, p))) = heap.pop() {
             if !cancelled[p as usize] {
-                return Some((d, p));
+                return Some((d, s, p));
             }
         }
         None
@@ -92,10 +92,11 @@ fn run_ops(ops: &[(u8, u64, u64)]) {
     for &(op, a, b) in ops {
         match op % 3 {
             0 => {
-                // Insert: offsets span level 0, upper levels, and the
-                // overflow heap (beyond the 2^24-cycle wheel span).
+                // Insert: offsets from zero (same-cycle ties) to 40 M
+                // cycles out.
                 let deadline = now + a % 40_000_000;
-                let id = wheel.insert(deadline, payload);
+                let id = timers.insert(deadline, payload);
+                assert_eq!(id.seq(), seq, "insert must return the timer's sequence number");
                 heap.push(Reverse((deadline, seq, payload)));
                 ids.push(id);
                 cancelled.push(false);
@@ -107,41 +108,44 @@ fn run_ops(ops: &[(u8, u64, u64)]) {
                 // fired or already cancelled — both must return false).
                 if !ids.is_empty() {
                     let pick = (b % ids.len() as u64) as usize;
-                    let wheel_ok = wheel.cancel(ids[pick]);
+                    let cancel_ok = timers.cancel(ids[pick]);
                     // The reference heap holds exactly the live entries
                     // (cancels retain them out, pops remove them), so a
                     // cancel must succeed iff the entry is still there.
                     let ref_live = heap.iter().any(|Reverse((_, _, p))| *p as usize == pick);
-                    assert_eq!(wheel_ok, ref_live, "cancel([{pick}]) disagreed with the reference");
-                    if wheel_ok {
+                    assert_eq!(
+                        cancel_ok, ref_live,
+                        "cancel([{pick}]) disagreed with the reference"
+                    );
+                    if cancel_ok {
                         cancelled[pick] = true;
                         heap.retain(|Reverse((_, _, p))| *p as usize != pick);
                     }
                 }
             }
             _ => {
-                let got = wheel.pop_next();
+                let got = timers.pop_next();
                 let want = pop_reference(&mut heap, &cancelled);
                 assert_eq!(got, want, "pop_next ordering diverged");
-                if let Some((d, _)) = got {
+                if let Some((d, _, _)) = got {
                     now = now.max(d);
                 }
             }
         }
-        assert_eq!(wheel.len(), heap.len(), "live-entry counts diverged");
+        assert_eq!(timers.len(), heap.len(), "live-entry counts diverged");
     }
 
     // Drain both: every remaining live timer must fire in (deadline,
     // seq) order.
     loop {
-        let got = wheel.pop_next();
+        let got = timers.pop_next();
         let want = pop_reference(&mut heap, &cancelled);
         assert_eq!(got, want, "drain ordering diverged");
         if got.is_none() {
             break;
         }
     }
-    assert!(wheel.is_empty());
+    assert!(timers.is_empty());
 }
 
 proptest! {
@@ -150,7 +154,7 @@ proptest! {
     /// Any interleaving of inserts, cancels, and pops produces exactly
     /// the (deadline, seq)-FIFO order of the reference heap.
     #[test]
-    fn wheel_matches_reference_heap(
+    fn timer_queue_matches_reference_heap(
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 0..120),
     ) {
         run_ops(&ops);
@@ -159,16 +163,16 @@ proptest! {
     /// Dense same-deadline bursts (the executor's common case: many
     /// tasks waking on one cycle) keep strict FIFO by sequence.
     #[test]
-    fn wheel_same_deadline_bursts_stay_fifo(
+    fn timer_same_deadline_bursts_stay_fifo(
         deadlines in prop::collection::vec(0u64..8, 1..80),
     ) {
-        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut timers: TimerQueue<u32> = TimerQueue::new();
         for (i, d) in deadlines.iter().enumerate() {
-            wheel.insert(*d, i as u32);
+            timers.insert(*d, i as u32);
         }
         let mut fired: Vec<(u64, u32)> = Vec::new();
-        while let Some(x) = wheel.pop_next() {
-            fired.push(x);
+        while let Some((d, _, p)) = timers.pop_next() {
+            fired.push((d, p));
         }
         let mut want: Vec<(u64, u32)> =
             deadlines.iter().enumerate().map(|(i, d)| (*d, i as u32)).collect();
@@ -178,23 +182,23 @@ proptest! {
 }
 
 /// A cancelled timer never fires, frees its slot, and a stale handle
-/// (same index, older generation) can't cancel the slot's new tenant.
+/// (same slot, older sequence number) can't cancel the slot's new tenant.
 #[test]
-fn wheel_cancellation_is_exact() {
-    let mut wheel: TimerWheel<u32> = TimerWheel::new();
-    let a = wheel.insert(10, 0);
-    let b = wheel.insert(10, 1);
-    assert!(wheel.cancel(a), "live timer must cancel");
-    assert!(!wheel.cancel(a), "double-cancel must refuse");
-    // The tombstoned slot is reclaimed lazily; whether or not the next
-    // insert reuses it, the old handle must stay dead.
-    let c = wheel.insert(20, 2);
-    assert!(!wheel.cancel(a), "stale handle must stay dead after slot reclamation");
-    assert_eq!(wheel.pop_next(), Some((10, 1)));
-    assert_eq!(wheel.pop_next(), Some((20, 2)));
-    assert_eq!(wheel.pop_next(), None);
-    assert!(!wheel.cancel(b), "fired timer must refuse cancellation");
-    assert!(!wheel.cancel(c), "fired timer must refuse cancellation");
+fn timer_cancellation_is_exact() {
+    let mut timers: TimerQueue<u32> = TimerQueue::new();
+    let a = timers.insert(10, 0);
+    let b = timers.insert(10, 1);
+    assert!(timers.cancel(a), "live timer must cancel");
+    assert!(!timers.cancel(a), "double-cancel must refuse");
+    // The cancelled slot is free at once; the next insert reuses it and
+    // the old handle must stay dead.
+    let c = timers.insert(20, 2);
+    assert!(!timers.cancel(a), "stale handle must stay dead after slot reuse");
+    assert_eq!(timers.pop_next(), Some((10, b.seq(), 1)));
+    assert_eq!(timers.pop_next(), Some((20, c.seq(), 2)));
+    assert_eq!(timers.pop_next(), None);
+    assert!(!timers.cancel(b), "fired timer must refuse cancellation");
+    assert!(!timers.cancel(c), "fired timer must refuse cancellation");
 }
 
 // ---------------------------------------------------------------------
@@ -204,8 +208,9 @@ fn wheel_cancellation_is_exact() {
 /// With cancellable timers, a clean watchdog'd run no longer leaves the
 /// losing watchdog race arm in the timer structure: the final
 /// `sim.now()` equals the last in-app `r.now()` and no timers remain.
-/// (Pre-wheel, the stale watchdog deadline dragged `sim.now()` forward,
-/// hence the old "measure completion from in-app r.now()" caveat.)
+/// (Before timers were cancellable, the stale watchdog deadline dragged
+/// `sim.now()` forward, hence the old "measure completion from in-app
+/// r.now()" caveat.)
 #[test]
 fn clean_watchdogged_run_leaves_clock_at_app_completion() {
     let sim = Sim::new();

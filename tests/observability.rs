@@ -126,7 +126,7 @@ fn clean_runs_record_no_monitor_violations() {
         }
     })
     .expect("clean run");
-    assert!(v.monitors().is_some(), "monitors are on by default");
+    assert!(v.devices.iter().all(|d| d.monitor().is_some()), "monitors are on every device");
     assert!(v.violations().is_empty(), "a correct run must not trip any invariant");
 }
 
@@ -424,7 +424,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64 })]
 
     /// Detection power: swapping two adjacent timer firings — the
-    /// classic wheel-ordering bug — flips the epoch digest.
+    /// classic timer-ordering bug — flips the epoch digest.
     #[test]
     fn audit_detects_a_timer_reorder(
         prefix in proptest::collection::vec(
@@ -437,7 +437,7 @@ proptest! {
             .map(|&(k, a, b)| (0, DecisionKind::ALL[k], a, b))
             .collect();
         let fires = prefix.len();
-        // Timer pops carry (deadline, wheel seq): every pop is distinct.
+        // Timer pops carry (deadline, seq): every pop is distinct.
         base.extend(
             deadlines.iter().enumerate().map(|(seq, &d)| {
                 (0, DecisionKind::TimerFire, d, seq as u64)
