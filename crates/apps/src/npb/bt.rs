@@ -258,6 +258,7 @@ impl BtRank {
                 self.r.sim().now(),
                 des::trace::Category::App,
                 "bt_payload_mismatch",
+                None,
                 || self.r.ctx().label.clone(),
                 || {
                     des::fields![

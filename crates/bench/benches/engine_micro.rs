@@ -264,6 +264,7 @@ mod harness {
                     i,
                     Category::Protocol,
                     "ev",
+                    None,
                     || format!("actor{i}"),
                     || des::fields![n = i],
                 );
@@ -271,6 +272,7 @@ mod harness {
                     i,
                     Category::Protocol,
                     "ev",
+                    None,
                     || format!("actor{i}"),
                     || des::fields![n = i],
                 );
@@ -288,7 +290,7 @@ mod harness {
             let t = Trace::with_categories(&[Category::App]);
             let actor = t.intern("rank0");
             for i in 0..N {
-                t.instant(i, Category::App, "tick", || actor.clone(), Vec::new);
+                t.instant(i, Category::App, "tick", None, || actor.clone(), Vec::new);
             }
             assert_eq!(t.events().len(), N as usize);
             N

@@ -14,6 +14,7 @@
 
 use des::faultplan::FaultSpec;
 use des::Sim;
+use vscc::host::{HostConfig, RecoveryConfig};
 use vscc::{CommScheme, VsccBuilder};
 use vscc_bench::Observed;
 
@@ -41,22 +42,18 @@ struct RunOut {
     still_demoted: usize,
 }
 
-/// One storm run (or its fault-free twin without `faults`). `observed`
-/// traces every category and samples the run for `VSCC_OBS`.
-fn run(faults: Option<FaultSpec>, observed: bool) -> (RunOut, Option<Observed>) {
+/// One storm run (or its fault-free twin, whose inactive `faults` only
+/// keeps recovery on). `observed` traces every category and samples the
+/// run for `VSCC_OBS`.
+fn run(faults: FaultSpec, observed: bool) -> (RunOut, Option<Observed>) {
     let sim = Sim::new();
     // Dense canary cadence so the whole demote→probe→heal arc fits one
     // short figure run; the production default derives a sparser
     // schedule from the PCIe model (probe_interval_base).
-    let rc = vscc::host::RecoveryConfig {
-        enabled: true,
-        probe_interval: 20_000,
-        probe_backoff_max: 160_000,
-    };
-    let mut b = VsccBuilder::new(&sim, 2).scheme(CommScheme::RemotePutHwAck).recovery_config(rc);
-    if let Some(spec) = faults {
-        b = b.faults(spec);
-    }
+    let recovery = RecoveryConfig { probe_interval: 20_000, probe_backoff_max: 160_000 };
+    let mut b = VsccBuilder::new(&sim, 2)
+        .scheme(CommScheme::RemotePutHwAck)
+        .host_config(HostConfig { faults, recovery, ..HostConfig::default() });
     if observed {
         b = b.trace_categories(&des::trace::Category::ALL);
     }
@@ -123,8 +120,8 @@ fn main() {
     let spec = des::faultplan::spec_from_env()
         .unwrap_or_else(|| FaultSpec::parse(STORM).expect("built-in storm spec"));
     println!("plan: {spec}");
-    let (faulty, _) = run(Some(spec.clone()), false);
-    let (clean, _) = run(None, false);
+    let (faulty, _) = run(spec.clone(), false);
+    let (clean, _) = run(FaultSpec { recovery: true, ..FaultSpec::none() }, false);
 
     // Phase boundaries from the run itself: the storm window, the
     // degraded (fallback) window up to the last re-promotion, and the
@@ -183,5 +180,5 @@ fn main() {
     // The designated run: the storm run itself, traced and sampled, so
     // the Health-category instants and the degraded-pairs counter track
     // show the whole arc.
-    vscc_bench::observe("healing", || run(Some(spec), true).1.expect("observed run"));
+    vscc_bench::observe("healing", || run(spec, true).1.expect("observed run"));
 }

@@ -11,6 +11,7 @@ use std::rc::Rc;
 use des::Sim;
 use rcce::Session;
 use scc::geometry::CoreId;
+use vscc::host::HostConfig;
 use vscc::schemes::CachedGetProtocol;
 use vscc::{CommScheme, VsccBuilder};
 
@@ -83,7 +84,7 @@ fn main() {
             let sim = Sim::new();
             let v = VsccBuilder::new(&sim, 2)
                 .scheme(CommScheme::LocalPutLocalGet)
-                .dma_chunk(chunk)
+                .host_config(HostConfig { dma_chunk: chunk, ..HostConfig::default() })
                 .build();
             pair_throughput(&v, None)
         });
@@ -100,7 +101,7 @@ fn main() {
             let sim = Sim::new();
             let v = VsccBuilder::new(&sim, 2)
                 .scheme(CommScheme::RemotePutWcb)
-                .wcb_granularity(g)
+                .host_config(HostConfig { wcb_granularity: g, ..HostConfig::default() })
                 .build();
             pair_throughput(&v, None)
         });
@@ -152,7 +153,7 @@ fn main() {
         let sim = Sim::new();
         let v = VsccBuilder::new(&sim, 2)
             .scheme(CommScheme::LocalPutLocalGet)
-            .dma_chunk(256)
+            .host_config(HostConfig { dma_chunk: 256, ..HostConfig::default() })
             .trace_categories(&des::trace::Category::ALL)
             .build();
         let s = pair_session(&v, None);

@@ -17,6 +17,7 @@
 //! recovered-throughput curve. The legacy columns use the identical
 //! seeds and code path, so they stay byte-identical.
 
+use des::faultplan::FaultSpec;
 use des::Sim;
 use vscc::{host::HostConfig, CommScheme, VsccBuilder};
 use vscc_bench::Observed;
@@ -78,11 +79,10 @@ fn stream_recovered(
     observed: bool,
 ) -> (Recovered, Option<Observed>) {
     let sim = Sim::new();
+    let faults = FaultSpec { recovery: true, watchdog: Some(WATCHDOG_CYCLES), ..FaultSpec::none() };
     let mut builder = VsccBuilder::new(&sim, n_devices)
         .scheme(CommScheme::RemotePutHwAck)
-        .host_config(HostConfig { seed, ..HostConfig::default() })
-        .recovery(true)
-        .poll_watchdog(WATCHDOG_CYCLES);
+        .host_config(HostConfig { seed, faults, ..HostConfig::default() });
     if observed {
         builder = builder.trace_categories(&des::trace::Category::ALL);
     }

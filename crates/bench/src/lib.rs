@@ -63,9 +63,9 @@ pub fn size_label(bytes: usize) -> String {
 
 /// Whether the headline shape assertions should run. They encode the
 /// paper's clean-run results, and an injected `VSCC_FAULTS` plan
-/// legitimately shifts them (or, for payload checks without
-/// `recovery=on`, breaks them outright), so an active env plan
-/// downgrades the assertions to printed tables — the banner already
+/// legitimately shifts them (it always runs with the recovery layer on,
+/// so payloads still verify, but retries and demotions move the
+/// timings), so an active env plan downgrades the assertions to printed tables — the banner already
 /// flags the run as faulty.
 pub fn headline_asserts() -> bool {
     des::faultplan::spec_from_env().is_none()

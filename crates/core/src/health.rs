@@ -1,9 +1,10 @@
 //! Per-pair health state machine of the self-healing communication plane
 //! (DESIGN.md §5h).
 //!
-//! PR 3's recovery layer demoted a 3×-lossy device pair from the posted
-//! remote-put fast path to the host-acked fallback — and left it there
-//! forever. This module closes the loop:
+//! The host recovery layer demotes a 3×-lossy device pair from the
+//! posted remote-put fast path to the host-acked fallback. It runs
+//! whenever a fault plan is active (or `recovery=on` keeps it on without
+//! one); this module is what earns a demoted pair its way back:
 //!
 //! ```text
 //!             consecutive lossy bursts ≥ FALLBACK_THRESHOLD
@@ -28,13 +29,10 @@
 //! is timestamped, logged (bounded), traced (`Category::Health`), and
 //! counted (`host.health.*`).
 //!
-//! The tracker also derives **adaptive per-pair retry timeouts**: an
-//! EWMA (α = 1/8, integer arithmetic) of observed transfer windows
-//! replaces the static 4×RT retry budget, clamped to the model's
-//! floor/ceiling so calibration bands cannot move. The EWMA is only fed
-//! on runs with an active fault plan, and probers only spawn after a
-//! demotion — on a fault-free run this module is pure inert state, which
-//! is what keeps the committed goldens byte-identical.
+//! Retries do not consult this module: every lost tunnel transfer waits
+//! the model's one static `retry_timeout_cycles` budget. Probers only
+//! spawn after a demotion, so on a fault-free run this module is pure
+//! inert state, which is what keeps the committed goldens byte-identical.
 //!
 //! All state lives behind `RefCell` (single-threaded simulation) and all
 //! clocks are virtual: two identical seeded runs produce identical
@@ -105,7 +103,6 @@ struct PairState {
     probe_successes: u32,
     probe_interval: Cycles,
     prober_active: bool,
-    ewma_rt: Cycles,
 }
 
 impl PairState {
@@ -114,7 +111,7 @@ impl PairState {
     }
 }
 
-/// Tracker of every pair's health, probe schedule, and RT estimate.
+/// Tracker of every pair's health and probe schedule.
 ///
 /// Owned by `vscc::host::HostSide`; always constructed (field reads are
 /// cheap) but its metrics are only registered when a fault plan is
@@ -366,32 +363,6 @@ impl HealthTracker {
         state.probe_interval = (state.probe_interval * 2).min(backoff_max);
         self.transition(now, pair, state, PairHealth::Degraded, "probe_fail")
     }
-
-    /// Feed one observed transfer window into `pair`'s RT estimate
-    /// (EWMA, α = 1/8, integer arithmetic — deterministic).
-    pub fn note_rt_sample(&self, pair: (u8, u8), sample: Cycles) {
-        let mut pairs = self.pairs.borrow_mut();
-        let state = pairs.entry(pair).or_default();
-        state.ewma_rt = if state.ewma_rt == 0 { sample } else { (7 * state.ewma_rt + sample) / 8 };
-    }
-
-    /// The adaptive retry timeout for `pair`: 4× the EWMA estimate,
-    /// clamped to `[floor, ceiling]`; `fallback` (the static budget)
-    /// while no sample has been observed yet.
-    pub fn timeout_for(
-        &self,
-        pair: (u8, u8),
-        fallback: Cycles,
-        floor: Cycles,
-        ceiling: Cycles,
-    ) -> Cycles {
-        let ewma = self.pairs.borrow().get(&pair).map(|s| s.ewma_rt).unwrap_or(0);
-        if ewma == 0 {
-            fallback
-        } else {
-            (4 * ewma).clamp(floor, ceiling)
-        }
-    }
 }
 
 impl Default for HealthTracker {
@@ -493,33 +464,6 @@ mod tests {
         assert!(t.begin_probe(99, pair).is_none());
         assert!(t.demote(99, pair, BASE, 3).is_none());
         assert!(!t.try_start_prober(pair));
-    }
-
-    #[test]
-    fn adaptive_timeout_tracks_ewma_within_clamp() {
-        let t = HealthTracker::new();
-        let (fb, floor, ceil) = (48_000, 10_000, 80_000);
-        // No samples: static fallback budget.
-        assert_eq!(t.timeout_for((0, 1), fb, floor, ceil), fb);
-        // Fast pair: clamped up to the floor.
-        t.note_rt_sample((0, 1), 1000);
-        assert_eq!(t.timeout_for((0, 1), fb, floor, ceil), floor);
-        // Congested pair: clamped down to the ceiling.
-        for _ in 0..64 {
-            t.note_rt_sample((0, 1), 1_000_000);
-        }
-        assert_eq!(t.timeout_for((0, 1), fb, floor, ceil), ceil);
-        // Mid-band: 4× the estimate, inside the clamp.
-        let u = HealthTracker::new();
-        u.note_rt_sample((3, 4), 9_000);
-        assert_eq!(u.timeout_for((3, 4), fb, floor, ceil), 36_000);
-        // EWMA converges deterministically: same samples, same estimate.
-        let v = HealthTracker::new();
-        for s in [9_000, 11_000, 10_000] {
-            u.note_rt_sample((5, 6), s);
-            v.note_rt_sample((5, 6), s);
-        }
-        assert_eq!(u.timeout_for((5, 6), fb, floor, ceil), v.timeout_for((5, 6), fb, floor, ceil));
     }
 
     #[test]

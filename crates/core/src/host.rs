@@ -55,9 +55,10 @@ pub struct HostConfig {
     /// instead.
     pub seed: u64,
     /// Injected-fault plan specification. [`FaultSpec::none`] (the
-    /// default) builds no plan at all: the zero-perturbation path.
+    /// default) builds no plan at all: the zero-perturbation path. An
+    /// active spec always runs with the recovery layer on.
     pub faults: FaultSpec,
-    /// Host recovery layer (off by default, like the 2012 prototype).
+    /// Probe cadence of the recovery layer's health prober.
     pub recovery: RecoveryConfig,
 }
 
@@ -87,18 +88,15 @@ pub const PROMOTE_AFTER: u32 = 3;
 /// prober retired).
 pub const QUARANTINE_AFTER: u32 = 5;
 
-/// Configuration of the host recovery layer. Disabled by default — the
-/// 2012 prototype had no recovery and the baseline figures must stay
-/// byte-identical. Retry timing derives from the PCIe model
-/// (`retry_timeout_cycles` / `retry_backoff_base` on [`PcieModel`]);
-/// the counts are the module constants ([`MAX_RETRIES`], ...). Zero
-/// probe fields mean "derive from the PCIe model" when the host is
-/// built.
+/// Probe cadence of the host recovery layer. Whether the layer runs at
+/// all is not configured here: it is on exactly when the fault spec is
+/// active or sets `recovery` ([`FaultSpec::recovery`]). Retry timing
+/// derives from the PCIe model (`retry_timeout_cycles` /
+/// `retry_backoff_base` on [`PcieModel`]); the counts are the module
+/// constants ([`MAX_RETRIES`], ...). Zero probe fields mean "derive from
+/// the PCIe model" when the host is built.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Master switch: tunnel checksums, retries, idempotent vDMA
-    /// re-programming, and fast-ack fallback demotion.
-    pub enabled: bool,
     /// Base interval between health-probe canaries on a demoted pair
     /// (0 derives `probe_interval_base` from the model).
     pub probe_interval: Cycles,
@@ -108,10 +106,8 @@ pub struct RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Fill derived probe timing from the PCIe model and honor a
-    /// `recovery=on` override riding the fault spec.
-    fn resolve(mut self, model: &PcieModel, spec: &FaultSpec) -> Self {
-        self.enabled |= spec.recovery;
+    /// Fill derived probe timing from the PCIe model.
+    fn resolve(mut self, model: &PcieModel) -> Self {
         if self.probe_interval == 0 {
             self.probe_interval = model.probe_interval_base();
         }
@@ -215,9 +211,12 @@ pub struct HostSide {
     pub rstats: RecoveryStats,
     /// Resolved recovery configuration.
     pub recovery: RecoveryConfig,
+    /// Whether the recovery layer runs: always under an active fault
+    /// plan, and without one only when the spec sets `recovery`.
+    protected: bool,
     /// The installed fault plan (`None` on the zero-perturbation path).
     faults: Option<Rc<FaultPlan>>,
-    /// Per-pair health FSM, probe schedule, and RT estimates (the
+    /// Per-pair health FSM and probe schedule (the
     /// self-healing plane — DESIGN.md §5h). Always constructed; its
     /// metrics register only when a fault plan is active, and probers
     /// only spawn after a demotion, so fault-free runs are untouched.
@@ -281,7 +280,8 @@ impl HostSide {
         stats.register(registry);
         let rstats = RecoveryStats::default();
         rstats.register(registry);
-        let recovery = cfg.recovery.clone().resolve(&cfg.model, &cfg.faults);
+        let recovery = cfg.recovery.clone().resolve(&cfg.model);
+        let protected = cfg.faults.recovery || cfg.faults.is_active();
         let health = HealthTracker::new();
         // An inactive spec builds no plan: every fault hook stays on its
         // zero-cost `None` path and no RNG stream is ever created. The
@@ -319,6 +319,7 @@ impl HostSide {
             stats,
             rstats,
             recovery,
+            protected,
             faults,
             health,
             delivery_chain: (0..n_devices)
@@ -408,7 +409,7 @@ impl HostSide {
                 // original did land shows up as two identical consecutive
                 // commands (seq/drain_seq make distinct transfers differ);
                 // execute once.
-                if self.recovery.enabled && last_vdma.as_ref() == Some(&cmd) {
+                if self.protected && last_vdma.as_ref() == Some(&cmd) {
                     self.rstats.vdma_dedup.inc();
                     continue;
                 }
@@ -492,19 +493,12 @@ impl HostSide {
             loop {
                 match plan.mmio_fault(sim.now()) {
                     None => break,
-                    Some(MmioFault::Stuck) => {
-                        if !self.recovery.enabled {
-                            // The register never latched; the command is
-                            // simply gone (the posted write vanished).
-                            return;
-                        }
-                    }
+                    // The register never latched: re-issue it.
+                    Some(MmioFault::Stuck) => {}
                     Some(MmioFault::Garble) => {
                         plan.garble(&mut line.data);
-                        // A pre-recovery host executes whatever the
-                        // garbled line decodes to; the guard word only
-                        // matters once the recovery layer checks it.
-                        if !self.recovery.enabled || mmio::verify(&line) {
+                        // A flip the guard word misses executes as is.
+                        if mmio::verify(&line) {
                             break;
                         }
                     }
@@ -517,7 +511,7 @@ impl HostSide {
                 // Detected by status-register readback: charge the
                 // readback round trip plus the line re-issue.
                 self.rstats.mmio_retries.inc();
-                self.trace.instant_f(
+                self.trace.instant(
                     sim.now(),
                     Category::Fault,
                     "mmio_retry",
@@ -544,7 +538,7 @@ impl HostSide {
             HostCmd::VdmaStart { flow, .. } | HostCmd::CacheUpdate { flow, .. } => *flow,
             _ => None,
         };
-        self.trace.instant_f(
+        self.trace.instant(
             sim.now(),
             Category::Vdma,
             kind,
@@ -577,23 +571,17 @@ impl HostSide {
     }
 
     /// Subject one tunnel transfer toward (`to_device`) or from `dev` to
-    /// the installed fault plan, and — when the recovery layer is on —
-    /// protect it with a checksum and bounded exponential-backoff
-    /// retries on deterministic virtual timers.
+    /// the installed fault plan, protected by a checksum and bounded
+    /// exponential-backoff retries on deterministic virtual timers.
     ///
     /// Returns the bytes as delivered: a shared view of the originals
-    /// (the clean path never copies), a garbled CoW copy (an unprotected
-    /// transfer delivers whatever the wire produced), or `None` when the
-    /// transfer is lost for good — dropped without recovery, or retries
-    /// exhausted. Without a plan this is a zero-cost pass-through.
-    ///
-    /// `pair` keys the adaptive retry timeout: once the health tracker
-    /// has RT samples for the pair, its EWMA-derived budget (clamped to
-    /// the model's floor/ceiling) replaces the static 4×RT default.
+    /// (the clean path never copies), a garbled CoW copy (only when a
+    /// corruption slips past the checksum), or `None` when the transfer
+    /// is lost for good after exhausting its retries. Without a plan this
+    /// is a zero-cost pass-through.
     async fn tunnel_transfer(
         &self,
         dev: DeviceId,
-        pair: (u8, u8),
         to_device: bool,
         data: &Bytes,
         flow: Option<u64>,
@@ -616,27 +604,13 @@ impl HostSide {
                     return Some(data.clone());
                 }
                 Some(TlpFault::Drop) => {
-                    if !self.recovery.enabled {
-                        // A vanished posted write: nobody notices here;
-                        // the receiver hangs on its flag (or the payload
-                        // check fails) downstream.
-                        return None;
-                    }
-                    // Nothing arrives; the per-request timer expires
-                    // (adaptive per-pair budget once samples exist).
-                    sim.delay(self.health.timeout_for(
-                        pair,
-                        self.cfg.model.retry_timeout_cycles(),
-                        self.cfg.model.adaptive_timeout_floor(),
-                        self.cfg.model.adaptive_timeout_ceiling(),
-                    ))
-                    .await;
+                    // Nothing arrives; the per-request timer expires.
+                    sim.delay(self.cfg.model.retry_timeout_cycles()).await;
                 }
                 Some(TlpFault::Corrupt) => {
                     let mut wire = data.clone();
                     plan.garble(wire.make_mut());
-                    if !self.recovery.enabled || checksum(&wire) == want {
-                        // Unprotected transfers deliver the garbled bytes.
+                    if checksum(&wire) == want {
                         return Some(wire);
                     }
                     self.rstats.checksum_detected.inc();
@@ -645,7 +619,7 @@ impl HostSide {
             attempt += 1;
             if attempt > MAX_RETRIES {
                 self.rstats.giveups.inc();
-                self.trace.instant_f(
+                self.trace.instant(
                     sim.now(),
                     Category::Fault,
                     "retry_giveup",
@@ -656,7 +630,7 @@ impl HostSide {
                 return None;
             }
             retries.inc();
-            self.trace.instant_f(
+            self.trace.instant(
                 sim.now(),
                 Category::Fault,
                 "retry",
@@ -682,7 +656,7 @@ impl HostSide {
     /// be answered "in parallel after a warmup phase" (§3.2).
     async fn do_cache_update(&self, owner: GlobalCore, offset: u16, len: usize, flow: Option<u64>) {
         let sim = &self.sim;
-        self.trace.begin_f(
+        self.trace.begin(
             sim.now(),
             Category::Pcie,
             "prefetch",
@@ -697,34 +671,21 @@ impl HostSide {
             self.fabric.host_mem.reserve(sim, (hi - lo) as u64);
             let buf =
                 self.device(owner.device).mpb(owner.core).read_bytes(offset as usize + lo, hi - lo);
-            let delivered = match self
-                .tunnel_transfer(
-                    owner.device,
-                    (owner.device.0, owner.device.0),
-                    false,
-                    &buf,
-                    flow,
-                    &self.rstats.prefetch_retries,
-                )
+            let Some(delivered) = self
+                .tunnel_transfer(owner.device, false, &buf, flow, &self.rstats.prefetch_retries)
                 .await
-            {
-                Some(bytes) => bytes,
-                None if self.recovery.enabled => {
-                    // Retries exhausted: installing a hole would panic the
-                    // reader on "range valid right after update" — convert
-                    // the hang into a diagnosed abort instead.
-                    self.sim.abort(format!(
-                        "prefetch of {} bytes from d{}c{} lost (retries exhausted)",
-                        hi - lo,
-                        owner.device.0,
-                        owner.core.0
-                    ));
-                    std::future::pending::<()>().await;
-                    unreachable!()
-                }
-                // Honest loss: the DMA engine installs whatever its buffer
-                // held — zeros — and the divergence surfaces downstream.
-                None => pooled(hi - lo).freeze(),
+            else {
+                // Retries exhausted: installing a hole would panic the
+                // reader on "range valid right after update" — convert
+                // the hang into a diagnosed abort instead.
+                self.sim.abort(format!(
+                    "prefetch of {} bytes from d{}c{} lost (retries exhausted)",
+                    hi - lo,
+                    owner.device.0,
+                    owner.core.0
+                ));
+                std::future::pending::<()>().await;
+                unreachable!()
             };
             self.cache.install(owner, offset + lo as u16, &delivered);
             installed.push(delivered);
@@ -746,7 +707,7 @@ impl HostSide {
         }
         self.cache.finish_update(owner);
         self.stats.cache_updates.inc();
-        self.trace.end_f(sim.now(), Category::Pcie, "prefetch", flow, || {
+        self.trace.end(sim.now(), Category::Pcie, "prefetch", flow, || {
             self.commtask_label(owner.device.0)
         });
     }
@@ -769,7 +730,7 @@ impl HostSide {
     ) {
         assert_ne!(src.device, dst.device, "vDMA serves inter-device copies only");
         let sim = &self.sim;
-        self.trace.begin_f(
+        self.trace.begin(
             sim.now(),
             Category::Vdma,
             "vdma",
@@ -820,7 +781,7 @@ impl HostSide {
                 host.device(src.device)
                     .mpb(src.core)
                     .write_byte(layout::OFF_VDMA_DONE as usize, drain_seq);
-                host.trace.instant_f(
+                host.trace.instant(
                     sim2.now(),
                     Category::Vdma,
                     "drain_flag",
@@ -833,7 +794,7 @@ impl HostSide {
         // The stretch between programming and the last chunk's arrival is
         // wire occupancy (queueing included): the critical-path profiler
         // attributes it to the PCIe wire, not the enclosing vDMA span.
-        self.trace.begin_f(
+        self.trace.begin(
             wire_start,
             Category::Pcie,
             "pcie_wire",
@@ -842,42 +803,23 @@ impl HostSide {
             || fields![bytes = len as u64],
         );
         sim.delay_until(last_arrival.max(drain_arrival)).await;
-        self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, || {
+        self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, || {
             self.commtask_label(src.device.0)
         });
-        if self.faults.is_some() {
-            // Feed the pair's RT estimate with the measured wire window
-            // (faulty runs only: the fault-free path stays untouched).
-            self.health.note_rt_sample((src.device.0, dst.device.0), sim.now() - wire_start);
-        }
-        let delivered = self
-            .tunnel_transfer(
-                dst.device,
-                (src.device.0, dst.device.0),
-                true,
-                &data,
-                flow,
-                &self.rstats.vdma_retries,
-            )
-            .await;
-        if delivered.is_none() && self.recovery.enabled {
+        let Some(data) =
+            self.tunnel_transfer(dst.device, true, &data, flow, &self.rstats.vdma_retries).await
+        else {
             // Retries exhausted: deliver nothing — neither payload nor
             // completion flag — so the receiver's poll watchdog turns the
             // loss into a diagnosed timeout instead of a torn message.
-            self.trace.end_f(sim.now(), Category::Vdma, "vdma", flow, || {
-                self.commtask_label(src.device.0)
-            });
+            self.trace
+                .end(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
             return;
+        };
+        if let Some(m) = self.monitor_of(dst.device) {
+            m.host_write(src, MpbAddr::new(dst, dst_off), &data, flow);
         }
-        if let Some(data) = &delivered {
-            if let Some(m) = self.monitor_of(dst.device) {
-                m.host_write(src, MpbAddr::new(dst, dst_off), data, flow);
-            }
-            self.device(dst.device).mpb(dst.core).write(dst_off as usize, data);
-        }
-        // `delivered == None` without recovery: the payload vanished but
-        // the posted completion flag below still lands — the silent
-        // corruption the paper's prototype could not rule out.
+        self.device(dst.device).mpb(dst.core).write(dst_off as usize, &data);
         // Completion flag travels as one more line on the same port.
         let flag_arrival = dport.ingress.reserve(sim, LINE_BYTES as u64);
         sim.delay_until(flag_arrival).await;
@@ -888,7 +830,7 @@ impl HostSide {
         self.device(dst.device).mpb(dst.core).write_byte(flag_addr.offset as usize, seq);
         self.stats.vdma_ops.inc();
         self.trace
-            .end_f(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
+            .end(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
     }
 
     /// Forward a classified flag write to its device, preserving order
@@ -919,7 +861,7 @@ impl HostSide {
         let sim = self.sim.clone();
         let host = self.clone();
         self.stats.flag_forwards.inc();
-        self.trace.instant_f(
+        self.trace.instant(
             sim.now(),
             Category::Pcie,
             "flag_forward",
@@ -973,28 +915,14 @@ impl HostSide {
     ) {
         let sim = self.sim.clone();
         let host = self.clone();
-        let pair = (src.device.0, addr.owner.device.0);
-        let issue = sim.now();
         self.fabric.host_mem.reserve(&sim, data.len() as u64);
         let arrival = self.fabric.port(addr.owner.device).ingress.reserve(&sim, data.len() as u64);
-        if self.faults.is_some() {
-            // Observed transfer window (queueing + wire) feeds the pair's
-            // adaptive-timeout EWMA; fault-free runs never sample.
-            self.health.note_rt_sample(pair, arrival - issue);
-        }
         let (prev, next) = self.delivery_ticket(addr.owner.device);
         self.sim.spawn_named("payload-forward", async move {
             prev.wait().await;
             sim.delay_until(arrival).await;
             let Some(bytes) = host
-                .tunnel_transfer(
-                    addr.owner.device,
-                    pair,
-                    true,
-                    &data,
-                    flow,
-                    &host.rstats.payload_retries,
-                )
+                .tunnel_transfer(addr.owner.device, true, &data, flow, &host.rstats.payload_retries)
                 .await
             else {
                 // Lost for good. The chain latch is deliberately left
@@ -1027,7 +955,7 @@ impl HostSide {
         sim.delay(m.sw_forward_cycles).await;
         rport.ingress.transfer(sim, LINE_BYTES as u64).await;
         self.stats.routed_lines.inc();
-        self.trace.instant_f(
+        self.trace.instant(
             sim.now(),
             Category::Pcie,
             "routed_line",
@@ -1058,26 +986,21 @@ impl RemoteFabric for HostSide {
                 // prefetch of the same range.
                 let rport = self.fabric.port(src.device);
                 rport.egress.transfer(&sim, LINE_BYTES as u64).await;
-                self.trace.begin_f(sim.now(), Category::Pcie, "classify", flow, actor, || {
+                self.trace.begin(sim.now(), Category::Pcie, "classify", flow, actor, || {
                     fields![bytes = len as u64]
                 });
                 sim.delay(self.cfg.model.sw_answer_cycles).await;
-                self.trace.end_f(sim.now(), Category::Pcie, "classify", flow, actor);
+                self.trace.end(sim.now(), Category::Pcie, "classify", flow, actor);
                 let mut out = pooled(len);
                 let wire_start = sim.now();
                 let mut last_arrival = sim.now();
                 for (lo, hi) in rcce::protocol::chunk_ranges(len, self.cfg.dma_chunk) {
                     let off = addr.offset + lo as u16;
-                    self.trace.begin_f(
-                        sim.now(),
-                        Category::Pcie,
-                        "cache_wait",
-                        flow,
-                        actor,
-                        || fields![offset = off as u64, bytes = (hi - lo) as u64],
-                    );
+                    self.trace.begin(sim.now(), Category::Pcie, "cache_wait", flow, actor, || {
+                        fields![offset = off as u64, bytes = (hi - lo) as u64]
+                    });
                     self.cache.wait_range_or_settled(addr.owner, off, hi - lo).await;
-                    self.trace.end_f(sim.now(), Category::Pcie, "cache_wait", flow, actor);
+                    self.trace.end(sim.now(), Category::Pcie, "cache_wait", flow, actor);
                     let data = match self.cache.read(addr.owner, off, hi - lo) {
                         Some(d) => d,
                         None => {
@@ -1094,22 +1017,22 @@ impl RemoteFabric for HostSide {
                     // packet path (no host-DMA penalty).
                     last_arrival = rport.ingress.reserve(&sim, (hi - lo) as u64);
                 }
-                self.trace.begin_f(wire_start, Category::Pcie, "pcie_wire", flow, actor, || {
+                self.trace.begin(wire_start, Category::Pcie, "pcie_wire", flow, actor, || {
                     fields![bytes = len as u64]
                 });
                 sim.delay_until(last_arrival).await;
-                self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                 out.freeze()
             } else {
                 // Transparent routing: one blocking round trip per line.
                 let n_lines = len.div_ceil(LINE_BYTES).max(1);
-                self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
+                self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                     fields![bytes = len as u64, lines = n_lines as u64]
                 });
                 for _ in 0..n_lines {
                     self.routed_round_trip(src.device, addr.owner.device, flow).await;
                 }
-                self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                 self.device(addr.owner.device)
                     .mpb(addr.owner.core)
                     .read_bytes(addr.offset as usize, len)
@@ -1135,11 +1058,11 @@ impl RemoteFabric for HostSide {
                 // then forwards.
                 let sport = self.fabric.port(src.device);
                 sport.egress.transfer(&sim, LINE_BYTES as u64).await;
-                self.trace.begin_f(sim.now(), Category::Pcie, "classify", flow, actor, || {
+                self.trace.begin(sim.now(), Category::Pcie, "classify", flow, actor, || {
                     fields![offset = addr.offset as u64]
                 });
                 sim.delay(self.cfg.model.sw_answer_cycles).await;
-                self.trace.end_f(sim.now(), Category::Pcie, "classify", flow, actor);
+                self.trace.end(sim.now(), Category::Pcie, "classify", flow, actor);
                 this.forward_flag(src, addr, data, flow);
                 return;
             }
@@ -1147,13 +1070,13 @@ impl RemoteFabric for HostSide {
                 CommScheme::SimpleRouting => {
                     // Write-with-acknowledge per line: full round trips.
                     let n_lines = data.len().div_ceil(LINE_BYTES).max(1);
-                    self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
+                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                         fields![bytes = data.len() as u64, lines = n_lines as u64]
                     });
                     for _ in 0..n_lines {
                         self.routed_round_trip(src.device, addr.owner.device, flow).await;
                     }
-                    self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                     if let Some(m) = self.monitor_of(addr.owner.device) {
                         m.host_write(src, addr, &data, flow);
                     }
@@ -1170,7 +1093,7 @@ impl RemoteFabric for HostSide {
                         // byte is accounted for.
                         self.rstats.fallback_writes.inc();
                         let sport = self.fabric.port(src.device);
-                        self.trace.begin_f(
+                        self.trace.begin(
                             sim.now(),
                             Category::Pcie,
                             "pcie_wire",
@@ -1179,7 +1102,7 @@ impl RemoteFabric for HostSide {
                             || fields![bytes = data.len() as u64, fallback = 1u64],
                         );
                         sport.egress.transfer(&sim, data.len() as u64).await;
-                        self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                        self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                         sim.delay(self.cfg.model.sw_answer_cycles).await;
                         this.deliver_payload(src, addr, data, flow);
                         return;
@@ -1194,7 +1117,7 @@ impl RemoteFabric for HostSide {
                             lost += 1;
                         }
                     }
-                    self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
+                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                         fields![bytes = data.len() as u64, lost_acks = lost as u64]
                     });
                     let r = sport.egress.reserve_timed(&sim, data.len() as u64);
@@ -1202,11 +1125,11 @@ impl RemoteFabric for HostSide {
                     // A lost ack stalls the SIF for a recovery round trip.
                     let penalty = lost as u64 * self.cfg.model.routed_line_round_trip();
                     sim.delay_until(r.wire_free + penalty).await;
-                    if self.recovery.enabled && lost > 0 {
+                    if self.protected && lost > 0 {
                         // Retransmit the lines whose acks were lost and
                         // hold the sender for one backoff interval.
                         self.rstats.fastack_retransmits.add(lost as u64);
-                        self.trace.instant_f(
+                        self.trace.instant(
                             sim.now(),
                             Category::Fault,
                             "fastack_retransmit",
@@ -1218,8 +1141,8 @@ impl RemoteFabric for HostSide {
                         let resume = arr.max(sim.now() + self.cfg.model.retry_backoff_base());
                         sim.delay_until(resume).await;
                     }
-                    self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
-                    if self.recovery.enabled {
+                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                    if self.protected {
                         this.note_ack_result(pair, lost > 0, flow);
                     }
                 }
@@ -1228,7 +1151,7 @@ impl RemoteFabric for HostSide {
                     // task flushes each complete granule as it fills, so
                     // granule delivery pipelines with the sender's stream.
                     let sport = self.fabric.port(src.device);
-                    self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
+                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                         fields![bytes = data.len() as u64]
                     });
                     let mut wire_free = sim.now();
@@ -1252,24 +1175,24 @@ impl RemoteFabric for HostSide {
                         }
                     }
                     sim.delay_until(wire_free).await;
-                    self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                 }
                 CommScheme::LocalPutRemoteGet | CommScheme::LocalPutLocalGet => {
                     // Only the small-message direct path writes payload
                     // remotely under these schemes: host-acked forward.
                     let sport = self.fabric.port(src.device);
-                    self.trace.begin_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
+                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                         fields![bytes = data.len() as u64]
                     });
                     sport.egress.transfer(&sim, data.len() as u64).await;
-                    self.trace.end_f(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
-                    self.trace.begin_f(sim.now(), Category::Pcie, "classify", flow, actor, || {
+                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                    self.trace.begin(sim.now(), Category::Pcie, "classify", flow, actor, || {
                         fields![bytes = data.len() as u64]
                     });
                     sim.delay(self.cfg.model.sw_answer_cycles).await;
-                    self.trace.end_f(sim.now(), Category::Pcie, "classify", flow, actor);
+                    self.trace.end(sim.now(), Category::Pcie, "classify", flow, actor);
                     self.stats.direct_writes.inc();
-                    self.trace.instant_f(
+                    self.trace.instant(
                         sim.now(),
                         Category::Pcie,
                         "direct_write",
@@ -1373,7 +1296,7 @@ impl HostSide {
         let trigger = tr.trigger;
         let (from, to) = (tr.from, tr.to);
         let pair = tr.pair;
-        self.trace.instant_f(
+        self.trace.instant(
             tr.time,
             Category::Health,
             trigger,

@@ -20,8 +20,9 @@
 //! * a **direct-transfer threshold** recovering low latency for small
 //!   messages (§3.3);
 //! * a **self-healing communication plane** ([`health`]) layered over the
-//!   recovery path: per-pair health FSM, canary re-promotion probing, and
-//!   adaptive retry timeouts (beyond the paper — DESIGN.md §5h).
+//!   recovery path, which every active fault plan runs under: per-pair
+//!   health FSM and canary re-promotion probing (beyond the paper —
+//!   DESIGN.md §5h).
 //!
 //! [`schemes`] packages all of this as drop-in inter-device protocols for
 //! the RCCE session layer; [`system`] builds complete vSCC machines.

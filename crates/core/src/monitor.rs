@@ -18,7 +18,7 @@
 //!    invalidate/update.
 //!
 //! Violations emit an [`Category::App`] trace event tagged with the flow
-//! id, dump the flight-recorder ring to stderr, and (by default) panic so
+//! id, dump the recorded trace to stderr, and (by default) panic so
 //! tests fail at the violating store instead of at a downstream payload
 //! verification.
 
@@ -87,7 +87,7 @@ impl Monitors {
 
     fn report(&self, check: &'static str, flow: Option<u64>, detail: String) {
         let d = detail.clone();
-        self.trace.instant_f(
+        self.trace.instant(
             self.sim.now(),
             Category::App,
             "monitor_violation",
@@ -97,9 +97,9 @@ impl Monitors {
         );
         self.violations.borrow_mut().push(Violation { check, detail: detail.clone(), flow });
         if self.fail_fast {
-            // Dump the (ring-buffered) trace so the events leading up to
-            // the violation survive the panic.
-            eprintln!("--- monitor violation: last traced events ---");
+            // Dump the trace so the events leading up to the violation
+            // survive the panic.
+            eprintln!("--- monitor violation: traced events ---");
             eprint!("{}", self.trace.render());
             panic!("protocol invariant violated [{check}]: {detail}");
         }

@@ -169,7 +169,7 @@ async fn direct_send(ctx: &RankCtx, dest: usize, data: &[u8], flow: u64, windows
     let peer = ctx.session.who(dest);
     let trace = ctx.session.trace().clone();
     let f = Some(flow);
-    trace.instant_f(
+    trace.instant(
         ctx.core.sim().now(),
         Category::Protocol,
         "direct_send",
@@ -183,7 +183,7 @@ async fn direct_send(ctx: &RankCtx, dest: usize, data: &[u8], flow: u64, windows
         sc[dest]
     };
     // b1: wait for the receiver's grant before touching its MPB.
-    trace.begin_f(
+    trace.begin(
         ctx.core.sim().now(),
         Category::Protocol,
         "mpb_wait",
@@ -192,8 +192,8 @@ async fn direct_send(ctx: &RankCtx, dest: usize, data: &[u8], flow: u64, windows
         || fields![flag = "grant", target = cnt],
     );
     flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
-    trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-    trace.begin_f(
+    trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+    trace.begin(
         ctx.core.sim().now(),
         Category::Protocol,
         "sender_put",
@@ -201,11 +201,11 @@ async fn direct_send(ctx: &RankCtx, dest: usize, data: &[u8], flow: u64, windows
         || &ctx.label,
         || fields![bytes = data.len() as u64, target = "direct_slot"],
     );
-    ctx.core.put_f(direct_slot(peer), data, f).await;
+    ctx.core.put(direct_slot(peer), data, f).await;
     windows.direct.add(data.len() as i64);
-    trace.end_f(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
+    trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
     // b2: data-available signal.
-    ctx.core.flag_write_f(layout::sent_flag(peer, me), cnt, f).await;
+    ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
 }
 
 async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windows: &WindowGauges) {
@@ -214,7 +214,7 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
     let peer = ctx.session.who(src);
     let trace = ctx.session.trace().clone();
     let f = Some(flow);
-    trace.instant_f(
+    trace.instant(
         ctx.core.sim().now(),
         Category::Protocol,
         "direct_recv",
@@ -225,8 +225,8 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
     ctx.inbound_lock.lock().await;
     let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
     // b1: grant the buffer.
-    ctx.core.flag_write_f(layout::ready_flag(peer, me), cnt, f).await;
-    trace.begin_f(
+    ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
+    trace.begin(
         ctx.core.sim().now(),
         Category::Protocol,
         "recv_poll",
@@ -235,8 +235,8 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
         || fields![flag = "sent", target = cnt],
     );
     flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-    trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-    trace.begin_f(
+    trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
+    trace.begin(
         ctx.core.sim().now(),
         Category::Protocol,
         "recv_get",
@@ -245,9 +245,9 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
         || fields![bytes = buf.len() as u64],
     );
     ctx.core.cl1invmb().await;
-    ctx.core.get_f(direct_slot(my), buf, f).await;
+    ctx.core.get(direct_slot(my), buf, f).await;
     windows.direct.sub(buf.len() as i64);
-    trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+    trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
     ctx.recv_count.borrow_mut()[src] = cnt;
     ctx.inbound_lock.unlock();
 }
@@ -280,7 +280,7 @@ impl PointToPoint for RemotePutProtocol {
             let peer = ctx.session.who(dest);
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "rput_send",
@@ -295,7 +295,7 @@ impl PointToPoint for RemotePutProtocol {
                     sc[dest]
                 };
                 // b1: the receiver's buffer grant.
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "mpb_wait",
@@ -304,10 +304,10 @@ impl PointToPoint for RemotePutProtocol {
                     || fields![flag = "grant", target = cnt],
                 );
                 flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
                 // Remote put: stream the chunk into the receiver's MPB
                 // receive window.
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "sender_put",
@@ -315,15 +315,13 @@ impl PointToPoint for RemotePutProtocol {
                     || &ctx.label,
                     || fields![bytes = hi - lo, target = "remote_mpb"],
                 );
-                ctx.core.put_f(layout::payload(peer, REMOTE_PUT_OFF), &data[lo..hi], f).await;
+                ctx.core.put(layout::payload(peer, REMOTE_PUT_OFF), &data[lo..hi], f).await;
                 self.windows.remote_put.add((hi - lo) as i64);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || {
-                    &ctx.label
-                });
+                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
                 // b2: data available.
-                ctx.core.flag_write_f(layout::sent_flag(peer, me), cnt, f).await;
+                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
             }
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "rput_send", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "rput_send", f, || &ctx.label);
         })
     }
 
@@ -340,7 +338,7 @@ impl PointToPoint for RemotePutProtocol {
             let peer = ctx.session.who(src);
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "rput_recv",
@@ -352,8 +350,8 @@ impl PointToPoint for RemotePutProtocol {
             for (lo, hi) in chunk_ranges(buf.len(), REMOTE_PUT_CHUNK) {
                 let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
                 // b1: grant my receive window to this sender.
-                ctx.core.flag_write_f(layout::ready_flag(peer, me), cnt, f).await;
-                trace.begin_f(
+                ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_poll",
@@ -362,10 +360,9 @@ impl PointToPoint for RemotePutProtocol {
                     || fields![flag = "sent", target = cnt],
                 );
                 flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace
-                    .end_f(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
                 // Local get out of my own MPB.
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_get",
@@ -374,13 +371,13 @@ impl PointToPoint for RemotePutProtocol {
                     || fields![bytes = hi - lo],
                 );
                 ctx.core.cl1invmb().await;
-                ctx.core.get_f(layout::payload(my, REMOTE_PUT_OFF), &mut buf[lo..hi], f).await;
+                ctx.core.get(layout::payload(my, REMOTE_PUT_OFF), &mut buf[lo..hi], f).await;
                 self.windows.remote_put.sub((hi - lo) as i64);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
                 ctx.recv_count.borrow_mut()[src] = cnt;
             }
             ctx.inbound_lock.unlock();
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "rput_recv", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "rput_recv", f, || &ctx.label);
         })
     }
 
@@ -431,7 +428,7 @@ impl PointToPoint for CachedGetProtocol {
             let peer = ctx.session.who(dest);
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "lprg_send",
@@ -448,7 +445,7 @@ impl PointToPoint for CachedGetProtocol {
                 };
                 // Wait until the receiver consumed the previous chunk
                 // before overwriting the local buffer (sync point a).
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "mpb_wait",
@@ -457,7 +454,7 @@ impl PointToPoint for CachedGetProtocol {
                     || fields![flag = "consumed", target = cnt.wrapping_sub(1)],
                 );
                 flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt.wrapping_sub(1)).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
                 // Invalidate the outdated part of the host copy (§3.1)...
                 ctx.core
                     .mmio_write_fused(
@@ -466,7 +463,7 @@ impl PointToPoint for CachedGetProtocol {
                     )
                     .await;
                 // ... local put ...
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "sender_put",
@@ -474,11 +471,9 @@ impl PointToPoint for CachedGetProtocol {
                     || &ctx.label,
                     || fields![bytes = hi - lo, target = "local_mpb"],
                 );
-                ctx.core.put_f(layout::payload(my, 0), &data[lo..hi], f).await;
+                ctx.core.put(layout::payload(my, 0), &data[lo..hi], f).await;
                 self.windows.lprg.add((hi - lo) as i64);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || {
-                    &ctx.label
-                });
+                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
                 // ... and trigger the prefetch into the host cache.
                 if self.prefetch {
                     ctx.core
@@ -488,10 +483,10 @@ impl PointToPoint for CachedGetProtocol {
                         )
                         .await;
                 }
-                ctx.core.flag_write_f(layout::sent_flag(peer, me), cnt, f).await;
+                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
                 last = cnt;
             }
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "mpb_wait",
@@ -500,8 +495,8 @@ impl PointToPoint for CachedGetProtocol {
                 || fields![flag = "consumed", target = last],
             );
             flag_wait_reached(ctx, layout::ready_flag(my, dest), last).await;
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "lprg_send", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "lprg_send", f, || &ctx.label);
         })
     }
 
@@ -521,7 +516,7 @@ impl PointToPoint for CachedGetProtocol {
             let peer = ctx.session.who(src);
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "lprg_recv",
@@ -531,7 +526,7 @@ impl PointToPoint for CachedGetProtocol {
             );
             for (lo, hi) in chunk_ranges(buf.len(), LPRG_CHUNK) {
                 let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_poll",
@@ -540,9 +535,8 @@ impl PointToPoint for CachedGetProtocol {
                     || fields![flag = "sent", target = cnt],
                 );
                 flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace
-                    .end_f(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                trace.begin_f(
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_get",
@@ -552,13 +546,13 @@ impl PointToPoint for CachedGetProtocol {
                 );
                 ctx.core.cl1invmb().await;
                 // Remote get, served by the host software cache.
-                ctx.core.get_f(layout::payload(peer, 0), &mut buf[lo..hi], f).await;
+                ctx.core.get(layout::payload(peer, 0), &mut buf[lo..hi], f).await;
                 self.windows.lprg.sub((hi - lo) as i64);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
                 ctx.recv_count.borrow_mut()[src] = cnt;
-                ctx.core.flag_write_f(layout::ready_flag(peer, me), cnt, f).await;
+                ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
             }
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "lprg_recv", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "lprg_recv", f, || &ctx.label);
         })
     }
 
@@ -623,7 +617,7 @@ impl PointToPoint for VdmaProtocol {
             let peer = ctx.session.who(dest);
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "vdma_send",
@@ -641,7 +635,7 @@ impl PointToPoint for VdmaProtocol {
                 // then until the controller drained the slot we are about
                 // to overwrite (§3.3: "a core spins on a flag which is
                 // located in its on-chip memory").
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "mpb_wait",
@@ -659,12 +653,12 @@ impl PointToPoint for VdmaProtocol {
                 // (The wrap-safe comparison makes the first two packets
                 // pass immediately against the zero-initialized flag.)
                 flag_wait_reached(ctx, layout::vdma_done_flag(my), gseq.wrapping_sub(2)).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
                 // Local put into my send slot (slot parity follows the
                 // global drain sequence, since the slots are shared by
                 // all of this rank's outgoing messages)...
                 let sslot = send_slot(my, (gseq % 2) as usize);
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "sender_put",
@@ -672,11 +666,9 @@ impl PointToPoint for VdmaProtocol {
                     || &ctx.label,
                     || fields![bytes = hi - lo, slot = (gseq % 2) as u64],
                 );
-                ctx.core.put_f(sslot, &data[lo..hi], f).await;
+                ctx.core.put(sslot, &data[lo..hi], f).await;
                 self.windows.vdma_send.add((hi - lo) as i64);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || {
-                    &ctx.label
-                });
+                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
                 // ... then program the vDMA controller: address, count,
                 // control in one fused 32 B register write (Fig. 5). The
                 // flow id rides the free half of the control word, so the
@@ -704,7 +696,7 @@ impl PointToPoint for VdmaProtocol {
             // copy operation completed). Without this, a later send — even
             // an on-chip one — could overwrite a slot before the vDMA
             // captured it.
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "mpb_wait",
@@ -718,8 +710,8 @@ impl PointToPoint for VdmaProtocol {
             // And until the receiver's grants confirm the tail packets
             // were consumed (blocking RCCE semantics).
             flag_wait_reached(ctx, layout::ready_flag(my, dest), base.wrapping_add(n as u8)).await;
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "vdma_send", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "vdma_send", f, || &ctx.label);
         })
     }
 
@@ -739,7 +731,7 @@ impl PointToPoint for VdmaProtocol {
             let peer = ctx.session.who(src);
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "vdma_recv",
@@ -753,12 +745,12 @@ impl PointToPoint for VdmaProtocol {
             let n = packets.len();
             // Grant two slots up front (pipeline depth 2).
             ctx.core
-                .flag_write_f(layout::ready_flag(peer, me), base.wrapping_add(n.min(2) as u8), f)
+                .flag_write(layout::ready_flag(peer, me), base.wrapping_add(n.min(2) as u8), f)
                 .await;
             for (p0, (lo, hi)) in packets.enumerate() {
                 let seq = base.wrapping_add(p0 as u8 + 1);
                 // The vDMA controller raises my sent flag on delivery.
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_poll",
@@ -768,10 +760,9 @@ impl PointToPoint for VdmaProtocol {
                 );
                 flag_wait_reached(ctx, layout::sent_flag(my, src), seq).await;
                 self.windows.vdma_recv.add((hi - lo) as i64);
-                trace
-                    .end_f(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
                 // Local get out of my receive slot.
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_get",
@@ -780,13 +771,13 @@ impl PointToPoint for VdmaProtocol {
                     || fields![bytes = hi - lo, slot = (p0 % 2) as u64],
                 );
                 ctx.core.cl1invmb().await;
-                ctx.core.get_f(recv_slot(my, p0 % 2), &mut buf[lo..hi], f).await;
+                ctx.core.get(recv_slot(my, p0 % 2), &mut buf[lo..hi], f).await;
                 self.windows.vdma_recv.sub((hi - lo) as i64);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
                 if p0 + 3 <= n {
                     // Re-grant the slot just freed.
                     ctx.core
-                        .flag_write_f(
+                        .flag_write(
                             layout::ready_flag(peer, me),
                             base.wrapping_add(p0 as u8 + 3),
                             f,
@@ -796,7 +787,7 @@ impl PointToPoint for VdmaProtocol {
             }
             ctx.recv_count.borrow_mut()[src] = base.wrapping_add(n as u8);
             ctx.inbound_lock.unlock();
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "vdma_recv", f, || &ctx.label);
+            trace.end(ctx.core.sim().now(), Category::Protocol, "vdma_recv", f, || &ctx.label);
         })
     }
 

@@ -35,7 +35,6 @@ pub struct VsccBuilder {
     metrics: Option<Registry>,
     trace: Trace,
     monitor_fail_fast: bool,
-    poll_watchdog: Option<Cycles>,
 }
 
 impl VsccBuilder {
@@ -52,7 +51,6 @@ impl VsccBuilder {
             metrics: None,
             trace: Trace::disabled(),
             monitor_fail_fast: true,
-            poll_watchdog: None,
         }
     }
 
@@ -80,48 +78,13 @@ impl VsccBuilder {
         self
     }
 
-    /// Set the vDMA / prefetch chunk size (ablation knob).
-    pub fn dma_chunk(mut self, bytes: usize) -> Self {
-        self.host_cfg.dma_chunk = bytes;
-        self
-    }
-
-    /// Set the host WCB flush granularity (ablation knob).
-    pub fn wcb_granularity(mut self, bytes: usize) -> Self {
-        self.host_cfg.wcb_granularity = bytes;
-        self
-    }
-
     /// Install a deterministic fault-injection plan (see
-    /// [`FaultSpec::parse`] for the `VSCC_FAULTS` grammar). An inactive
-    /// spec builds no plan at all.
+    /// [`FaultSpec::parse`] for the `VSCC_FAULTS` grammar). An active
+    /// spec always runs with the recovery layer on; an inactive one
+    /// builds no plan, but its `recovery` and `watchdog` still apply
+    /// (the watchdog threads through to sessions built from this system).
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.host_cfg.faults = spec;
-        self
-    }
-
-    /// Enable (or disable) the host recovery layer: tunnel checksums with
-    /// retry/backoff, idempotent vDMA re-programming, and fast-ack
-    /// fallback demotion.
-    pub fn recovery(mut self, on: bool) -> Self {
-        self.host_cfg.recovery.enabled = on;
-        self
-    }
-
-    /// Replace the whole recovery configuration (thresholds, probe
-    /// cadence, promotion/quarantine counts — see
-    /// [`host::RecoveryConfig`](crate::host::RecoveryConfig)). Zero
-    /// timing fields still derive from the PCIe model at build time.
-    pub fn recovery_config(mut self, cfg: crate::host::RecoveryConfig) -> Self {
-        self.host_cfg.recovery = cfg;
-        self
-    }
-
-    /// Abort any single RCCE flag wait exceeding `limit` cycles with a
-    /// diagnosed timeout (threads through to sessions built from this
-    /// system).
-    pub fn poll_watchdog(mut self, limit: Cycles) -> Self {
-        self.poll_watchdog = Some(limit);
         self
     }
 
@@ -134,8 +97,7 @@ impl VsccBuilder {
 
     /// Enable structured tracing for `cats` across every layer (host,
     /// PCIe, vDMA, and the RCCE protocols of sessions built from this
-    /// system). For a flight recorder bounded to the last `N` events,
-    /// pass [`Trace::with_categories_ring`] to [`VsccBuilder::trace`].
+    /// system).
     pub fn trace_categories(mut self, cats: &[Category]) -> Self {
         self.trace = Trace::with_categories(cats);
         self
@@ -157,17 +119,24 @@ impl VsccBuilder {
 
     /// Build devices, boot them, start the communication task.
     ///
-    /// If no fault plan was configured programmatically, `VSCC_FAULTS` in
-    /// the environment installs one (the only environment variable the
-    /// library crates read): any bench or test built through this
-    /// builder can be chaos-tested without code changes.
+    /// If no active fault plan was configured programmatically,
+    /// `VSCC_FAULTS` in the environment installs one (the only
+    /// environment variable the library crates read): any bench or test
+    /// built through this builder can be chaos-tested without code
+    /// changes. The env spec supplies the fault keys, `recovery` is
+    /// OR-ed, and a programmatic `watchdog` wins over the env one.
     pub fn build(mut self) -> Vscc {
-        if !self.host_cfg.faults.is_active() {
-            if let Some(spec) = des::faultplan::spec_from_env() {
-                self.host_cfg.faults = spec;
+        let prog = &self.host_cfg.faults;
+        if !prog.is_active() {
+            if let Some(env) = des::faultplan::spec_from_env() {
+                self.host_cfg.faults = FaultSpec {
+                    recovery: env.recovery || prog.recovery,
+                    watchdog: prog.watchdog.or(env.watchdog),
+                    ..env
+                };
             }
         }
-        let poll_watchdog = self.poll_watchdog.or(self.host_cfg.faults.watchdog);
+        let poll_watchdog = self.host_cfg.faults.watchdog;
         let metrics = self.metrics.unwrap_or_default();
         let devices: Vec<Rc<SccDevice>> =
             (0..self.n_devices).map(|d| SccDevice::new(&self.sim, DeviceId(d))).collect();

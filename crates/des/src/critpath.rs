@@ -348,13 +348,13 @@ mod tests {
         let t = Trace::enabled();
         let f1 = Some(1u64);
         let f2 = Some(2u64);
-        t.begin_f(0, Category::Protocol, "send_lock", f1, || "rank0", Vec::new);
-        t.end_f(5, Category::Protocol, "send_lock", f1, || "rank0");
-        t.begin_f(5, Category::Protocol, "sender_put", f1, || "rank0", Vec::new);
-        t.end_f(20, Category::Protocol, "sender_put", f1, || "rank0");
-        t.begin_f(8, Category::Protocol, "recv_poll", f2, || "rank1", Vec::new);
-        t.end_f(30, Category::Protocol, "recv_poll", f2, || "rank1");
-        t.instant_f(40, Category::Protocol, "flag_set", f1, || "rank0", Vec::new);
+        t.begin(0, Category::Protocol, "send_lock", f1, || "rank0", Vec::new);
+        t.end(5, Category::Protocol, "send_lock", f1, || "rank0");
+        t.begin(5, Category::Protocol, "sender_put", f1, || "rank0", Vec::new);
+        t.end(20, Category::Protocol, "sender_put", f1, || "rank0");
+        t.begin(8, Category::Protocol, "recv_poll", f2, || "rank1", Vec::new);
+        t.end(30, Category::Protocol, "recv_poll", f2, || "rank1");
+        t.instant(40, Category::Protocol, "flag_set", f1, || "rank0", Vec::new);
         let tl = flow_timelines(&t);
         assert_eq!(tl.len(), 2);
         assert_eq!(tl[0].flow, 1);
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn unmatched_begin_closes_at_window_end() {
         let t = Trace::enabled();
-        t.begin_f(10, Category::Vdma, "vdma", Some(3), || "host", Vec::new);
+        t.begin(10, Category::Vdma, "vdma", Some(3), || "host", Vec::new);
         let a = run_attribution(&t, 0, 50);
         assert_eq!(a.get(Phase::Vdma), 40);
         assert_eq!(a.get(Phase::Other), 10);

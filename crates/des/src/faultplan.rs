@@ -12,19 +12,23 @@
 //!
 //! - **TLP drop / corruption / extra delay** on tunnel payload transfers.
 //!   Corruption really flips payload bytes (functional-fidelity
-//!   invariant): without recovery the garbled bytes land in the
-//!   destination MPB and application-level verification fails; with
-//!   recovery the receiver-side checksum catches it and the transfer is
-//!   retried.
+//!   invariant); the receiver-side checksum catches it and the transfer
+//!   is retried.
 //! - **Transient link-down windows**: periodic intervals during which a
 //!   PCIe port holds all traffic. Pure arithmetic over `now` — no RNG, no
 //!   timers when the spec is inactive.
 //! - **Lost fast write-acks**: an extra loss rate on top of the model's
-//!   own instability curve (`pcie::fault::FastAck`), drawn from a separate
-//!   stream so the legacy draw sequence is untouched.
+//!   own instability curve (`pcie::fault::FastAck`), drawn from the
+//!   plan's own stream so the base-instability draw sequence is untouched.
 //! - **Stuck / garbled MMIO register programming** of the vDMA engine.
 //! - **Commtask stall windows**: the host service loop stops draining its
 //!   command queue for an interval.
+//!
+//! An active plan always runs protected: the host recovery layer
+//! (checksums, retries, MMIO re-issue, fast-ack retransmit and demotion)
+//! is on whenever any fault is injected. `recovery=on` only matters
+//! without one, where it keeps the layer on against the fast-ack path's
+//! own base instability.
 //!
 //! # `VSCC_FAULTS` grammar
 //!
@@ -40,8 +44,7 @@
 //! mmio_stuck=0.001       register write silently dropped
 //! mmio_garble=0.001      register write bit-flipped in flight
 //! stall=5000@300000      commtask stalls 5000 cycles every 300000
-//! until=3000000          global end: no fault fires at/after this cycle
-//! recovery=on            enable the host recovery layer (default off)
+//! recovery=on            recovery layer on even without an active fault
 //! watchdog=2000000       flag-poll watchdog budget in cycles
 //! ```
 //!
@@ -53,7 +56,7 @@
 //! bound restricting it to a virtual-clock window: the fault fires only
 //! for `start <= now < end` (either side may be omitted — `@..50000`
 //! means "until cycle 50 000", `@50000..` means "from cycle 50 000 on").
-//! `until=<cycle>` bounds *all* keys at once. Examples:
+//! Examples:
 //!
 //! ```text
 //! ackloss=0.9@..3000000      ack storm that ends at cycle 3 000 000
@@ -164,10 +167,10 @@ pub struct FaultSpec {
     pub mmio_garble_phase: Phase,
     /// Phase bound of the commtask stall windows.
     pub stall_phase: Phase,
-    /// Global end of all injection: no fault fires at/after this cycle.
-    pub until: Option<Cycles>,
-    /// Enable the host recovery layer (checksum verify + retry/backoff,
-    /// MMIO guard verify + re-issue, fast-ack retransmit + fallback).
+    /// Keep the host recovery layer (checksum verify + retry/backoff,
+    /// MMIO guard verify + re-issue, fast-ack retransmit + fallback) on
+    /// even when no fault is injected. An active spec runs protected
+    /// regardless.
     pub recovery: bool,
     /// Flag-poll watchdog budget in cycles, if any: a rank stuck polling
     /// longer than this aborts the run with a diagnosed timeout.
@@ -198,7 +201,6 @@ impl FaultSpec {
             mmio_stuck_phase: Phase::ALWAYS,
             mmio_garble_phase: Phase::ALWAYS,
             stall_phase: Phase::ALWAYS,
-            until: None,
             recovery: false,
             watchdog: None,
         }
@@ -271,9 +273,7 @@ impl FaultSpec {
             let (key, value) =
                 part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
             let (value, key_phase) = split_phase(key, value)?;
-            if key_phase != Phase::ALWAYS
-                && matches!(key, "seed" | "until" | "recovery" | "watchdog")
-            {
+            if key_phase != Phase::ALWAYS && matches!(key, "seed" | "recovery" | "watchdog") {
                 return Err(format!("{key}: key does not take a @start..end phase bound"));
             }
             match key {
@@ -314,13 +314,11 @@ impl FaultSpec {
                     (out.stall_duration, out.stall_period) = window("stall", value)?;
                     out.stall_phase = key_phase;
                 }
-                "until" => out.until = Some(cycles("until", value)?),
                 "recovery" => {
-                    out.recovery = match value {
-                        "on" | "true" | "1" => true,
-                        "off" | "false" | "0" => false,
-                        _ => return Err(format!("recovery: expected on/off, got {value:?}")),
+                    if value != "on" {
+                        return Err(format!("recovery: expected on, got {value:?}"));
                     }
+                    out.recovery = true;
                 }
                 "watchdog" => out.watchdog = Some(cycles("watchdog", value)?),
                 _ => return Err(format!("unknown fault key {key:?}")),
@@ -389,9 +387,6 @@ impl fmt::Display for FaultSpec {
                     self.stall_phase.suffix()
                 ),
             )?;
-        }
-        if let Some(u) = self.until {
-            put(f, format!("until={u}"))?;
         }
         if self.recovery {
             put(f, "recovery=on".to_string())?;
@@ -526,14 +521,7 @@ impl FaultPlan {
 
     fn note(&self, now: Cycles, kind: &'static str, flow: Option<u64>) {
         crate::audit::record_fault(now, kind, flow.unwrap_or(0));
-        self.trace.instant_f(now, Category::Fault, kind, flow, || "fault", Vec::new);
-    }
-
-    /// Whether `key_phase` (and the global `until=` bound) admits an
-    /// injection at `now`. Pure clock arithmetic: out-of-phase cycles
-    /// cost no RNG draw.
-    fn in_phase(&self, key_phase: Phase, now: Cycles) -> bool {
-        key_phase.contains(now) && self.spec.until.is_none_or(|u| now < u)
+        self.trace.instant(now, Category::Fault, kind, flow, || "fault", Vec::new);
     }
 
     /// Draw the fault (if any) for one tunnel payload transfer. At most
@@ -542,7 +530,7 @@ impl FaultPlan {
     pub fn tlp_fault(&self, now: Cycles, flow: Option<u64>) -> Option<TlpFault> {
         let mut rng = self.tlp_rng.borrow_mut();
         if self.spec.tlp_drop_p > 0.0
-            && self.in_phase(self.spec.tlp_drop_phase, now)
+            && self.spec.tlp_drop_phase.contains(now)
             && rng.chance(self.spec.tlp_drop_p)
         {
             self.tlp_dropped.inc();
@@ -550,7 +538,7 @@ impl FaultPlan {
             return Some(TlpFault::Drop);
         }
         if self.spec.tlp_corrupt_p > 0.0
-            && self.in_phase(self.spec.tlp_corrupt_phase, now)
+            && self.spec.tlp_corrupt_phase.contains(now)
             && rng.chance(self.spec.tlp_corrupt_p)
         {
             self.tlp_corrupted.inc();
@@ -558,7 +546,7 @@ impl FaultPlan {
             return Some(TlpFault::Corrupt);
         }
         if self.spec.tlp_delay_p > 0.0
-            && self.in_phase(self.spec.tlp_delay_phase, now)
+            && self.spec.tlp_delay_phase.contains(now)
             && rng.chance(self.spec.tlp_delay_p)
         {
             self.tlp_delayed.inc();
@@ -588,7 +576,7 @@ impl FaultPlan {
     /// link comes back up. Pure arithmetic over the clock — no RNG, no
     /// timers when the window spec is zero.
     pub fn link_down_until(&self, now: Cycles) -> Option<Cycles> {
-        if !self.in_phase(self.spec.link_phase, now) {
+        if !self.spec.link_phase.contains(now) {
             return None;
         }
         Self::window_end(now, self.spec.link_down_duration, self.spec.link_down_period).inspect(
@@ -601,7 +589,7 @@ impl FaultPlan {
 
     /// If `now` falls in a commtask stall window, when the stall ends.
     pub fn stall_until(&self, now: Cycles) -> Option<Cycles> {
-        if !self.in_phase(self.spec.stall_phase, now) {
+        if !self.spec.stall_phase.contains(now) {
             return None;
         }
         Self::window_end(now, self.spec.stall_duration, self.spec.stall_period).inspect(|_| {
@@ -622,7 +610,7 @@ impl FaultPlan {
     pub fn mmio_fault(&self, now: Cycles) -> Option<MmioFault> {
         let mut rng = self.mmio_rng.borrow_mut();
         if self.spec.mmio_stuck_p > 0.0
-            && self.in_phase(self.spec.mmio_stuck_phase, now)
+            && self.spec.mmio_stuck_phase.contains(now)
             && rng.chance(self.spec.mmio_stuck_p)
         {
             self.mmio_stuck.inc();
@@ -630,7 +618,7 @@ impl FaultPlan {
             return Some(MmioFault::Stuck);
         }
         if self.spec.mmio_garble_p > 0.0
-            && self.in_phase(self.spec.mmio_garble_phase, now)
+            && self.spec.mmio_garble_phase.contains(now)
             && rng.chance(self.spec.mmio_garble_p)
         {
             self.mmio_garbled.inc();
@@ -644,7 +632,7 @@ impl FaultPlan {
     /// its own stream so `FastAck`'s legacy draw sequence is untouched.
     pub fn extra_ack_loss(&self, now: Cycles) -> bool {
         self.spec.ack_loss_p > 0.0
-            && self.in_phase(self.spec.ack_phase, now)
+            && self.spec.ack_phase.contains(now)
             && self.ack_rng.borrow_mut().chance(self.spec.ack_loss_p)
     }
 
@@ -654,7 +642,7 @@ impl FaultPlan {
     /// draw sequence seen by application writes is unchanged.
     pub fn probe_ack_loss(&self, now: Cycles) -> bool {
         self.spec.ack_loss_p > 0.0
-            && self.in_phase(self.spec.ack_phase, now)
+            && self.spec.ack_phase.contains(now)
             && self.probe_rng.borrow_mut().chance(self.spec.ack_loss_p)
     }
 
@@ -713,15 +701,16 @@ mod tests {
         assert!(FaultSpec::parse("drop=0.1@900..500").is_err());
         assert!(FaultSpec::parse("drop=0.1@a..b").is_err());
         assert!(FaultSpec::parse("seed=7@1..2").is_err());
-        assert!(FaultSpec::parse("until=5@1..2").is_err());
-        assert!(FaultSpec::parse("until=x").is_err());
+        // Removed keys and aliases stay errors, not silent no-ops.
+        assert!(FaultSpec::parse("until=5").is_err());
+        assert!(FaultSpec::parse("recovery=off").is_err());
     }
 
     #[test]
     fn parse_phase_bounds() {
         let s = FaultSpec::parse(
             "seed=3,drop=0.05@1000..2000,delay=0.1:2000@..50000,\
-             linkdown=1000@200000@0..9000000,ackloss=0.9@30000..,until=3000000",
+             linkdown=1000@200000@0..9000000,ackloss=0.9@30000..",
         )
         .unwrap();
         assert_eq!(s.tlp_drop_phase, Phase { start: 1000, end: Some(2000) });
@@ -729,7 +718,6 @@ mod tests {
         assert_eq!(s.link_phase, Phase { start: 0, end: Some(9_000_000) });
         assert_eq!((s.link_down_duration, s.link_down_period), (1000, 200_000));
         assert_eq!(s.ack_phase, Phase { start: 30_000, end: None });
-        assert_eq!(s.until, Some(3_000_000));
         // Display → parse roundtrip with every phase shape present.
         assert_eq!(FaultSpec::parse(&s.to_string()).unwrap(), s);
     }
@@ -752,17 +740,6 @@ mod tests {
             }
         }
         assert!(pb.tlp_dropped.get() > 0);
-    }
-
-    #[test]
-    fn until_ends_all_injection() {
-        let spec = FaultSpec::parse("seed=2,ackloss=1.0,until=50").unwrap();
-        let plan = FaultPlan::new(spec, Trace::disabled());
-        assert!(plan.extra_ack_loss(49));
-        assert!(!plan.extra_ack_loss(50));
-        assert!(!plan.extra_ack_loss(1_000_000));
-        assert!(plan.probe_ack_loss(49));
-        assert!(!plan.probe_ack_loss(50));
     }
 
     #[test]

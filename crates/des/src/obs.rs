@@ -890,9 +890,9 @@ mod tests {
     #[test]
     fn chrome_trace_shape() {
         let t = Trace::enabled();
-        t.begin(10, Category::Protocol, "send", || "rank0", || fields![bytes = 64u64]);
-        t.instant(12, Category::Mpb, "flag_set", || "rank1", Vec::new);
-        t.end(20, Category::Protocol, "send", || "rank0");
+        t.begin(10, Category::Protocol, "send", None, || "rank0", || fields![bytes = 64u64]);
+        t.instant(12, Category::Mpb, "flag_set", None, || "rank1", Vec::new);
+        t.end(20, Category::Protocol, "send", None, || "rank0");
         let json = chrome_trace_json(&[("run", &t)]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"process_name\""));
@@ -913,11 +913,11 @@ mod tests {
     #[test]
     fn chrome_trace_flow_events_pair_up() {
         let t = Trace::enabled();
-        t.instant_f(1, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
-        t.instant_f(5, Category::Vdma, "vdma", Some(7), || "host", Vec::new);
-        t.instant_f(9, Category::Protocol, "get", Some(7), || "rank1", Vec::new);
+        t.instant(1, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
+        t.instant(5, Category::Vdma, "vdma", Some(7), || "host", Vec::new);
+        t.instant(9, Category::Protocol, "get", Some(7), || "rank1", Vec::new);
         // A single-hop flow must not emit an unpaired "s".
-        t.instant_f(11, Category::Protocol, "lonely", Some(8), || "rank0", Vec::new);
+        t.instant(11, Category::Protocol, "lonely", Some(8), || "rank0", Vec::new);
         let json = chrome_trace_json(&[("run", &t)]);
         assert!(json.contains("\"ph\":\"s\",\"id\":7,\"ts\":1"));
         assert!(json.contains("\"ph\":\"t\",\"id\":7,\"ts\":5"));
@@ -975,10 +975,10 @@ mod tests {
     #[test]
     fn trace_lint_accepts_the_writer_and_names_violations() {
         let t = Trace::enabled();
-        t.begin(10, Category::Protocol, "send", || "rank0", Vec::new);
-        t.instant_f(12, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
-        t.instant_f(15, Category::Vdma, "get", Some(7), || "rank1", Vec::new);
-        t.end(20, Category::Protocol, "send", || "rank0");
+        t.begin(10, Category::Protocol, "send", None, || "rank0", Vec::new);
+        t.instant(12, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
+        t.instant(15, Category::Vdma, "get", Some(7), || "rank1", Vec::new);
+        t.end(20, Category::Protocol, "send", None, || "rank0");
         let json = chrome_trace_json(&[("run", &t)]);
         assert_eq!(lint_trace(&json), Vec::<String>::new());
         let names: Vec<(&str, &str)> = chrome_lines(&json).map(|e| (e.ph, e.name)).collect();
@@ -999,9 +999,9 @@ mod tests {
     #[test]
     fn chrome_trace_two_processes() {
         let a = Trace::enabled();
-        a.instant(1, Category::App, "x", || "r0", Vec::new);
+        a.instant(1, Category::App, "x", None, || "r0", Vec::new);
         let b = Trace::enabled();
-        b.instant(2, Category::App, "y", || "r0", Vec::new);
+        b.instant(2, Category::App, "y", None, || "r0", Vec::new);
         let json = chrome_trace_json(&[("blocking", &a), ("pipelined", &b)]);
         assert!(json.contains("\"pid\":0"));
         assert!(json.contains("\"pid\":1"));

@@ -19,13 +19,10 @@
 //! the actor closure, making the enabled recording path allocation-free
 //! for the actor as well.
 //!
-//! Events may carry a *flow id* (see [`Trace::instant_f`]) tying the hops
-//! of one logical message together across actors; the Chrome exporter in
-//! [`crate::obs`] turns these into flow arrows and
+//! Events may carry a *flow id* (the `flow` argument of every recording
+//! method) tying the hops of one logical message together across actors;
+//! the Chrome exporter in [`crate::obs`] turns these into flow arrows and
 //! [`crate::critpath`] reconstructs per-message timelines from them.
-//! A trace can also run as a bounded *flight recorder*
-//! ([`Trace::ring`]): only the last N events are kept, for dumping on
-//! failure without unbounded memory growth.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -248,10 +245,6 @@ struct TraceInner {
     /// Enabled-category bitmask. A `Cell` so the audit zoom window can
     /// arm every category inside its epoch and restore the mask after.
     mask: Cell<u8>,
-    /// Flight-recorder bound: keep only the last N events.
-    capacity: Option<usize>,
-    /// Events evicted by the flight-recorder bound.
-    dropped: Cell<u64>,
     /// Actor-name intern table; `Rc<str>: Borrow<str>` lets lookups
     /// avoid allocating.
     actors: RefCell<HashSet<Rc<str>>>,
@@ -303,43 +296,14 @@ impl Trace {
 
     /// An enabled trace collecting only the given categories.
     pub fn with_categories(cats: &[Category]) -> Self {
-        Self::build(cats, None)
-    }
-
-    /// A flight recorder: all categories, keeping only the last `capacity`
-    /// events. Meant to stay enabled during long runs so a failure can
-    /// dump the recent protocol history.
-    pub fn ring(capacity: usize) -> Self {
-        Self::with_categories_ring(&Category::ALL, capacity)
-    }
-
-    /// A flight recorder restricted to the given categories.
-    pub fn with_categories_ring(cats: &[Category], capacity: usize) -> Self {
-        assert!(capacity > 0, "flight recorder needs a non-zero capacity");
-        Self::build(cats, Some(capacity))
-    }
-
-    fn build(cats: &[Category], capacity: Option<usize>) -> Self {
         let mask = cats.iter().fold(0u8, |m, c| m | c.bit());
         Trace {
             inner: Some(Rc::new(TraceInner {
                 events: RefCell::new(Vec::new()),
                 mask: Cell::new(mask),
-                capacity,
-                dropped: Cell::new(0),
                 actors: RefCell::new(HashSet::new()),
             })),
         }
-    }
-
-    /// The flight-recorder bound, if this trace is a ring.
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.as_ref().and_then(|i| i.capacity)
-    }
-
-    /// Events evicted by the flight-recorder bound so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map(|i| i.dropped.get()).unwrap_or(0)
     }
 
     /// Whether any category is being collected.
@@ -396,35 +360,23 @@ impl Trace {
         if let Some(inner) = &self.inner {
             if inner.mask.get() & cat.bit() != 0 {
                 let actor = inner.resolve(actor().into());
-                let mut events = inner.events.borrow_mut();
-                if let Some(cap) = inner.capacity {
-                    if events.len() >= cap {
-                        // The ring is small by construction; shifting once
-                        // per push beats a deque for the common read path.
-                        events.remove(0);
-                        inner.dropped.set(inner.dropped.get() + 1);
-                    }
-                }
-                events.push(TraceEvent { time, actor, cat, kind, phase, flow, fields: fields() });
+                inner.events.borrow_mut().push(TraceEvent {
+                    time,
+                    actor,
+                    cat,
+                    kind,
+                    phase,
+                    flow,
+                    fields: fields(),
+                });
             }
         }
     }
 
-    /// Record a point event. `actor` and `fields` are only evaluated when
-    /// the category is enabled.
+    /// Record a point event, tagged with `flow` if it belongs to a
+    /// message. `actor` and `fields` are only evaluated when the category
+    /// is enabled.
     pub fn instant<A: Into<ActorLabel>>(
-        &self,
-        time: Cycles,
-        cat: Category,
-        kind: &'static str,
-        actor: impl FnOnce() -> A,
-        fields: impl FnOnce() -> Fields,
-    ) {
-        self.push(time, cat, SpanPhase::Instant, kind, None, actor, fields);
-    }
-
-    /// Record a point event carrying a flow id.
-    pub fn instant_f<A: Into<ActorLabel>>(
         &self,
         time: Cycles,
         cat: Category,
@@ -436,21 +388,10 @@ impl Trace {
         self.push(time, cat, SpanPhase::Instant, kind, flow, actor, fields);
     }
 
-    /// Open a span. Must be closed by [`Trace::end`] with the same actor
-    /// and kind; spans of one actor nest like a call stack.
+    /// Open a span, tagged with `flow` if it belongs to a message. Must
+    /// be closed by [`Trace::end`] with the same actor and kind; spans of
+    /// one actor nest like a call stack.
     pub fn begin<A: Into<ActorLabel>>(
-        &self,
-        time: Cycles,
-        cat: Category,
-        kind: &'static str,
-        actor: impl FnOnce() -> A,
-        fields: impl FnOnce() -> Fields,
-    ) {
-        self.push(time, cat, SpanPhase::Begin, kind, None, actor, fields);
-    }
-
-    /// Open a span carrying a flow id.
-    pub fn begin_f<A: Into<ActorLabel>>(
         &self,
         time: Cycles,
         cat: Category,
@@ -462,19 +403,9 @@ impl Trace {
         self.push(time, cat, SpanPhase::Begin, kind, flow, actor, fields);
     }
 
-    /// Close the innermost open span of `actor` with this `kind`.
+    /// Close the innermost open span of `actor` with this `kind`, tagging
+    /// the end event with `flow`.
     pub fn end<A: Into<ActorLabel>>(
-        &self,
-        time: Cycles,
-        cat: Category,
-        kind: &'static str,
-        actor: impl FnOnce() -> A,
-    ) {
-        self.push(time, cat, SpanPhase::End, kind, None, actor, Vec::new);
-    }
-
-    /// Close a span, tagging the end event with the flow id.
-    pub fn end_f<A: Into<ActorLabel>>(
         &self,
         time: Cycles,
         cat: Category,
@@ -508,17 +439,9 @@ impl Trace {
         self.with_events(|ev| ev.iter().filter(|e| e.cat == cat).cloned().collect())
     }
 
-    /// Render as an aligned text timeline (the Figure 2 view). For a
-    /// flight recorder a header states how many earlier events were
-    /// evicted, so a dump is honest about what it no longer shows.
+    /// Render as an aligned text timeline (the Figure 2 view).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if self.dropped() > 0 {
-            out.push_str(&format!(
-                "... {} earlier event(s) evicted by the flight recorder ...\n",
-                self.dropped()
-            ));
-        }
         self.with_events(|events| {
             for e in events {
                 out.push_str(&e.to_string());
@@ -540,6 +463,7 @@ mod tests {
             1,
             Category::Protocol,
             "x",
+            None,
             || -> &'static str { panic!("actor must not run") },
             || panic!("fields must not run"),
         );
@@ -551,8 +475,8 @@ mod tests {
     #[test]
     fn enabled_collects_in_order() {
         let t = Trace::enabled();
-        t.instant(5, Category::Protocol, "put", || "rank0", || fields![bytes = 64u64]);
-        t.instant(9, Category::Protocol, "get", || "rank1", Vec::new);
+        t.instant(5, Category::Protocol, "put", None, || "rank0", || fields![bytes = 64u64]);
+        t.instant(9, Category::Protocol, "get", None, || "rank1", Vec::new);
         let ev = t.events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].time, 5);
@@ -569,10 +493,11 @@ mod tests {
             1,
             Category::Protocol,
             "x",
+            None,
             || -> &'static str { panic!("filtered actor must not run") },
             || panic!("filtered fields must not run"),
         );
-        t.instant(2, Category::Pcie, "xfer", || "link0", Vec::new);
+        t.instant(2, Category::Pcie, "xfer", None, || "link0", Vec::new);
         let ev = t.events();
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].cat, Category::Pcie);
@@ -581,8 +506,8 @@ mod tests {
     #[test]
     fn spans_record_phases() {
         let t = Trace::enabled();
-        t.begin(10, Category::Vdma, "dma", || "vdma0", || fields![bytes = 4096u64]);
-        t.end(25, Category::Vdma, "dma", || "vdma0");
+        t.begin(10, Category::Vdma, "dma", None, || "vdma0", || fields![bytes = 4096u64]);
+        t.end(25, Category::Vdma, "dma", None, || "vdma0");
         let ev = t.events();
         assert_eq!(ev[0].phase, SpanPhase::Begin);
         assert_eq!(ev[1].phase, SpanPhase::End);
@@ -592,9 +517,9 @@ mod tests {
     #[test]
     fn filter_by_actor() {
         let t = Trace::enabled();
-        t.instant(1, Category::App, "x", || "a", Vec::new);
-        t.instant(2, Category::App, "y", || "b", Vec::new);
-        t.instant(3, Category::App, "z", || "a", Vec::new);
+        t.instant(1, Category::App, "x", None, || "a", Vec::new);
+        t.instant(2, Category::App, "y", None, || "b", Vec::new);
+        t.instant(3, Category::App, "z", None, || "a", Vec::new);
         assert_eq!(t.events_of("a").len(), 2);
         assert_eq!(t.events_in(Category::App).len(), 3);
     }
@@ -602,8 +527,8 @@ mod tests {
     #[test]
     fn render_contains_all_lines() {
         let t = Trace::enabled();
-        t.instant(1, Category::Protocol, "one", || "a", || fields![n = 7u64]);
-        t.begin(2, Category::Mpb, "two", || "b", Vec::new);
+        t.instant(1, Category::Protocol, "one", None, || "a", || fields![n = 7u64]);
+        t.begin(2, Category::Mpb, "two", None, || "b", Vec::new);
         let s = t.render();
         assert!(s.contains("one") && s.contains("two"));
         assert!(s.contains("n=7"));
@@ -613,10 +538,10 @@ mod tests {
     #[test]
     fn flow_ids_recorded_and_rendered() {
         let t = Trace::enabled();
-        t.instant_f(1, Category::Protocol, "put", Some(42), || "rank0", Vec::new);
-        t.begin_f(2, Category::Vdma, "dma", Some(42), || "host", Vec::new);
-        t.end_f(3, Category::Vdma, "dma", Some(42), || "host");
-        t.instant(4, Category::Protocol, "idle", || "rank1", Vec::new);
+        t.instant(1, Category::Protocol, "put", Some(42), || "rank0", Vec::new);
+        t.begin(2, Category::Vdma, "dma", Some(42), || "host", Vec::new);
+        t.end(3, Category::Vdma, "dma", Some(42), || "host");
+        t.instant(4, Category::Protocol, "idle", None, || "rank1", Vec::new);
         let ev = t.events();
         assert_eq!(ev[0].flow, Some(42));
         assert_eq!(ev[1].flow, Some(42));
@@ -626,25 +551,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_only_last_n() {
-        let t = Trace::ring(3);
-        for i in 0..10u64 {
-            t.instant(i, Category::App, "tick", || "a", || fields![i = i]);
-        }
-        let ev = t.events();
-        assert_eq!(ev.len(), 3);
-        assert_eq!(ev[0].time, 7);
-        assert_eq!(ev[2].time, 9);
-        assert_eq!(t.dropped(), 7);
-        assert_eq!(t.capacity(), Some(3));
-        assert!(t.render().starts_with("... 7 earlier event(s) evicted"));
-    }
-
-    #[test]
     fn with_events_avoids_clone_and_filters_match() {
         let t = Trace::enabled();
-        t.instant(1, Category::App, "x", || "a", Vec::new);
-        t.instant(2, Category::Pcie, "y", || "b", Vec::new);
+        t.instant(1, Category::App, "x", None, || "a", Vec::new);
+        t.instant(2, Category::Pcie, "y", None, || "b", Vec::new);
         let n = t.with_events(|ev| ev.len());
         assert_eq!(n, 2);
         assert_eq!(t.events_in(Category::Pcie).len(), 1);

@@ -117,21 +117,6 @@ impl PcieModel {
         self.routed_line_round_trip()
     }
 
-    /// Floor of the *adaptive* per-pair retry timeout (one routed round
-    /// trip): however fast a pair's measured RT gets, a timeout below one
-    /// legitimate round trip would retry live transfers.
-    pub fn adaptive_timeout_floor(&self) -> Cycles {
-        self.routed_line_round_trip()
-    }
-
-    /// Ceiling of the adaptive per-pair retry timeout (eight routed round
-    /// trips): congestion can stretch the EWMA arbitrarily, but a genuine
-    /// loss must still resolve well inside any watchdog budget, so the
-    /// budget never exceeds 2× the static default.
-    pub fn adaptive_timeout_ceiling(&self) -> Cycles {
-        8 * self.routed_line_round_trip()
-    }
-
     /// Base interval between health-probe canaries on a demoted pair
     /// (sixteen routed round trips ≈ 160 k cycles): rare enough that
     /// probe traffic is negligible against any application stream, dense
@@ -176,14 +161,6 @@ mod tests {
     fn host_answer_is_much_faster_than_routing() {
         let m = PcieModel::default();
         assert!(m.host_answered_round_trip() * 4 < m.routed_line_round_trip());
-    }
-
-    #[test]
-    fn adaptive_timeout_band_brackets_static_default() {
-        let m = PcieModel::default();
-        assert!(m.adaptive_timeout_floor() <= m.retry_timeout_cycles());
-        assert!(m.retry_timeout_cycles() <= m.adaptive_timeout_ceiling());
-        assert!(m.adaptive_timeout_floor() >= m.routed_line_round_trip());
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Rcce {
         // Flow allocation order matches lock-holder order because the
         // send lock is a FIFO semaphore (determinism invariant #1).
         let flow = self.ctx.session.next_send_flow(me, dest);
-        trace.begin_f(
+        trace.begin(
             self.now(),
             des::trace::Category::Protocol,
             "send_lock",
@@ -91,7 +91,7 @@ impl Rcce {
             || des::fields![dest = dest, bytes = data.len()],
         );
         lock.lock().await;
-        trace.end_f(self.now(), des::trace::Category::Protocol, "send_lock", Some(flow), || {
+        trace.end(self.now(), des::trace::Category::Protocol, "send_lock", Some(flow), || {
             self.ctx.label.clone()
         });
         metrics.send_lock_wait.add(self.now() - start);
@@ -134,18 +134,18 @@ impl Rcce {
     /// byte `offset`.
     pub async fn put(&self, target: usize, offset: usize, data: &[u8]) {
         let who = self.ctx.session.who(target);
-        self.ctx.core.put(layout::payload(who, offset), data).await;
+        self.ctx.core.put(layout::payload(who, offset), data, None).await;
     }
 
     /// `RCCE_get`: copy from `target` rank's payload area into `buf`.
     pub async fn get(&self, target: usize, offset: usize, buf: &mut [u8]) {
         let who = self.ctx.session.who(target);
-        self.ctx.core.get(layout::payload(who, offset), buf).await;
+        self.ctx.core.get(layout::payload(who, offset), buf, None).await;
     }
 
     /// `RCCE_flag_write` on an arbitrary MPB address.
     pub async fn flag_write(&self, addr: MpbAddr, value: u8) {
-        self.ctx.core.flag_write(addr, value).await;
+        self.ctx.core.flag_write(addr, value, None).await;
     }
 
     /// `RCCE_flag_read` (invalidate + read).

@@ -44,7 +44,7 @@ impl Rcce {
         while dist < n {
             let to = (me + dist) % n;
             let to_who = self.ctx.session.who(to);
-            self.ctx.core.flag_write(layout::barrier_flag(to_who, round), gen).await;
+            self.ctx.core.flag_write(layout::barrier_flag(to_who, round), gen, None).await;
             flag_wait_reached(&self.ctx, layout::barrier_flag(my, round), gen).await;
             round += 1;
             dist <<= 1;

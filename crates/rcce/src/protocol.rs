@@ -104,7 +104,7 @@ fn poll_watchdog_trip(ctx: &RankCtx, addr: scc::geometry::MpbAddr, target: u8, s
         now - start
     );
     session.note_poll_timeout();
-    session.trace().instant_f(
+    session.trace().instant(
         now,
         Category::Fault,
         "poll_watchdog",
@@ -121,13 +121,14 @@ fn poll_watchdog_trip(ctx: &RankCtx, addr: scc::geometry::MpbAddr, target: u8, s
         },
     );
     eprintln!("{msg}");
-    let tail = session.trace().events();
-    if !tail.is_empty() {
-        eprintln!("recent trace events:");
-        for ev in tail.iter().rev().take(25).rev() {
-            eprintln!("  {ev}");
+    session.trace().with_events(|events| {
+        if !events.is_empty() {
+            eprintln!("recent trace events:");
+            for ev in &events[events.len().saturating_sub(25)..] {
+                eprintln!("  {ev}");
+            }
         }
-    }
+    });
     sim.abort(msg);
 }
 
@@ -198,7 +199,7 @@ impl PointToPoint for BlockingProtocol {
             let trace = ctx.session.trace().clone();
             let f = Some(flow);
             for (lo, hi) in chunk_ranges(data.len(), self.chunk) {
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "chunk",
@@ -206,7 +207,7 @@ impl PointToPoint for BlockingProtocol {
                     || &ctx.label,
                     || fields![bytes = hi - lo, dest = dest],
                 );
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "sender_put",
@@ -214,16 +215,14 @@ impl PointToPoint for BlockingProtocol {
                     || &ctx.label,
                     || fields![bytes = hi - lo, target = "local_mpb"],
                 );
-                ctx.core.put_f(layout::payload(my, self.window_off), &data[lo..hi], f).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || {
-                    &ctx.label
-                });
+                ctx.core.put(layout::payload(my, self.window_off), &data[lo..hi], f).await;
+                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
                 let cnt = {
                     let mut sc = ctx.sent_count.borrow_mut();
                     sc[dest] = sc[dest].wrapping_add(1);
                     sc[dest]
                 };
-                trace.instant_f(
+                trace.instant(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "flag_set",
@@ -231,8 +230,8 @@ impl PointToPoint for BlockingProtocol {
                     || &ctx.label,
                     || fields![flag = "sent", src = me, value = cnt, at_rank = dest],
                 );
-                ctx.core.flag_write_f(layout::sent_flag(peer, me), cnt, f).await;
-                trace.begin_f(
+                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "mpb_wait",
@@ -241,8 +240,8 @@ impl PointToPoint for BlockingProtocol {
                     || fields![flag = "ready", target = cnt],
                 );
                 flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "chunk", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+                trace.end(ctx.core.sim().now(), Category::Protocol, "chunk", f, || &ctx.label);
             }
         })
     }
@@ -262,7 +261,7 @@ impl PointToPoint for BlockingProtocol {
             let f = Some(flow);
             for (lo, hi) in chunk_ranges(buf.len(), self.chunk) {
                 let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_poll",
@@ -271,9 +270,8 @@ impl PointToPoint for BlockingProtocol {
                     || fields![flag = "sent", target = cnt],
                 );
                 flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace
-                    .end_f(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                trace.begin_f(
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_get",
@@ -283,11 +281,11 @@ impl PointToPoint for BlockingProtocol {
                 );
                 // The payload lines may be cached from the previous chunk.
                 ctx.core.cl1invmb().await;
-                ctx.core.get_f(layout::payload(peer, self.window_off), &mut buf[lo..hi], f).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                ctx.core.get(layout::payload(peer, self.window_off), &mut buf[lo..hi], f).await;
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
                 ctx.recv_count.borrow_mut()[src] = cnt;
-                ctx.core.flag_write_f(layout::ready_flag(peer, me), cnt, f).await;
-                trace.instant_f(
+                ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
+                trace.instant(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "flag_set",
@@ -362,7 +360,7 @@ impl PointToPoint for PipelinedProtocol {
                 // Flow control: slot p%2 is free once packet p-2 was
                 // consumed, i.e. ready has reached base + p - 1.
                 if p >= PIPELINE_SLOTS {
-                    trace.begin_f(
+                    trace.begin(
                         ctx.core.sim().now(),
                         Category::Protocol,
                         "mpb_wait",
@@ -376,11 +374,11 @@ impl PointToPoint for PipelinedProtocol {
                         base.wrapping_add((p - 1) as u8),
                     )
                     .await;
-                    trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || {
+                    trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || {
                         &ctx.label
                     });
                 }
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "sender_put",
@@ -388,16 +386,14 @@ impl PointToPoint for PipelinedProtocol {
                     || &ctx.label,
                     || fields![pkt = p, bytes = hi - lo, slot = p % 2],
                 );
-                ctx.core.put_f(self.slot_addr(my, p % PIPELINE_SLOTS), &data[lo..hi], f).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || {
-                    &ctx.label
-                });
+                ctx.core.put(self.slot_addr(my, p % PIPELINE_SLOTS), &data[lo..hi], f).await;
+                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
                 let cnt = base.wrapping_add(p as u8 + 1);
-                ctx.core.flag_write_f(layout::sent_flag(peer, me), cnt, f).await;
+                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
             }
             let total = base.wrapping_add(n_packets as u8);
             ctx.sent_count.borrow_mut()[dest] = total;
-            trace.begin_f(
+            trace.begin(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "mpb_wait",
@@ -406,8 +402,8 @@ impl PointToPoint for PipelinedProtocol {
                 || fields![flag = "ready", target = total],
             );
             flag_wait_reached(ctx, layout::ready_flag(my, dest), total).await;
-            trace.end_f(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-            trace.instant_f(
+            trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
+            trace.instant(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "pipe_send_done",
@@ -436,7 +432,7 @@ impl PointToPoint for PipelinedProtocol {
             let f = Some(flow);
             for (p, (lo, hi)) in ranges.enumerate() {
                 let cnt = base.wrapping_add(p as u8 + 1);
-                trace.begin_f(
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_poll",
@@ -445,9 +441,8 @@ impl PointToPoint for PipelinedProtocol {
                     || fields![flag = "sent", pkt = p],
                 );
                 flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace
-                    .end_f(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                trace.begin_f(
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
+                trace.begin(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "recv_get",
@@ -456,9 +451,9 @@ impl PointToPoint for PipelinedProtocol {
                     || fields![pkt = p, bytes = hi - lo, slot = p % 2],
                 );
                 ctx.core.cl1invmb().await;
-                ctx.core.get_f(self.slot_addr(peer, p % PIPELINE_SLOTS), &mut buf[lo..hi], f).await;
-                trace.end_f(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
-                ctx.core.flag_write_f(layout::ready_flag(peer, me), cnt, f).await;
+                ctx.core.get(self.slot_addr(peer, p % PIPELINE_SLOTS), &mut buf[lo..hi], f).await;
+                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
             }
             ctx.recv_count.borrow_mut()[src] = base.wrapping_add(n_packets as u8);
         })

@@ -289,7 +289,7 @@ impl RankCtx {
     pub fn enter_send(&self, flow: u64) {
         if self.in_send.replace(true) {
             let me = self.rank;
-            self.session.trace().instant_f(
+            self.session.trace().instant(
                 self.session.sim().now(),
                 Category::App,
                 "monitor_violation",

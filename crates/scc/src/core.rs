@@ -87,13 +87,9 @@ impl CoreHandle {
 
     /// Stream `data` from private DRAM into the MPB at `addr` (the *put*
     /// of the gory API). Cross-device targets go through the fabric.
-    pub async fn put(&self, addr: MpbAddr, data: &[u8]) {
-        self.put_f(addr, data, None).await;
-    }
-
-    /// [`CoreHandle::put`] tagged with the message's flow id (provenance
-    /// for the fabric and the store monitor; no timing difference).
-    pub async fn put_f(&self, addr: MpbAddr, data: &[u8], flow: Option<u64>) {
+    /// `flow` tags the message for the fabric and the store monitor
+    /// (provenance only; no timing difference).
+    pub async fn put(&self, addr: MpbAddr, data: &[u8], flow: Option<u64>) {
         assert!(addr.offset as usize + data.len() <= MPB_BYTES, "put overruns MPB region");
         let cost = &self.device.cost;
         let n = lines(data.len());
@@ -123,12 +119,8 @@ impl CoreHandle {
 
     /// Stream from the MPB at `addr` into private DRAM (the *get* of the
     /// gory API). Reads pass through L1: cached lines are served stale.
-    pub async fn get(&self, addr: MpbAddr, buf: &mut [u8]) {
-        self.get_f(addr, buf, None).await;
-    }
-
-    /// [`CoreHandle::get`] tagged with the message's flow id.
-    pub async fn get_f(&self, addr: MpbAddr, buf: &mut [u8], flow: Option<u64>) {
+    /// `flow` tags the message, as for [`CoreHandle::put`].
+    pub async fn get(&self, addr: MpbAddr, buf: &mut [u8], flow: Option<u64>) {
         assert!(addr.offset as usize + buf.len() <= MPB_BYTES, "get overruns MPB region");
         let n = lines(buf.len());
         let dram = n * self.device.cost.dram_line;
@@ -237,13 +229,9 @@ impl CoreHandle {
     }
 
     /// Write a one-byte synchronization flag at `addr`. Flushes the WCB
-    /// first (a flag write must not linger in the combine buffer).
-    pub async fn flag_write(&self, addr: MpbAddr, value: u8) {
-        self.flag_write_f(addr, value, None).await;
-    }
-
-    /// [`CoreHandle::flag_write`] tagged with the message's flow id.
-    pub async fn flag_write_f(&self, addr: MpbAddr, value: u8, flow: Option<u64>) {
+    /// first (a flag write must not linger in the combine buffer). `flow`
+    /// tags the message, as for [`CoreHandle::put`].
+    pub async fn flag_write(&self, addr: MpbAddr, value: u8, flow: Option<u64>) {
         self.wcb.flush();
         let cost = &self.device.cost;
         if self.is_local_device(addr) {
@@ -364,9 +352,9 @@ mod tests {
                 let c0 = CoreHandle::new(&dev, CoreId(0));
                 let addr = MpbAddr::new(dev.global(CoreId(0)), 128);
                 let data: Vec<u8> = (0..200u16).map(|x| x as u8).collect();
-                c0.put(addr, &data).await;
+                c0.put(addr, &data, None).await;
                 let mut back = vec![0u8; 200];
-                c0.get(addr, &mut back).await;
+                c0.get(addr, &mut back, None).await;
                 assert_eq!(back, data);
             })
             .unwrap();
@@ -380,7 +368,7 @@ mod tests {
             .block_on(async move {
                 let c0 = CoreHandle::new(&dev, CoreId(0));
                 let addr = MpbAddr::new(dev.global(CoreId(0)), 0);
-                c0.put(addr, &[0u8; 4096]).await;
+                c0.put(addr, &[0u8; 4096], None).await;
                 c0.sim().now()
             })
             .unwrap();
@@ -502,7 +490,7 @@ mod tests {
                 let c1 = CoreHandle::new(&dev, CoreId(1));
                 c1.sim().delay(1000).await;
                 let flag = MpbAddr::new(dev.global(CoreId(0)), 0);
-                c1.flag_write(flag, 1).await;
+                c1.flag_write(flag, 1, None).await;
             }
         });
         sim.run().unwrap();
@@ -515,7 +503,7 @@ mod tests {
             .block_on(async move {
                 let c0 = CoreHandle::new(&dev, CoreId(0));
                 let flag = MpbAddr::new(dev.global(CoreId(0)), 32);
-                c0.flag_write(flag, 5).await;
+                c0.flag_write(flag, 5, None).await;
                 c0.flag_wait(flag, 5).await; // must not deadlock
             })
             .unwrap();
@@ -567,9 +555,9 @@ mod tests {
                 let c = CoreHandle::new(&dev, CoreId(0));
                 let base = dev.global(CoreId(0));
                 // Write a pattern, read back at an unaligned offset/length.
-                c.put(MpbAddr::new(base, 0), &(0..255u8).collect::<Vec<_>>()).await;
+                c.put(MpbAddr::new(base, 0), &(0..255u8).collect::<Vec<_>>(), None).await;
                 let mut buf = vec![0u8; 100];
-                c.get(MpbAddr::new(base, 17), &mut buf).await;
+                c.get(MpbAddr::new(base, 17), &mut buf, None).await;
                 let expect: Vec<u8> = (17..117u8).collect();
                 assert_eq!(buf, expect);
             })

@@ -31,6 +31,14 @@ echo "== heal-and-repromote smoke (storm-then-quiet must end re-promoted) =="
 # demoted at exit, and the audited rerun byte-identical (DESIGN.md §5h).
 cargo test -q --test chaos demoted_pair_heals_after_the_storm_ends
 
+echo "== recovery harnesses (tbl_stability, fig_recovery headline asserts) =="
+# The only non-test builders of recovered systems: the stability table's
+# recovered rows and the storm -> demote -> probe -> re-promote figure.
+# Each runs in well under a second and panics if its headline shape
+# breaks (the asserts are skipped when VSCC_FAULTS is set).
+cargo bench -q -p vscc-bench --bench tbl_stability >/dev/null
+cargo bench -q -p vscc-bench --bench fig_recovery >/dev/null
+
 echo "== golden exports (fault-free runs byte-identical to committed goldens) =="
 # The health plane must be inert without an active fault plan: any drift
 # in these fixed-seed trace/metrics/timeseries/audit exports means the

@@ -113,12 +113,23 @@ fn acceptable(result: &Result<Vec<bool>, SimError>) -> bool {
     }
 }
 
-/// ISSUE acceptance criterion: a seeded fault plan corrupting a tunnel
-/// payload is (a) detected by the checksum, (b) retried and recovered,
-/// (c) visible as `host.retry.*` metrics and `Fault`-category trace
-/// events.
+/// A seeded fault plan corrupting a tunnel payload is (a) detected by
+/// the checksum, (b) retried and recovered, (c) visible as
+/// `host.retry.*` metrics and `Fault`-category trace events. An active
+/// plan always runs protected, so the same plan without `recovery=on`
+/// recovers too instead of delivering the garbled bytes.
 #[test]
 fn corrupted_tunnel_payload_is_detected_retried_and_recovered() {
+    let unflagged = pingpong_chaos(
+        CommScheme::LocalPutLocalGet,
+        &format!("seed=11,corrupt=0.2,{WATCHDOG}"),
+        6000,
+        8,
+    );
+    let oks = unflagged.result.expect("an active plan must run protected");
+    assert!(oks.iter().all(|&ok| ok), "without recovery=on every payload must still verify");
+    assert!(unflagged.checksum_detected > 0, "without recovery=on the checksum must still run");
+
     let r = pingpong_chaos(
         CommScheme::LocalPutLocalGet,
         &format!("seed=11,corrupt=0.2,recovery=on,{WATCHDOG}"),
@@ -185,15 +196,11 @@ fn demoted_pair_heals_after_the_storm_ends() {
         let sim = Sim::new();
         // Dense probing so the heal-and-repromote arc fits a fast test;
         // production cadence comes from the PCIe model (DESIGN.md §5h).
-        let rc = vscc::host::RecoveryConfig {
-            probe_interval: 20_000,
-            probe_backoff_max: 160_000,
-            ..Default::default()
-        };
+        let recovery =
+            vscc::host::RecoveryConfig { probe_interval: 20_000, probe_backoff_max: 160_000 };
         let v = VsccBuilder::new(&sim, 2)
             .scheme(CommScheme::RemotePutHwAck)
-            .recovery_config(rc)
-            .faults(spec)
+            .host_config(vscc::host::HostConfig { faults: spec, recovery, ..Default::default() })
             .build();
         let a = v.devices[0].global(CoreId(0));
         let b = v.devices[1].global(CoreId(0));

@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
+use des::faultplan::FaultSpec;
 use des::timer::TimerQueue;
 use des::Sim;
 use vscc::{CommScheme, VsccBuilder};
@@ -216,7 +217,8 @@ fn clean_watchdogged_run_leaves_clock_at_app_completion() {
     let sim = Sim::new();
     let v = VsccBuilder::new(&sim, 2)
         .scheme(CommScheme::LocalPutLocalGet)
-        .poll_watchdog(50_000_000) // generous: must never trip
+        // Generous: must never trip.
+        .faults(FaultSpec { watchdog: Some(50_000_000), ..FaultSpec::none() })
         .build();
     let a = v.devices[0].global(scc::geometry::CoreId(0));
     let b = v.devices[1].global(scc::geometry::CoreId(0));
