@@ -941,19 +941,22 @@ impl HostSide {
     }
 
     /// One fully transparent routed line round trip (the 2012 baseline).
+    ///
+    /// Each leg into the daemon is one sleep: the line's arrival and the
+    /// daemon's forward time are a single deadline, since nothing happens
+    /// between them that the task could observe (DESIGN.md §5d).
     async fn routed_round_trip(&self, requester: DeviceId, target: DeviceId, flow: Option<u64>) {
         let sim = &self.sim;
         let m = &self.cfg.model;
+        let line = LINE_BYTES as u64;
         let rport = self.fabric.port(requester);
         let tport = self.fabric.port(target);
         // Request: requester SIF out -> daemon -> target SIF in.
-        rport.egress.transfer(sim, LINE_BYTES as u64).await;
-        sim.delay(m.sw_forward_cycles).await;
-        tport.ingress.transfer(sim, LINE_BYTES as u64).await;
+        sim.delay_until(rport.egress.reserve(sim, line) + m.sw_forward_cycles).await;
+        tport.ingress.transfer(sim, line).await;
         // Response: target SIF out -> daemon -> requester SIF in.
-        tport.egress.transfer(sim, LINE_BYTES as u64).await;
-        sim.delay(m.sw_forward_cycles).await;
-        rport.ingress.transfer(sim, LINE_BYTES as u64).await;
+        sim.delay_until(tport.egress.reserve(sim, line) + m.sw_forward_cycles).await;
+        rport.ingress.transfer(sim, line).await;
         self.stats.routed_lines.inc();
         self.trace.instant(
             sim.now(),
@@ -964,6 +967,14 @@ impl HostSide {
             || fields![target_dev = target.0 as u64],
         );
     }
+}
+
+/// MPB lines that `len` bytes at `offset` touch, at least one: the
+/// routed path's round-trip count. A span that straddles a line
+/// boundary touches one line more than `len / LINE_BYTES` rounds up to.
+fn lines_spanned(offset: u16, len: usize) -> usize {
+    let start = offset as usize;
+    ((start + len).div_ceil(LINE_BYTES) - start / LINE_BYTES).max(1)
 }
 
 impl RemoteFabric for HostSide {
@@ -1025,7 +1036,7 @@ impl RemoteFabric for HostSide {
                 out.freeze()
             } else {
                 // Transparent routing: one blocking round trip per line.
-                let n_lines = len.div_ceil(LINE_BYTES).max(1);
+                let n_lines = lines_spanned(addr.offset, len);
                 self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                     fields![bytes = len as u64, lines = n_lines as u64]
                 });
@@ -1069,7 +1080,7 @@ impl RemoteFabric for HostSide {
             match self.scheme {
                 CommScheme::SimpleRouting => {
                     // Write-with-acknowledge per line: full round trips.
-                    let n_lines = data.len().div_ceil(LINE_BYTES).max(1);
+                    let n_lines = lines_spanned(addr.offset, data.len());
                     self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
                         fields![bytes = data.len() as u64, lines = n_lines as u64]
                     });

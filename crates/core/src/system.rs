@@ -407,6 +407,26 @@ mod tests {
     }
 
     #[test]
+    fn routed_put_charges_every_line_it_touches() {
+        // 32 bytes at payload offset 100 cover MPB bytes 612..644: they
+        // straddle a line boundary, so the routed path makes two round
+        // trips, not the one `32 / LINE_BYTES` suggests.
+        let sim = Sim::new();
+        let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::SimpleRouting).build();
+        let d0 = v.devices[0].global(scc::geometry::CoreId(0));
+        let d1 = v.devices[1].global(scc::geometry::CoreId(0));
+        let s = v.session_builder().participants(vec![d0, d1]).build();
+        let before = v.host.stats.routed_lines.get();
+        s.run_app(|r| async move {
+            if r.id() == 0 {
+                r.put(1, 100, &[42u8; 32]).await;
+            }
+        })
+        .unwrap();
+        assert_eq!(v.host.stats.routed_lines.get() - before, 2);
+    }
+
+    #[test]
     fn vdma_ops_counted() {
         let (_sim, s) = cross_pair_session(CommScheme::LocalPutLocalGet);
         s.run_app(|r| async move {

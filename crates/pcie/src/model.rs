@@ -1,7 +1,7 @@
 //! Calibrated parameters of the PCIe tunnel.
 //!
 //! Calibration targets (DESIGN.md §5): a routed per-line round trip of
-//! ~12 k core cycles (the paper's "factor 120" over ~100-cycle on-chip
+//! ~10 k core cycles (the paper's "factor 120" over ~100-cycle on-chip
 //! access), a SIF stream ceiling of ~42 MB/s, and a host-answered MMIO read
 //! of ~600 cycles. The experiment harnesses assert the resulting
 //! throughput *bands*, not exact points.
@@ -75,6 +75,15 @@ impl PcieModel {
     /// Round-trip cycles of one *routed* (transparent) line request:
     /// requester SIF out, PCIe, daemon forward, PCIe, target SIF in, and
     /// the response retracing the path.
+    ///
+    /// This is the nominal 10,000 cycles, not what a simulated line
+    /// costs: it leaves out `per_transfer_cycles` on the four SIF
+    /// crossings, so an uncontended routed line in `vscc::host` takes
+    /// 4 × (400 + 150 + 600) + 2 × 3,000 = 10,600 cycles. The value is
+    /// kept because the retry timeout, the retry backoff base, the probe
+    /// interval, the fast-ack loss penalty and the latency-factor
+    /// calibration all derive from it; changing it would move the
+    /// fault-storm results.
     pub fn routed_line_round_trip(&self) -> Cycles {
         2 * (self.sif_packet_cycles + self.hw_latency) // request out + into target
             + self.sw_forward_cycles
@@ -101,7 +110,7 @@ impl PcieModel {
     }
 
     /// Per-attempt timeout before the recovery layer retries a tunnel
-    /// transfer: four routed round trips (~48 k cycles). Rationale: the
+    /// transfer: four routed round trips (40 k cycles). Rationale: the
     /// slowest legitimate single-line exchange is one routed round trip;
     /// 4× leaves room for queueing behind a concurrent stream without
     /// declaring a live transfer lost, while still resolving a genuine

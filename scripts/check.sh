@@ -66,15 +66,24 @@ cargo run -q --example vscc_obs -- lint "$OBS_TMP/a"
 cargo run -q --example vscc_obs -- diff "$OBS_TMP/a" "$OBS_TMP/b"
 cargo run -q --example vscc_obs -- report "$OBS_TMP/a" | cmp - "$OBS_TMP/a/report.md"
 
-echo "== benchmark smoke (all six workloads at ~1/20 scale: no failed op, digests match) =="
-# Exits non-zero on a failed op or a digest mismatch. The benchmark
-# refuses any VSCC_* variable (exit 2), so they are unset for this stage
-# only — VSCC_PERF_SKIP and friends still apply to the stages around it.
+echo "== benchmark smoke (all six workloads at ~1/20 scale: no failed op, digests pinned) =="
+# Exits non-zero on a failed op or a digest mismatch between passes. The
+# benchmark refuses any VSCC_* variable (exit 2), so they are unset for
+# this stage only — VSCC_PERF_SKIP and friends still apply to the stages
+# around it. Each workload's des.sim_digest must then equal its line in
+# tests/goldens/bench_smoke_digests.txt: a simulator-only change leaves
+# the simulated results alone. That file's header says how to regenerate
+# it after a deliberate model change.
 (
     for v in $(compgen -e | grep '^VSCC_' || true); do unset "$v"; done
     cargo run --release -q --offline \
-        --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml -- --smoke >/dev/null
-)
+        --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml -- --smoke
+) | awk '/^vscc_benchmark: workload=/ { sub("workload=", "", $2); w = $2 }
+         /^  des.sim_digest / { print w, $2 }' >"$OBS_TMP/smoke_digests.txt"
+grep -v '^#' tests/goldens/bench_smoke_digests.txt | diff - "$OBS_TMP/smoke_digests.txt" || {
+    echo "benchmark --smoke sim_digest differs from tests/goldens/bench_smoke_digests.txt"
+    exit 1
+}
 
 if [ "${VSCC_PERF_SKIP:-}" = "1" ]; then
     echo "== perf smoke: skipped (VSCC_PERF_SKIP=1) =="

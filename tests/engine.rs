@@ -1,6 +1,7 @@
 //! Engine-level regression tests: golden determinism of a fig6b-shaped
-//! run, timer-queue ordering/cancellation properties against a reference
-//! heap, and the poll-watchdog clock-accounting fix.
+//! run and of a contended routed BT run, the routed path's per-line
+//! timer budget, timer-queue ordering/cancellation properties against a
+//! reference heap, and the poll-watchdog clock-accounting fix.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -12,7 +13,9 @@ use proptest::prelude::*;
 use des::faultplan::FaultSpec;
 use des::timer::TimerQueue;
 use des::Sim;
+use scc::remote::RemoteFabric;
 use vscc::{CommScheme, VsccBuilder};
+use vscc_apps::npb::{run_bt, BtClass, BtConfig};
 use vscc_apps::pingpong;
 
 // ---------------------------------------------------------------------
@@ -60,6 +63,64 @@ fn golden_fig6b_shaped_run_is_byte_identical_and_pinned() {
         "metrics golden drifted (got {:#018x}) — model change? re-check calibration first",
         fnv1a(metrics_a.as_bytes())
     );
+}
+
+/// A contended routed run: BT class S on 16 ranks split over two devices
+/// under simple routing, so routed lines from eight ranks queue on each
+/// SIF. The fig6b golden above only covers an uncontended two-rank
+/// exchange; this pins the routed path where hops of different lines
+/// interleave on shared links.
+#[test]
+fn golden_contended_routed_bt_run_is_pinned() {
+    let sim = Sim::new();
+    let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::SimpleRouting).build();
+    let s = v.session_builder().cores_per_device(8).build();
+    let mut cfg = BtConfig::new(BtClass::S, 16);
+    cfg.measured = 2;
+    let res = run_bt(&s, &cfg).expect("routed BT run");
+    assert!(res.verified, "routed BT corrupted its payloads");
+    let metrics = v.metrics().snapshot().to_json();
+    assert_eq!(sim.now(), 39_832_219, "final cycle drifted");
+    assert_eq!(v.host.stats.routed_lines.get(), 19_152, "routed line count drifted");
+    assert_eq!(res.gflops.to_bits(), 0x3fcc_8390_ce97_4f1a, "GFLOP/s drifted: {}", res.gflops);
+    assert_eq!(
+        fnv1a(metrics.as_bytes()),
+        0x9092_09f8_71fd_67f8,
+        "metrics golden drifted (got {:#018x}) — model change? re-check calibration first",
+        fnv1a(metrics.as_bytes())
+    );
+}
+
+// ---------------------------------------------------------------------
+// Routed path event budget
+// ---------------------------------------------------------------------
+
+/// One uncontended routed read of `n` lines arms exactly four timers per
+/// line (one per hop: request into the daemon, into the target, response
+/// into the daemon, back into the requester) and costs exactly
+/// `n × 10,600` cycles: four SIF crossings of 400 + 150 + 600 cycles plus
+/// two 3,000-cycle daemon forwards. A fifth or sixth timer per line means
+/// a hop was split back into separate arrival and forward sleeps.
+#[test]
+fn routed_read_arms_one_timer_per_hop() {
+    const LINE_CYCLES: u64 = 4 * (400 + 150 + 600) + 2 * 3_000;
+    for n in [1usize, 3, 8] {
+        let sim = Sim::new();
+        let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::SimpleRouting).build();
+        let src = v.devices[0].global(scc::geometry::CoreId(0));
+        let owner = v.devices[1].global(scc::geometry::CoreId(0));
+        let addr = rcce::layout::payload(owner, 0);
+        let host = v.host.clone();
+        let (timers0, t0) = (sim.engine_stats().timers_set, sim.now());
+        sim.spawn_named("routed-read", async move {
+            let bytes = host.read(src, addr, n * scc::LINE_BYTES, None).await;
+            assert_eq!(bytes.len(), n * scc::LINE_BYTES);
+        });
+        sim.run().expect("routed read completes");
+        assert_eq!(sim.engine_stats().timers_set - timers0, 4 * n as u64, "{n} line(s)");
+        assert_eq!(sim.now() - t0, n as u64 * LINE_CYCLES, "{n} line(s)");
+        assert_eq!(v.host.stats.routed_lines.get(), n as u64);
+    }
 }
 
 // ---------------------------------------------------------------------
