@@ -28,7 +28,7 @@ use des::obs::Registry;
 use des::stats::Counter;
 use des::trace::{Category, Trace};
 use des::{Cycles, Sim};
-use pcie::{ConduitKind, ConduitTlp, FastAck, HostFabric, PcieModel};
+use pcie::{ConduitTlp, FastAck, HostFabric, PcieModel};
 use rcce::layout::{self, OFF_PAYLOAD};
 use scc::device::SccDevice;
 use scc::geometry::{DeviceId, GlobalCore, MpbAddr};
@@ -242,22 +242,11 @@ pub struct HostSide {
     devices: RefCell<Vec<Weak<SccDevice>>>,
     workers: RefCell<Vec<Sender<HostCmd>>>,
     /// Per-device doorbell queues: the host side of the latency-stamped
-    /// MMIO boundary (DESIGN.md §5i). Cores enqueue stamped conduit
-    /// TLPs; the `mmio-d<N>` actor services each at its stamped arrival,
-    /// so no control signal crosses the host↔device boundary in under
-    /// one `PcieModel::mmio_crossing_cycles()`.
-    doorbells: RefCell<Vec<Sender<DoorbellMsg>>>,
-}
-
-/// A boundary message on a device's doorbell queue.
-enum DoorbellMsg {
-    /// Posted doorbell write: decode and dispatch the register line at
-    /// its stamped arrival.
-    Write(ConduitTlp<RegisterLine>),
-    /// Non-posted status read: answer with the packed status line,
-    /// stamped back through the ingress link. The reply carries the
-    /// answer's arrival time at the reading core.
-    Read(ConduitTlp<GlobalCore>, Sender<(Cycles, [u8; LINE_BYTES])>),
+    /// MMIO boundary (DESIGN.md §5i). Cores enqueue stamped posted
+    /// doorbells; the `mmio-d<N>` actor services each at its stamped
+    /// arrival, so no doorbell reaches the host in under one
+    /// `PcieModel::mmio_crossing_cycles()`.
+    doorbells: RefCell<Vec<Sender<ConduitTlp<RegisterLine>>>>,
 }
 
 impl HostSide {
@@ -360,12 +349,12 @@ impl HostSide {
                 host.worker_loop(id, rx).await;
             });
             // The host end of the device's MMIO conduit: services each
-            // stamped doorbell/status TLP at its arrival time.
+            // stamped doorbell at its arrival time.
             let (tx, rx) = unbounded();
             doorbells.push(tx);
             let host = self.clone();
             self.sim.spawn_daemon(format!("mmio-d{}", id.0), async move {
-                host.doorbell_loop(id, rx).await;
+                host.doorbell_loop(rx).await;
             });
         }
     }
@@ -440,42 +429,16 @@ impl HostSide {
         }
     }
 
-    /// The host end of one device's MMIO conduit: each stamped control
-    /// TLP becomes visible here at its arrival time, never earlier.
+    /// The host end of one device's MMIO conduit: each stamped doorbell
+    /// becomes visible here at its arrival time, never earlier.
     /// Per-device FIFO servicing mirrors the egress link's FIFO wire, so
     /// doorbells from one device decode in issue order.
-    async fn doorbell_loop(self: Rc<Self>, device: DeviceId, rx: Receiver<DoorbellMsg>) {
-        while let Some(msg) = rx.recv().await {
-            match msg {
-                DoorbellMsg::Write(tlp) => {
-                    if self.sim.now() < tlp.arrival {
-                        self.sim.delay_until(tlp.arrival).await;
-                    }
-                    self.service_doorbell(tlp.payload).await;
-                }
-                DoorbellMsg::Read(tlp, reply) => {
-                    if self.sim.now() < tlp.arrival {
-                        self.sim.delay_until(tlp.arrival).await;
-                    }
-                    // Software answer: the daemon packs the status line,
-                    // then stamps it back through the ingress link.
-                    self.sim.delay(self.cfg.model.sw_answer_cycles).await;
-                    let data = scc::remote::pack_vdma_line(
-                        self.stats.vdma_ops.get(),
-                        self.stats.cache_updates.get(),
-                        self.stats.flag_forwards.get(),
-                        self.stats.routed_lines.get(),
-                    );
-                    let port = self.fabric.port(device);
-                    let (ans, _) = port.stamp_to_device(
-                        &self.sim,
-                        ConduitKind::StatusAnswer,
-                        LINE_BYTES as u64,
-                        data,
-                    );
-                    let _ = reply.try_send((ans.arrival, ans.payload));
-                }
+    async fn doorbell_loop(self: Rc<Self>, rx: Receiver<ConduitTlp<RegisterLine>>) {
+        while let Some(tlp) = rx.recv().await {
+            if self.sim.now() < tlp.arrival {
+                self.sim.delay_until(tlp.arrival).await;
             }
+            self.service_doorbell(tlp.payload).await;
         }
     }
 
@@ -570,7 +533,18 @@ impl HostSide {
         self.device(id).monitor()
     }
 
-    /// Subject one tunnel transfer toward (`to_device`) or from `dev` to
+    /// Install `data` at `addr` on behalf of `writer`. Every host delivery
+    /// into a device MPB goes through here, so the window and flag
+    /// monitors see each store before it lands.
+    fn store(&self, writer: GlobalCore, addr: MpbAddr, data: &[u8], flow: Option<u64>) {
+        let dev = self.device(addr.owner.device);
+        if let Some(m) = dev.monitor() {
+            m.host_write(writer, addr, data, flow);
+        }
+        dev.mpb(addr.owner.core).write(addr.offset as usize, data);
+    }
+
+    /// Subject one tunnel transfer toward (`inbound`) or from `dev` to
     /// the installed fault plan, protected by a checksum and bounded
     /// exponential-backoff retries on deterministic virtual timers.
     ///
@@ -582,7 +556,7 @@ impl HostSide {
     async fn tunnel_transfer(
         &self,
         dev: DeviceId,
-        to_device: bool,
+        inbound: bool,
         data: &Bytes,
         flow: Option<u64>,
         retries: &Counter,
@@ -642,7 +616,7 @@ impl HostSide {
             let backoff = (base << (attempt - 1)).min(16 * base);
             sim.delay(backoff).await;
             // The re-sent bytes occupy the wire again.
-            let arrival = if to_device {
+            let arrival = if inbound {
                 port.ingress.reserve(sim, data.len() as u64)
             } else {
                 port.egress.reserve(sim, data.len() as u64)
@@ -774,13 +748,7 @@ impl HostSide {
                 sim2.delay_until(drain_arrival).await;
                 let arr = host.fabric.port(src.device).ingress.reserve(&sim2, LINE_BYTES as u64);
                 sim2.delay_until(arr).await;
-                if let Some(m) = host.monitor_of(src.device) {
-                    let a = MpbAddr::new(src, layout::OFF_VDMA_DONE);
-                    m.host_write(src, a, &[drain_seq], flow);
-                }
-                host.device(src.device)
-                    .mpb(src.core)
-                    .write_byte(layout::OFF_VDMA_DONE as usize, drain_seq);
+                host.store(src, MpbAddr::new(src, layout::OFF_VDMA_DONE), &[drain_seq], flow);
                 host.trace.instant(
                     sim2.now(),
                     Category::Vdma,
@@ -816,18 +784,11 @@ impl HostSide {
                 .end(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
             return;
         };
-        if let Some(m) = self.monitor_of(dst.device) {
-            m.host_write(src, MpbAddr::new(dst, dst_off), &data, flow);
-        }
-        self.device(dst.device).mpb(dst.core).write(dst_off as usize, &data);
+        self.store(src, MpbAddr::new(dst, dst_off), &data, flow);
         // Completion flag travels as one more line on the same port.
         let flag_arrival = dport.ingress.reserve(sim, LINE_BYTES as u64);
         sim.delay_until(flag_arrival).await;
-        let flag_addr = layout::sent_flag(dst, src_rank as usize);
-        if let Some(m) = self.monitor_of(dst.device) {
-            m.host_write(src, flag_addr, &[seq], flow);
-        }
-        self.device(dst.device).mpb(dst.core).write_byte(flag_addr.offset as usize, seq);
+        self.store(src, layout::sent_flag(dst, src_rank as usize), &[seq], flow);
         self.stats.vdma_ops.inc();
         self.trace
             .end(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
@@ -886,20 +847,12 @@ impl HostSide {
         let (prev, next) = self.delivery_ticket(addr.owner.device);
         self.sim.spawn_named("flag-forward", async move {
             prev.wait().await;
-            let dev = host.device(addr.owner.device);
-            let monitor = host.monitor_of(addr.owner.device);
             for (run, arr) in runs.into_iter().zip(run_arrivals) {
                 sim.delay_until(arr).await;
-                if let Some(m) = &monitor {
-                    m.host_write(src, MpbAddr::new(addr.owner, run.offset), &run.data, flow);
-                }
-                dev.mpb(addr.owner.core).write(run.offset as usize, &run.data);
+                host.store(src, MpbAddr::new(addr.owner, run.offset), &run.data, flow);
             }
             sim.delay_until(flag_arrival).await;
-            if let Some(m) = &monitor {
-                m.host_write(src, addr, &data, flow);
-            }
-            dev.mpb(addr.owner.core).write(addr.offset as usize, &data);
+            host.store(src, addr, &data, flow);
             next.count_down();
         });
     }
@@ -932,10 +885,7 @@ impl HostSide {
                 // the deadlock detector — diagnoses the loss.
                 return;
             };
-            if let Some(m) = host.monitor_of(addr.owner.device) {
-                m.host_write(src, addr, &bytes, flow);
-            }
-            host.device(addr.owner.device).mpb(addr.owner.core).write(addr.offset as usize, &bytes);
+            host.store(src, addr, &bytes, flow);
             next.count_down();
         });
     }
@@ -1088,12 +1038,7 @@ impl RemoteFabric for HostSide {
                         self.routed_round_trip(src.device, addr.owner.device, flow).await;
                     }
                     self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
-                    if let Some(m) = self.monitor_of(addr.owner.device) {
-                        m.host_write(src, addr, &data, flow);
-                    }
-                    self.device(addr.owner.device)
-                        .mpb(addr.owner.core)
-                        .write(addr.offset as usize, &data);
+                    self.store(src, addr, &data, flow);
                 }
                 CommScheme::RemotePutHwAck => {
                     let pair = (src.device.0, addr.owner.device.0);
@@ -1227,36 +1172,11 @@ impl RemoteFabric for HostSide {
             // and the issuing core continues at wire-free time —
             // posted-write semantics, exactly like a PCIe memory write.
             let port = self.fabric.port(dev);
-            let (tlp, wire_free) =
-                port.stamp_to_host(&sim, ConduitKind::Doorbell, LINE_BYTES as u64, line);
+            let (tlp, wire_free) = port.stamp_to_host(&sim, LINE_BYTES as u64, line);
             self.doorbells.borrow()[dev.0 as usize]
-                .try_send(DoorbellMsg::Write(tlp))
+                .try_send(tlp)
                 .unwrap_or_else(|_| panic!("doorbell queue is unbounded"));
             sim.delay_until(wire_free).await;
-        })
-    }
-
-    fn mmio_read(&self, src: GlobalCore, _line: u16) -> LocalBoxFuture<'_, [u8; LINE_BYTES]> {
-        Box::pin(async move {
-            let sim = self.sim.clone();
-            let port = self.fabric.port(src.device);
-            // Non-posted status read: the request TLP crosses at its
-            // stamped arrival, the host daemon answers after its
-            // software answer time, and the completion crosses back
-            // with its own stamp. The reader blocks for the full round
-            // trip — both crossings plus the answer cost, every cycle
-            // of it on modeled links.
-            let (tlp, _) =
-                port.stamp_to_host(&sim, ConduitKind::StatusRead, LINE_BYTES as u64, src);
-            let (reply_tx, reply_rx) = unbounded();
-            self.doorbells.borrow()[src.device.0 as usize]
-                .try_send(DoorbellMsg::Read(tlp, reply_tx))
-                .unwrap_or_else(|_| panic!("doorbell queue is unbounded"));
-            let (arrival, data) = reply_rx.recv().await.expect("host answers status reads");
-            if sim.now() < arrival {
-                sim.delay_until(arrival).await;
-            }
-            data
         })
     }
 }

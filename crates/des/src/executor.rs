@@ -87,7 +87,6 @@ trait JoinAccess<T> {
     /// Take the result, or enqueue `waker` for completion.
     fn take_or_wait(&self, waker: &Waker) -> Option<T>;
     fn try_take(&self) -> Option<T>;
-    fn is_finished(&self) -> bool;
 }
 
 impl<F: Future> JoinAccess<F::Output> for TaskCell<F> {
@@ -106,10 +105,6 @@ impl<F: Future> JoinAccess<F::Output> for TaskCell<F> {
             TaskState::Finished(result) => result.take(),
             TaskState::Running(_) => None,
         }
-    }
-
-    fn is_finished(&self) -> bool {
-        matches!(&*self.state.borrow(), TaskState::Finished(Some(_)))
     }
 }
 
@@ -219,7 +214,7 @@ const NO_TASK: TaskId = usize::MAX;
 /// borrowed [`RawWaker`] over this struct. `wake(_by_ref)` on it enqueues
 /// `current`; `clone` materialises (and caches) a real per-task
 /// `Arc<TaskWaker>`, so only futures that actually store wakers —
-/// channels, semaphores, `JoinHandle`s — pay for one.
+/// channels, mutexes, `JoinHandle`s — pay for one.
 struct WakerHub {
     current: Cell<TaskId>,
     queue: Arc<WakeQueue>,
@@ -744,11 +739,6 @@ impl<T> JoinHandle<T> {
     /// Take the result if the task already finished.
     pub fn try_take(&self) -> Option<T> {
         self.cell.try_take()
-    }
-
-    /// Whether the task has finished and its result is still available.
-    pub fn is_finished(&self) -> bool {
-        self.cell.is_finished()
     }
 }
 

@@ -15,8 +15,11 @@
 //!   invariant); the receiver-side checksum catches it and the transfer
 //!   is retried.
 //! - **Transient link-down windows**: periodic intervals during which a
-//!   PCIe port holds all traffic. Pure arithmetic over `now` — no RNG, no
-//!   timers when the spec is inactive.
+//!   PCIe port holds tunnel payload transfers (posted payload deliveries,
+//!   vDMA deliveries, prefetch chunks and their retries) until the window
+//!   ends. Flag forwards, routed lines, doorbells and fast-ack streams do
+//!   not wait. Pure arithmetic over `now` — no RNG, no timers when the
+//!   spec is inactive.
 //! - **Lost fast write-acks**: an extra loss rate on top of the model's
 //!   own instability curve (`pcie::fault::FastAck`), drawn from the
 //!   plan's own stream so the base-instability draw sequence is untouched.

@@ -1,4 +1,4 @@
-//! Simulated synchronization: FIFO semaphore, mutex, latch, and race.
+//! Simulated synchronization: FIFO mutex, latch, and race.
 //!
 //! These are *modelled* primitives — they coordinate simulated actors inside
 //! the single-threaded engine; they are not OS locks.
@@ -9,88 +9,19 @@ use std::rc::Rc;
 
 use crate::event::{oneshot, OneshotSender};
 
-struct SemState {
-    permits: Cell<u64>,
-    queue: RefCell<VecDeque<(u64, OneshotSender<()>)>>,
+struct MutexState {
+    locked: Cell<bool>,
+    queue: RefCell<VecDeque<OneshotSender<()>>>,
 }
 
-/// A counting semaphore with strict FIFO grant order.
+/// A mutex for simulated actors with strict FIFO grant order.
 ///
-/// FIFO ordering is what makes simulated bus/queue arbitration
-/// deterministic and starvation-free.
-#[derive(Clone)]
-pub struct Semaphore {
-    state: Rc<SemState>,
-}
-
-impl Semaphore {
-    /// Create a semaphore holding `permits` permits.
-    pub fn new(permits: u64) -> Self {
-        Semaphore {
-            state: Rc::new(SemState {
-                permits: Cell::new(permits),
-                queue: RefCell::new(VecDeque::new()),
-            }),
-        }
-    }
-
-    /// Currently available permits.
-    pub fn available(&self) -> u64 {
-        self.state.permits.get()
-    }
-
-    /// Acquire `n` permits, waiting FIFO behind earlier requests.
-    pub async fn acquire_many(&self, n: u64) {
-        // Even if permits are available, a queued waiter goes first.
-        if self.state.queue.borrow().is_empty() && self.state.permits.get() >= n {
-            self.state.permits.set(self.state.permits.get() - n);
-            return;
-        }
-        let (tx, rx) = oneshot();
-        self.state.queue.borrow_mut().push_back((n, tx));
-        rx.await;
-    }
-
-    /// Acquire one permit.
-    pub async fn acquire(&self) {
-        self.acquire_many(1).await;
-    }
-
-    /// Return `n` permits and hand them to queued waiters in FIFO order.
-    pub fn release_many(&self, n: u64) {
-        self.state.permits.set(self.state.permits.get() + n);
-        loop {
-            let mut queue = self.state.queue.borrow_mut();
-            match queue.front() {
-                Some(&(need, _)) if self.state.permits.get() >= need => {
-                    let (need, tx) = queue.pop_front().expect("peeked front");
-                    drop(queue);
-                    self.state.permits.set(self.state.permits.get() - need);
-                    tx.send(());
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Return one permit.
-    pub fn release(&self) {
-        self.release_many(1);
-    }
-
-    /// Run `f` while holding one permit.
-    pub async fn with<T>(&self, f: impl std::future::Future<Output = T>) -> T {
-        self.acquire().await;
-        let out = f.await;
-        self.release();
-        out
-    }
-}
-
-/// A FIFO mutex for simulated actors (a binary [`Semaphore`]).
+/// FIFO ordering is what makes simulated arbitration deterministic and
+/// starvation-free: [`SimMutex::unlock`] hands the lock straight to the
+/// longest waiter, which resumes still holding it.
 #[derive(Clone)]
 pub struct SimMutex {
-    sem: Semaphore,
+    state: Rc<MutexState>,
 }
 
 impl Default for SimMutex {
@@ -102,22 +33,34 @@ impl Default for SimMutex {
 impl SimMutex {
     /// Create an unlocked mutex.
     pub fn new() -> Self {
-        SimMutex { sem: Semaphore::new(1) }
+        SimMutex {
+            state: Rc::new(MutexState {
+                locked: Cell::new(false),
+                queue: RefCell::new(VecDeque::new()),
+            }),
+        }
     }
 
-    /// Lock, run `f`, unlock.
-    pub async fn with<T>(&self, f: impl std::future::Future<Output = T>) -> T {
-        self.sem.with(f).await
-    }
-
-    /// Acquire the lock; must be paired with [`SimMutex::unlock`].
+    /// Acquire the lock, waiting FIFO behind earlier requests; must be
+    /// paired with [`SimMutex::unlock`].
     pub async fn lock(&self) {
-        self.sem.acquire().await;
+        if !self.state.locked.get() {
+            self.state.locked.set(true);
+            return;
+        }
+        let (tx, rx) = oneshot();
+        self.state.queue.borrow_mut().push_back(tx);
+        rx.await;
     }
 
-    /// Release the lock.
+    /// Release the lock: hand it to the first queued waiter, or leave it
+    /// unlocked when none waits.
     pub fn unlock(&self) {
-        self.sem.release();
+        let next = self.state.queue.borrow_mut().pop_front();
+        match next {
+            Some(tx) => tx.send(()),
+            None => self.state.locked.set(false),
+        }
     }
 }
 
@@ -246,65 +189,23 @@ mod tests {
     }
 
     #[test]
-    fn semaphore_limits_concurrency() {
+    fn mutex_grants_in_fifo_order() {
         let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let peak = Rc::new(Cell::new(0u64));
-        let current = Rc::new(Cell::new(0u64));
-        for _ in 0..8 {
-            let (s, sem, peak, current) = (sim.clone(), sem.clone(), peak.clone(), current.clone());
-            sim.spawn(async move {
-                sem.acquire().await;
-                current.set(current.get() + 1);
-                peak.set(peak.get().max(current.get()));
-                s.delay(10).await;
-                current.set(current.get() - 1);
-                sem.release();
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(peak.get(), 2);
-    }
-
-    #[test]
-    fn semaphore_fifo_order() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(1);
+        let m = SimMutex::new();
         let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..5u32 {
-            let (s, sem, order) = (sim.clone(), sem.clone(), order.clone());
+            let (s, m, order) = (sim.clone(), m.clone(), order.clone());
             sim.spawn(async move {
                 // Stagger arrival so queue order is well-defined.
                 s.delay(i as u64).await;
-                sem.acquire().await;
+                m.lock().await;
                 order.borrow_mut().push(i);
                 s.delay(100).await;
-                sem.release();
+                m.unlock();
             });
         }
         sim.run().unwrap();
         assert_eq!(&*order.borrow(), &[0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn acquire_many_blocks_until_enough() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(3);
-        let (s, sem2) = (sim.clone(), sem.clone());
-        sim.spawn_named("big", async move {
-            sem2.acquire_many(3).await;
-            s.delay(50).await;
-            sem2.release_many(3);
-        });
-        let (s, sem2) = (sim.clone(), sem.clone());
-        sim.spawn_named("small", async move {
-            s.delay(1).await;
-            sem2.acquire().await;
-            // Granted when the big holder releases at t=50.
-            assert_eq!(s.now(), 50);
-            sem2.release();
-        });
-        sim.run().unwrap();
     }
 
     #[test]
@@ -327,20 +228,19 @@ mod tests {
     }
 
     #[test]
-    fn mutex_with_is_exclusive() {
+    fn mutex_is_exclusive() {
         let sim = Sim::new();
         let m = SimMutex::new();
         let inside = Rc::new(Cell::new(false));
         for _ in 0..4 {
             let (s, m, inside) = (sim.clone(), m.clone(), inside.clone());
             sim.spawn(async move {
-                m.with(async {
-                    assert!(!inside.get());
-                    inside.set(true);
-                    s.delay(5).await;
-                    inside.set(false);
-                })
-                .await;
+                m.lock().await;
+                assert!(!inside.get());
+                inside.set(true);
+                s.delay(5).await;
+                inside.set(false);
+                m.unlock();
             });
         }
         assert_eq!(sim.run().unwrap(), 20);

@@ -98,13 +98,11 @@ impl PcieModel {
         2 * (self.sif_packet_cycles + self.hw_latency) + self.sw_answer_cycles
     }
 
-    /// One-way cost of an MMIO doorbell or status TLP crossing the SIF
-    /// boundary: one 32 B packet through the SIF pipeline plus the PCIe
-    /// hardware hop. The vSCC MMIO plane stamps every host↔device
-    /// control signal with this cost (a doorbell write is a posted TLP;
-    /// a status read is a non-posted TLP plus an answer stamped with the
-    /// same cost on the way back), so no control signal becomes visible
-    /// across the boundary any sooner (DESIGN.md §5i).
+    /// One-way cost of an MMIO doorbell crossing the SIF boundary: one
+    /// 32 B packet through the SIF pipeline plus the PCIe hardware hop.
+    /// The vSCC MMIO plane stamps every doorbell (a posted TLP, the only
+    /// control signal) with this cost, so none becomes visible at the
+    /// host any sooner (DESIGN.md §5i).
     pub fn mmio_crossing_cycles(&self) -> Cycles {
         self.sif_packet_cycles + self.hw_latency
     }

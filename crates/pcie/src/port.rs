@@ -4,6 +4,11 @@
 //! FIFO [`Link`]s whose bandwidth is the SIF's 32 B-packet processing rate
 //! (the structural bottleneck of the system, see crate docs). All ports
 //! additionally contend for host memory through one shared link.
+//!
+//! The host driver's register file is written, never read: the only
+//! control TLP is the posted doorbell a core stamps device → host
+//! ([`DevicePort::stamp_to_host`]). Payload moves as plain reservations
+//! on the two links.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,34 +22,17 @@ use scc::geometry::DeviceId;
 
 use crate::model::PcieModel;
 
-/// Kind discriminator of a host↔device control TLP on the MMIO conduit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConduitKind {
-    /// Posted doorbell write into a host register window (core → host).
-    /// The sender continues at wire-free time; the write lands at the
-    /// stamped arrival.
-    Doorbell,
-    /// Non-posted status read request (core → host); the reader blocks
-    /// until the matching [`ConduitKind::StatusAnswer`] returns.
-    StatusRead,
-    /// Completion carrying the status payload back (host → core).
-    StatusAnswer,
-}
-
-/// A latency-stamped control TLP crossing the host↔device boundary:
-/// the payload plus the virtual time at which it becomes visible on
-/// the far side. Stamped only by [`DevicePort::stamp_to_host`] /
-/// [`DevicePort::stamp_to_device`], so every instance carries at least
-/// [`PcieModel::mmio_crossing_cycles`] of modeled delay.
+/// A latency-stamped posted doorbell crossing the device → host
+/// boundary: the payload plus the virtual time at which it becomes
+/// visible at the host. Stamped only by [`DevicePort::stamp_to_host`], so
+/// every instance carries at least [`PcieModel::mmio_crossing_cycles`] of
+/// modeled delay. The sender continues at wire-free time; nothing is ever
+/// stamped back, since no protocol reads a host register (paper §3.3).
 #[derive(Debug, Clone)]
 pub struct ConduitTlp<T> {
-    /// What kind of control signal this is.
-    pub kind: ConduitKind,
-    /// The device whose port stamped it.
-    pub device: DeviceId,
-    /// Virtual time at which the TLP is visible at the far end.
+    /// Virtual time at which the TLP is visible at the host.
     pub arrival: Cycles,
-    /// The control payload (register line, packed status, ...).
+    /// The control payload (the register line).
     pub payload: T,
 }
 
@@ -56,13 +44,14 @@ pub struct DevicePort {
     pub ingress: Link,
     /// The device this port belongs to.
     pub device: DeviceId,
-    /// Installed fault plan, if any; gates transfers during link-down
-    /// windows. `None` (the default) is the zero-perturbation path.
+    /// Installed fault plan, if any; [`DevicePort::fault_gate`] holds
+    /// tunnel payload transfers during its link-down windows. `None` (the
+    /// default) is the zero-perturbation path.
     faults: RefCell<Option<Rc<FaultPlan>>>,
     /// The model's minimum boundary-crossing cost; the stamp helpers
     /// assert every stamped arrival respects it.
     min_crossing: Cycles,
-    /// Control TLPs stamped through this port (both directions).
+    /// Doorbell TLPs stamped through this port.
     conduit_tlps: Counter,
 }
 
@@ -80,36 +69,15 @@ impl DevicePort {
         }
     }
 
-    /// Stamp a control TLP device → host: reserve `bytes` of egress
+    /// Stamp a doorbell TLP device → host: reserve `bytes` of egress
     /// wire time and return the stamped TLP plus the posted-completion
     /// point (`wire_free`) at which the sender may continue. The
     /// arrival stamp is checked against the model's minimum crossing
     /// cost (DESIGN.md §5i).
-    pub fn stamp_to_host<T>(
-        &self,
-        sim: &Sim,
-        kind: ConduitKind,
-        bytes: u64,
-        payload: T,
-    ) -> (ConduitTlp<T>, Cycles) {
+    pub fn stamp_to_host<T>(&self, sim: &Sim, bytes: u64, payload: T) -> (ConduitTlp<T>, Cycles) {
         let res = self.egress.reserve_timed(sim, bytes);
         self.check_stamp(sim, res.arrival);
-        (ConduitTlp { kind, device: self.device, arrival: res.arrival, payload }, res.wire_free)
-    }
-
-    /// Stamp a control TLP host → device (status answers): reserve
-    /// `bytes` of ingress wire time and return the stamped TLP plus the
-    /// wire-free point.
-    pub fn stamp_to_device<T>(
-        &self,
-        sim: &Sim,
-        kind: ConduitKind,
-        bytes: u64,
-        payload: T,
-    ) -> (ConduitTlp<T>, Cycles) {
-        let res = self.ingress.reserve_timed(sim, bytes);
-        self.check_stamp(sim, res.arrival);
-        (ConduitTlp { kind, device: self.device, arrival: res.arrival, payload }, res.wire_free)
+        (ConduitTlp { arrival: res.arrival, payload }, res.wire_free)
     }
 
     fn check_stamp(&self, sim: &Sim, arrival: Cycles) {
@@ -130,33 +98,16 @@ impl DevicePort {
     /// Hold the caller while the link is in an injected link-down window
     /// (the switch retains the TLP until the link retrains). A no-op
     /// without an installed plan or outside a window.
+    ///
+    /// Only tunnel payload transfers pass this gate: posted payload
+    /// deliveries, vDMA deliveries, prefetch chunks and their retries.
+    /// Flag forwards, routed lines, doorbells and fast-ack streams reserve
+    /// the links directly and do not wait out a window.
     pub async fn fault_gate(&self, sim: &Sim) {
         let until = self.faults.borrow().as_ref().and_then(|plan| plan.link_down_until(sim.now()));
         if let Some(until) = until {
             sim.delay_until(until).await;
         }
-    }
-
-    /// Move `bytes` device → host; resolves at arrival in host memory.
-    pub async fn to_host(&self, sim: &Sim, bytes: u64) {
-        self.fault_gate(sim).await;
-        self.egress.transfer(sim, bytes).await;
-    }
-
-    /// Move `bytes` host → device; resolves at arrival in the device.
-    pub async fn to_device(&self, sim: &Sim, bytes: u64) {
-        self.fault_gate(sim).await;
-        self.ingress.transfer(sim, bytes).await;
-    }
-
-    /// Reserve egress wire time without waiting (pipelined senders).
-    pub fn reserve_to_host(&self, sim: &Sim, bytes: u64) -> Cycles {
-        self.egress.reserve(sim, bytes)
-    }
-
-    /// Reserve ingress wire time without waiting (pipelined delivery).
-    pub fn reserve_to_device(&self, sim: &Sim, bytes: u64) -> Cycles {
-        self.ingress.reserve(sim, bytes)
     }
 
     /// Total payload bytes moved in both directions.
@@ -209,12 +160,6 @@ impl HostFabric {
         }
     }
 
-    /// Charge a pass through host memory for `bytes` (copy into or out of
-    /// a daemon buffer).
-    pub async fn host_copy(&self, sim: &Sim, bytes: u64) {
-        self.host_mem.transfer(sim, bytes).await;
-    }
-
     /// Surface every port and the shared host-memory link in `registry`
     /// (`pcie.linkN.*`, `pcie.host_mem.*`).
     pub fn register_metrics(&self, registry: &Registry) {
@@ -238,7 +183,7 @@ mod tests {
         let s = sim.clone();
         let t = sim
             .block_on(async move {
-                fabric.port(DeviceId(0)).to_host(&s, bytes).await;
+                fabric.port(DeviceId(0)).egress.transfer(&s, bytes).await;
                 s.now()
             })
             .unwrap();
@@ -257,11 +202,11 @@ mod tests {
         // Saturate egress; an ingress transfer must not queue behind it.
         let (s, f) = (sim.clone(), fabric.clone());
         sim.spawn(async move {
-            f.port(DeviceId(0)).to_host(&s, 1 << 20).await;
+            f.port(DeviceId(0)).egress.transfer(&s, 1 << 20).await;
         });
         let (s, f) = (sim.clone(), fabric.clone());
         let h = sim.spawn(async move {
-            f.port(DeviceId(0)).to_device(&s, 32).await;
+            f.port(DeviceId(0)).ingress.transfer(&s, 32).await;
             s.now()
         });
         sim.run().unwrap();
@@ -277,7 +222,7 @@ mod tests {
         for d in 0..2u8 {
             let (s, f) = (sim.clone(), fabric.clone());
             handles.push(sim.spawn(async move {
-                f.port(DeviceId(d)).to_host(&s, 1 << 18).await;
+                f.port(DeviceId(d)).egress.transfer(&s, 1 << 18).await;
                 s.now()
             }));
         }
@@ -297,15 +242,15 @@ mod tests {
         let s = sim.clone();
         let t = sim
             .block_on(async move {
-                fabric.port(DeviceId(1)).to_host(&s, 4096).await;
-                fabric.host_copy(&s, 4096).await;
-                (fabric.port(DeviceId(1)).total_bytes(), ())
+                fabric.port(DeviceId(1)).egress.transfer(&s, 4096).await;
+                fabric.host_mem.transfer(&s, 4096).await;
+                fabric.port(DeviceId(1)).total_bytes()
             })
             .unwrap();
         assert_eq!(reg.counter("pcie.link1.egress.bytes").get(), 4096);
         assert_eq!(reg.counter("pcie.link0.egress.bytes").get(), 0);
         assert_eq!(reg.counter("pcie.host_mem.bytes").get(), 4096);
-        assert_eq!(t.0, 4096);
+        assert_eq!(t, 4096);
         let names = reg.names();
         assert!(names.contains(&"pcie.link0.ingress.queue_depth".to_string()));
         assert!(names.contains(&"pcie.host_mem.latency_cycles".to_string()));
@@ -315,31 +260,29 @@ mod tests {
     fn link_down_window_stalls_transfers() {
         use des::faultplan::{FaultPlan, FaultSpec};
         use des::trace::Trace;
-        let spec = FaultSpec::parse("linkdown=5000@1000000").unwrap();
-        let sim = Sim::new();
-        let fabric = std::rc::Rc::new(HostFabric::new(PcieModel::default(), 1));
-        fabric.set_faults(&Rc::new(FaultPlan::new(spec, Trace::disabled())));
-        let (s, f) = (sim.clone(), fabric.clone());
-        let t = sim
-            .block_on(async move {
-                // t=0 is inside the first down window: the line waits for
-                // the link to retrain at t=5000 before crossing.
-                f.port(DeviceId(0)).to_device(&s, 32).await;
+        // The path a tunnel delivery takes: wait out the gate, then cross.
+        let deliver = |plan: Option<FaultPlan>| {
+            let sim = Sim::new();
+            let fabric = std::rc::Rc::new(HostFabric::new(PcieModel::default(), 1));
+            if let Some(plan) = plan {
+                fabric.set_faults(&Rc::new(plan));
+            }
+            let (s, f) = (sim.clone(), fabric.clone());
+            sim.block_on(async move {
+                let port = f.port(DeviceId(0));
+                port.fault_gate(&s).await;
+                port.ingress.transfer(&s, 32).await;
                 s.now()
             })
-            .unwrap();
+            .unwrap()
+        };
+        // t=0 is inside the first down window: the line waits for the
+        // link to retrain at t=5000 before crossing.
+        let spec = FaultSpec::parse("linkdown=5000@1000000").unwrap();
+        let t = deliver(Some(FaultPlan::new(spec, Trace::disabled())));
         assert!(t >= 5_000, "transfer finished at {t}, before the window ended");
         // Without the plan the same line crosses in well under 5000 cycles.
-        let sim = Sim::new();
-        let fabric = std::rc::Rc::new(HostFabric::new(PcieModel::default(), 1));
-        let (s, f) = (sim.clone(), fabric.clone());
-        let t0 = sim
-            .block_on(async move {
-                f.port(DeviceId(0)).to_device(&s, 32).await;
-                s.now()
-            })
-            .unwrap();
-        assert!(t0 < 5_000);
+        assert!(deliver(None) < 5_000);
     }
 
     #[test]
@@ -353,8 +296,7 @@ mod tests {
         // A posted doorbell: the sender's continuation point precedes
         // the arrival, and the arrival carries at least one full
         // MMIO crossing of modeled delay.
-        let (tlp, wire_free) = port.stamp_to_host(&sim, ConduitKind::Doorbell, 32, 0xD00Du32);
-        assert_eq!(tlp.kind, ConduitKind::Doorbell);
+        let (tlp, wire_free) = port.stamp_to_host(&sim, 32, 0xD00Du32);
         assert_eq!(tlp.payload, 0xD00D);
         assert!(wire_free < tlp.arrival, "posted writer continues before the TLP lands");
         assert!(
@@ -362,13 +304,10 @@ mod tests {
             "doorbell stamped {} cycles ahead, below the crossing cost",
             tlp.arrival - sim.now()
         );
-        // The answer direction observes the same discipline.
-        let (ans, _) = port.stamp_to_device(&sim, ConduitKind::StatusAnswer, 32, [0u8; 4]);
-        assert!(ans.arrival - sim.now() >= model.mmio_crossing_cycles());
-        assert_eq!(reg.counter("pcie.link0.conduit.tlps").get(), 2);
         // Back-to-back stamps queue on the wire FIFO like any transfer.
-        let (second, _) = port.stamp_to_host(&sim, ConduitKind::StatusRead, 32, 0u32);
+        let (second, _) = port.stamp_to_host(&sim, 32, 0u32);
         assert!(second.arrival > tlp.arrival);
+        assert_eq!(reg.counter("pcie.link0.conduit.tlps").get(), 2);
     }
 
     #[test]
@@ -379,7 +318,7 @@ mod tests {
         for _ in 0..2 {
             let (s, f) = (sim.clone(), fabric.clone());
             handles.push(sim.spawn(async move {
-                f.host_copy(&s, 1 << 16).await;
+                f.host_mem.transfer(&s, 1 << 16).await;
                 s.now()
             }));
         }

@@ -2,7 +2,7 @@
 //!
 //! Mirrors the RCCE surface: two-sided `send`/`recv` (*non-gory*), the
 //! one-sided *gory* layer (`put`/`get`/flag operations), collectives, and
-//! the iRCCE non-blocking extensions (see [`crate::ircce`]).
+//! iRCCE's non-blocking send (see [`crate::ircce`]).
 
 use std::rc::Rc;
 
@@ -78,9 +78,9 @@ impl Rcce {
         let me = self.id();
         let start = self.now();
         let trace = self.ctx.session.trace().clone();
-        let lock = self.ctx.send_lock(dest).clone();
+        let lock = self.ctx.send_lock().clone();
         // Flow allocation order matches lock-holder order because the
-        // send lock is a FIFO semaphore (determinism invariant #1).
+        // send lock is a FIFO mutex (determinism invariant #1).
         let flow = self.ctx.session.next_send_flow(me, dest);
         trace.begin(
             self.now(),
@@ -148,11 +148,6 @@ impl Rcce {
         self.ctx.core.flag_write(addr, value, None).await;
     }
 
-    /// `RCCE_flag_read` (invalidate + read).
-    pub async fn flag_read(&self, addr: MpbAddr) -> u8 {
-        self.ctx.core.flag_read(addr).await
-    }
-
     /// `RCCE_wait_until`: spin until the local flag equals `value`.
     pub async fn flag_wait(&self, addr: MpbAddr, value: u8) {
         self.ctx.core.flag_wait(addr, value).await;
@@ -161,21 +156,6 @@ impl Rcce {
     /// Invalidate all MPBT-tagged L1 lines (`RCCE_DCMflush` / `CL1INVMB`).
     pub async fn cl1invmb(&self) {
         self.ctx.core.cl1invmb().await;
-    }
-
-    /// Acquire the test-and-set lock of `rank`'s core
-    /// (`RCCE_acquire_lock`). Only valid within one device.
-    pub async fn acquire_lock(&self, rank: usize) {
-        let who = self.ctx.session.who(rank);
-        assert_eq!(who.device, self.who().device, "T&S registers are per-device");
-        self.ctx.core.lock(who.core).await;
-    }
-
-    /// Release a test-and-set lock (`RCCE_release_lock`).
-    pub async fn release_lock(&self, rank: usize) {
-        let who = self.ctx.session.who(rank);
-        assert_eq!(who.device, self.who().device, "T&S registers are per-device");
-        self.ctx.core.unlock(who.core).await;
     }
 }
 
@@ -340,18 +320,6 @@ mod tests {
                 r.get(1, 100, &mut buf).await;
                 assert_eq!(buf, [42; 32]);
             }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn tas_lock_via_api() {
-        let sim = Sim::new();
-        let s = session(&sim, 2);
-        s.run_app(|r| async move {
-            r.acquire_lock(0).await;
-            r.compute(100).await;
-            r.release_lock(0).await;
         })
         .unwrap();
     }

@@ -109,109 +109,6 @@ impl Rcce {
         self.bcast(&mut buf, 0).await;
         f64::from_le_bytes(buf)
     }
-
-    /// Element-wise vector reduction to `root` (binomial tree).
-    pub async fn reduce_vec_f64(&self, values: &mut [f64], op: Op, root: usize) {
-        let n = self.num_ues();
-        let me = self.id();
-        let vr = (me + n - root) % n;
-        let bytes = values.len() * 8;
-        let mut mask = 1usize;
-        while mask < n {
-            if vr & mask == 0 {
-                let child_vr = vr + mask;
-                if child_vr < n {
-                    let child = (child_vr + root) % n;
-                    let got = self.recv_vec(bytes, child).await;
-                    for (v, chunk) in values.iter_mut().zip(got.chunks_exact(8)) {
-                        let x = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                        *v = op.apply(*v, x);
-                    }
-                }
-            } else {
-                let parent = ((vr - mask) + root) % n;
-                let packed: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-                self.send(&packed, parent).await;
-                break;
-            }
-            mask <<= 1;
-        }
-    }
-
-    /// Element-wise vector allreduce: reduce to rank 0 plus broadcast.
-    pub async fn allreduce_vec_f64(&self, values: &mut [f64], op: Op) {
-        self.reduce_vec_f64(values, op, 0).await;
-        let mut packed: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.bcast(&mut packed, 0).await;
-        for (v, chunk) in values.iter_mut().zip(packed.chunks_exact(8)) {
-            *v = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        }
-    }
-
-    /// Gather equal-sized blocks to `root`: returns `Some(concatenated)`
-    /// at the root (rank order), `None` elsewhere.
-    pub async fn gather(&self, block: &[u8], root: usize) -> Option<Vec<u8>> {
-        let n = self.num_ues();
-        let me = self.id();
-        if me == root {
-            let mut out = vec![0u8; block.len() * n];
-            out[me * block.len()..(me + 1) * block.len()].copy_from_slice(block);
-            for src in 0..n {
-                if src == me {
-                    continue;
-                }
-                let got = self.recv_vec(block.len(), src).await;
-                out[src * block.len()..(src + 1) * block.len()].copy_from_slice(&got);
-            }
-            Some(out)
-        } else {
-            self.send(block, root).await;
-            None
-        }
-    }
-
-    /// Scatter equal-sized blocks from `root` (`blocks.len() == n *
-    /// block_len` at the root; ignored elsewhere): returns this rank's
-    /// block.
-    pub async fn scatter(&self, blocks: Option<&[u8]>, block_len: usize, root: usize) -> Vec<u8> {
-        let n = self.num_ues();
-        let me = self.id();
-        if me == root {
-            let all = blocks.expect("root provides the blocks");
-            assert_eq!(all.len(), n * block_len);
-            for dst in 0..n {
-                if dst == me {
-                    continue;
-                }
-                self.send(&all[dst * block_len..(dst + 1) * block_len], dst).await;
-            }
-            all[me * block_len..(me + 1) * block_len].to_vec()
-        } else {
-            self.recv_vec(block_len, root).await
-        }
-    }
-
-    /// Personalized all-to-all exchange of equal-sized blocks:
-    /// `blocks[i]` goes to rank `i`; returns the blocks received, indexed
-    /// by source. Uses a phase-rotated pairwise schedule so all pairs
-    /// progress concurrently.
-    pub async fn alltoall(&self, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let n = self.num_ues();
-        let me = self.id();
-        assert_eq!(blocks.len(), n, "one block per destination");
-        let len = blocks[0].len();
-        assert!(blocks.iter().all(|b| b.len() == len), "alltoall needs equal block sizes");
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[me] = blocks[me].clone();
-        for phase in 1..n {
-            let to = (me + phase) % n;
-            let from = (me + n - phase) % n;
-            let req = self.isend(blocks[to].clone(), to);
-            out[from] = self.recv_vec(len, from).await;
-            req.wait().await;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -301,92 +198,6 @@ mod tests {
             })
             .unwrap();
         assert!(out.iter().all(|&v| v == 6.0));
-    }
-
-    #[test]
-    fn reduce_vec_elementwise() {
-        let sim = Sim::new();
-        let s = session(&sim, 6);
-        let out = s
-            .run_app(|r| async move {
-                let mut v = vec![r.id() as f64, 1.0, -(r.id() as f64)];
-                r.reduce_vec_f64(&mut v, crate::collectives::Op::Sum, 2).await;
-                (r.id(), v)
-            })
-            .unwrap();
-        let (_, at_root) = out.iter().find(|(id, _)| *id == 2).unwrap().clone();
-        assert_eq!(at_root, vec![15.0, 6.0, -15.0]);
-    }
-
-    #[test]
-    fn allreduce_vec_everywhere() {
-        let sim = Sim::new();
-        let s = session(&sim, 4);
-        let out = s
-            .run_app(|r| async move {
-                let mut v = vec![1.0, r.id() as f64];
-                r.allreduce_vec_f64(&mut v, crate::collectives::Op::Max).await;
-                v
-            })
-            .unwrap();
-        assert!(out.iter().all(|v| v == &vec![1.0, 3.0]));
-    }
-
-    #[test]
-    fn gather_concatenates_in_rank_order() {
-        let sim = Sim::new();
-        let s = session(&sim, 5);
-        let out = s
-            .run_app(|r| async move {
-                let block = vec![r.id() as u8; 3];
-                r.gather(&block, 1).await
-            })
-            .unwrap();
-        for (i, g) in out.iter().enumerate() {
-            if i == 1 {
-                let expect: Vec<u8> = (0..5u8).flat_map(|x| std::iter::repeat_n(x, 3)).collect();
-                assert_eq!(g.as_deref(), Some(expect.as_slice()));
-            } else {
-                assert!(g.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_blocks() {
-        let sim = Sim::new();
-        let s = session(&sim, 4);
-        let out = s
-            .run_app(|r| async move {
-                let all: Vec<u8> = (0..16u8).collect();
-                let blocks = if r.id() == 0 { Some(all) } else { None };
-                r.scatter(blocks.as_deref(), 4, 0).await
-            })
-            .unwrap();
-        for (i, b) in out.iter().enumerate() {
-            let expect: Vec<u8> = (i as u8 * 4..i as u8 * 4 + 4).collect();
-            assert_eq!(b, &expect);
-        }
-    }
-
-    #[test]
-    fn alltoall_personalized_exchange() {
-        let sim = Sim::new();
-        let s = session(&sim, 4);
-        let out = s
-            .run_app(|r| async move {
-                let me = r.id() as u8;
-                // Block for rank j encodes (me, j).
-                let blocks: Vec<Vec<u8>> =
-                    (0..r.num_ues() as u8).map(|j| vec![me * 16 + j; 8]).collect();
-                r.alltoall(&blocks).await
-            })
-            .unwrap();
-        for (j, received) in out.iter().enumerate() {
-            for (src, block) in received.iter().enumerate() {
-                assert_eq!(block, &vec![src as u8 * 16 + j as u8; 8]);
-            }
-        }
     }
 
     #[test]

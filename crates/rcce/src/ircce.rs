@@ -1,8 +1,8 @@
-//! iRCCE non-blocking extensions: `isend`/`irecv` requests and wait lists.
+//! iRCCE non-blocking sends: `isend` and its request handle.
 //!
-//! Requests are simulated-concurrent tasks; per-pair FIFO locks preserve
+//! A request is a simulated-concurrent task; the UE's FIFO send lock keeps
 //! iRCCE's in-order message matching between any two ranks even when many
-//! requests are outstanding.
+//! sends are outstanding. Receives stay blocking ([`Rcce::recv`]).
 
 use des::JoinHandle;
 
@@ -19,29 +19,6 @@ impl SendRequest {
     pub async fn wait(self) {
         self.handle.await;
     }
-
-    /// Non-blocking completion test (`iRCCE_isend_test`).
-    pub fn test(&self) -> bool {
-        self.handle.is_finished()
-    }
-}
-
-/// Handle of an outstanding non-blocking receive (`iRCCE_irecv`).
-pub struct RecvRequest {
-    handle: JoinHandle<Vec<u8>>,
-}
-
-impl RecvRequest {
-    /// Block until the message arrived; yields the payload
-    /// (`iRCCE_irecv_wait`).
-    pub async fn wait(self) -> Vec<u8> {
-        self.handle.await
-    }
-
-    /// Non-blocking completion test (`iRCCE_irecv_test`).
-    pub fn test(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 impl Rcce {
@@ -54,7 +31,7 @@ impl Rcce {
         let sim = self.sim().clone();
         let handle = sim.spawn_named(format!("isend {me}->{dest}"), async move {
             let start = ctx.session.sim().now();
-            let lock = ctx.send_lock(dest).clone();
+            let lock = ctx.send_lock().clone();
             lock.lock().await;
             // nth lock holder gets the nth flow id, matching the
             // receiver's per-pair FIFO allocation.
@@ -73,75 +50,6 @@ impl Rcce {
         });
         SendRequest { handle }
     }
-
-    /// Start a non-blocking receive of `len` bytes from `src`.
-    pub fn irecv(&self, len: usize, src: usize) -> RecvRequest {
-        assert!(src < self.num_ues() && src != self.id());
-        let ctx = self.ctx.clone();
-        let me = self.id();
-        let sim = self.sim().clone();
-        let handle = sim.spawn_named(format!("irecv {src}->{me}"), async move {
-            let start = ctx.session.sim().now();
-            let mut buf = vec![0u8; len];
-            let lock = ctx.recv_lock(src).clone();
-            lock.lock().await;
-            let flow = ctx.session.next_recv_flow(src, me);
-            let proto = ctx.session.proto(src, me);
-            proto.recv(&ctx, src, &mut buf, flow).await;
-            lock.unlock();
-            ctx.session.rcce_metrics().recv_lat[crate::session::size_class(len)]
-                .record(ctx.session.sim().now() - start);
-            buf
-        });
-        RecvRequest { handle }
-    }
-}
-
-/// A wait list over mixed outstanding requests (`iRCCE_wait_all`).
-#[derive(Default)]
-pub struct WaitList {
-    sends: Vec<SendRequest>,
-    recvs: Vec<RecvRequest>,
-}
-
-impl WaitList {
-    /// Empty wait list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Track a send request.
-    pub fn push_send(&mut self, r: SendRequest) {
-        self.sends.push(r);
-    }
-
-    /// Track a receive request.
-    pub fn push_recv(&mut self, r: RecvRequest) {
-        self.recvs.push(r);
-    }
-
-    /// Number of tracked requests.
-    pub fn len(&self) -> usize {
-        self.sends.len() + self.recvs.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Wait for every request; returns the received payloads in push
-    /// order.
-    pub async fn wait_all(self) -> Vec<Vec<u8>> {
-        for s in self.sends {
-            s.wait().await;
-        }
-        let mut out = Vec::with_capacity(self.recvs.len());
-        for r in self.recvs {
-            out.push(r.wait().await);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -154,23 +62,6 @@ mod tests {
     fn session(sim: &Sim, n: usize) -> crate::Session {
         let dev = SccDevice::new(sim, DeviceId(0));
         SessionBuilder::new(sim, vec![dev]).max_ranks(n).build()
-    }
-
-    #[test]
-    fn isend_irecv_roundtrip() {
-        let sim = Sim::new();
-        let s = session(&sim, 2);
-        s.run_app(|r| async move {
-            if r.id() == 0 {
-                let req = r.isend(vec![9u8; 300], 1);
-                req.wait().await;
-            } else {
-                let req = r.irecv(300, 0);
-                let got = req.wait().await;
-                assert_eq!(got, vec![9u8; 300]);
-            }
-        })
-        .unwrap();
     }
 
     #[test]
@@ -188,24 +79,6 @@ mod tests {
                 let second = r.recv_vec(100, 0).await;
                 assert_eq!(first, vec![1u8; 100]);
                 assert_eq!(second, vec![2u8; 100]);
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn irecv_posted_before_send_arrives() {
-        let sim = Sim::new();
-        let s = session(&sim, 2);
-        s.run_app(|r| async move {
-            if r.id() == 1 {
-                let req = r.irecv(64, 0);
-                assert!(!req.test());
-                let got = req.wait().await;
-                assert_eq!(got, vec![5u8; 64]);
-            } else {
-                r.compute(10_000).await;
-                r.send(&[5u8; 64], 1).await;
             }
         })
         .unwrap();
@@ -239,32 +112,5 @@ mod tests {
         // In this model, isend runs the same protocol concurrently with
         // the compute block, so overlap must not be slower.
         assert!(run(true) <= run(false));
-    }
-
-    #[test]
-    fn waitlist_gathers_everything() {
-        let sim = Sim::new();
-        let s = session(&sim, 4);
-        s.run_app(|r| async move {
-            let me = r.id();
-            let n = r.num_ues();
-            let mut wl = crate::ircce::WaitList::new();
-            for other in 0..n {
-                if other == me {
-                    continue;
-                }
-                wl.push_send(r.isend(vec![me as u8; 50], other));
-                wl.push_recv(r.irecv(50, other));
-            }
-            assert_eq!(wl.len(), 6);
-            let msgs = wl.wait_all().await;
-            // Received one message from each peer, in peer order.
-            let mut peers: Vec<usize> = (0..n).filter(|&o| o != me).collect();
-            peers.sort_unstable();
-            for (msg, peer) in msgs.iter().zip(peers) {
-                assert_eq!(msg, &vec![peer as u8; 50]);
-            }
-        })
-        .unwrap();
     }
 }

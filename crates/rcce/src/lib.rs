@@ -4,8 +4,11 @@
 //! SCC: a one-sided *gory* layer (`put`/`get`/flag operations on the on-chip
 //! MPB) and a two-sided *non-gory* layer (`send`/`recv`) implementing the
 //! blocking local-put/remote-get protocol of the paper's Fig. 2a. iRCCE
-//! (RWTH Aachen) adds non-blocking requests and the *pipelined* protocol of
+//! (RWTH Aachen) adds non-blocking sends and the *pipelined* protocol of
 //! Fig. 2b, which interleaves put and get at a finer packet granularity.
+//! The port keeps what the applications call: blocking `send`/`recv`,
+//! `isend`, `barrier`, `bcast`, `reduce_f64`/`allreduce_f64`, and the gory
+//! `put`/`get`/flag wrappers.
 //!
 //! The port keeps the protocol state machines of the originals:
 //! flag-based synchronization with busy-waiting, messages split at the MPB

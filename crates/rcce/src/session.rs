@@ -273,7 +273,7 @@ impl RankCtx {
     /// local MPB send buffer, exactly like iRCCE's single outgoing
     /// request queue — two concurrent isends would otherwise clobber the
     /// buffer.
-    pub fn send_lock(&self, _dest: usize) -> &SimMutex {
+    pub fn send_lock(&self) -> &SimMutex {
         &self.send_lock
     }
 

@@ -283,20 +283,8 @@ impl CoreHandle {
     }
 
     // ------------------------------------------------------------------
-    // Test-and-set register, MMIO
+    // MMIO doorbells
     // ------------------------------------------------------------------
-
-    /// Acquire the test-and-set register of `lock_core` on this device.
-    pub async fn lock(&self, lock_core: crate::geometry::CoreId) {
-        self.sim.delay(self.device.cost.config_reg).await;
-        self.device.tas_acquire(lock_core).await;
-    }
-
-    /// Release a test-and-set register.
-    pub async fn unlock(&self, lock_core: crate::geometry::CoreId) {
-        self.sim.delay(self.device.cost.config_reg).await;
-        self.device.tas_release(lock_core);
-    }
 
     /// Program a host register line with one fused 32 B write. The on-chip
     /// WCB makes the three logical stores (address/count/control) a single
@@ -322,12 +310,6 @@ impl CoreHandle {
                 .mmio_write(RegisterLine { src: self.who, line: line * 4 + i, data })
                 .await;
         }
-    }
-
-    /// Read a host register line.
-    pub async fn mmio_read(&self, line: u16) -> [u8; LINE_BYTES] {
-        self.sim.delay(self.device.cost.op_overhead).await;
-        self.device.fabric().mmio_read(self.who, line).await
     }
 }
 
@@ -522,29 +504,6 @@ mod tests {
             let _ = (c0, remote);
         });
         res.unwrap();
-    }
-
-    #[test]
-    fn lock_is_mutually_exclusive_across_handles() {
-        let (sim, dev) = setup();
-        let order = Rc::new(std::cell::RefCell::new(Vec::new()));
-        for i in 0..2u8 {
-            let dev = dev.clone();
-            let order = order.clone();
-            sim.spawn_named(format!("locker{i}"), async move {
-                let c = CoreHandle::new(&dev, CoreId(i));
-                c.sim().delay(i as u64).await;
-                c.lock(CoreId(0)).await;
-                order.borrow_mut().push((i, c.sim().now()));
-                c.work(500).await;
-                c.unlock(CoreId(0)).await;
-            });
-        }
-        sim.run().unwrap();
-        let o = order.borrow();
-        assert_eq!(o[0].0, 0);
-        assert_eq!(o[1].0, 1);
-        assert!(o[1].1 >= o[0].1 + 500, "second locker waited for the first");
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub struct CostModel {
     pub dram_line: Cycles,
     /// `CL1INVMB`: invalidate all MPBT-tagged L1 lines (single instruction).
     pub cl1invmb: Cycles,
-    /// Access a core configuration / test-and-set register on a tile.
-    pub config_reg: Cycles,
     /// Fixed per-operation software overhead (address arithmetic, call).
     pub op_overhead: Cycles,
 }
@@ -49,7 +47,6 @@ impl Default for CostModel {
             mesh_cycles_per_hop: 4,
             dram_line: 90,
             cl1invmb: 4,
-            config_reg: 40,
             op_overhead: 30,
         }
     }

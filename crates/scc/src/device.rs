@@ -1,10 +1,9 @@
-//! One SCC device: 48 cores, their MPB regions, test-and-set registers,
-//! memory-controller ports, and the pluggable off-chip fabric.
+//! One SCC device: 48 cores, their MPB regions, memory-controller ports,
+//! and the pluggable off-chip fabric.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use des::event::Notify;
 use des::link::{Bandwidth, Link};
 use des::obs::Registry;
 use des::rng::DetRng;
@@ -89,8 +88,6 @@ pub struct SccDevice {
     pub cost: CostModel,
     sim: Sim,
     mpbs: Vec<Rc<MpbRegion>>,
-    tas: Vec<Cell<bool>>,
-    tas_notify: Vec<Notify>,
     mc_ports: Vec<Link>,
     fabric: RefCell<Option<Rc<dyn RemoteFabric>>>,
     monitor: RefCell<Option<Rc<dyn MpbWriteMonitor>>>,
@@ -124,8 +121,6 @@ impl SccDevice {
                     ))
                 })
                 .collect(),
-            tas: (0..n).map(|_| Cell::new(false)).collect(),
-            tas_notify: (0..n).map(|_| Notify::new()).collect(),
             mc_ports: (0..MEMORY_CONTROLLERS).map(|_| Link::new(mc_bw, 0, 0)).collect(),
             fabric: RefCell::new(None),
             monitor: RefCell::new(None),
@@ -221,34 +216,6 @@ impl SccDevice {
         self.monitor.borrow().clone()
     }
 
-    /// Atomically test-and-set `core`'s lock register; true if acquired.
-    pub fn tas_try_acquire(&self, core: CoreId) -> bool {
-        let cell = &self.tas[core.0 as usize];
-        if cell.get() {
-            false
-        } else {
-            cell.set(true);
-            true
-        }
-    }
-
-    /// Release `core`'s test-and-set register and wake spinners.
-    pub fn tas_release(&self, core: CoreId) {
-        self.tas[core.0 as usize].set(false);
-        self.tas_notify[core.0 as usize].notify_all();
-    }
-
-    /// Spin (in simulated time) until the register is acquired.
-    pub async fn tas_acquire(&self, core: CoreId) {
-        loop {
-            if self.tas_try_acquire(core) {
-                return;
-            }
-            let notify = self.tas_notify[core.0 as usize].clone();
-            notify.wait_until(|| !self.tas[core.0 as usize].get()).await;
-        }
-    }
-
     /// The `GlobalCore` handle of a local core id.
     pub fn global(&self, core: CoreId) -> GlobalCore {
         GlobalCore { device: self.id, core }
@@ -285,34 +252,6 @@ mod tests {
         let dev = SccDevice::new(&sim, DeviceId(0));
         let up = dev.boot(&BootConfig { core_failure_prob: 1.0, seed: 1 });
         assert_eq!(up.len(), 1);
-    }
-
-    #[test]
-    fn tas_exclusion() {
-        let sim = Sim::new();
-        let dev = SccDevice::new(&sim, DeviceId(0));
-        assert!(dev.tas_try_acquire(CoreId(3)));
-        assert!(!dev.tas_try_acquire(CoreId(3)));
-        dev.tas_release(CoreId(3));
-        assert!(dev.tas_try_acquire(CoreId(3)));
-    }
-
-    #[test]
-    fn tas_acquire_waits_for_release() {
-        let sim = Sim::new();
-        let dev = SccDevice::new(&sim, DeviceId(0));
-        assert!(dev.tas_try_acquire(CoreId(0)));
-        let (s, d) = (sim.clone(), dev.clone());
-        sim.spawn_named("waiter", async move {
-            d.tas_acquire(CoreId(0)).await;
-            assert_eq!(s.now(), 77);
-        });
-        let (s, d) = (sim.clone(), dev.clone());
-        sim.spawn_named("holder", async move {
-            s.delay(77).await;
-            d.tas_release(CoreId(0));
-        });
-        sim.run().unwrap();
     }
 
     #[test]

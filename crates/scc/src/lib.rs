@@ -12,9 +12,11 @@
 //! This crate models all of the above *functionally* (bytes really move,
 //! stale cache reads really happen until invalidated) and *temporally*
 //! (every access is charged a calibrated cycle cost; memory-controller and
-//! off-chip ports are contended FIFO resources). Cross-device traffic is
-//! delegated through the [`remote::RemoteFabric`] trait, implemented by the
-//! PCIe/host layers.
+//! off-chip ports are contended FIFO resources), except the test-and-set
+//! registers: no protocol of the RCCE port uses them (its send and receive
+//! locks are simulated per-UE mutexes). Cross-device traffic is delegated
+//! through the [`remote::RemoteFabric`] trait, implemented by the PCIe/host
+//! layers.
 
 pub mod cache;
 pub mod core;

@@ -2,9 +2,11 @@
 //!
 //! A device's system interface (SIF, tile (3,0)) hands cross-device memory
 //! traffic to whatever fabric is plugged in — the PCIe/host layer in the
-//! full system, or a test double. The fabric also carries accesses to the
-//! *memory-mapped register file* that the paper adds to the host driver
-//! (vDMA programming, software-cache control, §3.2/§3.3).
+//! full system, or a test double. The fabric also carries posted writes
+//! into the *memory-mapped register file* that the paper adds to the host
+//! driver (vDMA programming, software-cache control, §3.2/§3.3). No core
+//! ever reads that file back: completion is signalled by an on-chip flag
+//! the issuing core busy-waits on (§3.3).
 
 use std::future::Future;
 use std::pin::Pin;
@@ -64,11 +66,9 @@ pub trait RemoteFabric {
         flow: Option<u64>,
     ) -> LocalBoxFuture<'_, ()>;
 
-    /// Deliver one fused register-line write to the host register window.
+    /// Deliver one fused register-line write to the host register window
+    /// as a posted doorbell: resolves once the line has left the device.
     fn mmio_write(&self, line: RegisterLine) -> LocalBoxFuture<'_, ()>;
-
-    /// Read a register line from the host register window.
-    fn mmio_read(&self, src: GlobalCore, line: u16) -> LocalBoxFuture<'_, [u8; LINE_BYTES]>;
 }
 
 /// Pack the three logical vDMA registers (§3.3: address, count, control)

@@ -13,6 +13,13 @@ rustfmt --edition 2021 --check crates/bench/benches/*.rs
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark compile (the repository benchmark is its own workspace) =="
+# crates/bench/examples/vscc_benchmark builds against the library crates'
+# public API but sits outside this workspace, so nothing above compiles it.
+# Check it here, early, so a public-API deletion it depends on fails fast
+# instead of at the benchmark smoke near the end.
+cargo check --offline --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml
+
 echo "== cargo doc (deny warnings: no dangling or private intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

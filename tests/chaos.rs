@@ -36,6 +36,8 @@ struct ChaosRun {
     demoted_pairs: usize,
     promotions: u64,
     end: u64,
+    /// The run's registry (`pcie.fault.*` says what the plan injected).
+    registry: Registry,
 }
 
 /// A verified bidirectional ping-pong between core 0 of each device under
@@ -89,19 +91,45 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
         promotions: v.host.health.promotions.get(),
         end: sim.now(),
         result,
+        registry: reg,
     }
 }
 
 /// A small cross-device NPB BT run (4 ranks, 2 per device) under the
-/// given fault spec; `Ok(verified)` or the diagnosed error.
-fn bt_chaos(spec: &str) -> Result<bool, SimError> {
+/// given fault spec: `Ok(verified)` or the diagnosed error, plus the
+/// run's registry.
+fn bt_chaos(spec: &str) -> (Result<bool, SimError>, Registry) {
     let spec = FaultSpec::parse(spec).expect("chaos spec");
     let sim = Sim::new();
     let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet).faults(spec).build();
     let s = v.session_builder().cores_per_device(2).build();
     let mut cfg = BtConfig::new(BtClass::S, 4);
     cfg.measured = 2;
-    run_bt(&s, &cfg).map(|r| r.verified)
+    (run_bt(&s, &cfg).map(|r| r.verified), v.metrics().clone())
+}
+
+/// Each fault key of the spec grammar and the `pcie.fault.*` counter
+/// that counts its injections.
+const FAULT_COUNTERS: [(&str, &str); 8] = [
+    ("drop", "tlp_dropped"),
+    ("corrupt", "tlp_corrupted"),
+    ("delay", "tlp_delayed"),
+    ("linkdown", "link_down_waits"),
+    ("stall", "commtask_stalls"),
+    ("ackloss", "ack_lost"),
+    ("mmio_stuck", "mmio_stuck"),
+    ("mmio_garble", "mmio_garbled"),
+];
+
+/// Every fault key `spec` sets must have moved its counter: a plan that
+/// injects nothing proves nothing about recovery.
+fn assert_every_fault_fired(spec: &str, reg: &Registry) {
+    for (key, _) in spec.split(',').filter_map(|kv| kv.split_once('=')) {
+        if let Some((_, counter)) = FAULT_COUNTERS.iter().find(|(k, _)| *k == key) {
+            let fired = reg.counter(&format!("pcie.fault.{counter}")).get();
+            assert!(fired > 0, "{spec}: `{key}` never fired (pcie.fault.{counter} = 0)");
+        }
+    }
 }
 
 /// A run that ended acceptably: verified payloads, or a diagnosed error.
@@ -250,17 +278,18 @@ fn demoted_pair_heals_after_the_storm_ends() {
 
 /// The chaos property: seeded fault plans mixing every fault class must
 /// end in verified payloads or a diagnosed error — never a hang, never
-/// silent corruption.
+/// silent corruption. Each plan's seed (or, for the clock-driven stall
+/// window, its period) is one under which every fault key fires.
 #[test]
 fn chaos_plans_end_verified_or_diagnosed() {
     let specs = [
-        format!("seed=1,drop=0.02,recovery=on,{WATCHDOG}"),
-        format!("seed=2,corrupt=0.05,recovery=on,{WATCHDOG}"),
+        format!("seed=16,drop=0.02,recovery=on,{WATCHDOG}"),
+        format!("seed=14,corrupt=0.05,recovery=on,{WATCHDOG}"),
         format!("seed=3,delay=0.1:5000,recovery=on,{WATCHDOG}"),
         format!("seed=4,linkdown=4000@400000,recovery=on,{WATCHDOG}"),
-        format!("seed=5,stall=3000@300000,recovery=on,{WATCHDOG}"),
+        format!("seed=5,stall=3000@100000,recovery=on,{WATCHDOG}"),
         format!("seed=6,ackloss=0.01,recovery=on,{WATCHDOG}"),
-        format!("seed=7,drop=0.01,corrupt=0.02,delay=0.05:2000,recovery=on,{WATCHDOG}"),
+        format!("seed=25,drop=0.01,corrupt=0.02,delay=0.05:2000,recovery=on,{WATCHDOG}"),
         format!("seed=8,mmio_garble=0.05,recovery=on,{WATCHDOG}"),
     ];
     for spec in &specs {
@@ -277,6 +306,7 @@ fn chaos_plans_end_verified_or_diagnosed() {
             "{spec}: run must end verified or diagnosed, got {:?}",
             r.result
         );
+        assert_every_fault_fired(spec, &r.registry);
     }
 }
 
@@ -291,10 +321,12 @@ fn chaos_plans_over_bt_end_verified_or_diagnosed() {
         format!("seed=24,drop=0.005,corrupt=0.01,delay=0.02:3000,recovery=on,{WATCHDOG}"),
     ];
     for spec in &specs {
-        match bt_chaos(spec) {
+        let (result, reg) = bt_chaos(spec);
+        match result {
             Ok(verified) => assert!(verified, "{spec}: BT completed but payloads are corrupt"),
             Err(SimError::Aborted(_) | SimError::Deadlock(_) | SimError::HorizonExceeded(_)) => {}
         }
+        assert_every_fault_fired(spec, &reg);
     }
 }
 
