@@ -222,7 +222,6 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
         || &ctx.label,
         || fields![bytes = buf.len() as u64, src = src as u64],
     );
-    ctx.inbound_lock.lock().await;
     let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
     // b1: grant the buffer.
     ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
@@ -249,7 +248,6 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
     windows.direct.sub(buf.len() as i64);
     trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
     ctx.recv_count.borrow_mut()[src] = cnt;
-    ctx.inbound_lock.unlock();
 }
 
 // ---------------------------------------------------------------------
@@ -346,7 +344,6 @@ impl PointToPoint for RemotePutProtocol {
                 || &ctx.label,
                 || fields![bytes = buf.len() as u64, src = src as u64],
             );
-            ctx.inbound_lock.lock().await;
             for (lo, hi) in chunk_ranges(buf.len(), REMOTE_PUT_CHUNK) {
                 let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
                 // b1: grant my receive window to this sender.
@@ -376,7 +373,6 @@ impl PointToPoint for RemotePutProtocol {
                 trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
                 ctx.recv_count.borrow_mut()[src] = cnt;
             }
-            ctx.inbound_lock.unlock();
             trace.end(ctx.core.sim().now(), Category::Protocol, "rput_recv", f, || &ctx.label);
         })
     }
@@ -739,7 +735,6 @@ impl PointToPoint for VdmaProtocol {
                 || &ctx.label,
                 || fields![bytes = buf.len() as u64, src = src as u64],
             );
-            ctx.inbound_lock.lock().await;
             let base = ctx.recv_count.borrow()[src];
             let packets = chunk_ranges(buf.len(), VDMA_SLOT);
             let n = packets.len();
@@ -786,7 +781,6 @@ impl PointToPoint for VdmaProtocol {
                 }
             }
             ctx.recv_count.borrow_mut()[src] = base.wrapping_add(n as u8);
-            ctx.inbound_lock.unlock();
             trace.end(ctx.core.sim().now(), Category::Protocol, "vdma_recv", f, || &ctx.label);
         })
     }
@@ -819,7 +813,7 @@ mod tests {
         assert_eq!(r0 - s0, 2 * VDMA_SLOT);
         assert_eq!(r1 - r0, VDMA_SLOT);
         // Send slots end before receive slots begin; direct slot sits in
-        // the tail of the receive area (guarded by the inbound lock).
+        // the tail of the receive area (guarded by the receive lock).
         assert!(s1 + VDMA_SLOT <= r0);
         assert!(d + DIRECT_MAX <= scc::MPB_BYTES);
         // The LPRG chunk never reaches the direct slot.

@@ -419,11 +419,69 @@ mod tests {
         let before = v.host.stats.routed_lines.get();
         s.run_app(|r| async move {
             if r.id() == 0 {
-                r.put(1, 100, &[42u8; 32]).await;
+                let target = rcce::layout::payload(r.ctx().session.who(1), 100);
+                r.core().put(target, &[42u8; 32], None).await;
             }
         })
         .unwrap();
         assert_eq!(v.host.stats.routed_lines.get() - before, 2);
+    }
+
+    #[test]
+    fn concurrent_receives_of_one_rank_run_one_at_a_time() {
+        // Rank 0 receives from an on-chip peer and an inter-device peer
+        // on two tasks at once; the UE's one receive lock must run them
+        // in call order even though the second message is ready first.
+        let sim = Sim::new();
+        let v = VsccBuilder::new(&sim, 2)
+            .scheme(CommScheme::LocalPutLocalGet)
+            .trace_categories(&Category::ALL)
+            .build();
+        let cores = vec![
+            v.devices[0].global(scc::geometry::CoreId(0)),
+            v.devices[0].global(scc::geometry::CoreId(1)),
+            v.devices[1].global(scc::geometry::CoreId(0)),
+        ];
+        let s = v.session_builder().participants(cores).build();
+        let out = s
+            .run_app(|r| async move {
+                match r.id() {
+                    0 => {
+                        let near = r.clone();
+                        let first = r.sim().spawn_named("recv near", async move {
+                            let ok = near.recv_vec(1000, 1).await == vec![1u8; 1000];
+                            (ok, near.now())
+                        });
+                        let far = r.clone();
+                        let second = r.sim().spawn_named("recv far", async move {
+                            let ok = far.recv_vec(6000, 2).await == vec![2u8; 6000];
+                            (ok, far.now())
+                        });
+                        vec![first.await, second.await]
+                    }
+                    1 => {
+                        r.compute(400_000).await;
+                        r.send(&[1u8; 1000], 0).await;
+                        vec![]
+                    }
+                    _ => {
+                        r.send(&[2u8; 6000], 0).await;
+                        vec![]
+                    }
+                }
+            })
+            .unwrap();
+        let [(near_ok, near_done), (far_ok, far_done)] = out[0][..] else { unreachable!() };
+        assert!(near_ok && far_ok, "both receives must verify their payloads");
+        assert!(far_done > near_done);
+        let far_start = v
+            .trace()
+            .events_of("rank0")
+            .iter()
+            .find(|e| e.kind == "vdma_recv")
+            .map(|e| e.time)
+            .expect("the inter-device receive is traced");
+        assert!(far_start >= near_done, "far receive started at {far_start}, before {near_done}");
     }
 
     #[test]

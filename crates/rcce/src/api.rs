@@ -1,15 +1,14 @@
 //! The per-rank RCCE handle: the API application code programs against.
 //!
-//! Mirrors the RCCE surface: two-sided `send`/`recv` (*non-gory*), the
-//! one-sided *gory* layer (`put`/`get`/flag operations), collectives, and
-//! iRCCE's non-blocking send (see [`crate::ircce`]).
+//! Mirrors the RCCE surface: two-sided `send`/`recv` (*non-gory*),
+//! collectives, and iRCCE's non-blocking send (see [`crate::ircce`]).
+//! One-sided programs drive the core directly through [`Rcce::core`].
 
 use std::rc::Rc;
 
-use scc::geometry::MpbAddr;
+use des::trace::Category;
 use scc::CoreHandle;
 
-use crate::layout;
 use crate::session::{size_class, RankCtx};
 
 /// Handle of one RCCE unit of execution (UE).
@@ -50,7 +49,7 @@ impl Rcce {
         self.ctx.core.sim().now()
     }
 
-    /// Direct access to the core (escape hatch for gory programs).
+    /// Direct access to the core (the way in for one-sided *gory* code).
     pub fn core(&self) -> &CoreHandle {
         &self.ctx.core
     }
@@ -71,38 +70,14 @@ impl Rcce {
 
     /// Blocking send (`RCCE_send`): returns when `dest` has received.
     pub async fn send(&self, data: &[u8], dest: usize) {
+        self.check_dest(dest);
+        send_locked(&self.ctx, data, dest).await;
+    }
+
+    /// Reject sends RCCE forbids, at the call rather than in a task.
+    pub(crate) fn check_dest(&self, dest: usize) {
         assert!(dest < self.num_ues(), "send to invalid rank {dest}");
         assert_ne!(dest, self.id(), "RCCE forbids self-sends");
-        self.ctx.session.record_traffic(self.id(), dest, data.len() as u64);
-        let metrics = self.ctx.session.rcce_metrics();
-        let me = self.id();
-        let start = self.now();
-        let trace = self.ctx.session.trace().clone();
-        let lock = self.ctx.send_lock().clone();
-        // Flow allocation order matches lock-holder order because the
-        // send lock is a FIFO mutex (determinism invariant #1).
-        let flow = self.ctx.session.next_send_flow(me, dest);
-        trace.begin(
-            self.now(),
-            des::trace::Category::Protocol,
-            "send_lock",
-            Some(flow),
-            || self.ctx.label.clone(),
-            || des::fields![dest = dest, bytes = data.len()],
-        );
-        lock.lock().await;
-        trace.end(self.now(), des::trace::Category::Protocol, "send_lock", Some(flow), || {
-            self.ctx.label.clone()
-        });
-        metrics.send_lock_wait.add(self.now() - start);
-        let acquired = self.now();
-        self.ctx.enter_send(flow);
-        let proto = self.ctx.session.proto(me, dest);
-        proto.send(&self.ctx, dest, data, flow).await;
-        self.ctx.exit_send();
-        metrics.send_lock_hold.record(self.now() - acquired);
-        lock.unlock();
-        metrics.send_lat[size_class(data.len())].record(self.now() - start);
     }
 
     /// Blocking receive (`RCCE_recv`): fills `buf` from `src`.
@@ -110,7 +85,7 @@ impl Rcce {
         assert!(src < self.num_ues(), "recv from invalid rank {src}");
         assert_ne!(src, self.id(), "RCCE forbids self-receives");
         let start = self.now();
-        let lock = self.ctx.recv_lock(src).clone();
+        let lock = self.ctx.recv_lock();
         lock.lock().await;
         let flow = self.ctx.session.next_recv_flow(src, self.id());
         let proto = self.ctx.session.proto(src, self.id());
@@ -125,38 +100,42 @@ impl Rcce {
         self.recv(&mut buf, src).await;
         buf
     }
+}
 
-    // ------------------------------------------------------------------
-    // Gory one-sided interface
-    // ------------------------------------------------------------------
-
-    /// `RCCE_put`: copy private data into `target` rank's payload area at
-    /// byte `offset`.
-    pub async fn put(&self, target: usize, offset: usize, data: &[u8]) {
-        let who = self.ctx.session.who(target);
-        self.ctx.core.put(layout::payload(who, offset), data, None).await;
-    }
-
-    /// `RCCE_get`: copy from `target` rank's payload area into `buf`.
-    pub async fn get(&self, target: usize, offset: usize, buf: &mut [u8]) {
-        let who = self.ctx.session.who(target);
-        self.ctx.core.get(layout::payload(who, offset), buf, None).await;
-    }
-
-    /// `RCCE_flag_write` on an arbitrary MPB address.
-    pub async fn flag_write(&self, addr: MpbAddr, value: u8) {
-        self.ctx.core.flag_write(addr, value, None).await;
-    }
-
-    /// `RCCE_wait_until`: spin until the local flag equals `value`.
-    pub async fn flag_wait(&self, addr: MpbAddr, value: u8) {
-        self.ctx.core.flag_wait(addr, value).await;
-    }
-
-    /// Invalidate all MPBT-tagged L1 lines (`RCCE_DCMflush` / `CL1INVMB`).
-    pub async fn cl1invmb(&self) {
-        self.ctx.core.cl1invmb().await;
-    }
+/// The one send body behind [`Rcce::send`] and [`Rcce::isend`]: record
+/// the traffic, wait for the UE's send lock, then run the pair's
+/// protocol. The flow id is allocated after the grant, so ids follow the
+/// lock's FIFO grant order and the n-th send of a pair matches the n-th
+/// receive (determinism invariant #1).
+pub(crate) async fn send_locked(ctx: &RankCtx, data: &[u8], dest: usize) {
+    let session = &ctx.session;
+    let me = ctx.rank;
+    session.record_traffic(me, dest, data.len() as u64);
+    let metrics = session.rcce_metrics();
+    let start = session.sim().now();
+    let lock = ctx.send_lock();
+    lock.lock().await;
+    let acquired = session.sim().now();
+    let flow = session.next_send_flow(me, dest);
+    // The span opens at the request, back-dated once the grant fixed
+    // the flow id.
+    let trace = session.trace();
+    trace.begin(
+        start,
+        Category::Protocol,
+        "send_lock",
+        Some(flow),
+        || ctx.label.clone(),
+        || des::fields![dest = dest, bytes = data.len()],
+    );
+    trace.end(acquired, Category::Protocol, "send_lock", Some(flow), || ctx.label.clone());
+    metrics.send_lock_wait.add(acquired - start);
+    ctx.enter_send(flow);
+    session.proto(me, dest).send(ctx, dest, data, flow).await;
+    ctx.exit_send();
+    metrics.send_lock_hold.record(session.sim().now() - acquired);
+    lock.unlock();
+    metrics.send_lat[size_class(data.len())].record(session.sim().now() - start);
 }
 
 #[cfg(test)]
@@ -301,27 +280,6 @@ mod tests {
         .unwrap();
         assert_eq!(s.traffic_matrix()[0][1], 1000);
         assert_eq!(s.message_matrix()[0][1], 1);
-    }
-
-    #[test]
-    fn gory_put_get_with_flags() {
-        let sim = Sim::new();
-        let s = session(&sim, 2);
-        s.run_app(|r| async move {
-            let flag = crate::layout::vdma_done_flag(r.ctx().session.who(1));
-            if r.id() == 0 {
-                // One-sided: write into rank 1's payload, then raise a flag.
-                r.put(1, 100, &[42; 32]).await;
-                r.flag_write(flag, 1).await;
-            } else {
-                r.flag_wait(flag, 1).await;
-                r.cl1invmb().await;
-                let mut buf = [0u8; 32];
-                r.get(1, 100, &mut buf).await;
-                assert_eq!(buf, [42; 32]);
-            }
-        })
-        .unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use des::JoinHandle;
 
-use crate::api::Rcce;
+use crate::api::{send_locked, Rcce};
 
 /// Handle of an outstanding non-blocking send (`iRCCE_isend`).
 pub struct SendRequest {
@@ -22,31 +22,14 @@ impl SendRequest {
 }
 
 impl Rcce {
-    /// Start a non-blocking send of `data` to `dest`.
+    /// Start a non-blocking send of `data` to `dest`: the blocking
+    /// send's body, spawned as its own task.
     pub fn isend(&self, data: Vec<u8>, dest: usize) -> SendRequest {
-        assert!(dest < self.num_ues() && dest != self.id());
+        self.check_dest(dest);
         let ctx = self.ctx.clone();
-        let me = self.id();
-        ctx.session.record_traffic(me, dest, data.len() as u64);
-        let sim = self.sim().clone();
-        let handle = sim.spawn_named(format!("isend {me}->{dest}"), async move {
-            let start = ctx.session.sim().now();
-            let lock = ctx.send_lock().clone();
-            lock.lock().await;
-            // nth lock holder gets the nth flow id, matching the
-            // receiver's per-pair FIFO allocation.
-            let flow = ctx.session.next_send_flow(me, dest);
-            let metrics = ctx.session.rcce_metrics();
-            metrics.send_lock_wait.add(ctx.session.sim().now() - start);
-            let acquired = ctx.session.sim().now();
-            ctx.enter_send(flow);
-            let proto = ctx.session.proto(me, dest);
-            proto.send(&ctx, dest, &data, flow).await;
-            ctx.exit_send();
-            metrics.send_lock_hold.record(ctx.session.sim().now() - acquired);
-            lock.unlock();
-            metrics.send_lat[crate::session::size_class(data.len())]
-                .record(ctx.session.sim().now() - start);
+        let name = format!("isend {}->{dest}", self.id());
+        let handle = self.sim().spawn_named(name, async move {
+            send_locked(&ctx, &data, dest).await;
         });
         SendRequest { handle }
     }
@@ -82,6 +65,57 @@ mod tests {
             }
         })
         .unwrap();
+    }
+
+    #[test]
+    fn mixed_isend_and_send_pair_flows_in_grant_order() {
+        // A holds the send lock while the receiver is late, B queues
+        // behind it, and the blocking C queues behind B: every flow's id
+        // must follow that grant order, so each flow's sender puts and
+        // receiver gets move the same message.
+        let sim = Sim::new();
+        let dev = SccDevice::new(&sim, DeviceId(0));
+        let s = SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace().build();
+        s.run_app(|r| async move {
+            if r.id() == 0 {
+                let a = r.isend(vec![1u8; 100], 1);
+                let b = r.isend(vec![2u8; 200], 1);
+                r.compute(1_000).await;
+                r.send(&[3u8; 300], 1).await;
+                a.wait().await;
+                b.wait().await;
+            } else {
+                r.compute(50_000).await;
+                for (len, fill) in [(100, 1u8), (200, 2), (300, 3)] {
+                    assert_eq!(r.recv_vec(len, 0).await, vec![fill; len]);
+                }
+            }
+        })
+        .unwrap();
+        let events = s.trace().events();
+        let opened = |flow: u64, kind: &'static str| {
+            events.iter().filter(move |e| {
+                e.flow == Some(flow) && e.kind == kind && e.phase == des::trace::SpanPhase::Begin
+            })
+        };
+        let bytes = |flow: u64, kind: &'static str| -> u64 {
+            opened(flow, kind)
+                .map(|e| match e.fields.iter().find(|(k, _)| *k == "bytes") {
+                    Some((_, des::trace::FieldValue::U64(n))) => *n,
+                    other => panic!("{kind} without a byte count: {other:?}"),
+                })
+                .sum()
+        };
+        let mut flows: Vec<u64> = events.iter().filter_map(|e| e.flow).collect();
+        flows.sort_unstable();
+        flows.dedup();
+        assert_eq!(flows.len(), 3);
+        for &flow in &flows {
+            assert_eq!(bytes(flow, "sender_put"), bytes(flow, "recv_get"), "flow {flow}");
+        }
+        for &flow in &flows {
+            assert_eq!(opened(flow, "send_lock").count(), 1, "flow {flow}");
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! (RWTH Aachen) adds non-blocking sends and the *pipelined* protocol of
 //! Fig. 2b, which interleaves put and get at a finer packet granularity.
 //! The port keeps what the applications call: blocking `send`/`recv`,
-//! `isend`, `barrier`, `bcast`, `reduce_f64`/`allreduce_f64`, and the gory
-//! `put`/`get`/flag wrappers.
+//! `isend`, `barrier`, `bcast`, and `reduce_f64`/`allreduce_f64`. One-sided
+//! gory code drives the core's `put`/`get`/flag operations directly
+//! through [`Rcce::core`].
 //!
 //! The port keeps the protocol state machines of the originals:
 //! flag-based synchronization with busy-waiting, messages split at the MPB

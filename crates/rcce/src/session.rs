@@ -115,11 +115,6 @@ impl SessionInner {
         &self.devices[who.device.0 as usize]
     }
 
-    /// All devices of the session, in id order.
-    pub fn devices(&self) -> &[Rc<SccDevice>] {
-        &self.devices
-    }
-
     /// The simulation clock.
     pub fn sim(&self) -> &Sim {
         &self.sim
@@ -150,9 +145,9 @@ impl SessionInner {
         seq * pairs + (src * crate::layout::MAX_RANKS + dest) as u64 + 1
     }
 
-    /// Allocate the next send-side flow id for `src -> dest`. Because the
-    /// send lock serializes a rank's sends and the per-source receive
-    /// lock serializes the matching receives, the n-th send of a pair
+    /// Allocate the next send-side flow id for `src -> dest`. The sender
+    /// allocates after its send lock is granted and the receiver under
+    /// its receive lock; both are FIFO, so the n-th send of a pair
     /// always matches the n-th receive — both sides derive the same id
     /// without any bytes on the wire.
     pub fn next_send_flow(&self, src: usize, dest: usize) -> u64 {
@@ -212,8 +207,8 @@ impl SessionInner {
     }
 }
 
-/// Per-rank protocol state: the UE's core handle, flag counters, and
-/// per-pair ordering locks.
+/// Per-rank protocol state: the UE's core handle, flag counters, and the
+/// UE's one send lock and one receive lock.
 pub struct RankCtx {
     /// This UE's rank.
     pub rank: usize,
@@ -230,11 +225,8 @@ pub struct RankCtx {
     /// Pre-interned trace label (`"rank<N>"`): hot-path trace closures
     /// clone this `Rc` instead of formatting a fresh `String` per event.
     pub label: Rc<str>,
-    /// Serializes inbound streams that deliver into this rank's MPB
-    /// (remote-put and vDMA schemes share the receive area).
-    pub inbound_lock: SimMutex,
     send_lock: SimMutex,
-    recv_locks: Vec<SimMutex>,
+    recv_lock: SimMutex,
     /// Send-lock exclusivity monitor: true while a send is in flight.
     in_send: Cell<bool>,
 }
@@ -251,9 +243,8 @@ impl RankCtx {
             recv_count: RefCell::new(vec![0; n]),
             barrier_gen: Cell::new(0),
             label: session.trace().intern(&format!("rank{rank}")),
-            inbound_lock: SimMutex::new(),
             send_lock: SimMutex::new(),
-            recv_locks: (0..n).map(|_| SimMutex::new()).collect(),
+            recv_lock: SimMutex::new(),
             in_send: Cell::new(false),
         })
     }
@@ -273,13 +264,16 @@ impl RankCtx {
     /// local MPB send buffer, exactly like iRCCE's single outgoing
     /// request queue — two concurrent isends would otherwise clobber the
     /// buffer.
-    pub fn send_lock(&self) -> &SimMutex {
+    pub(crate) fn send_lock(&self) -> &SimMutex {
         &self.send_lock
     }
 
-    /// Serializes concurrent receives from the same source.
-    pub fn recv_lock(&self, src: usize) -> &SimMutex {
-        &self.recv_locks[src]
+    /// Serializes this rank's receives, in call order. Like the send
+    /// lock it is global per UE, not per source: the direct slot and the
+    /// remote-put and vDMA receive areas of this rank's MPB are one
+    /// resource each, shared by every inter-device sender.
+    pub(crate) fn recv_lock(&self) -> &SimMutex {
+        &self.recv_lock
     }
 
     /// Send-lock exclusivity monitor: mark a send in flight. Two

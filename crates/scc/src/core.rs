@@ -7,7 +7,7 @@
 //!   / [`CoreHandle::get`]) — the two-way copy scheme of Fig. 2;
 //! * **register** ops touch single MPB ranges without DRAM
 //!   ([`CoreHandle::mpb_read`] / [`CoreHandle::mpb_write`]);
-//! * **flag** ops poll/toggle one synchronization byte, always invalidating
+//! * **flag** ops read/toggle one synchronization byte, always invalidating
 //!   L1 first exactly like the RCCE sources do.
 //!
 //! Reads go through the non-coherent L1 model: a line cached earlier is
@@ -68,11 +68,6 @@ impl CoreHandle {
 
     fn is_local_device(&self, addr: MpbAddr) -> bool {
         addr.owner.device == self.who.device
-    }
-
-    /// Charge `cycles` of core time.
-    pub async fn work(&self, cycles: Cycles) {
-        self.sim.delay(cycles).await;
     }
 
     /// Charge compute worth `flops` floating-point operations (the P54C
@@ -259,29 +254,6 @@ impl CoreHandle {
         b[0]
     }
 
-    /// Busy-wait (in simulated time) until the *local* flag at `addr`
-    /// equals `value`. RCCE only ever polls flags in the waiting core's own
-    /// MPB (paper §3.1 footnote), so remote waits are rejected.
-    pub async fn flag_wait(&self, addr: MpbAddr, value: u8) {
-        assert_eq!(
-            addr.owner.device, self.who.device,
-            "RCCE polls local flags only; cross-device flag_wait is a protocol bug"
-        );
-        let region = self.device.mpb(addr.owner.core).clone();
-        let cost = &self.device.cost;
-        let poll_cost =
-            cost.cl1invmb + cost.mpb_line_cost(self.who.core.tile(), addr.owner.core.tile(), false);
-        loop {
-            self.l1.invalidate_range(addr.owner, addr.offset, 1);
-            self.sim.delay(poll_cost).await;
-            if region.read_byte(addr.offset as usize) == value {
-                return;
-            }
-            let target = addr.offset as usize;
-            region.wait_until(|| region.read_byte(target) == value).await;
-        }
-    }
-
     // ------------------------------------------------------------------
     // MMIO doorbells
     // ------------------------------------------------------------------
@@ -452,41 +424,6 @@ mod tests {
                 // 64 bytes at 8160: the last 32 lie past the region end.
                 let mut buf = [0u8; 64];
                 c.mpb_read(MpbAddr::new(dev.global(CoreId(0)), 8160), &mut buf).await;
-            })
-            .unwrap();
-    }
-
-    #[test]
-    fn flag_wait_sees_flag_from_other_core() {
-        let (sim, dev) = setup();
-        let waiter_dev = dev.clone();
-        sim.spawn_named("waiter", async move {
-            let c0 = CoreHandle::new(&waiter_dev, CoreId(0));
-            let flag = MpbAddr::new(waiter_dev.global(CoreId(0)), 0);
-            c0.flag_wait(flag, 1).await;
-            assert!(c0.sim().now() >= 1000);
-        });
-        sim.spawn_named("setter", {
-            let dev = dev.clone();
-            async move {
-                let c1 = CoreHandle::new(&dev, CoreId(1));
-                c1.sim().delay(1000).await;
-                let flag = MpbAddr::new(dev.global(CoreId(0)), 0);
-                c1.flag_write(flag, 1, None).await;
-            }
-        });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn flag_wait_already_set_returns_fast() {
-        let (sim, dev) = setup();
-        sim.clone()
-            .block_on(async move {
-                let c0 = CoreHandle::new(&dev, CoreId(0));
-                let flag = MpbAddr::new(dev.global(CoreId(0)), 32);
-                c0.flag_write(flag, 5, None).await;
-                c0.flag_wait(flag, 5).await; // must not deadlock
             })
             .unwrap();
     }

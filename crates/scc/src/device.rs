@@ -98,11 +98,6 @@ pub struct SccDevice {
 impl SccDevice {
     /// Build a device with the default cost model.
     pub fn new(sim: &Sim, id: DeviceId) -> Rc<Self> {
-        Self::with_cost(sim, id, CostModel::default())
-    }
-
-    /// Build a device with an explicit cost model.
-    pub fn with_cost(sim: &Sim, id: DeviceId, cost: CostModel) -> Rc<Self> {
         let n = CORES_PER_DEVICE as usize;
         // DDR3-800 port: ~6.4 GB/s ≈ 12 B per 533 MHz core cycle. Streaming
         // latency is already inside CostModel::dram_line; the port link only
@@ -111,7 +106,7 @@ impl SccDevice {
         let stats = DeviceStats::default();
         Rc::new(SccDevice {
             id,
-            cost,
+            cost: CostModel::default(),
             sim: sim.clone(),
             mpbs: (0..n)
                 .map(|_| {

@@ -20,6 +20,11 @@ echo "== benchmark compile (the repository benchmark is its own workspace) =="
 # instead of at the benchmark smoke near the end.
 cargo check --offline --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml
 
+echo "== benchmark unit tests (metric table, BENCHMARK.json agreement, comparison rules) =="
+# The benchmark's own tests, including the check that BENCHMARK.json
+# agrees with its metric table; the workspace test stage never runs them.
+cargo test -q --offline --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml
+
 echo "== cargo doc (deny warnings: no dangling or private intra-doc links) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
