@@ -97,18 +97,13 @@ pub fn interdevice_observed(
     reps: usize,
 ) -> (PingPongPoint, Trace, Registry) {
     let sim = Sim::new();
-    let reg = Registry::new();
-    let v = VsccBuilder::new(&sim, FIG_DEVICES)
-        .scheme(scheme)
-        .metrics_registry(&reg)
-        .trace_categories(&Category::ALL)
-        .build();
+    let v =
+        VsccBuilder::new(&sim, FIG_DEVICES).scheme(scheme).trace_categories(&Category::ALL).build();
     let a = v.devices[0].global(CoreId(0));
     let b = v.devices[1].global(CoreId(0));
     let s = v.session_builder().participants(vec![a, b]).build();
     s.run_app(move |r| bounce(r, size, reps)).expect("inter-device ping-pong");
-    let trace = v.trace().clone();
-    (point(&sim, size, reps), trace, reg)
+    (point(&sim, size, reps), v.trace().clone(), v.metrics().clone())
 }
 
 /// Like [`interdevice_observed`], but additionally running the
@@ -123,22 +118,17 @@ pub fn interdevice_sampled(
     cadence: des::Cycles,
 ) -> (PingPongPoint, Trace, Registry, des::obs::TimeSeries) {
     let sim = Sim::new();
-    let reg = Registry::new();
-    let v = VsccBuilder::new(&sim, FIG_DEVICES)
-        .scheme(scheme)
-        .metrics_registry(&reg)
-        .trace_categories(&Category::ALL)
-        .build();
+    let v =
+        VsccBuilder::new(&sim, FIG_DEVICES).scheme(scheme).trace_categories(&Category::ALL).build();
     let a = v.devices[0].global(CoreId(0));
     let b = v.devices[1].global(CoreId(0));
     // Build the session before spawning the sampler so the `rcce.*`
     // metrics exist when the selection is resolved.
     let s = v.session_builder().participants(vec![a, b]).build();
-    let ts = v.spawn_sampler(&des::obs::SamplerSpec::every(cadence));
+    let ts = v.spawn_sampler(cadence);
     s.run_app(move |r| bounce(r, size, reps)).expect("inter-device ping-pong");
     ts.finish(sim.now());
-    let trace = v.trace().clone();
-    (point(&sim, size, reps), trace, reg, ts)
+    (point(&sim, size, reps), v.trace().clone(), v.metrics().clone(), ts)
 }
 
 /// Like [`interdevice`], but running under an installed

@@ -82,7 +82,7 @@ fn main() {
             .trace_categories(&des::trace::Category::ALL)
             .build();
         let s = v.session_builder().cores_per_device(8).build();
-        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        let series = v.spawn_sampler(des::obs::DEFAULT_CADENCE);
         run_cg(&s, &CgConfig::new(CgClass::A, 16)).expect("CG");
         vscc_bench::Observed::of(&v, series)
     });

@@ -8,7 +8,8 @@
 
 use std::rc::Rc;
 
-use des::obs::{Registry, SamplerSpec, TimeSeries};
+use des::obs::{Registry, TimeSeries, DEFAULT_CADENCE};
+use des::trace::Trace;
 use des::Sim;
 use rcce::{PipelinedProtocol, SessionBuilder};
 use scc::device::SccDevice;
@@ -20,12 +21,15 @@ fn run(pipelined: bool, size: usize) -> (u64, String, Observed) {
     let reg = Registry::new();
     let dev = SccDevice::new(&sim, DeviceId(0));
     dev.register_metrics(&reg);
-    let mut b = SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace().with_metrics(&reg);
+    let mut b = SessionBuilder::new(&sim, vec![dev])
+        .max_ranks(2)
+        .with_trace(Trace::enabled())
+        .with_metrics(&reg);
     if pipelined {
         b = b.onchip_protocol(Rc::new(PipelinedProtocol::default()));
     }
     let s = b.build();
-    let series = TimeSeries::spawn(&sim, &reg, &SamplerSpec::default());
+    let series = TimeSeries::spawn(&sim, &reg, DEFAULT_CADENCE);
     s.run_app(move |r| async move {
         if r.id() == 0 {
             r.send(&vec![7u8; size], 1).await;

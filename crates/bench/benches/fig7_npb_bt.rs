@@ -74,7 +74,7 @@ fn main() {
             .trace_categories(&des::trace::Category::ALL)
             .build();
         let s = v.session_with_ranks(64);
-        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        let series = v.spawn_sampler(des::obs::DEFAULT_CADENCE);
         let mut cfg = BtConfig::new(BtClass::C, 64);
         cfg.measured = 1;
         run_bt(&s, &cfg).expect("observed BT run");

@@ -78,7 +78,7 @@ fn main() {
             .trace_categories(&des::trace::Category::ALL)
             .build();
         let s = v.session_with_ranks(ranks);
-        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        let series = v.spawn_sampler(des::obs::DEFAULT_CADENCE);
         run_bt(&s, &bt_config(ranks)).expect("observed BT run");
         vscc_bench::Observed::of(&v, series)
     });

@@ -61,7 +61,7 @@ fn run(faults: FaultSpec, observed: bool) -> (RunOut, Option<Observed>) {
     let a = v.devices[0].global(scc::geometry::CoreId(0));
     let bb = v.devices[1].global(scc::geometry::CoreId(0));
     let s = v.session_builder().participants(vec![a, bb]).build();
-    let series = observed.then(|| v.spawn_sampler(&des::obs::SamplerSpec::default()));
+    let series = observed.then(|| v.spawn_sampler(des::obs::DEFAULT_CADENCE));
     // Hold the clock open past the storm plus the probe backoff so the
     // (daemon) probers can finish the healing arc even if the app's
     // traffic drains first.

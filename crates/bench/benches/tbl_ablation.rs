@@ -157,7 +157,7 @@ fn main() {
             .trace_categories(&des::trace::Category::ALL)
             .build();
         let s = pair_session(&v, None);
-        let series = v.spawn_sampler(&des::obs::SamplerSpec::default());
+        let series = v.spawn_sampler(des::obs::DEFAULT_CADENCE);
         pingpong(&v, &s);
         vscc_bench::Observed::of(&v, series)
     });

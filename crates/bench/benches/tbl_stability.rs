@@ -90,7 +90,7 @@ fn stream_recovered(
     let a = v.devices[0].global(scc::geometry::CoreId(0));
     let b = v.devices[1].global(scc::geometry::CoreId(0));
     let s = v.session_builder().participants(vec![a, b]).build();
-    let series = observed.then(|| v.spawn_sampler(&des::obs::SamplerSpec::default()));
+    let series = observed.then(|| v.spawn_sampler(des::obs::DEFAULT_CADENCE));
     let msg = 7680usize.min(volume);
     let msgs = volume / msg;
     // Each rank reports (payloads verified, its completion time). The

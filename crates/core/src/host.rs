@@ -192,6 +192,14 @@ impl HostStats {
     }
 }
 
+/// [`des::span!`] for one PCIe-side hop of the communication task: the
+/// host's trace and clock, [`Category::Pcie`], on the `actor` track.
+macro_rules! pcie_hop {
+    ($host:expr, $kind:expr, $flow:expr, $actor:expr, [$($fields:tt)*], $body:expr $(,)?) => {
+        des::span!($host.trace, $host.sim, Category::Pcie, $kind, $flow, $actor, [$($fields)*], $body)
+    };
+}
+
 /// The communication task and fabric.
 pub struct HostSide {
     sim: Sim,
@@ -419,8 +427,19 @@ impl HostSide {
                     drain_seq,
                     flow,
                 } => {
-                    self.do_vdma(src, src_off, dst, dst_off, len, seq, src_rank, drain_seq, flow)
-                        .await;
+                    des::span!(
+                        self.trace,
+                        self.sim,
+                        Category::Vdma,
+                        "vdma",
+                        flow,
+                        || self.commtask_label(src.device.0),
+                        [src_dev = src.device.0, dst_dev = dst.device.0, bytes = len, seq = seq],
+                        self.do_vdma(
+                            src, src_off, dst, dst_off, len, seq, src_rank, drain_seq, flow
+                        )
+                        .await
+                    );
                 }
                 // Handled synchronously at MMIO arrival; never queued.
                 HostCmd::CacheInvalidate { .. } => {}
@@ -630,65 +649,76 @@ impl HostSide {
     /// be answered "in parallel after a warmup phase" (§3.2).
     async fn do_cache_update(&self, owner: GlobalCore, offset: u16, len: usize, flow: Option<u64>) {
         let sim = &self.sim;
-        self.trace.begin(
-            sim.now(),
-            Category::Pcie,
+        pcie_hop!(
+            self,
             "prefetch",
             flow,
             || self.commtask_label(owner.device.0),
-            || fields![core = owner.core.0 as u64, offset = offset as u64, bytes = len as u64],
-        );
-        let port = self.fabric.port(owner.device);
-        let mut installed: Vec<Bytes> = Vec::with_capacity(len.div_ceil(self.cfg.dma_chunk.max(1)));
-        for (lo, hi) in rcce::protocol::chunk_ranges(len, self.cfg.dma_chunk) {
-            port.egress.transfer(sim, self.cfg.model.host_dma_bytes((hi - lo) as u64)).await;
-            self.fabric.host_mem.reserve(sim, (hi - lo) as u64);
-            let buf =
-                self.device(owner.device).mpb(owner.core).read_bytes(offset as usize + lo, hi - lo);
-            let Some(delivered) = self
-                .tunnel_transfer(owner.device, false, &buf, flow, &self.rstats.prefetch_retries)
-                .await
-            else {
-                // Retries exhausted: installing a hole would panic the
-                // reader on "range valid right after update" — convert
-                // the hang into a diagnosed abort instead.
-                self.sim.abort(format!(
-                    "prefetch of {} bytes from d{}c{} lost (retries exhausted)",
-                    hi - lo,
-                    owner.device.0,
-                    owner.core.0
-                ));
-                std::future::pending::<()>().await;
-                unreachable!()
-            };
-            self.cache.install(owner, offset + lo as u16, &delivered);
-            installed.push(delivered);
-        }
-        // Consistency audit at the only point the cache promises it: right
-        // as the update completes, the installed range must equal the
-        // device's MPB (a divergence means the owner overwrote the buffer
-        // mid-prefetch — torn data under relaxed consistency).
-        if let Some(m) = self.monitor_of(owner.device) {
-            let mut whole = pooled(len);
-            let mut pos = 0;
-            for chunk in &installed {
-                whole[pos..pos + chunk.len()].copy_from_slice(chunk);
-                pos += chunk.len();
+            [core = owner.core.0, offset = offset, bytes = len],
+            {
+                let port = self.fabric.port(owner.device);
+                let mut installed: Vec<Bytes> =
+                    Vec::with_capacity(len.div_ceil(self.cfg.dma_chunk.max(1)));
+                for (lo, hi) in rcce::protocol::chunk_ranges(len, self.cfg.dma_chunk) {
+                    port.egress
+                        .transfer(sim, self.cfg.model.host_dma_bytes((hi - lo) as u64))
+                        .await;
+                    self.fabric.host_mem.reserve(sim, (hi - lo) as u64);
+                    let buf = self
+                        .device(owner.device)
+                        .mpb(owner.core)
+                        .read_bytes(offset as usize + lo, hi - lo);
+                    let Some(delivered) = self
+                        .tunnel_transfer(
+                            owner.device,
+                            false,
+                            &buf,
+                            flow,
+                            &self.rstats.prefetch_retries,
+                        )
+                        .await
+                    else {
+                        // Retries exhausted: installing a hole would panic the
+                        // reader on "range valid right after update" — convert
+                        // the hang into a diagnosed abort instead.
+                        self.sim.abort(format!(
+                            "prefetch of {} bytes from d{}c{} lost (retries exhausted)",
+                            hi - lo,
+                            owner.device.0,
+                            owner.core.0
+                        ));
+                        std::future::pending::<()>().await;
+                        unreachable!()
+                    };
+                    self.cache.install(owner, offset + lo as u16, &delivered);
+                    installed.push(delivered);
+                }
+                // Consistency audit at the only point the cache promises it: right
+                // as the update completes, the installed range must equal the
+                // device's MPB (a divergence means the owner overwrote the buffer
+                // mid-prefetch — torn data under relaxed consistency).
+                if let Some(m) = self.monitor_of(owner.device) {
+                    let mut whole = pooled(len);
+                    let mut pos = 0;
+                    for chunk in &installed {
+                        whole[pos..pos + chunk.len()].copy_from_slice(chunk);
+                        pos += chunk.len();
+                    }
+                    let mut actual = pooled(len);
+                    self.device(owner.device).mpb(owner.core).read(offset as usize, &mut actual);
+                    m.cache_read_check(owner, offset, &whole, &actual, flow);
+                }
+                self.cache.finish_update(owner);
+                self.stats.cache_updates.inc();
             }
-            let mut actual = pooled(len);
-            self.device(owner.device).mpb(owner.core).read(offset as usize, &mut actual);
-            m.cache_read_check(owner, offset, &whole, &actual, flow);
-        }
-        self.cache.finish_update(owner);
-        self.stats.cache_updates.inc();
-        self.trace.end(sim.now(), Category::Pcie, "prefetch", flow, || {
-            self.commtask_label(owner.device.0)
-        });
+        );
     }
 
     /// Execute one vDMA copy: `src` MPB → host → `dst` MPB, pipelined at
     /// the DMA chunk granularity; on completion write `seq` into
-    /// `sent[src_rank]` at the destination (data-available signal).
+    /// `sent[src_rank]` at the destination (data-available signal). The
+    /// enclosing `vdma` span is opened and closed by the caller, so the
+    /// give-up `return` below needs no close of its own.
     #[allow(clippy::too_many_arguments)]
     async fn do_vdma(
         &self,
@@ -704,21 +734,6 @@ impl HostSide {
     ) {
         assert_ne!(src.device, dst.device, "vDMA serves inter-device copies only");
         let sim = &self.sim;
-        self.trace.begin(
-            sim.now(),
-            Category::Vdma,
-            "vdma",
-            flow,
-            || self.commtask_label(src.device.0),
-            || {
-                fields![
-                    src_dev = src.device.0 as u64,
-                    dst_dev = dst.device.0 as u64,
-                    bytes = len as u64,
-                    seq = seq as u64
-                ]
-            },
-        );
         // Descriptor setup in the daemon before any wire activity.
         sim.delay(self.cfg.model.dma_descriptor_cycles).await;
         let sport = self.fabric.port(src.device);
@@ -729,7 +744,6 @@ impl HostSide {
         // chunks interleave through the FIFO reservations — the
         // communication task's pipelining effect (§4.1).
         let data = self.device(src.device).mpb(src.core).read_bytes(src_off as usize, len);
-        let wire_start = sim.now();
         let mut drain_arrival = sim.now();
         let mut last_arrival = sim.now();
         for (lo, hi) in rcce::protocol::chunk_ranges(len, self.cfg.dma_chunk) {
@@ -762,17 +776,8 @@ impl HostSide {
         // The stretch between programming and the last chunk's arrival is
         // wire occupancy (queueing included): the critical-path profiler
         // attributes it to the PCIe wire, not the enclosing vDMA span.
-        self.trace.begin(
-            wire_start,
-            Category::Pcie,
-            "pcie_wire",
-            flow,
-            || self.commtask_label(src.device.0),
-            || fields![bytes = len as u64],
-        );
-        sim.delay_until(last_arrival.max(drain_arrival)).await;
-        self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, || {
-            self.commtask_label(src.device.0)
+        pcie_hop!(self, "pcie_wire", flow, || self.commtask_label(src.device.0), [bytes = len], {
+            sim.delay_until(last_arrival.max(drain_arrival)).await;
         });
         let Some(data) =
             self.tunnel_transfer(dst.device, true, &data, flow, &self.rstats.vdma_retries).await
@@ -780,8 +785,6 @@ impl HostSide {
             // Retries exhausted: deliver nothing — neither payload nor
             // completion flag — so the receiver's poll watchdog turns the
             // loss into a diagnosed timeout instead of a torn message.
-            self.trace
-                .end(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
             return;
         };
         self.store(src, MpbAddr::new(dst, dst_off), &data, flow);
@@ -790,12 +793,8 @@ impl HostSide {
         sim.delay_until(flag_arrival).await;
         self.store(src, layout::sent_flag(dst, src_rank as usize), &[seq], flow);
         self.stats.vdma_ops.inc();
-        self.trace
-            .end(sim.now(), Category::Vdma, "vdma", flow, || self.commtask_label(src.device.0));
     }
 
-    /// Forward a classified flag write to its device, preserving order
-    /// behind any buffered WCB data for the same destination.
     /// Take a ticket on the destination device's delivery chain. The
     /// returned `prev` latch opens once every earlier posted delivery to
     /// `dev` has installed its bytes; `next` must be counted down after
@@ -812,6 +811,8 @@ impl HostSide {
         (prev, next)
     }
 
+    /// Forward a classified flag write to its device, preserving order
+    /// behind any buffered WCB data for the same destination.
     fn forward_flag(
         self: &Rc<Self>,
         src: GlobalCore,
@@ -947,21 +948,17 @@ impl RemoteFabric for HostSide {
                 // prefetch of the same range.
                 let rport = self.fabric.port(src.device);
                 rport.egress.transfer(&sim, LINE_BYTES as u64).await;
-                self.trace.begin(sim.now(), Category::Pcie, "classify", flow, actor, || {
-                    fields![bytes = len as u64]
+                pcie_hop!(self, "classify", flow, actor, [bytes = len as u64], {
+                    sim.delay(self.cfg.model.sw_answer_cycles).await;
                 });
-                sim.delay(self.cfg.model.sw_answer_cycles).await;
-                self.trace.end(sim.now(), Category::Pcie, "classify", flow, actor);
                 let mut out = pooled(len);
                 let wire_start = sim.now();
                 let mut last_arrival = sim.now();
                 for (lo, hi) in rcce::protocol::chunk_ranges(len, self.cfg.dma_chunk) {
                     let off = addr.offset + lo as u16;
-                    self.trace.begin(sim.now(), Category::Pcie, "cache_wait", flow, actor, || {
-                        fields![offset = off as u64, bytes = (hi - lo) as u64]
+                    pcie_hop!(self, "cache_wait", flow, actor, [offset = off, bytes = hi - lo], {
+                        self.cache.wait_range_or_settled(addr.owner, off, hi - lo).await;
                     });
-                    self.cache.wait_range_or_settled(addr.owner, off, hi - lo).await;
-                    self.trace.end(sim.now(), Category::Pcie, "cache_wait", flow, actor);
                     let data = match self.cache.read(addr.owner, off, hi - lo) {
                         Some(d) => d,
                         None => {
@@ -987,13 +984,11 @@ impl RemoteFabric for HostSide {
             } else {
                 // Transparent routing: one blocking round trip per line.
                 let n_lines = lines_spanned(addr.offset, len);
-                self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
-                    fields![bytes = len as u64, lines = n_lines as u64]
+                pcie_hop!(self, "pcie_wire", flow, actor, [bytes = len, lines = n_lines], {
+                    for _ in 0..n_lines {
+                        self.routed_round_trip(src.device, addr.owner.device, flow).await;
+                    }
                 });
-                for _ in 0..n_lines {
-                    self.routed_round_trip(src.device, addr.owner.device, flow).await;
-                }
-                self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                 self.device(addr.owner.device)
                     .mpb(addr.owner.core)
                     .read_bytes(addr.offset as usize, len)
@@ -1009,7 +1004,7 @@ impl RemoteFabric for HostSide {
         flow: Option<u64>,
     ) -> LocalBoxFuture<'_, ()> {
         // The borrow-checker friendly clone: `self` methods that spawn need
-        // an Rc; fabricate one from the registry.
+        // an Rc; upgrade the stored self-weak to get one.
         Box::pin(async move {
             let this = self.rc_self();
             let sim = self.sim.clone();
@@ -1019,11 +1014,9 @@ impl RemoteFabric for HostSide {
                 // then forwards.
                 let sport = self.fabric.port(src.device);
                 sport.egress.transfer(&sim, LINE_BYTES as u64).await;
-                self.trace.begin(sim.now(), Category::Pcie, "classify", flow, actor, || {
-                    fields![offset = addr.offset as u64]
+                pcie_hop!(self, "classify", flow, actor, [offset = addr.offset as u64], {
+                    sim.delay(self.cfg.model.sw_answer_cycles).await;
                 });
-                sim.delay(self.cfg.model.sw_answer_cycles).await;
-                self.trace.end(sim.now(), Category::Pcie, "classify", flow, actor);
                 this.forward_flag(src, addr, data, flow);
                 return;
             }
@@ -1031,13 +1024,18 @@ impl RemoteFabric for HostSide {
                 CommScheme::SimpleRouting => {
                     // Write-with-acknowledge per line: full round trips.
                     let n_lines = lines_spanned(addr.offset, data.len());
-                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
-                        fields![bytes = data.len() as u64, lines = n_lines as u64]
-                    });
-                    for _ in 0..n_lines {
-                        self.routed_round_trip(src.device, addr.owner.device, flow).await;
-                    }
-                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                    pcie_hop!(
+                        self,
+                        "pcie_wire",
+                        flow,
+                        actor,
+                        [bytes = data.len(), lines = n_lines],
+                        {
+                            for _ in 0..n_lines {
+                                self.routed_round_trip(src.device, addr.owner.device, flow).await;
+                            }
+                        }
+                    );
                     self.store(src, addr, &data, flow);
                 }
                 CommScheme::RemotePutHwAck => {
@@ -1049,16 +1047,16 @@ impl RemoteFabric for HostSide {
                         // byte is accounted for.
                         self.rstats.fallback_writes.inc();
                         let sport = self.fabric.port(src.device);
-                        self.trace.begin(
-                            sim.now(),
-                            Category::Pcie,
+                        pcie_hop!(
+                            self,
                             "pcie_wire",
                             flow,
                             actor,
-                            || fields![bytes = data.len() as u64, fallback = 1u64],
+                            [bytes = data.len(), fallback = 1u64],
+                            {
+                                sport.egress.transfer(&sim, data.len() as u64).await;
+                            }
                         );
-                        sport.egress.transfer(&sim, data.len() as u64).await;
-                        self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
                         sim.delay(self.cfg.model.sw_answer_cycles).await;
                         this.deliver_payload(src, addr, data, flow);
                         return;
@@ -1073,31 +1071,38 @@ impl RemoteFabric for HostSide {
                             lost += 1;
                         }
                     }
-                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
-                        fields![bytes = data.len() as u64, lost_acks = lost as u64]
-                    });
-                    let r = sport.egress.reserve_timed(&sim, data.len() as u64);
-                    this.deliver_payload(src, addr, data, flow);
-                    // A lost ack stalls the SIF for a recovery round trip.
-                    let penalty = lost as u64 * self.cfg.model.routed_line_round_trip();
-                    sim.delay_until(r.wire_free + penalty).await;
-                    if self.protected && lost > 0 {
-                        // Retransmit the lines whose acks were lost and
-                        // hold the sender for one backoff interval.
-                        self.rstats.fastack_retransmits.add(lost as u64);
-                        self.trace.instant(
-                            sim.now(),
-                            Category::Fault,
-                            "fastack_retransmit",
-                            flow,
-                            || "host-recovery",
-                            || fields![lines = lost as u64],
-                        );
-                        let arr = sport.egress.reserve(&sim, lost as u64 * LINE_BYTES as u64);
-                        let resume = arr.max(sim.now() + self.cfg.model.retry_backoff_base());
-                        sim.delay_until(resume).await;
-                    }
-                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                    pcie_hop!(
+                        self,
+                        "pcie_wire",
+                        flow,
+                        actor,
+                        [bytes = data.len(), lost_acks = lost],
+                        {
+                            let r = sport.egress.reserve_timed(&sim, data.len() as u64);
+                            this.deliver_payload(src, addr, data, flow);
+                            // A lost ack stalls the SIF for a recovery round trip.
+                            let penalty = lost as u64 * self.cfg.model.routed_line_round_trip();
+                            sim.delay_until(r.wire_free + penalty).await;
+                            if self.protected && lost > 0 {
+                                // Retransmit the lines whose acks were lost and
+                                // hold the sender for one backoff interval.
+                                self.rstats.fastack_retransmits.add(lost as u64);
+                                self.trace.instant(
+                                    sim.now(),
+                                    Category::Fault,
+                                    "fastack_retransmit",
+                                    flow,
+                                    || "host-recovery",
+                                    || fields![lines = lost as u64],
+                                );
+                                let arr =
+                                    sport.egress.reserve(&sim, lost as u64 * LINE_BYTES as u64);
+                                let resume =
+                                    arr.max(sim.now() + self.cfg.model.retry_backoff_base());
+                                sim.delay_until(resume).await;
+                            }
+                        }
+                    );
                     if self.protected {
                         this.note_ack_result(pair, lost > 0, flow);
                     }
@@ -1107,46 +1112,40 @@ impl RemoteFabric for HostSide {
                     // task flushes each complete granule as it fills, so
                     // granule delivery pipelines with the sender's stream.
                     let sport = self.fabric.port(src.device);
-                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
-                        fields![bytes = data.len() as u64]
-                    });
-                    let mut wire_free = sim.now();
-                    {
-                        let mut ready = self.wcb_ready.borrow_mut();
-                        for (lo, hi) in
-                            rcce::protocol::chunk_ranges(data.len(), self.wcb.granularity())
+                    pcie_hop!(self, "pcie_wire", flow, actor, [bytes = data.len() as u64], {
+                        let mut wire_free = sim.now();
                         {
-                            let r = sport.egress.reserve_timed(&sim, (hi - lo) as u64);
-                            wire_free = r.wire_free;
-                            self.wcb.append_into(
-                                addr.owner,
-                                addr.offset + lo as u16,
-                                &data[lo..hi],
-                                &mut ready,
-                            );
-                            for run in ready.drain(..) {
-                                let a = MpbAddr::new(addr.owner, run.offset);
-                                this.deliver_payload(src, a, run.data, flow);
+                            let mut ready = self.wcb_ready.borrow_mut();
+                            for (lo, hi) in
+                                rcce::protocol::chunk_ranges(data.len(), self.wcb.granularity())
+                            {
+                                let r = sport.egress.reserve_timed(&sim, (hi - lo) as u64);
+                                wire_free = r.wire_free;
+                                self.wcb.append_into(
+                                    addr.owner,
+                                    addr.offset + lo as u16,
+                                    &data[lo..hi],
+                                    &mut ready,
+                                );
+                                for run in ready.drain(..) {
+                                    let a = MpbAddr::new(addr.owner, run.offset);
+                                    this.deliver_payload(src, a, run.data, flow);
+                                }
                             }
                         }
-                    }
-                    sim.delay_until(wire_free).await;
-                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                        sim.delay_until(wire_free).await;
+                    });
                 }
                 CommScheme::LocalPutRemoteGet | CommScheme::LocalPutLocalGet => {
                     // Only the small-message direct path writes payload
                     // remotely under these schemes: host-acked forward.
                     let sport = self.fabric.port(src.device);
-                    self.trace.begin(sim.now(), Category::Pcie, "pcie_wire", flow, actor, || {
-                        fields![bytes = data.len() as u64]
+                    pcie_hop!(self, "pcie_wire", flow, actor, [bytes = data.len() as u64], {
+                        sport.egress.transfer(&sim, data.len() as u64).await;
                     });
-                    sport.egress.transfer(&sim, data.len() as u64).await;
-                    self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
-                    self.trace.begin(sim.now(), Category::Pcie, "classify", flow, actor, || {
-                        fields![bytes = data.len() as u64]
+                    pcie_hop!(self, "classify", flow, actor, [bytes = data.len() as u64], {
+                        sim.delay(self.cfg.model.sw_answer_cycles).await;
                     });
-                    sim.delay(self.cfg.model.sw_answer_cycles).await;
-                    self.trace.end(sim.now(), Category::Pcie, "classify", flow, actor);
                     self.stats.direct_writes.inc();
                     self.trace.instant(
                         sim.now(),

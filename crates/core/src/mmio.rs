@@ -15,7 +15,8 @@ use scc::{GlobalCore, LINE_BYTES};
 pub const REG_VDMA: u16 = 0;
 /// Register line index of the cache-control registers.
 pub const REG_CACHE: u16 = 1;
-/// Register line index of the read-only status register.
+/// Register line index of the status register. Nothing reads it back;
+/// a write to it decodes to no command and only costs the transaction.
 pub const REG_STATUS: u16 = 3;
 
 /// Control-word opcodes.

@@ -19,6 +19,7 @@ use des::fields;
 use des::obs::Registry;
 use des::stats::Gauge;
 use des::trace::Category;
+use rcce::hop;
 use rcce::layout::{self, CHUNK_BYTES};
 use rcce::protocol::{chunk_ranges, flag_wait_reached, LocalBoxFuture, PointToPoint};
 use rcce::session::RankCtx;
@@ -167,9 +168,8 @@ async fn direct_send(ctx: &RankCtx, dest: usize, data: &[u8], flow: u64, windows
     let me = ctx.rank;
     let my = ctx.who();
     let peer = ctx.session.who(dest);
-    let trace = ctx.session.trace().clone();
     let f = Some(flow);
-    trace.instant(
+    ctx.session.trace().instant(
         ctx.core.sim().now(),
         Category::Protocol,
         "direct_send",
@@ -177,33 +177,15 @@ async fn direct_send(ctx: &RankCtx, dest: usize, data: &[u8], flow: u64, windows
         || &ctx.label,
         || fields![bytes = data.len() as u64, dest = dest as u64],
     );
-    let cnt = {
-        let mut sc = ctx.sent_count.borrow_mut();
-        sc[dest] = sc[dest].wrapping_add(1);
-        sc[dest]
-    };
+    let cnt = ctx.next_sent(dest);
     // b1: wait for the receiver's grant before touching its MPB.
-    trace.begin(
-        ctx.core.sim().now(),
-        Category::Protocol,
-        "mpb_wait",
-        f,
-        || &ctx.label,
-        || fields![flag = "grant", target = cnt],
-    );
-    flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
-    trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-    trace.begin(
-        ctx.core.sim().now(),
-        Category::Protocol,
-        "sender_put",
-        f,
-        || &ctx.label,
-        || fields![bytes = data.len() as u64, target = "direct_slot"],
-    );
-    ctx.core.put(direct_slot(peer), data, f).await;
-    windows.direct.add(data.len() as i64);
-    trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
+    hop!(ctx, "mpb_wait", f, [flag = "grant", target = cnt], {
+        flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
+    });
+    hop!(ctx, "sender_put", f, [bytes = data.len() as u64, target = "direct_slot"], {
+        ctx.core.put(direct_slot(peer), data, f).await;
+        windows.direct.add(data.len() as i64);
+    });
     // b2: data-available signal.
     ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
 }
@@ -212,9 +194,8 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
     let me = ctx.rank;
     let my = ctx.who();
     let peer = ctx.session.who(src);
-    let trace = ctx.session.trace().clone();
     let f = Some(flow);
-    trace.instant(
+    ctx.session.trace().instant(
         ctx.core.sim().now(),
         Category::Protocol,
         "direct_recv",
@@ -225,28 +206,14 @@ async fn direct_recv(ctx: &RankCtx, src: usize, buf: &mut [u8], flow: u64, windo
     let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
     // b1: grant the buffer.
     ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
-    trace.begin(
-        ctx.core.sim().now(),
-        Category::Protocol,
-        "recv_poll",
-        f,
-        || &ctx.label,
-        || fields![flag = "sent", target = cnt],
-    );
-    flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-    trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-    trace.begin(
-        ctx.core.sim().now(),
-        Category::Protocol,
-        "recv_get",
-        f,
-        || &ctx.label,
-        || fields![bytes = buf.len() as u64],
-    );
-    ctx.core.cl1invmb().await;
-    ctx.core.get(direct_slot(my), buf, f).await;
-    windows.direct.sub(buf.len() as i64);
-    trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+    hop!(ctx, "recv_poll", f, [flag = "sent", target = cnt], {
+        flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
+    });
+    hop!(ctx, "recv_get", f, [bytes = buf.len() as u64], {
+        ctx.core.cl1invmb().await;
+        ctx.core.get(direct_slot(my), buf, f).await;
+        windows.direct.sub(buf.len() as i64);
+    });
     ctx.recv_count.borrow_mut()[src] = cnt;
 }
 
@@ -276,50 +243,24 @@ impl PointToPoint for RemotePutProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(dest);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "rput_send",
-                f,
-                || &ctx.label,
-                || fields![bytes = data.len() as u64, dest = dest as u64],
-            );
-            for (lo, hi) in chunk_ranges(data.len(), REMOTE_PUT_CHUNK) {
-                let cnt = {
-                    let mut sc = ctx.sent_count.borrow_mut();
-                    sc[dest] = sc[dest].wrapping_add(1);
-                    sc[dest]
-                };
-                // b1: the receiver's buffer grant.
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "mpb_wait",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "grant", target = cnt],
-                );
-                flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-                // Remote put: stream the chunk into the receiver's MPB
-                // receive window.
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "sender_put",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, target = "remote_mpb"],
-                );
-                ctx.core.put(layout::payload(peer, REMOTE_PUT_OFF), &data[lo..hi], f).await;
-                self.windows.remote_put.add((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
-                // b2: data available.
-                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
-            }
-            trace.end(ctx.core.sim().now(), Category::Protocol, "rput_send", f, || &ctx.label);
+            hop!(ctx, "rput_send", f, [bytes = data.len() as u64, dest = dest as u64], {
+                for (lo, hi) in chunk_ranges(data.len(), REMOTE_PUT_CHUNK) {
+                    let cnt = ctx.next_sent(dest);
+                    // b1: the receiver's buffer grant.
+                    hop!(ctx, "mpb_wait", f, [flag = "grant", target = cnt], {
+                        flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
+                    });
+                    // Remote put: stream the chunk into the receiver's MPB
+                    // receive window.
+                    hop!(ctx, "sender_put", f, [bytes = hi - lo, target = "remote_mpb"], {
+                        ctx.core.put(layout::payload(peer, REMOTE_PUT_OFF), &data[lo..hi], f).await;
+                        self.windows.remote_put.add((hi - lo) as i64);
+                    });
+                    // b2: data available.
+                    ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
+                }
+            });
         })
     }
 
@@ -334,46 +275,25 @@ impl PointToPoint for RemotePutProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(src);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "rput_recv",
-                f,
-                || &ctx.label,
-                || fields![bytes = buf.len() as u64, src = src as u64],
-            );
-            for (lo, hi) in chunk_ranges(buf.len(), REMOTE_PUT_CHUNK) {
-                let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
-                // b1: grant my receive window to this sender.
-                ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_poll",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "sent", target = cnt],
-                );
-                flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                // Local get out of my own MPB.
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_get",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo],
-                );
-                ctx.core.cl1invmb().await;
-                ctx.core.get(layout::payload(my, REMOTE_PUT_OFF), &mut buf[lo..hi], f).await;
-                self.windows.remote_put.sub((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
-                ctx.recv_count.borrow_mut()[src] = cnt;
-            }
-            trace.end(ctx.core.sim().now(), Category::Protocol, "rput_recv", f, || &ctx.label);
+            hop!(ctx, "rput_recv", f, [bytes = buf.len() as u64, src = src as u64], {
+                for (lo, hi) in chunk_ranges(buf.len(), REMOTE_PUT_CHUNK) {
+                    let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
+                    // b1: grant my receive window to this sender.
+                    ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
+                    hop!(ctx, "recv_poll", f, [flag = "sent", target = cnt], {
+                        flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
+                    });
+                    // Local get out of my own MPB.
+                    hop!(ctx, "recv_get", f, [bytes = hi - lo], {
+                        ctx.core.cl1invmb().await;
+                        let window = layout::payload(my, REMOTE_PUT_OFF);
+                        ctx.core.get(window, &mut buf[lo..hi], f).await;
+                        self.windows.remote_put.sub((hi - lo) as i64);
+                    });
+                    ctx.recv_count.borrow_mut()[src] = cnt;
+                }
+            });
         })
     }
 
@@ -422,77 +342,45 @@ impl PointToPoint for CachedGetProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(dest);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "lprg_send",
-                f,
-                || &ctx.label,
-                || fields![bytes = data.len() as u64, dest = dest as u64],
-            );
-            let mut last = 0u8;
-            for (lo, hi) in chunk_ranges(data.len(), LPRG_CHUNK) {
-                let cnt = {
-                    let mut sc = ctx.sent_count.borrow_mut();
-                    sc[dest] = sc[dest].wrapping_add(1);
-                    sc[dest]
-                };
-                // Wait until the receiver consumed the previous chunk
-                // before overwriting the local buffer (sync point a).
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "mpb_wait",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "consumed", target = cnt.wrapping_sub(1)],
-                );
-                flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt.wrapping_sub(1)).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-                // Invalidate the outdated part of the host copy (§3.1)...
-                ctx.core
-                    .mmio_write_fused(
-                        mmio::REG_CACHE,
-                        mmio::encode_cache(layout::OFF_PAYLOAD, hi - lo, false, f),
-                    )
-                    .await;
-                // ... local put ...
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "sender_put",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, target = "local_mpb"],
-                );
-                ctx.core.put(layout::payload(my, 0), &data[lo..hi], f).await;
-                self.windows.lprg.add((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
-                // ... and trigger the prefetch into the host cache.
-                if self.prefetch {
+            hop!(ctx, "lprg_send", f, [bytes = data.len() as u64, dest = dest as u64], {
+                let mut last = 0u8;
+                for (lo, hi) in chunk_ranges(data.len(), LPRG_CHUNK) {
+                    let cnt = ctx.next_sent(dest);
+                    let consumed = cnt.wrapping_sub(1);
+                    // Wait until the receiver consumed the previous chunk
+                    // before overwriting the local buffer (sync point a).
+                    hop!(ctx, "mpb_wait", f, [flag = "consumed", target = consumed], {
+                        flag_wait_reached(ctx, layout::ready_flag(my, dest), consumed).await;
+                    });
+                    // Invalidate the outdated part of the host copy (§3.1)...
                     ctx.core
                         .mmio_write_fused(
                             mmio::REG_CACHE,
-                            mmio::encode_cache(layout::OFF_PAYLOAD, hi - lo, true, f),
+                            mmio::encode_cache(layout::OFF_PAYLOAD, hi - lo, false, f),
                         )
                         .await;
+                    // ... local put ...
+                    hop!(ctx, "sender_put", f, [bytes = hi - lo, target = "local_mpb"], {
+                        ctx.core.put(layout::payload(my, 0), &data[lo..hi], f).await;
+                        self.windows.lprg.add((hi - lo) as i64);
+                    });
+                    // ... and trigger the prefetch into the host cache.
+                    if self.prefetch {
+                        ctx.core
+                            .mmio_write_fused(
+                                mmio::REG_CACHE,
+                                mmio::encode_cache(layout::OFF_PAYLOAD, hi - lo, true, f),
+                            )
+                            .await;
+                    }
+                    ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
+                    last = cnt;
                 }
-                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
-                last = cnt;
-            }
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "mpb_wait",
-                f,
-                || &ctx.label,
-                || fields![flag = "consumed", target = last],
-            );
-            flag_wait_reached(ctx, layout::ready_flag(my, dest), last).await;
-            trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-            trace.end(ctx.core.sim().now(), Category::Protocol, "lprg_send", f, || &ctx.label);
+                hop!(ctx, "mpb_wait", f, [flag = "consumed", target = last], {
+                    flag_wait_reached(ctx, layout::ready_flag(my, dest), last).await;
+                });
+            });
         })
     }
 
@@ -510,45 +398,23 @@ impl PointToPoint for CachedGetProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(src);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "lprg_recv",
-                f,
-                || &ctx.label,
-                || fields![bytes = buf.len() as u64, src = src as u64],
-            );
-            for (lo, hi) in chunk_ranges(buf.len(), LPRG_CHUNK) {
-                let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_poll",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "sent", target = cnt],
-                );
-                flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_get",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, via = "sw_cache"],
-                );
-                ctx.core.cl1invmb().await;
-                // Remote get, served by the host software cache.
-                ctx.core.get(layout::payload(peer, 0), &mut buf[lo..hi], f).await;
-                self.windows.lprg.sub((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
-                ctx.recv_count.borrow_mut()[src] = cnt;
-                ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
-            }
-            trace.end(ctx.core.sim().now(), Category::Protocol, "lprg_recv", f, || &ctx.label);
+            hop!(ctx, "lprg_recv", f, [bytes = buf.len() as u64, src = src as u64], {
+                for (lo, hi) in chunk_ranges(buf.len(), LPRG_CHUNK) {
+                    let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
+                    hop!(ctx, "recv_poll", f, [flag = "sent", target = cnt], {
+                        flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
+                    });
+                    hop!(ctx, "recv_get", f, [bytes = hi - lo, via = "sw_cache"], {
+                        ctx.core.cl1invmb().await;
+                        // Remote get, served by the host software cache.
+                        ctx.core.get(layout::payload(peer, 0), &mut buf[lo..hi], f).await;
+                        self.windows.lprg.sub((hi - lo) as i64);
+                    });
+                    ctx.recv_count.borrow_mut()[src] = cnt;
+                    ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
+                }
+            });
         })
     }
 
@@ -611,103 +477,79 @@ impl PointToPoint for VdmaProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(dest);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "vdma_send",
-                f,
-                || &ctx.label,
-                || fields![bytes = data.len() as u64, dest = dest as u64],
-            );
-            let base = ctx.sent_count.borrow()[dest];
-            let packets = chunk_ranges(data.len(), VDMA_SLOT);
-            let n = packets.len();
-            let mut last_gseq = 0u8;
-            for (p0, (lo, hi)) in packets.enumerate() {
-                let seq = base.wrapping_add(p0 as u8 + 1);
-                // Wait for the receiver's slot grant (double-buffered),
-                // then until the controller drained the slot we are about
-                // to overwrite (§3.3: "a core spins on a flag which is
-                // located in its on-chip memory").
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "mpb_wait",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "grant+drain", pkt = p0],
-                );
-                flag_wait_reached(ctx, layout::ready_flag(my, dest), seq).await;
-                let gseq = {
-                    let mut issued = self.drain_issued.borrow_mut();
-                    let e = issued.entry(ctx.rank).or_insert(0);
-                    *e = e.wrapping_add(1);
-                    *e
-                };
-                // (The wrap-safe comparison makes the first two packets
-                // pass immediately against the zero-initialized flag.)
-                flag_wait_reached(ctx, layout::vdma_done_flag(my), gseq.wrapping_sub(2)).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-                // Local put into my send slot (slot parity follows the
-                // global drain sequence, since the slots are shared by
-                // all of this rank's outgoing messages)...
-                let sslot = send_slot(my, (gseq % 2) as usize);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "sender_put",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, slot = (gseq % 2) as u64],
-                );
-                ctx.core.put(sslot, &data[lo..hi], f).await;
-                self.windows.vdma_send.add((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
-                // ... then program the vDMA controller: address, count,
-                // control in one fused 32 B register write (Fig. 5). The
-                // flow id rides the free half of the control word, so the
-                // host tags the transfer with the same provenance.
-                ctx.core
-                    .mmio_write_fused(
-                        mmio::REG_VDMA,
-                        mmio::encode_vdma(
-                            sslot.offset,
-                            peer,
-                            recv_slot(peer, p0 % 2).offset,
-                            hi - lo,
-                            seq,
-                            me as u8,
-                            gseq,
-                            f,
-                        ),
-                    )
-                    .await;
-                last_gseq = gseq;
-            }
-            ctx.sent_count.borrow_mut()[dest] = base.wrapping_add(n as u8);
-            // Spin until the controller drained every slot of this message
-            // (§3.3: the core busy-waits on its on-chip flag until the
-            // copy operation completed). Without this, a later send — even
-            // an on-chip one — could overwrite a slot before the vDMA
-            // captured it.
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "mpb_wait",
-                f,
-                || &ctx.label,
-                || fields![flag = "drain+consumed", target = last_gseq],
-            );
-            flag_wait_reached(ctx, layout::vdma_done_flag(my), last_gseq).await;
-            // Every slot of this message is confirmed drained.
-            self.windows.vdma_send.sub(data.len() as i64);
-            // And until the receiver's grants confirm the tail packets
-            // were consumed (blocking RCCE semantics).
-            flag_wait_reached(ctx, layout::ready_flag(my, dest), base.wrapping_add(n as u8)).await;
-            trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-            trace.end(ctx.core.sim().now(), Category::Protocol, "vdma_send", f, || &ctx.label);
+            hop!(ctx, "vdma_send", f, [bytes = data.len() as u64, dest = dest as u64], {
+                let base = ctx.sent_count.borrow()[dest];
+                let packets = chunk_ranges(data.len(), VDMA_SLOT);
+                let n = packets.len();
+                let mut last_gseq = 0u8;
+                for (p0, (lo, hi)) in packets.enumerate() {
+                    let seq = base.wrapping_add(p0 as u8 + 1);
+                    // Wait for the receiver's slot grant (double-buffered),
+                    // then until the controller drained the slot we are
+                    // about to overwrite (§3.3: "a core spins on a flag
+                    // which is located in its on-chip memory").
+                    let gseq = hop!(ctx, "mpb_wait", f, [flag = "grant+drain", pkt = p0], {
+                        flag_wait_reached(ctx, layout::ready_flag(my, dest), seq).await;
+                        let gseq = {
+                            let mut issued = self.drain_issued.borrow_mut();
+                            let e = issued.entry(ctx.rank).or_insert(0);
+                            *e = e.wrapping_add(1);
+                            *e
+                        };
+                        // (The wrap-safe comparison makes the first two
+                        // packets pass immediately against the
+                        // zero-initialized flag.)
+                        let drained = gseq.wrapping_sub(2);
+                        flag_wait_reached(ctx, layout::vdma_done_flag(my), drained).await;
+                        gseq
+                    });
+                    // Local put into my send slot (slot parity follows the
+                    // global drain sequence, since the slots are shared by
+                    // all of this rank's outgoing messages)...
+                    let sslot = send_slot(my, (gseq % 2) as usize);
+                    hop!(ctx, "sender_put", f, [bytes = hi - lo, slot = (gseq % 2) as u64], {
+                        ctx.core.put(sslot, &data[lo..hi], f).await;
+                        self.windows.vdma_send.add((hi - lo) as i64);
+                    });
+                    // ... then program the vDMA controller: address, count,
+                    // control in one fused 32 B register write (Fig. 5).
+                    // The flow id rides the free half of the control word,
+                    // so the host tags the transfer with the same
+                    // provenance.
+                    ctx.core
+                        .mmio_write_fused(
+                            mmio::REG_VDMA,
+                            mmio::encode_vdma(
+                                sslot.offset,
+                                peer,
+                                recv_slot(peer, p0 % 2).offset,
+                                hi - lo,
+                                seq,
+                                me as u8,
+                                gseq,
+                                f,
+                            ),
+                        )
+                        .await;
+                    last_gseq = gseq;
+                }
+                let total = base.wrapping_add(n as u8);
+                ctx.sent_count.borrow_mut()[dest] = total;
+                // Spin until the controller drained every slot of this
+                // message (§3.3: the core busy-waits on its on-chip flag
+                // until the copy operation completed). Without this, a
+                // later send — even an on-chip one — could overwrite a slot
+                // before the vDMA captured it.
+                hop!(ctx, "mpb_wait", f, [flag = "drain+consumed", target = last_gseq], {
+                    flag_wait_reached(ctx, layout::vdma_done_flag(my), last_gseq).await;
+                    // Every slot of this message is confirmed drained.
+                    self.windows.vdma_send.sub(data.len() as i64);
+                    // And until the receiver's grants confirm the tail
+                    // packets were consumed (blocking RCCE semantics).
+                    flag_wait_reached(ctx, layout::ready_flag(my, dest), total).await;
+                });
+            });
         })
     }
 
@@ -725,63 +567,35 @@ impl PointToPoint for VdmaProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(src);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "vdma_recv",
-                f,
-                || &ctx.label,
-                || fields![bytes = buf.len() as u64, src = src as u64],
-            );
-            let base = ctx.recv_count.borrow()[src];
-            let packets = chunk_ranges(buf.len(), VDMA_SLOT);
-            let n = packets.len();
-            // Grant two slots up front (pipeline depth 2).
-            ctx.core
-                .flag_write(layout::ready_flag(peer, me), base.wrapping_add(n.min(2) as u8), f)
-                .await;
-            for (p0, (lo, hi)) in packets.enumerate() {
-                let seq = base.wrapping_add(p0 as u8 + 1);
-                // The vDMA controller raises my sent flag on delivery.
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_poll",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "sent", pkt = p0],
-                );
-                flag_wait_reached(ctx, layout::sent_flag(my, src), seq).await;
-                self.windows.vdma_recv.add((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                // Local get out of my receive slot.
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_get",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, slot = (p0 % 2) as u64],
-                );
-                ctx.core.cl1invmb().await;
-                ctx.core.get(recv_slot(my, p0 % 2), &mut buf[lo..hi], f).await;
-                self.windows.vdma_recv.sub((hi - lo) as i64);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
-                if p0 + 3 <= n {
-                    // Re-grant the slot just freed.
-                    ctx.core
-                        .flag_write(
-                            layout::ready_flag(peer, me),
-                            base.wrapping_add(p0 as u8 + 3),
-                            f,
-                        )
-                        .await;
+            hop!(ctx, "vdma_recv", f, [bytes = buf.len() as u64, src = src as u64], {
+                let base = ctx.recv_count.borrow()[src];
+                let packets = chunk_ranges(buf.len(), VDMA_SLOT);
+                let n = packets.len();
+                // Grant two slots up front (pipeline depth 2).
+                let granted = base.wrapping_add(n.min(2) as u8);
+                ctx.core.flag_write(layout::ready_flag(peer, me), granted, f).await;
+                for (p0, (lo, hi)) in packets.enumerate() {
+                    let seq = base.wrapping_add(p0 as u8 + 1);
+                    // The vDMA controller raises my sent flag on delivery.
+                    hop!(ctx, "recv_poll", f, [flag = "sent", pkt = p0], {
+                        flag_wait_reached(ctx, layout::sent_flag(my, src), seq).await;
+                        self.windows.vdma_recv.add((hi - lo) as i64);
+                    });
+                    // Local get out of my receive slot.
+                    hop!(ctx, "recv_get", f, [bytes = hi - lo, slot = (p0 % 2) as u64], {
+                        ctx.core.cl1invmb().await;
+                        ctx.core.get(recv_slot(my, p0 % 2), &mut buf[lo..hi], f).await;
+                        self.windows.vdma_recv.sub((hi - lo) as i64);
+                    });
+                    if p0 + 3 <= n {
+                        // Re-grant the slot just freed.
+                        let regrant = base.wrapping_add(p0 as u8 + 3);
+                        ctx.core.flag_write(layout::ready_flag(peer, me), regrant, f).await;
+                    }
                 }
-            }
-            ctx.recv_count.borrow_mut()[src] = base.wrapping_add(n as u8);
-            trace.end(ctx.core.sim().now(), Category::Protocol, "vdma_recv", f, || &ctx.label);
+                ctx.recv_count.borrow_mut()[src] = base.wrapping_add(n as u8);
+            });
         })
     }
 

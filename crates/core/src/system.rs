@@ -32,7 +32,6 @@ pub struct VsccBuilder {
     onchip: OnchipProtocol,
     boot: BootConfig,
     host_cfg: HostConfig,
-    metrics: Option<Registry>,
     trace: Trace,
     monitor_fail_fast: bool,
 }
@@ -48,7 +47,6 @@ impl VsccBuilder {
             onchip: OnchipProtocol::Blocking,
             boot: BootConfig::default(),
             host_cfg: HostConfig::default(),
-            metrics: None,
             trace: Trace::disabled(),
             monitor_fail_fast: true,
         }
@@ -88,13 +86,6 @@ impl VsccBuilder {
         self
     }
 
-    /// Report every layer's metrics into an externally-owned registry
-    /// (by default the system creates its own; see [`Vscc::metrics`]).
-    pub fn metrics_registry(mut self, registry: &Registry) -> Self {
-        self.metrics = Some(registry.clone());
-        self
-    }
-
     /// Enable structured tracing for `cats` across every layer (host,
     /// PCIe, vDMA, and the RCCE protocols of sessions built from this
     /// system).
@@ -107,13 +98,6 @@ impl VsccBuilder {
     /// is only recorded for later inspection via [`Vscc::violations`].
     pub fn monitor_fail_fast(mut self, fail_fast: bool) -> Self {
         self.monitor_fail_fast = fail_fast;
-        self
-    }
-
-    /// Use an externally-shared trace instead (e.g. to interleave two
-    /// systems' events on one timeline).
-    pub fn trace(mut self, trace: Trace) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -137,7 +121,7 @@ impl VsccBuilder {
             }
         }
         let poll_watchdog = self.host_cfg.faults.watchdog;
-        let metrics = self.metrics.unwrap_or_default();
+        let metrics = Registry::new();
         let devices: Vec<Rc<SccDevice>> =
             (0..self.n_devices).map(|d| SccDevice::new(&self.sim, DeviceId(d))).collect();
         for dev in &devices {
@@ -233,7 +217,7 @@ impl Vscc {
     pub fn session_builder(&self) -> SessionBuilder {
         let mut b = SessionBuilder::new(&self.sim, self.devices.clone())
             .with_metrics(&self.metrics)
-            .with_shared_trace(self.trace.clone());
+            .with_trace(self.trace.clone());
         if let Some(limit) = self.poll_watchdog {
             b = b.poll_watchdog(limit);
         }
@@ -255,14 +239,16 @@ impl Vscc {
     }
 
     /// Spawn the virtual-time metrics sampler ([`des::obs::timeseries`])
-    /// over this system's registry. Call it *after* building the session:
+    /// over this system's registry, sampling every `cadence` cycles
+    /// ([`des::obs::DEFAULT_CADENCE`] unless a sweep says otherwise).
+    /// Call it *after* building the session:
     /// selection is resolved at spawn time, so `rcce.*` metrics (which
     /// register with the session) are only tracked once they exist. The
     /// returned series also tracks the global byte-pool occupancy as
     /// `bytes.pool.free_buffers` (a thread-local gauge that must stay out
     /// of the registry — the pool outlives any single run).
-    pub fn spawn_sampler(&self, spec: &des::obs::SamplerSpec) -> des::obs::TimeSeries {
-        let ts = des::obs::TimeSeries::spawn(&self.sim, &self.metrics, spec);
+    pub fn spawn_sampler(&self, cadence: Cycles) -> des::obs::TimeSeries {
+        let ts = des::obs::TimeSeries::spawn(&self.sim, &self.metrics, cadence);
         ts.track_gauge("bytes.pool.free_buffers", &des::bytes::global_pool_free_gauge());
         ts
     }

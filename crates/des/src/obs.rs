@@ -32,9 +32,7 @@ use crate::trace::{SpanPhase, Trace};
 pub mod report;
 pub mod timeseries;
 
-pub use timeseries::{
-    PointValue, SamplerSpec, SeriesExport, SeriesKind, TimeSeries, DEFAULT_CADENCE,
-};
+pub use timeseries::{PointValue, SeriesExport, SeriesKind, TimeSeries, DEFAULT_CADENCE};
 
 /// Environment variable naming a fault plan to inject
 /// (`VSCC_FAULTS=<spec>`; see [`crate::faultplan::FaultSpec::parse`] for

@@ -43,44 +43,6 @@ use super::{json_escape, Metric, Registry};
 /// that a bench run stays a few hundred samples.
 pub const DEFAULT_CADENCE: Cycles = 25_000;
 
-/// What to sample, and how often.
-#[derive(Clone, Debug)]
-pub struct SamplerSpec {
-    /// Virtual cycles between samples.
-    pub cadence: Cycles,
-    /// Select metrics whose full name starts with one of these
-    /// prefixes; empty selects everything. Metrics under `obs.` (the
-    /// sampler's own footprint) are always excluded.
-    pub prefixes: Vec<String>,
-}
-
-impl Default for SamplerSpec {
-    fn default() -> Self {
-        SamplerSpec { cadence: DEFAULT_CADENCE, prefixes: Vec::new() }
-    }
-}
-
-impl SamplerSpec {
-    /// Sample everything (except `obs.*`) every `cadence` cycles.
-    pub fn every(cadence: Cycles) -> Self {
-        assert!(cadence > 0, "sampler cadence must be positive");
-        SamplerSpec { cadence, prefixes: Vec::new() }
-    }
-
-    /// Restrict sampling to names starting with one of `prefixes`.
-    pub fn with_prefixes(mut self, prefixes: &[&str]) -> Self {
-        self.prefixes = prefixes.iter().map(|p| p.to_string()).collect();
-        self
-    }
-
-    fn selects(&self, name: &str) -> bool {
-        if name.starts_with("obs.") {
-            return false;
-        }
-        self.prefixes.is_empty() || self.prefixes.iter().any(|p| name.starts_with(p.as_str()))
-    }
-}
-
 /// How a series' points were derived from its instrument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeriesKind {
@@ -214,17 +176,18 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Resolve `spec` against `registry` at time `now` without spawning
-    /// a sampler; the caller drives sampling via
-    /// [`TimeSeries::sample_now`].
-    pub fn manual(now: Cycles, registry: &Registry, spec: &SamplerSpec) -> TimeSeries {
-        assert!(spec.cadence > 0, "sampler cadence must be positive");
+    /// Resolve every metric of `registry` except the sampler's own
+    /// `obs.*` footprint at time `now`, without spawning a sampler; the
+    /// caller drives sampling via [`TimeSeries::sample_now`] (`cadence`
+    /// is only recorded in the export).
+    pub fn manual(now: Cycles, registry: &Registry, cadence: Cycles) -> TimeSeries {
+        assert!(cadence > 0, "sampler cadence must be positive");
         let obs = registry.scoped("obs").scoped("sampler");
         let samples_taken = obs.counter("samples");
         let selected = obs.gauge("series");
         let mut series = Vec::new();
         for name in registry.names() {
-            if !spec.selects(&name) {
+            if name.starts_with("obs.") {
                 continue;
             }
             let Some(metric) = registry.get(&name) else { continue };
@@ -265,7 +228,7 @@ impl TimeSeries {
         selected.set(series.len() as i64);
         TimeSeries {
             inner: Rc::new(Inner {
-                cadence: spec.cadence,
+                cadence,
                 series: RefCell::new(series),
                 last_t: Cell::new(now),
                 samples: Cell::new(0),
@@ -275,12 +238,12 @@ impl TimeSeries {
         }
     }
 
-    /// Resolve `spec` against `registry` and spawn the sampling daemon
-    /// on `sim`'s timer queue. The daemon fires every `spec.cadence`
-    /// cycles; being a daemon, its pending timer never extends the run
-    /// past app completion.
-    pub fn spawn(sim: &Sim, registry: &Registry, spec: &SamplerSpec) -> TimeSeries {
-        let ts = Self::manual(sim.now(), registry, spec);
+    /// Resolve `registry` as [`TimeSeries::manual`] does and spawn the
+    /// sampling daemon on `sim`'s timer queue. The daemon fires every
+    /// `cadence` cycles; being a daemon, its pending timer never extends
+    /// the run past app completion.
+    pub fn spawn(sim: &Sim, registry: &Registry, cadence: Cycles) -> TimeSeries {
+        let ts = Self::manual(sim.now(), registry, cadence);
         let inner = ts.inner.clone();
         let sim2 = sim.clone();
         sim.spawn_daemon("obs-sampler", async move {
@@ -292,43 +255,23 @@ impl TimeSeries {
         ts
     }
 
-    /// Track an instrument that lives *outside* the registry (e.g. the
+    /// Track a gauge that lives *outside* the registry (e.g. the
     /// thread-local byte-pool gauge, which must stay out of snapshots
     /// because its state persists across runs on one thread). Only
     /// valid before the first sample.
     pub fn track_gauge(&self, name: &str, g: &Gauge) {
-        self.track(name, SeriesKind::Level, Source::Gauge(g.clone()));
-    }
-
-    /// Track an external counter as a per-interval rate (or busy
-    /// fraction, when the name ends in `busy_cycles`); see
-    /// [`TimeSeries::track_gauge`].
-    pub fn track_counter(&self, name: &str, c: &Counter) {
-        let kind = if name.ends_with("busy_cycles") { SeriesKind::Busy } else { SeriesKind::Rate };
-        self.track(name, kind, Source::Counter(c.clone()));
-    }
-
-    fn track(&self, name: &str, kind: SeriesKind, source: Source) {
         assert!(
             !self.inner.sealed.get(),
             "cannot track {name:?}: the sampler already took a sample"
         );
         let mut series = self.inner.series.borrow_mut();
         assert!(series.iter().all(|s| s.name != name), "series {name:?} tracked twice");
-        let last = match &source {
-            Source::Counter(c) => c.get(),
-            _ => 0,
-        };
-        let last_buckets = match &source {
-            Source::Histogram(h) => h.buckets(),
-            _ => Vec::new(),
-        };
         series.push(Series {
             name: name.to_string(),
-            kind,
-            source,
-            last: Cell::new(last),
-            last_buckets: RefCell::new(last_buckets),
+            kind: SeriesKind::Level,
+            source: Source::Gauge(g.clone()),
+            last: Cell::new(0),
+            last_buckets: RefCell::new(Vec::new()),
             points: RefCell::new(Vec::new()),
         });
     }
@@ -583,7 +526,7 @@ mod tests {
     fn counters_sample_as_interval_deltas() {
         let reg = Registry::new();
         let c = reg.counter("pcie.bytes");
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(100));
+        let ts = TimeSeries::manual(0, &reg, 100);
         c.add(30);
         ts.sample_now(100);
         c.add(12);
@@ -605,7 +548,7 @@ mod tests {
     fn busy_cycles_normalise_to_percent() {
         let reg = Registry::new();
         let c = reg.counter("pcie.link0.busy_cycles");
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(100));
+        let ts = TimeSeries::manual(0, &reg, 100);
         c.add(40);
         ts.sample_now(100);
         c.add(100);
@@ -622,7 +565,7 @@ mod tests {
         let h = reg.histogram("rcce.lat");
         // Pre-sampler samples belong to no window.
         h.record(1000);
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(50));
+        let ts = TimeSeries::manual(0, &reg, 50);
         g.set(7);
         h.record(100);
         h.record(100);
@@ -650,16 +593,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_selection_and_obs_exclusion() {
+    fn every_metric_but_obs_is_sampled() {
         let reg = Registry::new();
         reg.counter("pcie.bytes");
         reg.counter("scc.writes");
         reg.counter("obs.sampler.noise");
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10).with_prefixes(&["pcie."]));
-        let names: Vec<String> = ts.series().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["pcie.bytes"]);
-        // Empty prefix list selects everything except obs.*.
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10));
+        let ts = TimeSeries::manual(0, &reg, 10);
         let names: Vec<String> = ts.series().into_iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["pcie.bytes", "scc.writes"]);
     }
@@ -667,25 +606,19 @@ mod tests {
     #[test]
     fn tracked_externals_join_until_sealed() {
         let reg = Registry::new();
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10));
+        let ts = TimeSeries::manual(0, &reg, 10);
         let pool = Gauge::new();
         pool.set(5);
         ts.track_gauge("bytes.pool.free_buffers", &pool);
-        let busy = Counter::new();
-        busy.add(3);
-        ts.track_counter("ext.busy_cycles", &busy);
         ts.sample_now(10);
-        let series = ts.series();
-        assert_eq!(series[0].points[0], (10, PointValue::Level(5)));
-        // Pre-attach counts never show up as a first-window spike.
-        assert_eq!(series[1].points[0], (10, PointValue::Busy(0)));
+        assert_eq!(ts.series()[0].points[0], (10, PointValue::Level(5)));
     }
 
     #[test]
     #[should_panic(expected = "already took a sample")]
     fn tracking_after_first_sample_panics() {
         let reg = Registry::new();
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10));
+        let ts = TimeSeries::manual(0, &reg, 10);
         ts.sample_now(10);
         ts.track_gauge("late", &Gauge::new());
     }
@@ -694,7 +627,7 @@ mod tests {
     fn finish_flushes_the_partial_window_once() {
         let reg = Registry::new();
         let c = reg.counter("pcie.bytes");
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(100));
+        let ts = TimeSeries::manual(0, &reg, 100);
         c.add(9);
         ts.sample_now(100);
         c.add(5);
@@ -713,7 +646,7 @@ mod tests {
             let reg = Registry::new();
             let c = reg.counter("z.bytes");
             reg.gauge("a.depth").set(2);
-            let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10));
+            let ts = TimeSeries::manual(0, &reg, 10);
             c.add(4);
             ts.sample_now(10);
             ts.to_json()
@@ -735,7 +668,7 @@ mod tests {
         let busy = reg.counter("b.busy_cycles");
         let h = reg.histogram("c.lat");
         reg.gauge("d.depth").set(-2);
-        let ts = TimeSeries::manual(0, &reg, &SamplerSpec::every(10));
+        let ts = TimeSeries::manual(0, &reg, 10);
         c.add(4);
         busy.add(5);
         h.record(100);
@@ -767,7 +700,7 @@ mod tests {
         let sim = Sim::new();
         let reg = Registry::new();
         let c = reg.counter("app.ticks");
-        let ts = TimeSeries::spawn(&sim, &reg, &SamplerSpec::every(10));
+        let ts = TimeSeries::spawn(&sim, &reg, 10);
         let sim2 = sim.clone();
         let c2 = c.clone();
         sim.spawn(async move {

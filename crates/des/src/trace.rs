@@ -3,9 +3,9 @@
 //! Events are typed — an actor, a [`Category`], a kind, and named payload
 //! fields — and carry virtual-clock timestamps only, so a trace of a
 //! seeded run is bit-reproducible. Point events ([`Trace::instant`]) and
-//! begin/end spans ([`Trace::begin`] / [`Trace::end`]) both feed the
-//! Figure 2 text timeline ([`Trace::render`]) and the Chrome-trace-event
-//! export in [`crate::obs`].
+//! begin/end spans ([`Trace::begin`] / [`Trace::end`], or [`crate::span!`]
+//! around an awaited body) both feed the Figure 2 text timeline
+//! ([`Trace::render`]) and the Chrome-trace-event export in [`crate::obs`].
 //!
 //! Categories can be enabled selectively; a disabled category (or a fully
 //! disabled trace) costs one branch per call site — the actor and field
@@ -144,6 +144,37 @@ macro_rules! fields {
     ($($name:ident = $value:expr),* $(,)?) => {
         vec![$((stringify!($name), $crate::trace::FieldValue::from($value))),*]
     };
+}
+
+/// Bracket a body in a traced span: record [`Trace::begin`] at
+/// `$sim.now()`, evaluate `$body` in place, then record [`Trace::end`]
+/// at the new `$sim.now()` and yield the body's value.
+///
+/// The body is spliced into the enclosing `async` block, so it may
+/// `.await` without the span adding a future layer of its own. A
+/// `return` or `?` inside the body would skip the `end`: keep early
+/// exits outside the bracket. Every argument but the fields and the
+/// body is evaluated again for the `end` record, so nothing of the
+/// span's own is held across the body's awaits: pass cheap expressions
+/// without side effects (locals, constants, field paths). The fields
+/// are only evaluated when the category is enabled, as with the methods.
+///
+/// ```ignore
+/// des::span!(trace, sim, Category::Pcie, "classify", flow, actor, [bytes = len], {
+///     sim.delay(answer).await;
+/// });
+/// ```
+#[macro_export]
+macro_rules! span {
+    (
+        $trace:expr, $sim:expr, $cat:expr, $kind:expr, $flow:expr, $actor:expr,
+        [$($name:ident = $value:expr),* $(,)?], $body:expr $(,)?
+    ) => {{
+        $trace.begin($sim.now(), $cat, $kind, $flow, $actor, || $crate::fields![$($name = $value),*]);
+        let out = $body;
+        $trace.end($sim.now(), $cat, $kind, $flow, $actor);
+        out
+    }};
 }
 
 /// What an actor closure returns: any of the common string shapes.
@@ -512,6 +543,28 @@ mod tests {
         assert_eq!(ev[0].phase, SpanPhase::Begin);
         assert_eq!(ev[1].phase, SpanPhase::End);
         assert!(ev[0].time < ev[1].time);
+    }
+
+    #[test]
+    fn span_brackets_an_awaited_body() {
+        let sim = crate::Sim::new();
+        let t = Trace::enabled();
+        let (sim2, t2) = (sim.clone(), t.clone());
+        sim.spawn(async move {
+            sim2.delay(5).await;
+            let v = span!(t2, sim2, Category::Vdma, "dma", Some(7), || "vdma0", [bytes = 64u64], {
+                sim2.delay(20).await;
+                42
+            });
+            assert_eq!(v, 42);
+        });
+        sim.run().expect("clean run");
+        let ev = t.events();
+        assert_eq!(ev.len(), 2);
+        assert_eq!((ev[0].phase, ev[0].time, ev[0].flow), (SpanPhase::Begin, 5, Some(7)));
+        assert_eq!(ev[0].fields, vec![("bytes", FieldValue::U64(64))]);
+        assert_eq!((ev[1].phase, ev[1].time, ev[1].flow), (SpanPhase::End, 25, Some(7)));
+        assert_eq!((&*ev[1].actor, ev[1].kind), ("vdma0", "dma"));
     }
 
     #[test]

@@ -38,6 +38,7 @@ impl Rcce {
 #[cfg(test)]
 mod tests {
     use crate::session::SessionBuilder;
+    use des::trace::Trace;
     use des::Sim;
     use scc::device::SccDevice;
     use scc::geometry::DeviceId;
@@ -75,7 +76,8 @@ mod tests {
         // receiver gets move the same message.
         let sim = Sim::new();
         let dev = SccDevice::new(&sim, DeviceId(0));
-        let s = SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace().build();
+        let s =
+            SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace(Trace::enabled()).build();
         s.run_app(|r| async move {
             if r.id() == 0 {
                 let a = r.isend(vec![1u8; 100], 1);

@@ -28,6 +28,11 @@ pub mod layout;
 pub mod protocol;
 pub mod session;
 
+// `hop!` reaches `des::span!` through this path, so crates that expand
+// it need no `des` import of their own.
+#[doc(hidden)]
+pub use des as __des;
+
 pub use api::Rcce;
 pub use protocol::{BlockingProtocol, PipelinedProtocol, PointToPoint};
 pub use session::{RankCtx, Session, SessionBuilder};

@@ -52,6 +52,31 @@ pub trait PointToPoint {
     fn name(&self) -> &'static str;
 }
 
+/// [`des::span!`] for one protocol hop of `ctx`'s rank: the session's
+/// trace and clock, the rank's label, [`Category::Protocol`]. Like
+/// `span!`, the body may `.await` and must not `return`.
+///
+/// ```ignore
+/// hop!(ctx, "recv_poll", f, [flag = "sent", target = cnt], {
+///     flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
+/// });
+/// ```
+#[macro_export]
+macro_rules! hop {
+    ($ctx:expr, $kind:expr, $flow:expr, [$($fields:tt)*], $body:expr $(,)?) => {
+        $crate::__des::span!(
+            $ctx.session.trace(),
+            $ctx.core.sim(),
+            $crate::__des::trace::Category::Protocol,
+            $kind,
+            $flow,
+            || &$ctx.label,
+            [$($fields)*],
+            $body
+        )
+    };
+}
+
 /// Wait on a local counter flag until it reaches `target`
 /// (wrap-around-safe), polling with the same invalidate-read sequence RCCE
 /// uses.
@@ -196,52 +221,26 @@ impl PointToPoint for BlockingProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(dest);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
             for (lo, hi) in chunk_ranges(data.len(), self.chunk) {
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "chunk",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, dest = dest],
-                );
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "sender_put",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, target = "local_mpb"],
-                );
-                ctx.core.put(layout::payload(my, self.window_off), &data[lo..hi], f).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
-                let cnt = {
-                    let mut sc = ctx.sent_count.borrow_mut();
-                    sc[dest] = sc[dest].wrapping_add(1);
-                    sc[dest]
-                };
-                trace.instant(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "flag_set",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "sent", src = me, value = cnt, at_rank = dest],
-                );
-                ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "mpb_wait",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "ready", target = cnt],
-                );
-                flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-                trace.end(ctx.core.sim().now(), Category::Protocol, "chunk", f, || &ctx.label);
+                hop!(ctx, "chunk", f, [bytes = hi - lo, dest = dest], {
+                    hop!(ctx, "sender_put", f, [bytes = hi - lo, target = "local_mpb"], {
+                        ctx.core.put(layout::payload(my, self.window_off), &data[lo..hi], f).await;
+                    });
+                    let cnt = ctx.next_sent(dest);
+                    ctx.session.trace().instant(
+                        ctx.core.sim().now(),
+                        Category::Protocol,
+                        "flag_set",
+                        f,
+                        || &ctx.label,
+                        || fields![flag = "sent", src = me, value = cnt, at_rank = dest],
+                    );
+                    ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
+                    hop!(ctx, "mpb_wait", f, [flag = "ready", target = cnt], {
+                        flag_wait_reached(ctx, layout::ready_flag(my, dest), cnt).await;
+                    });
+                });
             }
         })
     }
@@ -257,35 +256,20 @@ impl PointToPoint for BlockingProtocol {
             let me = ctx.rank;
             let my = ctx.who();
             let peer = ctx.session.who(src);
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
             for (lo, hi) in chunk_ranges(buf.len(), self.chunk) {
                 let cnt = ctx.recv_count.borrow()[src].wrapping_add(1);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_poll",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "sent", target = cnt],
-                );
-                flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_get",
-                    f,
-                    || &ctx.label,
-                    || fields![bytes = hi - lo, src = src, sent_count = cnt],
-                );
-                // The payload lines may be cached from the previous chunk.
-                ctx.core.cl1invmb().await;
-                ctx.core.get(layout::payload(peer, self.window_off), &mut buf[lo..hi], f).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                hop!(ctx, "recv_poll", f, [flag = "sent", target = cnt], {
+                    flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
+                });
+                hop!(ctx, "recv_get", f, [bytes = hi - lo, src = src, sent_count = cnt], {
+                    // The payload lines may be cached from the previous chunk.
+                    ctx.core.cl1invmb().await;
+                    ctx.core.get(layout::payload(peer, self.window_off), &mut buf[lo..hi], f).await;
+                });
                 ctx.recv_count.borrow_mut()[src] = cnt;
                 ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
-                trace.instant(
+                ctx.session.trace().instant(
                     ctx.core.sim().now(),
                     Category::Protocol,
                     "flag_set",
@@ -354,56 +338,28 @@ impl PointToPoint for PipelinedProtocol {
             let base = ctx.sent_count.borrow()[dest];
             let ranges = chunk_ranges(data.len(), self.slot_bytes);
             let n_packets = ranges.len();
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
             for (p, (lo, hi)) in ranges.enumerate() {
                 // Flow control: slot p%2 is free once packet p-2 was
                 // consumed, i.e. ready has reached base + p - 1.
                 if p >= PIPELINE_SLOTS {
-                    trace.begin(
-                        ctx.core.sim().now(),
-                        Category::Protocol,
-                        "mpb_wait",
-                        f,
-                        || &ctx.label,
-                        || fields![flag = "ready", pkt = p],
-                    );
-                    flag_wait_reached(
-                        ctx,
-                        layout::ready_flag(my, dest),
-                        base.wrapping_add((p - 1) as u8),
-                    )
-                    .await;
-                    trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || {
-                        &ctx.label
+                    let target = base.wrapping_add((p - 1) as u8);
+                    hop!(ctx, "mpb_wait", f, [flag = "ready", pkt = p], {
+                        flag_wait_reached(ctx, layout::ready_flag(my, dest), target).await;
                     });
                 }
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "sender_put",
-                    f,
-                    || &ctx.label,
-                    || fields![pkt = p, bytes = hi - lo, slot = p % 2],
-                );
-                ctx.core.put(self.slot_addr(my, p % PIPELINE_SLOTS), &data[lo..hi], f).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "sender_put", f, || &ctx.label);
+                hop!(ctx, "sender_put", f, [pkt = p, bytes = hi - lo, slot = p % 2], {
+                    ctx.core.put(self.slot_addr(my, p % PIPELINE_SLOTS), &data[lo..hi], f).await;
+                });
                 let cnt = base.wrapping_add(p as u8 + 1);
                 ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
             }
             let total = base.wrapping_add(n_packets as u8);
             ctx.sent_count.borrow_mut()[dest] = total;
-            trace.begin(
-                ctx.core.sim().now(),
-                Category::Protocol,
-                "mpb_wait",
-                f,
-                || &ctx.label,
-                || fields![flag = "ready", target = total],
-            );
-            flag_wait_reached(ctx, layout::ready_flag(my, dest), total).await;
-            trace.end(ctx.core.sim().now(), Category::Protocol, "mpb_wait", f, || &ctx.label);
-            trace.instant(
+            hop!(ctx, "mpb_wait", f, [flag = "ready", target = total], {
+                flag_wait_reached(ctx, layout::ready_flag(my, dest), total).await;
+            });
+            ctx.session.trace().instant(
                 ctx.core.sim().now(),
                 Category::Protocol,
                 "pipe_send_done",
@@ -428,31 +384,17 @@ impl PointToPoint for PipelinedProtocol {
             let base = ctx.recv_count.borrow()[src];
             let ranges = chunk_ranges(buf.len(), self.slot_bytes);
             let n_packets = ranges.len();
-            let trace = ctx.session.trace().clone();
             let f = Some(flow);
             for (p, (lo, hi)) in ranges.enumerate() {
                 let cnt = base.wrapping_add(p as u8 + 1);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_poll",
-                    f,
-                    || &ctx.label,
-                    || fields![flag = "sent", pkt = p],
-                );
-                flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_poll", f, || &ctx.label);
-                trace.begin(
-                    ctx.core.sim().now(),
-                    Category::Protocol,
-                    "recv_get",
-                    f,
-                    || &ctx.label,
-                    || fields![pkt = p, bytes = hi - lo, slot = p % 2],
-                );
-                ctx.core.cl1invmb().await;
-                ctx.core.get(self.slot_addr(peer, p % PIPELINE_SLOTS), &mut buf[lo..hi], f).await;
-                trace.end(ctx.core.sim().now(), Category::Protocol, "recv_get", f, || &ctx.label);
+                hop!(ctx, "recv_poll", f, [flag = "sent", pkt = p], {
+                    flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
+                });
+                hop!(ctx, "recv_get", f, [pkt = p, bytes = hi - lo, slot = p % 2], {
+                    ctx.core.cl1invmb().await;
+                    let slot = self.slot_addr(peer, p % PIPELINE_SLOTS);
+                    ctx.core.get(slot, &mut buf[lo..hi], f).await;
+                });
                 ctx.core.flag_write(layout::ready_flag(peer, me), cnt, f).await;
             }
             ctx.recv_count.borrow_mut()[src] = base.wrapping_add(n_packets as u8);

@@ -259,6 +259,13 @@ impl RankCtx {
         self.session.who(self.rank)
     }
 
+    /// Bump the `sent` counter towards `dest` and return its new value.
+    pub fn next_sent(&self, dest: usize) -> u8 {
+        let mut sc = self.sent_count.borrow_mut();
+        sc[dest] = sc[dest].wrapping_add(1);
+        sc[dest]
+    }
+
     /// Serializes this rank's outgoing sends. The lock is global per UE,
     /// not per destination: every send stages its chunks through the one
     /// local MPB send buffer, exactly like iRCCE's single outgoing
@@ -380,15 +387,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Enable protocol tracing (Fig. 2 regeneration), all categories.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Trace::enabled();
-        self
-    }
-
-    /// Use an externally-shared trace (e.g. the vSCC system trace, so
-    /// protocol and host events interleave on one timeline).
-    pub fn with_shared_trace(mut self, trace: Trace) -> Self {
+    /// Record protocol events into `trace`: a fresh [`Trace::enabled`]
+    /// for a Fig. 2 timeline, or a shared one (e.g. the vSCC system
+    /// trace, so protocol and host events interleave on one timeline).
+    pub fn with_trace(mut self, trace: Trace) -> Self {
         self.trace = trace;
         self
     }
@@ -498,7 +500,8 @@ impl Session {
         self.inner.message_matrix()
     }
 
-    /// The protocol trace (empty unless built `with_trace`).
+    /// The protocol trace (empty unless built `with_trace` of an enabled
+    /// one).
     pub fn trace(&self) -> Trace {
         self.inner.trace().clone()
     }

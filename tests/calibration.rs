@@ -100,10 +100,7 @@ fn zero_fault_spec_perturbs_nothing() {
     // RNG stream or add a timer.
     let run = |faults: Option<des::faultplan::FaultSpec>| {
         let sim = des::Sim::new();
-        let reg = des::obs::Registry::new();
-        let mut b = vscc::VsccBuilder::new(&sim, 2)
-            .scheme(CommScheme::LocalPutLocalGet)
-            .metrics_registry(&reg);
+        let mut b = vscc::VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet);
         if let Some(spec) = faults {
             b = b.faults(spec);
         }
@@ -121,7 +118,7 @@ fn zero_fault_spec_perturbs_nothing() {
             }
         })
         .expect("calibration run");
-        (sim.now(), reg.snapshot().to_json())
+        (sim.now(), v.metrics().snapshot().to_json())
     };
     let (clean_now, clean_metrics) = run(None);
     let mut inert = des::faultplan::FaultSpec::none();

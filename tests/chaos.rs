@@ -11,7 +11,7 @@
 
 use des::faultplan::FaultSpec;
 use des::obs::Registry;
-use des::trace::Category;
+use des::trace::{Category, SpanPhase, Trace};
 use des::{Sim, SimError};
 use scc::geometry::CoreId;
 use vscc::{CommScheme, VsccBuilder};
@@ -27,6 +27,7 @@ struct ChaosRun {
     /// Per-rank "all my payloads verified" verdicts (Err on abort).
     result: Result<Vec<bool>, SimError>,
     metrics_json: String,
+    trace: Trace,
     trace_json: String,
     fault_events: usize,
     checksum_detected: u64,
@@ -47,13 +48,12 @@ struct ChaosRun {
 fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> ChaosRun {
     let spec = FaultSpec::parse(spec).expect("chaos spec");
     let sim = Sim::new();
-    let reg = Registry::new();
     let v = VsccBuilder::new(&sim, 2)
         .scheme(scheme)
-        .metrics_registry(&reg)
         .trace_categories(&Category::ALL)
         .faults(spec)
         .build();
+    let reg = v.metrics().clone();
     let a = v.devices[0].global(CoreId(0));
     let b = v.devices[1].global(CoreId(0));
     let s = v.session_builder().participants(vec![a, b]).build();
@@ -78,6 +78,7 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
     let rstats = &v.host.rstats;
     ChaosRun {
         metrics_json: reg.snapshot().to_json(),
+        trace: v.trace().clone(),
         trace_json: des::obs::chrome_trace_json(&[("chaos", v.trace())]),
         fault_events: v.trace().events_in(Category::Fault).len(),
         checksum_detected: rstats.checksum_detected.get(),
@@ -406,6 +407,21 @@ fn drop_storm_is_diagnosed_not_hung() {
             "abort must carry the diagnosis, got: {msg}"
         ),
         other => panic!("expected a diagnosed abort, got {other:?}"),
+    }
+    // A vDMA copy whose retries ran out still closes its `vdma` span on
+    // the commtask track, after the give-up.
+    let events = r.trace.events();
+    let giveups: Vec<_> = events.iter().filter(|e| e.kind == "retry_giveup").collect();
+    assert!(!giveups.is_empty(), "the storm must exhaust a retry ladder");
+    for g in giveups {
+        let closed = events.iter().any(|e| {
+            e.kind == "vdma"
+                && e.phase == SpanPhase::End
+                && e.flow == g.flow
+                && e.time >= g.time
+                && e.actor.starts_with("commtask-d")
+        });
+        assert!(closed, "flow {:?} gave up at {} without closing its vdma span", g.flow, g.time);
     }
 }
 

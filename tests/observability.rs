@@ -262,7 +262,7 @@ fn sampler_does_not_perturb_the_run() {
 fn windowed_quantiles_match_scalar_oracle() {
     let reg = des::obs::Registry::new();
     let h = reg.histogram("lat");
-    let ts = des::obs::TimeSeries::manual(0, &reg, &des::obs::SamplerSpec::every(100));
+    let ts = des::obs::TimeSeries::manual(0, &reg, 100);
     // Three windows with very different shapes; the middle one is empty,
     // so a leak across the reset would be unmissable.
     let windows: [&[u64]; 3] = [&[5, 9, 13, 200], &[], &[1000, 1001, 1002, 40_000]];
@@ -562,19 +562,17 @@ fn health_transitions_ride_trace_metrics_and_timeseries() {
     )
     .expect("healing spec");
     let sim = des::Sim::new();
-    let reg = des::obs::Registry::new();
     let recovery =
         vscc::host::RecoveryConfig { probe_interval: 20_000, probe_backoff_max: 160_000 };
     let v = vscc::VsccBuilder::new(&sim, 2)
         .scheme(CommScheme::RemotePutHwAck)
-        .metrics_registry(&reg)
         .trace_categories(&Category::ALL)
         .host_config(vscc::host::HostConfig { faults: spec, recovery, ..Default::default() })
         .build();
     let a = v.devices[0].global(scc::geometry::CoreId(0));
     let b = v.devices[1].global(scc::geometry::CoreId(0));
     let s = v.session_builder().participants(vec![a, b]).build();
-    let ts = v.spawn_sampler(&des::obs::SamplerSpec::every(des::obs::DEFAULT_CADENCE));
+    let ts = v.spawn_sampler(des::obs::DEFAULT_CADENCE);
     let keepalive = sim.clone();
     sim.spawn_named("post-storm-idle", async move {
         keepalive.delay(3_000_000).await;
@@ -606,7 +604,7 @@ fn health_transitions_ride_trace_metrics_and_timeseries() {
     assert!(json.contains("\"cat\":\"health\""), "Health events must survive the export");
 
     // Metrics: the health plane reports under `host.health.*`.
-    let metrics = reg.snapshot().to_json();
+    let metrics = v.metrics().snapshot().to_json();
     for name in ["host.health.promotions", "host.health.probe_sent", "host.health.degraded_pairs"] {
         assert!(metrics.contains(&format!("\"{name}\"")), "{name} missing from metrics");
     }
