@@ -135,8 +135,8 @@ pub fn interdevice_sampled(
 /// [`des::audit::Audit`] stream: every scheduler decision of the run is
 /// folded into per-epoch chain hashes at `cadence` cycles per epoch
 /// (ready for [`des::audit::Audit::to_json`]). `zoom` selects an epoch
-/// whose raw decisions are kept and whose window arms every trace
-/// category; `faults` optionally runs the whole thing under
+/// whose raw decisions are kept; it arms nothing else (the run's trace
+/// stays disabled). `faults` optionally runs the whole thing under
 /// a seeded fault plan, so two audits differing only in the seed can be
 /// bisected to the first divergent decision.
 pub fn interdevice_audited(
@@ -158,7 +158,6 @@ pub fn interdevice_audited(
         b = b.faults(spec);
     }
     let v = b.build();
-    audit.register_trace(v.trace());
     let a = v.devices[0].global(CoreId(0));
     let b = v.devices[1].global(CoreId(0));
     let s = v.session_builder().participants(vec![a, b]).build();

@@ -161,19 +161,6 @@ impl TrafficMatrix {
         out
     }
 
-    /// CSV dump (`src,dest,bytes` for every non-zero pair).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("src,dest,bytes\n");
-        for (s, row) in self.bytes.iter().enumerate() {
-            for (d, &b) in row.iter().enumerate() {
-                if b > 0 {
-                    out.push_str(&format!("{s},{d},{b}\n"));
-                }
-            }
-        }
-        out
-    }
-
     /// Whether the pattern is neighbour-dominated: the fraction of bytes
     /// within `radius` of the diagonal (with wrap-around), Fig. 8's
     /// qualitative claim.
@@ -253,13 +240,5 @@ mod tests {
         let j = m.to_json();
         assert!(j.starts_with("{\"bytes\":[["));
         assert!(j.ends_with("\"device_of\":[0,0,1,1]}"));
-    }
-
-    #[test]
-    fn csv_lists_nonzero_pairs() {
-        let m = sample();
-        let csv = m.to_csv();
-        assert_eq!(csv.lines().count(), 5); // header + 4 pairs
-        assert!(csv.contains("3,0,4000"));
     }
 }

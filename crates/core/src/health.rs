@@ -233,11 +233,6 @@ impl HealthTracker {
         self.transitions.borrow().clone()
     }
 
-    /// Times a pair was demoted / re-promoted, summed over all pairs.
-    pub fn demotion_count(&self) -> u64 {
-        self.pairs.borrow().values().map(|s| s.demote_count as u64).sum()
-    }
-
     /// Track one posted-write burst result for `pair`. Returns `true`
     /// when the consecutive-lossy streak just reached `threshold` on a
     /// Healthy pair — the caller must then [`HealthTracker::demote`].
@@ -476,7 +471,6 @@ mod tests {
             vec![((0, 1), PairHealth::Degraded), ((2, 0), PairHealth::Degraded)]
         );
         assert_eq!(t.fallback_pairs(), vec![(0, 1), (2, 0)]);
-        assert_eq!(t.demotion_count(), 2);
         // The log bound holds under a hostile flap loop.
         for i in 0..2 * TRANSITION_LOG as u64 {
             t.begin_probe(i, (0, 1));

@@ -536,14 +536,10 @@ impl HostSide {
                 // Mark in flight *now* so reads ordered after this
                 // doorbell's arrival wait for the prefetch.
                 self.cache.begin_update(owner);
-                self.workers.borrow()[line.src.device.0 as usize]
-                    .try_send(cmd)
-                    .expect("worker queue is unbounded");
+                self.workers.borrow()[line.src.device.0 as usize].send(cmd);
             }
             HostCmd::VdmaStart { .. } => {
-                self.workers.borrow()[line.src.device.0 as usize]
-                    .try_send(cmd)
-                    .expect("worker queue is unbounded");
+                self.workers.borrow()[line.src.device.0 as usize].send(cmd);
             }
         }
     }
@@ -1172,9 +1168,7 @@ impl RemoteFabric for HostSide {
             // posted-write semantics, exactly like a PCIe memory write.
             let port = self.fabric.port(dev);
             let (tlp, wire_free) = port.stamp_to_host(&sim, LINE_BYTES as u64, line);
-            self.doorbells.borrow()[dev.0 as usize]
-                .try_send(tlp)
-                .unwrap_or_else(|_| panic!("doorbell queue is unbounded"));
+            self.doorbells.borrow()[dev.0 as usize].send(tlp);
             sim.delay_until(wire_free).await;
         })
     }

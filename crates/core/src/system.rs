@@ -462,9 +462,9 @@ mod tests {
         assert!(far_done > near_done);
         let far_start = v
             .trace()
-            .events_of("rank0")
+            .events()
             .iter()
-            .find(|e| e.kind == "vdma_recv")
+            .find(|e| &*e.actor == "rank0" && e.kind == "vdma_recv")
             .map(|e| e.time)
             .expect("the inter-device receive is traced");
         assert!(far_start >= near_done, "far receive started at {far_start}, before {near_done}");

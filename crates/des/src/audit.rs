@@ -17,9 +17,10 @@
 //!    `vscc_obs diff a b` → first divergent epoch `E`;
 //! 2. re-run both with `VSCC_OBS=a@E` / `VSCC_OBS=b@E` — inside epoch
 //!    `E` every raw decision is kept (in a ring of the last
-//!    [`DEFAULT_ZOOM_RING`]) and all registered traces are armed with
-//!    every category; `vscc_obs diff` on the zoomed dumps then names the
-//!    first divergent *decision* (kind, operands, cycle).
+//!    [`DEFAULT_ZOOM_RING`]); the zoom arms nothing else (a designated
+//!    run's trace already records every category for the whole run).
+//!    `vscc_obs diff` on the zoomed dumps then names the first divergent
+//!    *decision* (kind, operands, cycle).
 //!
 //! Recording is a thread-local ambient sink behind a `const`-initialised
 //! `Cell<bool>` fast path: with no audit installed every hook is a
@@ -43,15 +44,13 @@ use std::rc::Rc;
 
 use crate::faultplan::checksum;
 use crate::time::Cycles;
-use crate::trace::Trace;
 
 /// Default epoch length in cycles; matches the timeseries sampler's
 /// default cadence so the two planes window identically.
 pub const DEFAULT_EPOCH_CYCLES: u64 = 25_000;
 
 /// Bound on the zoomed raw-decision ring: a zoom window on a huge epoch
-/// keeps the *last* N decisions ([`Audit::set_zoom_ring_cap`] overrides
-/// it).
+/// keeps the *last* N decisions.
 pub const DEFAULT_ZOOM_RING: usize = 4096;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -203,32 +202,12 @@ struct AuditInner {
     rows: RefCell<Vec<EpochRow>>,
     /// Zoom target epoch: raw decisions of exactly this epoch are kept.
     zoom: Option<u64>,
-    zoom_ring_cap: Cell<usize>,
     ring: RefCell<VecDeque<Decision>>,
     /// Decisions dropped from the front of the ring (bounded window).
     ring_dropped: Cell<u64>,
-    /// Traces to arm with all categories while inside the zoom epoch.
-    armed: RefCell<Vec<(Trace, u8)>>,
-    in_zoom: Cell<bool>,
 }
 
 impl AuditInner {
-    fn enter_zoom(&self) {
-        self.in_zoom.set(true);
-        let mut armed = self.armed.borrow_mut();
-        for (trace, saved) in armed.iter_mut() {
-            *saved = trace.category_mask();
-            trace.set_category_mask(crate::trace::Category::ALL_MASK);
-        }
-    }
-
-    fn leave_zoom(&self) {
-        self.in_zoom.set(false);
-        for (trace, saved) in self.armed.borrow_mut().iter() {
-            trace.set_category_mask(*saved);
-        }
-    }
-
     /// Seal the open epoch (a row is emitted only if it folded at
     /// least one decision) and move to `target`.
     fn roll_to(&self, target: u64) {
@@ -249,14 +228,8 @@ impl AuditInner {
                 counts,
             });
         }
-        if self.in_zoom.get() {
-            self.leave_zoom();
-        }
         self.epoch.set(target);
         self.epoch_end.set((target + 1) * self.cadence);
-        if self.zoom == Some(target) {
-            self.enter_zoom();
-        }
     }
 
     fn note(&self, cycle: Cycles, kind: DecisionKind, a: u64, b: u64) {
@@ -275,9 +248,9 @@ impl AuditInner {
         if cycle > self.now.get() {
             self.now.set(cycle);
         }
-        if self.in_zoom.get() {
+        if self.zoom == Some(self.epoch.get()) {
             let mut ring = self.ring.borrow_mut();
-            if ring.len() == self.zoom_ring_cap.get() {
+            if ring.len() == DEFAULT_ZOOM_RING {
                 ring.pop_front();
                 self.ring_dropped.set(self.ring_dropped.get() + 1);
             }
@@ -393,8 +366,7 @@ impl Audit {
     }
 
     /// Audit with a zoom window: raw decisions of epoch `epoch` are
-    /// kept in a bounded ring and registered traces are armed with all
-    /// categories while inside it.
+    /// kept in a ring of the last [`DEFAULT_ZOOM_RING`].
     pub fn with_zoom(cadence: u64, epoch: u64) -> Audit {
         Audit::build(cadence, Some(epoch))
     }
@@ -410,31 +382,10 @@ impl Audit {
             counts: std::array::from_fn(|_| Cell::new(0)),
             rows: RefCell::new(Vec::new()),
             zoom,
-            zoom_ring_cap: Cell::new(DEFAULT_ZOOM_RING),
             ring: RefCell::new(VecDeque::new()),
             ring_dropped: Cell::new(0),
-            armed: RefCell::new(Vec::new()),
-            in_zoom: Cell::new(false),
         });
-        if zoom == Some(0) {
-            inner.enter_zoom();
-        }
         Audit { inner }
-    }
-
-    /// Override the zoom-ring bound (default [`DEFAULT_ZOOM_RING`]).
-    pub fn set_zoom_ring_cap(&self, cap: usize) {
-        self.inner.zoom_ring_cap.set(cap.max(1));
-    }
-
-    /// Register a trace to be armed with every category while the run
-    /// is inside the zoom epoch (its prior mask is restored on exit).
-    pub fn register_trace(&self, trace: &Trace) {
-        let mask = trace.category_mask();
-        self.inner.armed.borrow_mut().push((trace.clone(), mask));
-        if self.inner.in_zoom.get() {
-            trace.set_category_mask(crate::trace::Category::ALL_MASK);
-        }
     }
 
     /// Install this audit as the thread's ambient sink. Engine hooks
@@ -779,16 +730,17 @@ mod tests {
 
     #[test]
     fn zoom_ring_is_bounded_and_counts_drops() {
-        let audit = Audit::with_zoom(1_000, 0);
-        audit.set_zoom_ring_cap(4);
+        let audit = Audit::with_zoom(1_000_000, 0);
         let guard = audit.install();
-        for i in 0..10u64 {
+        for i in 0..(DEFAULT_ZOOM_RING + 6) as u64 {
             record_at(i, DecisionKind::Wake, i, 0);
         }
         drop(guard);
         let ring = audit.zoomed();
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring[0].a, 6, "ring keeps the last N decisions");
+        assert_eq!(ring.len(), DEFAULT_ZOOM_RING);
+        let kept: Vec<u64> = ring.iter().map(|d| d.a).collect();
+        let last: Vec<u64> = (6..(DEFAULT_ZOOM_RING + 6) as u64).collect();
+        assert_eq!(kept, last, "ring keeps the last N decisions");
         assert!(audit.to_json().contains("\"zoom_dropped\": 6"));
     }
 

@@ -1,7 +1,8 @@
-//! Simulated message channels (unbounded and bounded MPSC).
+//! Simulated single-producer unbounded FIFO.
 //!
-//! Used for request queues between simulated agents — e.g. the SIF-to-host
-//! request stream that the communication task drains.
+//! The host's per-device request queues use it: the `mmio-d<N>` doorbell
+//! stream and the `commtask-d<N>` command queue that the communication
+//! task drains.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -11,8 +12,6 @@ use crate::event::Notify;
 
 struct ChanState<T> {
     queue: VecDeque<T>,
-    capacity: Option<usize>,
-    senders: usize,
     closed: bool,
 }
 
@@ -20,82 +19,34 @@ struct ChanState<T> {
 pub struct Sender<T> {
     state: Rc<RefCell<ChanState<T>>>,
     notify_recv: Notify,
-    notify_send: Notify,
 }
 
 /// Receiving half of a simulated channel.
 pub struct Receiver<T> {
     state: Rc<RefCell<ChanState<T>>>,
     notify_recv: Notify,
-    notify_send: Notify,
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.state.borrow_mut().senders += 1;
-        Sender {
-            state: self.state.clone(),
-            notify_recv: self.notify_recv.clone(),
-            notify_send: self.notify_send.clone(),
-        }
-    }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.senders -= 1;
-        if st.senders == 0 {
-            st.closed = true;
-            drop(st);
-            self.notify_recv.notify_all();
-        }
+        self.state.borrow_mut().closed = true;
+        self.notify_recv.notify_all();
     }
 }
 
 /// Create an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity(None)
-}
-
-/// Create a bounded channel; senders block when `cap` items are queued.
-pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(cap > 0, "bounded channel capacity must be > 0");
-    with_capacity(Some(cap))
-}
-
-fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-    let state = Rc::new(RefCell::new(ChanState {
-        queue: VecDeque::new(),
-        capacity,
-        senders: 1,
-        closed: false,
-    }));
+    let state = Rc::new(RefCell::new(ChanState { queue: VecDeque::new(), closed: false }));
     let notify_recv = Notify::new();
-    let notify_send = Notify::new();
     (
-        Sender {
-            state: state.clone(),
-            notify_recv: notify_recv.clone(),
-            notify_send: notify_send.clone(),
-        },
-        Receiver { state, notify_recv, notify_send },
+        Sender { state: state.clone(), notify_recv: notify_recv.clone() },
+        Receiver { state, notify_recv },
     )
 }
 
 impl<T> Sender<T> {
-    /// Enqueue an item, waiting for space on a bounded channel.
-    pub async fn send(&self, value: T) {
-        let state = self.state.clone();
-        self.notify_send
-            .wait_until(move || {
-                let st = state.borrow();
-                match st.capacity {
-                    Some(cap) => st.queue.len() < cap,
-                    None => true,
-                }
-            })
-            .await;
+    /// Enqueue an item; the queue is unbounded, so this never waits.
+    pub fn send(&self, value: T) {
         let depth = {
             let mut st = self.state.borrow_mut();
             st.queue.push_back(value);
@@ -104,36 +55,10 @@ impl<T> Sender<T> {
         crate::audit::record(crate::audit::DecisionKind::ChanSend, depth as u64, 0);
         self.notify_recv.notify_all();
     }
-
-    /// Enqueue without waiting; returns `Err(value)` if the channel is full.
-    pub fn try_send(&self, value: T) -> Result<(), T> {
-        let mut st = self.state.borrow_mut();
-        if let Some(cap) = st.capacity {
-            if st.queue.len() >= cap {
-                return Err(value);
-            }
-        }
-        st.queue.push_back(value);
-        let depth = st.queue.len();
-        drop(st);
-        crate::audit::record(crate::audit::DecisionKind::ChanSend, depth as u64, 0);
-        self.notify_recv.notify_all();
-        Ok(())
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Receiver<T> {
-    /// Dequeue the next item; resolves to `None` once all senders are gone
+    /// Dequeue the next item; resolves to `None` once the sender is gone
     /// and the queue is drained.
     pub async fn recv(&self) -> Option<T> {
         loop {
@@ -143,7 +68,6 @@ impl<T> Receiver<T> {
                     let depth = st.queue.len();
                     drop(st);
                     crate::audit::record(crate::audit::DecisionKind::ChanRecv, depth as u64, 0);
-                    self.notify_send.notify_all();
                     return Some(v);
                 }
                 if st.closed {
@@ -158,31 +82,6 @@ impl<T> Receiver<T> {
                 })
                 .await;
         }
-    }
-
-    /// Non-blocking dequeue.
-    pub fn try_recv(&self) -> Option<T> {
-        let (v, depth) = {
-            let mut st = self.state.borrow_mut();
-            let v = st.queue.pop_front();
-            let depth = st.queue.len();
-            (v, depth)
-        };
-        if v.is_some() {
-            crate::audit::record(crate::audit::DecisionKind::ChanRecv, depth as u64, 0);
-            self.notify_send.notify_all();
-        }
-        v
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -199,7 +98,7 @@ mod tests {
         sim.spawn(async move {
             for i in 0..5 {
                 s.delay(10).await;
-                tx.send(i).await;
+                tx.send(i);
             }
         });
         let got = sim
@@ -215,37 +114,15 @@ mod tests {
     }
 
     #[test]
-    fn bounded_applies_backpressure() {
-        let sim = Sim::new();
-        let (tx, rx) = bounded::<u64>(1);
-        let s = sim.clone();
-        sim.spawn_named("producer", async move {
-            for i in 0..3 {
-                tx.send(i).await;
-            }
-            // Third send cannot complete before the consumer drains at t=10.
-            assert!(s.now() >= 10);
-        });
-        let s = sim.clone();
-        sim.spawn_named("consumer", async move {
-            s.delay(10).await;
-            while let Some(_v) = rx.recv().await {}
-        });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn recv_none_after_all_senders_drop() {
+    fn recv_none_after_the_sender_drops() {
         let sim = Sim::new();
         let (tx, rx) = unbounded::<u8>();
-        let tx2 = tx.clone();
+        let s = sim.clone();
         sim.spawn(async move {
-            tx.send(1).await;
+            tx.send(1);
+            s.delay(10).await;
+            tx.send(2);
             drop(tx);
-        });
-        sim.spawn(async move {
-            tx2.send(2).await;
-            drop(tx2);
         });
         let got = sim
             .block_on(async move {
@@ -256,19 +133,6 @@ mod tests {
                 v
             })
             .unwrap();
-        assert_eq!(got.len(), 2);
-    }
-
-    #[test]
-    fn try_send_full_returns_value() {
-        let (tx, _rx) = bounded::<u8>(1);
-        assert!(tx.try_send(1).is_ok());
-        assert_eq!(tx.try_send(2), Err(2));
-    }
-
-    #[test]
-    fn try_recv_empty_is_none() {
-        let (_tx, rx) = unbounded::<u8>();
-        assert_eq!(rx.try_recv(), None);
+        assert_eq!(got, vec![1, 2]);
     }
 }

@@ -114,8 +114,6 @@ pub enum SimError {
     /// No task is runnable, no timer is pending, but live tasks remain: the
     /// simulated system is deadlocked. Carries the names of the stuck tasks.
     Deadlock(Vec<String>),
-    /// The simulation exceeded the configured cycle horizon.
-    HorizonExceeded(Cycles),
     /// A task requested a diagnosed abort via [`Sim::abort`] (e.g. a poll
     /// watchdog converting an infinite flag wait into a timeout). Carries
     /// the abort reason.
@@ -128,7 +126,6 @@ impl fmt::Display for SimError {
             SimError::Deadlock(names) => {
                 write!(f, "simulated deadlock; stuck tasks: {}", names.join(", "))
             }
-            SimError::HorizonExceeded(h) => write!(f, "simulation exceeded horizon of {h} cycles"),
             SimError::Aborted(reason) => write!(f, "simulation aborted: {reason}"),
         }
     }
@@ -300,7 +297,6 @@ const ANON_NAME: u32 = 0;
 
 struct Inner {
     now: Cell<Cycles>,
-    horizon: Cell<Cycles>,
     tasks: RefCell<Vec<Slot>>,
     free: RefCell<Vec<TaskId>>,
     ready: RefCell<VecDeque<TaskId>>,
@@ -338,8 +334,7 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Create an empty simulation at time 0 with an effectively unbounded
-    /// horizon.
+    /// Create an empty simulation at time 0.
     pub fn new() -> Self {
         let mut names = Names { by_name: HashMap::new(), list: Vec::new() };
         let anon = names.intern("task");
@@ -348,7 +343,6 @@ impl Sim {
         Sim {
             inner: Rc::new(Inner {
                 now: Cell::new(0),
-                horizon: Cell::new(Cycles::MAX),
                 tasks: RefCell::new(Vec::new()),
                 free: RefCell::new(Vec::new()),
                 ready: RefCell::new(VecDeque::new()),
@@ -372,12 +366,6 @@ impl Sim {
                 stat_wakes: Cell::new(0),
             }),
         }
-    }
-
-    /// Abort the run with [`SimError::HorizonExceeded`] if the clock would
-    /// pass `cycles`. Guards against livelock in protocol bugs.
-    pub fn set_horizon(&self, cycles: Cycles) {
-        self.inner.horizon.set(cycles);
     }
 
     /// Current simulated time in core cycles.
@@ -501,11 +489,6 @@ impl Sim {
         Delay { sim: self.clone(), deadline, timer: None, registered: false }
     }
 
-    /// Yield to other runnable tasks without advancing time.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow { yielded: false }
-    }
-
     fn register_timer(&self, deadline: Cycles, target: WakeTarget) -> TimerId {
         self.inner.stat_timers_set.set(self.inner.stat_timers_set.get() + 1);
         let id = self.inner.timers.borrow_mut().insert(deadline, target);
@@ -576,8 +559,8 @@ impl Sim {
 
     /// Run until every task has finished.
     ///
-    /// Returns the final timestamp, or an error on deadlock / horizon
-    /// overrun (the simulation state stays inspectable after an error).
+    /// Returns the final timestamp, or an error on deadlock or a diagnosed
+    /// abort (the simulation state stays inspectable after an error).
     pub fn run(&self) -> Result<Cycles, SimError> {
         loop {
             if self.inner.abort.get() {
@@ -609,9 +592,6 @@ impl Sim {
             match fired {
                 Some((deadline, seq, target)) => {
                     debug_assert!(deadline >= self.inner.now.get());
-                    if deadline > self.inner.horizon.get() {
-                        return Err(SimError::HorizonExceeded(self.inner.horizon.get()));
-                    }
                     self.inner.now.set(deadline.max(self.inner.now.get()));
                     crate::audit::record_at(
                         self.inner.now.get(),
@@ -799,25 +779,6 @@ impl Drop for Delay {
     }
 }
 
-/// Future returned by [`Sim::yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,35 +891,6 @@ mod tests {
             Err(SimError::Deadlock(names)) => assert_eq!(names, vec!["stuck-one".to_string()]),
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn horizon_guard_fires() {
-        let sim = Sim::new();
-        sim.set_horizon(1_000);
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.delay(10_000).await;
-        });
-        assert_eq!(sim.run(), Err(SimError::HorizonExceeded(1_000)));
-    }
-
-    #[test]
-    fn yield_now_round_robins() {
-        let sim = Sim::new();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..2u32 {
-            let s = sim.clone();
-            let l = log.clone();
-            sim.spawn(async move {
-                for _ in 0..2 {
-                    l.borrow_mut().push(i);
-                    s.yield_now().await;
-                }
-            });
-        }
-        sim.run().unwrap();
-        assert_eq!(&*log.borrow(), &[0, 1, 0, 1]);
     }
 
     #[test]

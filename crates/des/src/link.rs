@@ -53,7 +53,6 @@ struct LinkState {
     latency: Cycles,
     per_transfer: Cycles,
     bytes: Counter,
-    transfers: Cell<u64>,
     busy_cycles: Counter,
     /// Wire-free times of reservations not yet drained; its length at
     /// reservation time is the queue depth.
@@ -89,7 +88,6 @@ impl Link {
                 latency,
                 per_transfer,
                 bytes: Counter::new(),
-                transfers: Cell::new(0),
                 busy_cycles: Counter::new(),
                 pending: RefCell::new(VecDeque::new()),
                 queue_depth: Gauge::new(),
@@ -147,7 +145,6 @@ impl Link {
         let done = start + occupy;
         st.busy_until.set(done);
         st.bytes.add(bytes);
-        st.transfers.set(st.transfers.get() + 1);
         st.busy_cycles.add(occupy);
         // Queue depth: reservations whose wire time has not yet elapsed,
         // including this one. Drained lazily at reservation time so the
@@ -171,11 +168,6 @@ impl Link {
     /// Total bytes moved over the link.
     pub fn total_bytes(&self) -> u64 {
         self.state.bytes.get()
-    }
-
-    /// Number of transfers.
-    pub fn total_transfers(&self) -> u64 {
-        self.state.transfers.get()
     }
 
     /// Cycles the wire was occupied (utilization numerator).
@@ -224,7 +216,6 @@ mod tests {
         }
         sim.run().unwrap();
         assert_eq!(link.total_bytes(), 300);
-        assert_eq!(link.total_transfers(), 3);
     }
 
     #[test]

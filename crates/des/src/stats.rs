@@ -136,40 +136,13 @@ impl Log2Histogram {
     }
 
     /// Snapshot of bucket counts; see the type docs for the index → range
-    /// mapping ([`Log2Histogram::bucket_lower_bound`] gives the bound).
+    /// mapping.
     pub fn buckets(&self) -> Vec<u64> {
         self.buckets.borrow().clone()
     }
 
-    /// Smallest sample value that lands in bucket `i`.
-    pub fn bucket_lower_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
-    /// Approximate quantile: lower bound of the bucket containing quantile
-    /// `q` in `[0, 1]`.
-    pub fn quantile_lower_bound(&self, q: f64) -> u64 {
-        let total = self.count.get();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.borrow().iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Self::bucket_lower_bound(i);
-            }
-        }
-        self.max.get()
-    }
-
     /// Interpolated quantile: linear interpolation *within* the bucket
-    /// containing quantile `q`, so nearby tail quantiles no longer
+    /// containing quantile `q`, so nearby tail quantiles do not
     /// collapse onto the same bucket lower bound. Pure integer
     /// arithmetic over the bucket counts — deterministic — and clamped
     /// to the largest recorded sample.
@@ -258,20 +231,7 @@ mod tests {
             let b = h.buckets();
             assert_eq!(b[i], 2, "edges of bucket {i}");
             assert_eq!(b[i + 1], 1, "2^{i} opens bucket {}", i + 1);
-            assert_eq!(Log2Histogram::bucket_lower_bound(i), lo);
         }
-    }
-
-    #[test]
-    fn quantile_uses_bucket_lower_bounds() {
-        let h = Log2Histogram::new();
-        for _ in 0..10 {
-            h.record(5); // bucket 3: [4, 8)
-        }
-        assert_eq!(h.quantile_lower_bound(0.5), 4);
-        let h = Log2Histogram::new();
-        h.record(1);
-        assert_eq!(h.quantile_lower_bound(0.5), 1);
     }
 
     #[test]
@@ -297,33 +257,20 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_monotone() {
-        let h = Log2Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        assert!(h.quantile_lower_bound(0.5) <= h.quantile_lower_bound(0.99));
-    }
-
-    #[test]
     fn empty_histogram_is_safe() {
         let h = Log2Histogram::new();
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile_lower_bound(0.9), 0);
         assert_eq!(h.quantile_interpolated(0.9), 0);
     }
 
     #[test]
     fn interpolated_quantile_spreads_within_a_bucket() {
-        // 10 samples all in bucket 7 ([64, 128)): the lower-bound
-        // quantile collapses every q to 64, interpolation spreads ranks
-        // across the bucket while staying inside it.
+        // 10 samples all in bucket 7 ([64, 128)): interpolation spreads
+        // ranks across the bucket while staying inside it.
         let h = Log2Histogram::new();
         for _ in 0..10 {
             h.record(100);
         }
-        assert_eq!(h.quantile_lower_bound(0.5), 64);
-        assert_eq!(h.quantile_lower_bound(0.99), 64);
         let p50 = h.quantile_interpolated(0.5);
         let p99 = h.quantile_interpolated(0.99);
         assert!(p50 > 64 && p50 < 128, "p50 = {p50}");

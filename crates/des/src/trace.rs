@@ -24,7 +24,7 @@
 //! the Chrome exporter in [`crate::obs`] turns these into flow arrows and
 //! [`crate::critpath`] reconstructs per-message timelines from them.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
@@ -68,9 +68,6 @@ impl Category {
     fn bit(self) -> u8 {
         1 << self as u8
     }
-
-    /// Mask with every category enabled (what `&Category::ALL` builds).
-    pub(crate) const ALL_MASK: u8 = (1 << Category::ALL.len()) - 1;
 
     /// Lower-case name, as exported.
     pub fn name(self) -> &'static str {
@@ -273,9 +270,8 @@ impl fmt::Display for TraceEvent {
 
 struct TraceInner {
     events: RefCell<Vec<TraceEvent>>,
-    /// Enabled-category bitmask. A `Cell` so the audit zoom window can
-    /// arm every category inside its epoch and restore the mask after.
-    mask: Cell<u8>,
+    /// Enabled-category bitmask, fixed at construction.
+    mask: u8,
     /// Actor-name intern table; `Rc<str>: Borrow<str>` lets lookups
     /// avoid allocating.
     actors: RefCell<HashSet<Rc<str>>>,
@@ -331,7 +327,7 @@ impl Trace {
         Trace {
             inner: Some(Rc::new(TraceInner {
                 events: RefCell::new(Vec::new()),
-                mask: Cell::new(mask),
+                mask,
                 actors: RefCell::new(HashSet::new()),
             })),
         }
@@ -345,22 +341,8 @@ impl Trace {
     /// Whether events of `cat` are being collected.
     pub fn enabled_for(&self, cat: Category) -> bool {
         match &self.inner {
-            Some(inner) => inner.mask.get() & cat.bit() != 0,
+            Some(inner) => inner.mask & cat.bit() != 0,
             None => false,
-        }
-    }
-
-    /// Current enabled-category bitmask (0 for a disabled trace).
-    pub(crate) fn category_mask(&self) -> u8 {
-        self.inner.as_ref().map(|i| i.mask.get()).unwrap_or(0)
-    }
-
-    /// Replace the enabled-category bitmask. Used by the audit zoom
-    /// window to arm every category inside one epoch; a no-op on a
-    /// disabled trace (there is no event storage to arm).
-    pub(crate) fn set_category_mask(&self, mask: u8) {
-        if let Some(inner) = &self.inner {
-            inner.mask.set(mask);
         }
     }
 
@@ -389,7 +371,7 @@ impl Trace {
         fields: impl FnOnce() -> Fields,
     ) {
         if let Some(inner) = &self.inner {
-            if inner.mask.get() & cat.bit() != 0 {
+            if inner.mask & cat.bit() != 0 {
                 let actor = inner.resolve(actor().into());
                 inner.events.borrow_mut().push(TraceEvent {
                     time,
@@ -458,11 +440,6 @@ impl Trace {
     /// Snapshot of all events in record order.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.with_events(|ev| ev.to_vec())
-    }
-
-    /// Events whose actor matches `actor` (only matches are cloned).
-    pub fn events_of(&self, actor: &str) -> Vec<TraceEvent> {
-        self.with_events(|ev| ev.iter().filter(|e| &*e.actor == actor).cloned().collect())
     }
 
     /// Events of one category (only matches are cloned).
@@ -573,7 +550,7 @@ mod tests {
         t.instant(1, Category::App, "x", None, || "a", Vec::new);
         t.instant(2, Category::App, "y", None, || "b", Vec::new);
         t.instant(3, Category::App, "z", None, || "a", Vec::new);
-        assert_eq!(t.events_of("a").len(), 2);
+        assert_eq!(t.events().iter().filter(|e| &*e.actor == "a").count(), 2);
         assert_eq!(t.events_in(Category::App).len(), 3);
     }
 

@@ -276,18 +276,6 @@ impl Wcb {
         }
     }
 
-    /// Record a store spanning `n` consecutive lines starting at `key`;
-    /// returns the number of transactions issued.
-    pub fn store_span(&self, key: LineKey, n: u16) -> u64 {
-        let mut tx = 0;
-        for i in 0..n {
-            if !self.store((key.0, key.1 + i)) {
-                tx += 1;
-            }
-        }
-        tx
-    }
-
     /// Explicit flush (e.g. before a synchronizing flag write).
     pub fn flush(&self) {
         *self.current.borrow_mut() = None;
@@ -442,13 +430,5 @@ mod tests {
         w.flush();
         assert!(!w.store(key(0, 1)));
         assert_eq!(w.stats().0, 2);
-    }
-
-    #[test]
-    fn wcb_span_counts_transactions() {
-        let w = Wcb::new();
-        assert_eq!(w.store_span(key(0, 0), 4), 4);
-        // Re-storing the last line merges.
-        assert_eq!(w.store_span(key(0, 3), 1), 0);
     }
 }

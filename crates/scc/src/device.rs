@@ -196,11 +196,6 @@ impl SccDevice {
             .expect("cross-device access without a fabric: build the system via vscc::System")
     }
 
-    /// Whether an off-chip fabric is installed.
-    pub fn has_fabric(&self) -> bool {
-        self.fabric.borrow().is_some()
-    }
-
     /// Install an MPB-store observer (protocol invariant monitors).
     pub fn set_monitor(&self, monitor: Rc<dyn MpbWriteMonitor>) {
         *self.monitor.borrow_mut() = Some(monitor);
@@ -285,7 +280,6 @@ mod tests {
     fn fabric_missing_panics_with_hint() {
         let sim = Sim::new();
         let dev = SccDevice::new(&sim, DeviceId(0));
-        assert!(!dev.has_fabric());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dev.fabric()));
         assert!(r.is_err());
     }

@@ -26,7 +26,8 @@ echo "== benchmark unit tests (metric table, BENCHMARK.json agreement, compariso
 cargo test -q --offline --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml
 
 echo "== cargo doc (deny warnings: no dangling or private intra-doc links) =="
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+# --document-private-items also checks the links in private items' docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --document-private-items
 
 echo "== cargo bench --no-run (figure/table harnesses must keep building) =="
 cargo bench --workspace --no-run

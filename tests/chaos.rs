@@ -4,10 +4,10 @@
 //! The property under test: with a seeded fault plan active and the
 //! recovery layer on, every run either completes with verified payloads
 //! or fails with a *diagnosed* error (`SimError::Aborted` from a poll
-//! watchdog or an exhausted retry ladder, `Deadlock`, or
-//! `HorizonExceeded`). Never a hang, never silent corruption. And every
-//! faulty run is deterministic: identical seeds reproduce identical
-//! metrics snapshots, traces, and virtual clocks byte for byte.
+//! watchdog or an exhausted retry ladder, or `Deadlock`). Never a hang,
+//! never silent corruption. And every faulty run is deterministic:
+//! identical seeds reproduce identical metrics snapshots, traces, and
+//! virtual clocks byte for byte.
 
 use des::faultplan::FaultSpec;
 use des::obs::Registry;
@@ -138,7 +138,7 @@ fn assert_every_fault_fired(spec: &str, reg: &Registry) {
 fn acceptable(result: &Result<Vec<bool>, SimError>) -> bool {
     match result {
         Ok(oks) => oks.iter().all(|&ok| ok),
-        Err(SimError::Aborted(_) | SimError::Deadlock(_) | SimError::HorizonExceeded(_)) => true,
+        Err(SimError::Aborted(_) | SimError::Deadlock(_)) => true,
     }
 }
 
@@ -325,7 +325,7 @@ fn chaos_plans_over_bt_end_verified_or_diagnosed() {
         let (result, reg) = bt_chaos(spec);
         match result {
             Ok(verified) => assert!(verified, "{spec}: BT completed but payloads are corrupt"),
-            Err(SimError::Aborted(_) | SimError::Deadlock(_) | SimError::HorizonExceeded(_)) => {}
+            Err(SimError::Aborted(_) | SimError::Deadlock(_)) => {}
         }
         assert_every_fault_fired(spec, &reg);
     }
