@@ -190,7 +190,9 @@ pub fn critpath_table(label_header: &str, rows: &[(String, Trace, u64)]) -> Stri
 
 /// Run `f` over `items` on a small pool of OS threads (each simulation is
 /// an independent single-threaded world, so sweeps parallelize across
-/// cores); results come back in input order.
+/// cores); results come back in input order. Items are handed out last
+/// first: sweeps list their points by ascending size, so the costliest
+/// point starts at once instead of last, which shortens the makespan.
 pub fn parallel_sweep<I, T, F>(items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -206,10 +208,11 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
+                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if k >= n {
                     break;
                 }
+                let i = n - 1 - k;
                 let r = f(&items[i]);
                 out.lock().expect("sweep mutex")[i] = Some(r);
             });
@@ -231,6 +234,29 @@ mod tests {
         let items: Vec<u64> = (0..20).collect();
         let out = parallel_sweep(&items, |&x| x * x);
         assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    /// Every worker claims items in descending input order, and one of
+    /// them starts with the last item; results still come back in input
+    /// order.
+    #[test]
+    fn sweep_hands_out_the_last_item_first() {
+        let items: Vec<u64> = (0..20).collect();
+        let log = Mutex::new(Vec::new());
+        let out = parallel_sweep(&items, |&x| {
+            log.lock().unwrap().push((std::thread::current().id(), x));
+            x
+        });
+        assert_eq!(out, items);
+        let log = log.into_inner().unwrap();
+        let mut per_thread: std::collections::HashMap<_, Vec<u64>> = Default::default();
+        for (thread, x) in log {
+            per_thread.entry(thread).or_default().push(x);
+        }
+        assert!(per_thread.values().any(|seen| seen[0] == 19), "{per_thread:?}");
+        for seen in per_thread.values() {
+            assert!(seen.windows(2).all(|w| w[0] > w[1]), "{seen:?} not descending");
+        }
     }
 
     #[test]

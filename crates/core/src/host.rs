@@ -582,7 +582,6 @@ impl HostSide {
         };
         let sim = &self.sim;
         let port = self.fabric.port(dev);
-        let want = checksum(data);
         let mut attempt = 0u32;
         loop {
             port.fault_gate(sim).await;
@@ -597,9 +596,11 @@ impl HostSide {
                     sim.delay(self.cfg.model.retry_timeout_cycles()).await;
                 }
                 Some(TlpFault::Corrupt) => {
+                    // Only a garbled copy can differ from the originals, so
+                    // the checksums are computed on this arm alone.
                     let mut wire = data.clone();
                     plan.garble(wire.make_mut());
-                    if checksum(&wire) == want {
+                    if checksum(&wire) == checksum(data) {
                         return Some(wire);
                     }
                     self.rstats.checksum_detected.inc();

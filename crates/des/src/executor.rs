@@ -14,8 +14,9 @@
 //! executor itself); cloning it — which only foreign futures such as
 //! channels or `JoinHandle`s do — materialises a cached per-task
 //! `Arc<TaskWaker>` that is fully thread-safe. The wake queue drains
-//! through a reusable swap buffer, and task names are interned ids
-//! resolved to strings only on the deadlock error path.
+//! through a reusable swap buffer, an empty drain reads one flag and takes
+//! no lock, and task names are interned ids resolved to strings only on
+//! the deadlock error path.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -23,6 +24,7 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Wake, Waker};
 
@@ -177,6 +179,21 @@ impl EngineStats {
 #[derive(Default)]
 struct WakeQueue {
     ids: Mutex<Vec<TaskId>>,
+    /// Set under the lock by every push and cleared under it by the
+    /// drain that empties `ids`, so a clear flag means nothing to drain
+    /// and the drain skips the lock. The push's `Release` store pairs
+    /// with the drain's `Acquire` load: a wake that happened before the
+    /// drain (a joined thread's, say) is seen; `ids` itself is published
+    /// by the mutex.
+    pending: AtomicBool,
+}
+
+impl WakeQueue {
+    fn push(&self, id: TaskId) {
+        let mut ids = self.ids.lock().unwrap_or_else(PoisonError::into_inner);
+        ids.push(id);
+        self.pending.store(true, Ordering::Release);
+    }
 }
 
 struct TaskWaker {
@@ -186,11 +203,11 @@ struct TaskWaker {
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.queue.ids.lock().unwrap_or_else(PoisonError::into_inner).push(self.id);
+        self.queue.push(self.id);
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.ids.lock().unwrap_or_else(PoisonError::into_inner).push(self.id);
+        self.queue.push(self.id);
     }
 }
 
@@ -251,7 +268,7 @@ unsafe fn hub_wake_by_ref(data: *const ()) {
     let hub = &*(data as *const WakerHub);
     let id = hub.current.get();
     debug_assert_ne!(id, NO_TASK, "hub waker used outside a poll");
-    hub.queue.ids.lock().unwrap_or_else(PoisonError::into_inner).push(id);
+    hub.queue.push(id);
 }
 
 unsafe fn hub_drop(_data: *const ()) {}
@@ -516,14 +533,16 @@ impl Sim {
     fn drain_wake_queue(&self) {
         let mut scratch = self.inner.wake_scratch.borrow_mut();
         debug_assert!(scratch.is_empty());
+        let queue = &self.inner.wake_queue;
+        if !queue.pending.load(Ordering::Acquire) {
+            return;
+        }
         {
-            let mut ids = self.inner.wake_queue.ids.lock().unwrap_or_else(PoisonError::into_inner);
-            if ids.is_empty() {
-                return;
-            }
+            let mut ids = queue.ids.lock().unwrap_or_else(PoisonError::into_inner);
             // Swap instead of take: both vectors keep their capacity, so
             // steady-state draining allocates nothing.
             std::mem::swap(&mut *ids, &mut *scratch);
+            queue.pending.store(false, Ordering::Relaxed);
         }
         self.inner.stat_wakes.set(self.inner.stat_wakes.get() + scratch.len() as u64);
         let mut tasks = self.inner.tasks.borrow_mut();
@@ -1044,6 +1063,55 @@ mod tests {
         a += b;
         assert_eq!(a.spawned, 2);
         assert_eq!(a.events(), 2 * (2 + 3 + 4 + 5 + 6));
+    }
+
+    /// A task that wakes itself through the borrowed hub waker is queued
+    /// and polled again, not left for a deadlock report.
+    #[test]
+    fn hub_waker_self_wake_repolls_the_task() {
+        let sim = Sim::new();
+        let polls = Rc::new(Cell::new(0u32));
+        let p = polls.clone();
+        sim.spawn(std::future::poll_fn(move |cx| {
+            p.set(p.get() + 1);
+            if p.get() == 1 {
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            } else {
+                Poll::Ready(())
+            }
+        }));
+        assert_eq!(sim.run().unwrap(), 0);
+        assert_eq!(polls.get(), 2);
+        assert_eq!(sim.engine_stats().wakes, 1);
+    }
+
+    /// A waker cloned in one task and woken from another OS thread (inside
+    /// a second task's poll) lands in the wake queue and is drained.
+    #[test]
+    fn waker_woken_from_another_thread_is_drained() {
+        let sim = Sim::new();
+        let stored: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+        let done = Rc::new(Cell::new(false));
+        let (st, dn) = (stored.clone(), done.clone());
+        sim.spawn(std::future::poll_fn(move |cx| {
+            if dn.get() {
+                return Poll::Ready(());
+            }
+            *st.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        }));
+        let (st, dn) = (stored.clone(), done.clone());
+        sim.spawn(async move {
+            let waker = st.borrow_mut().take().expect("the first task stored its waker");
+            dn.set(true);
+            std::thread::scope(|scope| {
+                scope.spawn(move || waker.wake());
+            });
+        });
+        assert_eq!(sim.run().unwrap(), 0);
+        assert!(stored.borrow().is_none(), "the woken task must not park again");
+        assert_eq!(sim.engine_stats().wakes, 1);
     }
 
     /// Poll a future exactly once with a no-op waker, then drop it.

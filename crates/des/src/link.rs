@@ -36,9 +36,14 @@ impl Bandwidth {
         Bandwidth { num: 1, den: bpc }
     }
 
-    /// Wire occupancy of a transfer of `bytes`, rounded up.
+    /// Wire occupancy of a transfer of `bytes`, rounded up. Computed in
+    /// `u64` unless `bytes * num` overflows it, then in `u128`; both give
+    /// the same cycles.
     pub const fn occupancy(self, bytes: u64) -> Cycles {
-        ((bytes as u128 * self.num as u128).div_ceil(self.den as u128)) as Cycles
+        match bytes.checked_mul(self.num) {
+            Some(product) => product.div_ceil(self.den),
+            None => (bytes as u128 * self.num as u128).div_ceil(self.den as u128) as Cycles,
+        }
     }
 
     /// Peak MB/s at the given clock (decimal MB, for reporting).
@@ -187,6 +192,29 @@ mod tests {
         assert_eq!(bw.occupancy(1), 2);
         assert_eq!(bw.occupancy(2), 3);
         assert_eq!(bw.occupancy(100), 150);
+    }
+
+    /// The `u64` path and its `u128` fallback agree with the `u128`
+    /// formula on both sides of the `bytes * num` overflow edge.
+    #[test]
+    fn occupancy_matches_u128_formula_across_the_overflow_edge() {
+        for (num, den) in [(3, 2), (400, 32), (1, 12), (u64::MAX, 7), (7, u64::MAX)] {
+            let bw = Bandwidth::cycles_per_byte(num, den);
+            let edge = u64::MAX / num;
+            for bytes in [
+                0,
+                1,
+                4096,
+                edge - 1,
+                edge,
+                edge.saturating_add(1),
+                edge.saturating_add(2),
+                u64::MAX,
+            ] {
+                let want = (bytes as u128 * num as u128).div_ceil(den as u128) as Cycles;
+                assert_eq!(bw.occupancy(bytes), want, "{num}/{den} cycles/byte, {bytes} bytes");
+            }
+        }
     }
 
     #[test]

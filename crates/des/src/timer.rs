@@ -2,8 +2,11 @@
 //!
 //! Timers fire in `(deadline, seq)` order, where `seq` counts inserts, so
 //! two timers registered for the same cycle fire in registration order.
-//! Payloads live in a slab; the heap holds only `(deadline, seq, slot)`
-//! keys.
+//! Payloads live in a slab; the heap holds only one packed `u128` key per
+//! timer, `deadline << 64 | seq << 24 | slot`, so a heap compare is one
+//! integer compare. Ordering the packed keys is ordering `(deadline, seq)`:
+//! the deadline fills the high word, and `seq` (below 2^40) sits above
+//! `slot` (below 2^24), which never decides because `seq` is unique.
 //!
 //! * **insert** — O(log n): take a free slot, push its key.
 //! * **cancel** — O(1): free the slot at once. A losing `race` arm or a
@@ -27,6 +30,22 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::Cycles;
+
+/// Bits of a packed key below `seq`: the slot index.
+const SLOT_BITS: u32 = 24;
+/// Bits of a packed key's low word above the slot: the sequence number.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+
+/// Pack `(deadline, seq, slot)` into one key ordered as `(deadline, seq)`.
+fn pack(deadline: Cycles, seq: u64, slot: u32) -> u128 {
+    (deadline as u128) << 64 | (seq << SLOT_BITS | slot as u64) as u128
+}
+
+/// Split a packed key back into `(deadline, seq, slot)`.
+fn unpack(key: u128) -> (Cycles, u64, u32) {
+    let low = key as u64;
+    ((key >> 64) as Cycles, low >> SLOT_BITS, (low & ((1 << SLOT_BITS) - 1)) as u32)
+}
 
 /// Handle to a registered timer; used to withdraw it. The `seq` guards
 /// against cancelling a reused slot's new tenant.
@@ -52,7 +71,8 @@ struct Slot<P> {
 
 /// The timer queue itself. One per [`crate::Sim`].
 pub struct TimerQueue<P> {
-    heap: BinaryHeap<Reverse<(Cycles, u64, u32)>>,
+    /// Packed `(deadline, seq, slot)` keys; see [`pack`].
+    heap: BinaryHeap<Reverse<u128>>,
     slab: Vec<Slot<P>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -87,8 +107,12 @@ impl<P> TimerQueue<P> {
     }
 
     /// Register a timer firing at `deadline`.
+    ///
+    /// Panics past 2^40 inserts or 2^24 concurrently live timers, the
+    /// widths of a packed key's `seq` and `slot` fields.
     pub fn insert(&mut self, deadline: Cycles, payload: P) -> TimerId {
         let seq = self.next_seq;
+        assert!(seq < 1 << SEQ_BITS, "timer sequence numbers exhausted");
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -96,11 +120,12 @@ impl<P> TimerQueue<P> {
                 slot
             }
             None => {
+                assert!(self.slab.len() < 1 << SLOT_BITS, "too many live timers");
                 self.slab.push(Slot { seq, payload: Some(payload) });
                 (self.slab.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse((deadline, seq, slot)));
+        self.heap.push(Reverse(pack(deadline, seq, slot)));
         self.live += 1;
         TimerId { slot, seq }
     }
@@ -130,7 +155,8 @@ impl<P> TimerQueue<P> {
     /// Pop the earliest live timer if `due(deadline)`, discarding the
     /// stale keys of cancelled timers on the way.
     fn pop_if(&mut self, due: impl FnOnce(Cycles) -> bool) -> Option<(Cycles, u64, P)> {
-        while let Some(&Reverse((deadline, seq, slot))) = self.heap.peek() {
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            let (deadline, seq, slot) = unpack(key);
             if !self.holds(slot, seq) {
                 self.heap.pop();
                 continue;
@@ -247,6 +273,46 @@ mod tests {
         assert!(q.pop_next_at(5).is_some());
         assert!(q.pop_next_at(5).is_none());
         assert_eq!(q.pop_next().map(|(d, _, _)| d), Some(6));
+    }
+
+    /// Deadlines that differ only in their high bits still pop in
+    /// deadline order, equal deadlines in insertion order, and a later
+    /// insert with an earlier deadline first; every field survives a
+    /// pack/unpack round trip at its maximum.
+    #[test]
+    fn packed_keys_order_by_high_deadline_bits_then_seq() {
+        let mut q = TimerQueue::new();
+        let deadlines = [3 << 62, 1 << 40, 1 << 63, (1 << 40) | 1, 1 << 62, 1 << 40];
+        let ids: Vec<TimerId> = deadlines.iter().map(|&d| q.insert(d, 0u32)).collect();
+        let mut popped = Vec::new();
+        while let Some((d, seq, _)) = q.pop_next() {
+            popped.push((d, seq));
+        }
+        let mut want: Vec<(Cycles, u64)> =
+            deadlines.iter().zip(&ids).map(|(&d, id)| (d, id.seq())).collect();
+        want.sort();
+        assert_eq!(popped, want);
+        assert_eq!(
+            unpack(pack(Cycles::MAX, (1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1)),
+            (Cycles::MAX, (1 << SEQ_BITS) - 1, (1 << SLOT_BITS) - 1)
+        );
+    }
+
+    /// Timers at `Cycles::MAX` keep insertion order, whatever slots the
+    /// free list hands them.
+    #[test]
+    fn same_deadline_fifo_at_cycles_max() {
+        let mut q = TimerQueue::new();
+        let early: Vec<TimerId> = (0..4u32).map(|i| q.insert(i as Cycles, i)).collect();
+        for &id in &early {
+            q.cancel(id);
+        }
+        for i in 0..8u32 {
+            q.insert(Cycles::MAX, i);
+        }
+        let fired: Vec<u32> =
+            std::iter::from_fn(|| q.pop_next_at(Cycles::MAX)).map(|(_, payload)| payload).collect();
+        assert_eq!(fired, (0..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -174,6 +174,28 @@ impl HostFabric {
 mod tests {
     use super::*;
 
+    /// The SIF port links and the host-memory link charge exactly the
+    /// `u128` occupancy formula, also past the `bytes * num` `u64` edge.
+    #[test]
+    fn fabric_link_occupancy_matches_u128_formula() {
+        let model = PcieModel::default();
+        let fabric = HostFabric::new(model.clone(), 2);
+        let sif = (model.sif_packet_cycles, scc::LINE_BYTES as u64);
+        let host_mem = (1, model.host_mem_bytes_per_cycle);
+        let port = fabric.port(DeviceId(1));
+        for (link, (num, den)) in
+            [(&port.egress, sif), (&port.ingress, sif), (&fabric.host_mem, host_mem)]
+        {
+            assert_eq!(link.bandwidth(), Bandwidth::cycles_per_byte(num, den));
+            let edge = u64::MAX / num;
+            for bytes in [0, 1, 32, 4096, 1 << 20, edge - 1, edge, edge.saturating_add(1), u64::MAX]
+            {
+                let want = (bytes as u128 * num as u128).div_ceil(den as u128) as Cycles;
+                assert_eq!(link.bandwidth().occupancy(bytes), want, "{num}/{den}, {bytes} bytes");
+            }
+        }
+    }
+
     #[test]
     fn port_stream_rate_matches_sif_ceiling() {
         let sim = Sim::new();

@@ -216,6 +216,20 @@ impl SccDevice {
 mod tests {
     use super::*;
 
+    /// The memory-controller port charges exactly the `u128` occupancy
+    /// formula, also at the `bytes * num` `u64` edge.
+    #[test]
+    fn mc_port_occupancy_matches_u128_formula() {
+        let sim = Sim::new();
+        let dev = SccDevice::new(&sim, DeviceId(0));
+        let bw = dev.mc_port(CoreId(0)).bandwidth();
+        assert_eq!(bw, Bandwidth::cycles_per_byte(1, 12));
+        for bytes in [0, 1, 11, 12, 13, 4096, u64::MAX - 1, u64::MAX] {
+            let want = (bytes as u128).div_ceil(12) as u64;
+            assert_eq!(bw.occupancy(bytes), want, "{bytes} bytes");
+        }
+    }
+
     #[test]
     fn new_device_all_cores_alive() {
         let sim = Sim::new();

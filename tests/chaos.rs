@@ -158,6 +158,7 @@ fn corrupted_tunnel_payload_is_detected_retried_and_recovered() {
     let oks = unflagged.result.expect("an active plan must run protected");
     assert!(oks.iter().all(|&ok| ok), "without recovery=on every payload must still verify");
     assert!(unflagged.checksum_detected > 0, "without recovery=on the checksum must still run");
+    assert_every_corruption_was_checksummed(unflagged.checksum_detected, &unflagged.registry);
 
     let r = pingpong_chaos(
         CommScheme::LocalPutLocalGet,
@@ -168,6 +169,7 @@ fn corrupted_tunnel_payload_is_detected_retried_and_recovered() {
     let oks = r.result.expect("recovery must carry the run to completion");
     assert!(oks.iter().all(|&ok| ok), "every delivered payload must verify");
     assert!(r.checksum_detected > 0, "(a) the checksum must catch injected corruption");
+    assert_every_corruption_was_checksummed(r.checksum_detected, &r.registry);
     assert!(r.tunnel_retries > 0, "(b) detected corruption must be retried");
     assert!(r.fault_events > 0, "(c) recovery activity must land in the Fault trace category");
     assert!(
@@ -177,6 +179,17 @@ fn corrupted_tunnel_payload_is_detected_retried_and_recovered() {
     assert!(
         r.trace_json.contains("\"cat\":\"fault\""),
         "(c) Fault events must survive the Chrome export"
+    );
+}
+
+/// The checksums are computed only on a drawn corruption, so each one the
+/// plan injected (`pcie.fault.tlp_corrupted`) must have been compared and
+/// caught: none slips through unchecked, and none is counted twice.
+fn assert_every_corruption_was_checksummed(checksum_detected: u64, registry: &Registry) {
+    let corrupted = registry.counter("pcie.fault.tlp_corrupted").get();
+    assert_eq!(
+        checksum_detected, corrupted,
+        "every drawn corruption must be checksummed and detected"
     );
 }
 
