@@ -29,8 +29,8 @@
 //! is timestamped, logged (bounded), traced (`Category::Health`), and
 //! counted (`host.health.*`).
 //!
-//! Retries do not consult this module: every lost tunnel transfer waits
-//! the model's one static `retry_timeout_cycles` budget. Probers only
+//! Retries do not consult this module: a corrupted tunnel transfer is
+//! re-sent on the model's fixed `retry_backoff_base` ladder. Probers only
 //! spawn after a demotion, so on a fault-free run this module is pure
 //! inert state, which is what keeps the committed goldens byte-identical.
 //!

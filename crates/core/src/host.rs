@@ -22,7 +22,7 @@ use std::rc::{Rc, Weak};
 
 use des::bytes::{pooled, Bytes};
 use des::channel::{unbounded, Receiver, Sender};
-use des::faultplan::{checksum, FaultPlan, FaultSpec, MmioFault, TlpFault};
+use des::faultplan::{checksum, FaultPlan, FaultSpec};
 use des::fields;
 use des::obs::Registry;
 use des::stats::Counter;
@@ -91,10 +91,9 @@ pub const QUARANTINE_AFTER: u32 = 5;
 /// Probe cadence of the host recovery layer. Whether the layer runs at
 /// all is not configured here: it is on exactly when the fault spec is
 /// active or sets `recovery` ([`FaultSpec::recovery`]). Retry timing
-/// derives from the PCIe model (`retry_timeout_cycles` /
-/// `retry_backoff_base` on [`PcieModel`]); the counts are the module
-/// constants ([`MAX_RETRIES`], ...). Zero probe fields mean "derive from
-/// the PCIe model" when the host is built.
+/// derives from the PCIe model (`retry_backoff_base` on [`PcieModel`]);
+/// the counts are the module constants ([`MAX_RETRIES`], ...). Zero
+/// probe fields mean "derive from the PCIe model" when the host is built.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Base interval between health-probe canaries on a demoted pair
@@ -127,17 +126,12 @@ pub struct RecoveryStats {
     pub vdma_retries: Counter,
     /// Prefetch tunnel transfers retried.
     pub prefetch_retries: Counter,
-    /// MMIO register lines re-issued after stuck or garbled programming.
-    pub mmio_retries: Counter,
     /// Payload lines retransmitted after lost fast acks.
     pub fastack_retransmits: Counter,
     /// Corruptions caught by the tunnel checksum.
     pub checksum_detected: Counter,
     /// Transfers abandoned after exhausting retries.
     pub giveups: Counter,
-    /// Duplicate vDMA programming writes suppressed (idempotent
-    /// re-issue).
-    pub vdma_dedup: Counter,
     /// Device pairs demoted from remote-put to the host-acked path.
     pub demotions: Counter,
     /// Writes served through the fallback path after a demotion.
@@ -152,11 +146,9 @@ impl RecoveryStats {
         retry.adopt_counter("payload", &self.payload_retries);
         retry.adopt_counter("vdma", &self.vdma_retries);
         retry.adopt_counter("prefetch", &self.prefetch_retries);
-        retry.adopt_counter("mmio", &self.mmio_retries);
         retry.adopt_counter("fastack_lines", &self.fastack_retransmits);
         retry.adopt_counter("checksum_detected", &self.checksum_detected);
         retry.adopt_counter("giveups", &self.giveups);
-        retry.adopt_counter("vdma_dedup", &self.vdma_dedup);
         let fallback = registry.scoped("host").scoped("fallback");
         fallback.adopt_counter("demotions", &self.demotions);
         fallback.adopt_counter("writes", &self.fallback_writes);
@@ -288,7 +280,6 @@ impl HostSide {
             let plan = Rc::new(FaultPlan::new(cfg.faults.clone(), trace.clone()));
             plan.register_metrics(registry);
             health.register(registry);
-            fabric.set_faults(&plan);
             plan
         });
         let fastack = FastAck::new(fast, n_devices as usize, cfg.seed);
@@ -391,27 +382,8 @@ impl HostSide {
 
     async fn worker_loop(self: Rc<Self>, device: DeviceId, rx: Receiver<HostCmd>) {
         let busy = self.commtask_busy[device.0 as usize].clone();
-        let mut last_vdma: Option<HostCmd> = None;
         while let Some(cmd) = rx.recv().await {
             let cmd_start = self.sim.now();
-            // Injected commtask stall: the daemon thread is descheduled for
-            // the rest of the window before it touches the command.
-            if let Some(plan) = &self.faults {
-                if let Some(until) = plan.stall_until(self.sim.now()) {
-                    self.sim.delay_until(until).await;
-                }
-            }
-            if matches!(cmd, HostCmd::VdmaStart { .. }) {
-                // Idempotent re-programming: a retried register write whose
-                // original did land shows up as two identical consecutive
-                // commands (seq/drain_seq make distinct transfers differ);
-                // execute once.
-                if self.protected && last_vdma.as_ref() == Some(&cmd) {
-                    self.rstats.vdma_dedup.inc();
-                    continue;
-                }
-                last_vdma = Some(cmd.clone());
-            }
             match cmd {
                 HostCmd::CacheUpdate { owner, offset, len, flow } => {
                     self.do_cache_update(owner, offset, len, flow).await;
@@ -457,55 +429,15 @@ impl HostSide {
             if self.sim.now() < tlp.arrival {
                 self.sim.delay_until(tlp.arrival).await;
             }
-            self.service_doorbell(tlp.payload).await;
+            self.service_doorbell(tlp.payload);
         }
     }
 
     /// Decode and dispatch one doorbell line at its host-side arrival:
-    /// the fault/retry machinery, the register decode, and the commtask
-    /// dispatch — everything that used to run inline in the issuing
-    /// core's task before the boundary was latency-stamped.
-    async fn service_doorbell(&self, line: RegisterLine) {
-        let sim = self.sim.clone();
-        let mut line = line;
-        let port = self.fabric.port(line.src.device);
-        if let Some(plan) = &self.faults {
-            let pristine = line.clone();
-            let mut attempt = 0u32;
-            loop {
-                match plan.mmio_fault(sim.now()) {
-                    None => break,
-                    // The register never latched: re-issue it.
-                    Some(MmioFault::Stuck) => {}
-                    Some(MmioFault::Garble) => {
-                        plan.garble(&mut line.data);
-                        // A flip the guard word misses executes as is.
-                        if mmio::verify(&line) {
-                            break;
-                        }
-                    }
-                }
-                attempt += 1;
-                if attempt > MAX_RETRIES {
-                    self.rstats.giveups.inc();
-                    return;
-                }
-                // Detected by status-register readback: charge the
-                // readback round trip plus the line re-issue.
-                self.rstats.mmio_retries.inc();
-                self.trace.instant(
-                    sim.now(),
-                    Category::Fault,
-                    "mmio_retry",
-                    None,
-                    || self.commtask_label(line.src.device.0),
-                    || fields![line = line.line as u64, attempt = attempt as u64],
-                );
-                sim.delay(self.cfg.model.host_answered_round_trip()).await;
-                port.egress.transfer(&sim, LINE_BYTES as u64).await;
-                line = pristine.clone();
-            }
-        }
+    /// the register decode and the commtask dispatch — everything that
+    /// used to run inline in the issuing core's task before the boundary
+    /// was latency-stamped.
+    fn service_doorbell(&self, line: RegisterLine) {
         let Some(cmd) = mmio::decode(&line) else {
             // Writes to undefined register lines are absorbed like
             // scratch MMIO space (and still cost the transaction).
@@ -521,7 +453,7 @@ impl HostSide {
             _ => None,
         };
         self.trace.instant(
-            sim.now(),
+            self.sim.now(),
             Category::Vdma,
             kind,
             flow,
@@ -584,28 +516,17 @@ impl HostSide {
         let port = self.fabric.port(dev);
         let mut attempt = 0u32;
         loop {
-            port.fault_gate(sim).await;
-            match plan.tlp_fault(sim.now(), flow) {
-                None => return Some(data.clone()),
-                Some(TlpFault::Delay(extra)) => {
-                    sim.delay(extra).await;
-                    return Some(data.clone());
-                }
-                Some(TlpFault::Drop) => {
-                    // Nothing arrives; the per-request timer expires.
-                    sim.delay(self.cfg.model.retry_timeout_cycles()).await;
-                }
-                Some(TlpFault::Corrupt) => {
-                    // Only a garbled copy can differ from the originals, so
-                    // the checksums are computed on this arm alone.
-                    let mut wire = data.clone();
-                    plan.garble(wire.make_mut());
-                    if checksum(&wire) == checksum(data) {
-                        return Some(wire);
-                    }
-                    self.rstats.checksum_detected.inc();
-                }
+            if !plan.tlp_corrupt(sim.now(), flow) {
+                return Some(data.clone());
             }
+            // Only a garbled copy can differ from the originals, so the
+            // checksums are computed on a drawn corruption alone.
+            let mut wire = data.clone();
+            plan.garble(wire.make_mut());
+            if checksum(&wire) == checksum(data) {
+                return Some(wire);
+            }
+            self.rstats.checksum_detected.inc();
             attempt += 1;
             if attempt > MAX_RETRIES {
                 self.rstats.giveups.inc();

@@ -78,36 +78,6 @@ pub enum HostCmd {
     },
 }
 
-/// 32-bit FNV-1a guard over the meaningful register words. It rides the
-/// free upper half of the *address* word — the encoders always set it,
-/// the decoder ignores it (the 2012 host had no such check), and the
-/// recovery layer calls [`verify`] to catch programming writes garbled in
-/// flight before they reach the vDMA engine.
-fn guard(address_lo: u64, count: u64, control: u64, arg: u64) -> u64 {
-    let mut h: u32 = 0x811c_9dc5;
-    for w in [address_lo, count, control, arg] {
-        for b in w.to_le_bytes() {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h as u64
-}
-
-/// Pack the register words with the guard sealed into the address word.
-fn seal(address: u64, count: u64, control: u64, arg: u64) -> [u8; LINE_BYTES] {
-    debug_assert!(address >> 32 == 0, "address word upper half is reserved for the guard");
-    pack_vdma_line(address | (guard(address, count, control, arg) << 32), count, control, arg)
-}
-
-/// Whether `line`'s guard matches its payload words. A line garbled in
-/// flight fails (up to the 2^-32 collision odds); lines not produced by
-/// this module's encoders aren't covered and fail too.
-pub fn verify(line: &RegisterLine) -> bool {
-    let (address, count, control, arg) = unpack_vdma_line(&line.data);
-    address >> 32 == guard(address & 0xFFFF_FFFF, count, control, arg)
-}
-
 /// Pack a provenance flow id into the free upper half of a control word.
 /// Ids above 32 bits don't fit in the register line and are dropped.
 fn pack_flow(flow: Option<u64>) -> u64 {
@@ -145,14 +115,14 @@ pub fn encode_vdma(
         | ((drain_seq as u64) << 24)
         | pack_flow(flow);
     let arg = dst.linear() as u64;
-    seal(address, count, control, arg)
+    pack_vdma_line(address, count, control, arg)
 }
 
 /// Encode a cache-control command (`update == true` for update, else
 /// invalidate).
 pub fn encode_cache(offset: u16, len: usize, update: bool, flow: Option<u64>) -> [u8; LINE_BYTES] {
     let op = if update { OP_CACHE_UPDATE } else { OP_CACHE_INVALIDATE };
-    seal(offset as u64, len as u64, op | pack_flow(flow), 0)
+    pack_vdma_line(offset as u64, len as u64, op | pack_flow(flow), 0)
 }
 
 /// Decode a register-line write into a command. Returns `None` for
@@ -257,37 +227,6 @@ mod tests {
         assert!(decode(&line(src, REG_VDMA, encode_cache(0, 1, true, None))).is_none());
         // Garbage.
         assert!(decode(&line(src, REG_VDMA, [0xFF; LINE_BYTES])).is_none());
-    }
-
-    #[test]
-    fn guard_detects_any_single_byte_garble() {
-        let src = GlobalCore::new(0, 5);
-        let dst = GlobalCore::new(2, 17);
-        for enc in [
-            encode_vdma(512, dst, 4352, 3840, 9, 5, 77, Some(123_456)),
-            encode_cache(512, 7680, true, Some(7)),
-            encode_cache(600, 100, false, None),
-        ] {
-            let l = line(src, REG_VDMA, enc);
-            assert!(verify(&l), "pristine encoder output must verify");
-            for i in 0..LINE_BYTES {
-                let mut garbled = l.clone();
-                garbled.data[i] ^= 0x40;
-                assert!(!verify(&garbled), "flip at byte {i} escaped the guard");
-            }
-        }
-    }
-
-    #[test]
-    fn guarded_lines_still_decode_identically() {
-        // The guard rides a word half the decoder masks off: sealing must
-        // not change any decoded field.
-        let src = GlobalCore::new(1, 3);
-        let dst = GlobalCore::new(0, 0);
-        let sealed = encode_vdma(1024, dst, 2048, 512, 4, 2, 9, None);
-        let (address, count, control, arg) = unpack_vdma_line(&sealed);
-        let bare = pack_vdma_line(address & 0xFFFF_FFFF, count, control, arg);
-        assert_eq!(decode(&line(src, REG_VDMA, sealed)), decode(&line(src, REG_VDMA, bare)),);
     }
 
     #[test]

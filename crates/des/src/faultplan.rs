@@ -10,28 +10,21 @@
 //!
 //! What can be injected (the hooks live in `pcie` and the host layer):
 //!
-//! - **TLP drop / corruption / extra delay** on tunnel payload transfers.
+//! - **TLP corruption** on tunnel payload transfers (posted payload
+//!   deliveries, vDMA deliveries, prefetch chunks and their retries).
 //!   Corruption really flips payload bytes (functional-fidelity
 //!   invariant); the receiver-side checksum catches it and the transfer
 //!   is retried.
-//! - **Transient link-down windows**: periodic intervals during which a
-//!   PCIe port holds tunnel payload transfers (posted payload deliveries,
-//!   vDMA deliveries, prefetch chunks and their retries) until the window
-//!   ends. Flag forwards, routed lines, doorbells and fast-ack streams do
-//!   not wait. Pure arithmetic over `now` — no RNG, no timers when the
-//!   spec is inactive.
 //! - **Lost fast write-acks**: an extra loss rate on top of the model's
 //!   own instability curve (`pcie::fault::FastAck`), drawn from the
 //!   plan's own stream so the base-instability draw sequence is untouched.
-//! - **Stuck / garbled MMIO register programming** of the vDMA engine.
-//! - **Commtask stall windows**: the host service loop stops draining its
-//!   command queue for an interval.
+//!   This is the one unstable mechanism the paper names (§2.3).
 //!
 //! An active plan always runs protected: the host recovery layer
-//! (checksums, retries, MMIO re-issue, fast-ack retransmit and demotion)
-//! is on whenever any fault is injected. `recovery=on` only matters
-//! without one, where it keeps the layer on against the fast-ack path's
-//! own base instability.
+//! (checksums, retries, fast-ack retransmit and demotion) is on whenever
+//! any fault is injected. `recovery=on` only matters without one, where
+//! it keeps the layer on against the fast-ack path's own base
+//! instability.
 //!
 //! # `VSCC_FAULTS` grammar
 //!
@@ -39,33 +32,28 @@
 //!
 //! ```text
 //! seed=7                 RNG seed for all fault streams (default 0)
-//! drop=0.01              TLP drop probability per tunnel transfer
 //! corrupt=0.005          TLP corruption probability per tunnel transfer
-//! delay=0.02:2000        extra-delay probability : delay in cycles
-//! linkdown=1000@200000   link held down for 1000 cycles every 200000
 //! ackloss=1e-4           extra fast-ack loss probability per posted write
-//! mmio_stuck=0.001       register write silently dropped
-//! mmio_garble=0.001      register write bit-flipped in flight
-//! stall=5000@300000      commtask stalls 5000 cycles every 300000
 //! recovery=on            recovery layer on even without an active fault
 //! watchdog=2000000       flag-poll watchdog budget in cycles
 //! ```
+//!
+//! Any other key is rejected as an unknown fault key, so a spec written
+//! for a wider grammar fails loudly instead of running fault-free.
 //!
 //! Example: `VSCC_FAULTS=seed=3,corrupt=0.01,recovery=on,watchdog=2000000`.
 //!
 //! ## Phase bounds
 //!
-//! Every injection key can carry a trailing `@<start>..<end>` [`Phase`]
-//! bound restricting it to a virtual-clock window: the fault fires only
+//! Both injection keys can carry a trailing `@<start>..<end>` [`Phase`]
+//! bound restricting them to a virtual-clock window: the fault fires only
 //! for `start <= now < end` (either side may be omitted — `@..50000`
 //! means "until cycle 50 000", `@50000..` means "from cycle 50 000 on").
 //! Examples:
 //!
 //! ```text
-//! ackloss=0.9@..3000000      ack storm that ends at cycle 3 000 000
-//! drop=0.05@1000000..2000000 drops only inside the window
-//! delay=0.1:2000@..50000     per-key phase composes with `:`-values
-//! linkdown=1000@200000@0..9000000   ...and with `@`-window values
+//! ackloss=0.9@..3000000         ack storm that ends at cycle 3 000 000
+//! corrupt=0.05@1000000..2000000 corruption only inside the window
 //! ```
 //!
 //! Out-of-phase cycles draw from no RNG stream at all — a phase bound is
@@ -130,50 +118,18 @@ impl Default for Phase {
 pub struct FaultSpec {
     /// Seed for every fault RNG stream (site streams are forked from it).
     pub seed: u64,
-    /// Probability a tunnel payload transfer is dropped outright.
-    pub tlp_drop_p: f64,
     /// Probability a tunnel payload transfer arrives with flipped bytes.
     pub tlp_corrupt_p: f64,
-    /// Probability a tunnel payload transfer is delayed by
-    /// [`FaultSpec::tlp_delay_cycles`].
-    pub tlp_delay_p: f64,
-    /// Extra delay applied when the delay fault fires.
-    pub tlp_delay_cycles: Cycles,
-    /// Length of each periodic link-down window (0 disables).
-    pub link_down_duration: Cycles,
-    /// Period of the link-down windows (must exceed the duration).
-    pub link_down_period: Cycles,
+    /// Phase bound of the TLP corruption fault.
+    pub tlp_corrupt_phase: Phase,
     /// Extra fast write-ack loss probability, on top of the model's own
     /// device-count-dependent instability.
     pub ack_loss_p: f64,
-    /// Probability an MMIO register write is silently dropped (stuck).
-    pub mmio_stuck_p: f64,
-    /// Probability an MMIO register write is bit-flipped in flight.
-    pub mmio_garble_p: f64,
-    /// Length of each periodic commtask stall window (0 disables).
-    pub stall_duration: Cycles,
-    /// Period of the commtask stall windows.
-    pub stall_period: Cycles,
-    /// Phase bound of the TLP drop fault.
-    pub tlp_drop_phase: Phase,
-    /// Phase bound of the TLP corruption fault.
-    pub tlp_corrupt_phase: Phase,
-    /// Phase bound of the TLP delay fault.
-    pub tlp_delay_phase: Phase,
-    /// Phase bound of the link-down windows.
-    pub link_phase: Phase,
     /// Phase bound of the injected fast-ack loss.
     pub ack_phase: Phase,
-    /// Phase bound of the stuck-MMIO fault.
-    pub mmio_stuck_phase: Phase,
-    /// Phase bound of the garbled-MMIO fault.
-    pub mmio_garble_phase: Phase,
-    /// Phase bound of the commtask stall windows.
-    pub stall_phase: Phase,
     /// Keep the host recovery layer (checksum verify + retry/backoff,
-    /// MMIO guard verify + re-issue, fast-ack retransmit + fallback) on
-    /// even when no fault is injected. An active spec runs protected
-    /// regardless.
+    /// fast-ack retransmit + fallback) on even when no fault is
+    /// injected. An active spec runs protected regardless.
     pub recovery: bool,
     /// Flag-poll watchdog budget in cycles, if any: a rank stuck polling
     /// longer than this aborts the run with a diagnosed timeout.
@@ -185,25 +141,10 @@ impl FaultSpec {
     pub fn none() -> Self {
         FaultSpec {
             seed: 0,
-            tlp_drop_p: 0.0,
             tlp_corrupt_p: 0.0,
-            tlp_delay_p: 0.0,
-            tlp_delay_cycles: 0,
-            link_down_duration: 0,
-            link_down_period: 0,
-            ack_loss_p: 0.0,
-            mmio_stuck_p: 0.0,
-            mmio_garble_p: 0.0,
-            stall_duration: 0,
-            stall_period: 0,
-            tlp_drop_phase: Phase::ALWAYS,
             tlp_corrupt_phase: Phase::ALWAYS,
-            tlp_delay_phase: Phase::ALWAYS,
-            link_phase: Phase::ALWAYS,
+            ack_loss_p: 0.0,
             ack_phase: Phase::ALWAYS,
-            mmio_stuck_phase: Phase::ALWAYS,
-            mmio_garble_phase: Phase::ALWAYS,
-            stall_phase: Phase::ALWAYS,
             recovery: false,
             watchdog: None,
         }
@@ -213,14 +154,7 @@ impl FaultSpec {
     /// `recovery`/`watchdog` is inactive: no plan is built for it, so
     /// fault-free runs stay bit-identical.
     pub fn is_active(&self) -> bool {
-        self.tlp_drop_p > 0.0
-            || self.tlp_corrupt_p > 0.0
-            || self.tlp_delay_p > 0.0
-            || self.link_down_duration > 0
-            || self.ack_loss_p > 0.0
-            || self.mmio_stuck_p > 0.0
-            || self.mmio_garble_p > 0.0
-            || self.stall_duration > 0
+        self.tlp_corrupt_p > 0.0 || self.ack_loss_p > 0.0
     }
 
     /// Parse the `VSCC_FAULTS` spec grammar (see the module docs).
@@ -236,17 +170,6 @@ impl FaultSpec {
         fn cycles(key: &str, v: &str) -> Result<Cycles, String> {
             v.parse().map_err(|_| format!("{key}: expected a cycle count, got {v:?}"))
         }
-        fn window(key: &str, v: &str) -> Result<(Cycles, Cycles), String> {
-            let (dur, per) = v
-                .split_once('@')
-                .ok_or_else(|| format!("{key}: expected <duration>@<period>, got {v:?}"))?;
-            let dur = cycles(key, dur)?;
-            let per = cycles(key, per)?;
-            if dur > 0 && per <= dur {
-                return Err(format!("{key}: period {per} must exceed duration {dur}"));
-            }
-            Ok((dur, per))
-        }
         fn phase(key: &str, s: &str) -> Result<Phase, String> {
             let (start, end) = s
                 .split_once("..")
@@ -260,14 +183,12 @@ impl FaultSpec {
             }
             Ok(Phase { start, end })
         }
-        /// Split a trailing `@start..end` phase bound off `v`, if present.
-        /// Only the *last* `@` segment is a candidate, and only when it
-        /// contains `..` — so window values like `1000@200000` (and
-        /// phased windows like `1000@200000@0..9000`) parse unambiguously.
-        fn split_phase<'v>(key: &str, v: &'v str) -> Result<(&'v str, Phase), String> {
-            match v.rsplit_once('@') {
-                Some((base, tail)) if tail.contains("..") => Ok((base, phase(key, tail)?)),
-                _ => Ok((v, Phase::ALWAYS)),
+        /// A rate value: a probability with an optional trailing
+        /// `@start..end` phase bound.
+        fn rate(key: &str, v: &str) -> Result<(f64, Phase), String> {
+            match v.split_once('@') {
+                Some((p, tail)) => Ok((prob(key, p)?, phase(key, tail)?)),
+                None => Ok((prob(key, v)?, Phase::ALWAYS)),
             }
         }
 
@@ -275,48 +196,10 @@ impl FaultSpec {
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) =
                 part.split_once('=').ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let (value, key_phase) = split_phase(key, value)?;
-            if key_phase != Phase::ALWAYS && matches!(key, "seed" | "recovery" | "watchdog") {
-                return Err(format!("{key}: key does not take a @start..end phase bound"));
-            }
             match key {
                 "seed" => out.seed = cycles("seed", value)?,
-                "drop" => {
-                    out.tlp_drop_p = prob("drop", value)?;
-                    out.tlp_drop_phase = key_phase;
-                }
-                "corrupt" => {
-                    out.tlp_corrupt_p = prob("corrupt", value)?;
-                    out.tlp_corrupt_phase = key_phase;
-                }
-                "delay" => {
-                    let (p, cyc) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("delay: expected <p>:<cycles>, got {value:?}"))?;
-                    out.tlp_delay_p = prob("delay", p)?;
-                    out.tlp_delay_cycles = cycles("delay", cyc)?;
-                    out.tlp_delay_phase = key_phase;
-                }
-                "linkdown" => {
-                    (out.link_down_duration, out.link_down_period) = window("linkdown", value)?;
-                    out.link_phase = key_phase;
-                }
-                "ackloss" => {
-                    out.ack_loss_p = prob("ackloss", value)?;
-                    out.ack_phase = key_phase;
-                }
-                "mmio_stuck" => {
-                    out.mmio_stuck_p = prob("mmio_stuck", value)?;
-                    out.mmio_stuck_phase = key_phase;
-                }
-                "mmio_garble" => {
-                    out.mmio_garble_p = prob("mmio_garble", value)?;
-                    out.mmio_garble_phase = key_phase;
-                }
-                "stall" => {
-                    (out.stall_duration, out.stall_period) = window("stall", value)?;
-                    out.stall_phase = key_phase;
-                }
+                "corrupt" => (out.tlp_corrupt_p, out.tlp_corrupt_phase) = rate("corrupt", value)?,
+                "ackloss" => (out.ack_loss_p, out.ack_phase) = rate("ackloss", value)?,
                 "recovery" => {
                     if value != "on" {
                         return Err(format!("recovery: expected on, got {value:?}"));
@@ -340,56 +223,11 @@ impl fmt::Display for FaultSpec {
             Ok(())
         };
         put(f, format!("seed={}", self.seed))?;
-        if self.tlp_drop_p > 0.0 {
-            put(f, format!("drop={}{}", self.tlp_drop_p, self.tlp_drop_phase.suffix()))?;
-        }
         if self.tlp_corrupt_p > 0.0 {
             put(f, format!("corrupt={}{}", self.tlp_corrupt_p, self.tlp_corrupt_phase.suffix()))?;
         }
-        if self.tlp_delay_p > 0.0 {
-            put(
-                f,
-                format!(
-                    "delay={}:{}{}",
-                    self.tlp_delay_p,
-                    self.tlp_delay_cycles,
-                    self.tlp_delay_phase.suffix()
-                ),
-            )?;
-        }
-        if self.link_down_duration > 0 {
-            put(
-                f,
-                format!(
-                    "linkdown={}@{}{}",
-                    self.link_down_duration,
-                    self.link_down_period,
-                    self.link_phase.suffix()
-                ),
-            )?;
-        }
         if self.ack_loss_p > 0.0 {
             put(f, format!("ackloss={}{}", self.ack_loss_p, self.ack_phase.suffix()))?;
-        }
-        if self.mmio_stuck_p > 0.0 {
-            put(f, format!("mmio_stuck={}{}", self.mmio_stuck_p, self.mmio_stuck_phase.suffix()))?;
-        }
-        if self.mmio_garble_p > 0.0 {
-            put(
-                f,
-                format!("mmio_garble={}{}", self.mmio_garble_p, self.mmio_garble_phase.suffix()),
-            )?;
-        }
-        if self.stall_duration > 0 {
-            put(
-                f,
-                format!(
-                    "stall={}@{}{}",
-                    self.stall_duration,
-                    self.stall_period,
-                    self.stall_phase.suffix()
-                ),
-            )?;
         }
         if self.recovery {
             put(f, "recovery=on".to_string())?;
@@ -423,26 +261,6 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A fault drawn for one tunnel transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TlpFault {
-    /// The transfer vanishes: nothing arrives.
-    Drop,
-    /// The transfer arrives with flipped bytes (apply [`FaultPlan::garble`]).
-    Corrupt,
-    /// The transfer arrives late by this many extra cycles.
-    Delay(Cycles),
-}
-
-/// A fault drawn for one MMIO register write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmioFault {
-    /// The write is silently dropped (stuck programming).
-    Stuck,
-    /// The write arrives bit-flipped.
-    Garble,
-}
-
 /// Runtime of a [`FaultSpec`]: forked RNG streams per injection site,
 /// `pcie.fault.*` counters, and `Fault`-category trace emission.
 ///
@@ -452,29 +270,14 @@ pub enum MmioFault {
 pub struct FaultPlan {
     spec: FaultSpec,
     tlp_rng: RefCell<DetRng>,
-    mmio_rng: RefCell<DetRng>,
     ack_rng: RefCell<DetRng>,
     garble_rng: RefCell<DetRng>,
     /// Dedicated stream for health-probe canary writes, so probe traffic
     /// can never shift the draw sequence any application write sees.
     probe_rng: RefCell<DetRng>,
     trace: Trace,
-    /// Tunnel transfers dropped (`pcie.fault.tlp_dropped`).
-    pub tlp_dropped: Counter,
     /// Tunnel transfers corrupted (`pcie.fault.tlp_corrupted`).
     pub tlp_corrupted: Counter,
-    /// Tunnel transfers delayed (`pcie.fault.tlp_delayed`).
-    pub tlp_delayed: Counter,
-    /// Transfers that waited out a link-down window
-    /// (`pcie.fault.link_down_waits`).
-    pub link_down_waits: Counter,
-    /// MMIO writes silently dropped (`pcie.fault.mmio_stuck`).
-    pub mmio_stuck: Counter,
-    /// MMIO writes bit-flipped (`pcie.fault.mmio_garbled`).
-    pub mmio_garbled: Counter,
-    /// Commands that waited out a commtask stall window
-    /// (`pcie.fault.commtask_stalls`).
-    pub commtask_stalls: Counter,
     /// Fast write-acks lost, base instability and injected combined
     /// (`pcie.fault.ack_lost`).
     pub ack_lost: Counter,
@@ -485,21 +288,18 @@ impl FaultPlan {
     /// events (pass a disabled trace to skip them).
     pub fn new(spec: FaultSpec, trace: Trace) -> Self {
         let mut root = DetRng::seed_from(spec.seed ^ 0xFA17_AB5E_D15E_A5E5);
+        let tlp_rng = RefCell::new(root.fork(1));
+        // Stream 2 fed a retired injection site. Forking advances the
+        // root, so it is still skipped to keep every later stream's seed.
+        root.next_u64();
         FaultPlan {
-            tlp_rng: RefCell::new(root.fork(1)),
-            mmio_rng: RefCell::new(root.fork(2)),
+            tlp_rng,
             ack_rng: RefCell::new(root.fork(3)),
             garble_rng: RefCell::new(root.fork(4)),
             probe_rng: RefCell::new(root.fork(5)),
             spec,
             trace,
-            tlp_dropped: Counter::new(),
             tlp_corrupted: Counter::new(),
-            tlp_delayed: Counter::new(),
-            link_down_waits: Counter::new(),
-            mmio_stuck: Counter::new(),
-            mmio_garbled: Counter::new(),
-            commtask_stalls: Counter::new(),
             ack_lost: Counter::new(),
         }
     }
@@ -512,13 +312,7 @@ impl FaultPlan {
     /// Adopt the plan's counters into `registry` under `pcie.fault.*`.
     pub fn register_metrics(&self, registry: &Registry) {
         let r = registry.scoped("pcie.fault");
-        r.adopt_counter("tlp_dropped", &self.tlp_dropped);
         r.adopt_counter("tlp_corrupted", &self.tlp_corrupted);
-        r.adopt_counter("tlp_delayed", &self.tlp_delayed);
-        r.adopt_counter("link_down_waits", &self.link_down_waits);
-        r.adopt_counter("mmio_stuck", &self.mmio_stuck);
-        r.adopt_counter("mmio_garbled", &self.mmio_garbled);
-        r.adopt_counter("commtask_stalls", &self.commtask_stalls);
         r.adopt_counter("ack_lost", &self.ack_lost);
     }
 
@@ -527,36 +321,18 @@ impl FaultPlan {
         self.trace.instant(now, Category::Fault, kind, flow, || "fault", Vec::new);
     }
 
-    /// Draw the fault (if any) for one tunnel payload transfer. At most
-    /// one fault fires per transfer, checked drop → corrupt → delay; a
-    /// zero rate (or an out-of-phase cycle) skips its draw entirely.
-    pub fn tlp_fault(&self, now: Cycles, flow: Option<u64>) -> Option<TlpFault> {
-        let mut rng = self.tlp_rng.borrow_mut();
-        if self.spec.tlp_drop_p > 0.0
-            && self.spec.tlp_drop_phase.contains(now)
-            && rng.chance(self.spec.tlp_drop_p)
-        {
-            self.tlp_dropped.inc();
-            self.note(now, "tlp_drop", flow);
-            return Some(TlpFault::Drop);
-        }
-        if self.spec.tlp_corrupt_p > 0.0
+    /// Draw whether one tunnel payload transfer arrives corrupted (then
+    /// apply [`FaultPlan::garble`] to its in-flight copy). A zero rate or
+    /// an out-of-phase cycle skips the draw entirely.
+    pub fn tlp_corrupt(&self, now: Cycles, flow: Option<u64>) -> bool {
+        let hit = self.spec.tlp_corrupt_p > 0.0
             && self.spec.tlp_corrupt_phase.contains(now)
-            && rng.chance(self.spec.tlp_corrupt_p)
-        {
+            && self.tlp_rng.borrow_mut().chance(self.spec.tlp_corrupt_p);
+        if hit {
             self.tlp_corrupted.inc();
             self.note(now, "tlp_corrupt", flow);
-            return Some(TlpFault::Corrupt);
         }
-        if self.spec.tlp_delay_p > 0.0
-            && self.spec.tlp_delay_phase.contains(now)
-            && rng.chance(self.spec.tlp_delay_p)
-        {
-            self.tlp_delayed.inc();
-            self.note(now, "tlp_delay", flow);
-            return Some(TlpFault::Delay(self.spec.tlp_delay_cycles));
-        }
-        None
+        hit
     }
 
     /// Really flip bytes of an in-flight copy (functional fidelity: a
@@ -573,62 +349,6 @@ impl FaultPlan {
             let mask = rng.range(1, 256) as u8;
             data[pos] ^= mask;
         }
-    }
-
-    /// If `now` falls in a link-down window, the timestamp at which the
-    /// link comes back up. Pure arithmetic over the clock — no RNG, no
-    /// timers when the window spec is zero.
-    pub fn link_down_until(&self, now: Cycles) -> Option<Cycles> {
-        if !self.spec.link_phase.contains(now) {
-            return None;
-        }
-        Self::window_end(now, self.spec.link_down_duration, self.spec.link_down_period).inspect(
-            |_| {
-                self.link_down_waits.inc();
-                self.note(now, "link_down_wait", None);
-            },
-        )
-    }
-
-    /// If `now` falls in a commtask stall window, when the stall ends.
-    pub fn stall_until(&self, now: Cycles) -> Option<Cycles> {
-        if !self.spec.stall_phase.contains(now) {
-            return None;
-        }
-        Self::window_end(now, self.spec.stall_duration, self.spec.stall_period).inspect(|_| {
-            self.commtask_stalls.inc();
-            self.note(now, "commtask_stall", None);
-        })
-    }
-
-    fn window_end(now: Cycles, duration: Cycles, period: Cycles) -> Option<Cycles> {
-        if duration == 0 || period == 0 {
-            return None;
-        }
-        let phase = now % period;
-        (phase < duration).then(|| now - phase + duration)
-    }
-
-    /// Draw the fault (if any) for one MMIO register write.
-    pub fn mmio_fault(&self, now: Cycles) -> Option<MmioFault> {
-        let mut rng = self.mmio_rng.borrow_mut();
-        if self.spec.mmio_stuck_p > 0.0
-            && self.spec.mmio_stuck_phase.contains(now)
-            && rng.chance(self.spec.mmio_stuck_p)
-        {
-            self.mmio_stuck.inc();
-            self.note(now, "mmio_stuck", None);
-            return Some(MmioFault::Stuck);
-        }
-        if self.spec.mmio_garble_p > 0.0
-            && self.spec.mmio_garble_phase.contains(now)
-            && rng.chance(self.spec.mmio_garble_p)
-        {
-            self.mmio_garbled.inc();
-            self.note(now, "mmio_garble", None);
-            return Some(MmioFault::Garble);
-        }
-        None
     }
 
     /// Draw the injected extra fast-ack loss for one posted write. Uses
@@ -671,20 +391,11 @@ mod tests {
 
     #[test]
     fn parse_full_grammar() {
-        let s = FaultSpec::parse(
-            "seed=7,drop=0.01,corrupt=0.005,delay=0.02:2000,linkdown=1000@200000,\
-             ackloss=1e-4,mmio_stuck=0.001,mmio_garble=0.002,stall=5000@300000,\
-             recovery=on,watchdog=2000000",
-        )
-        .unwrap();
+        let s = FaultSpec::parse("seed=7,corrupt=0.005,ackloss=1e-4,recovery=on,watchdog=2000000")
+            .unwrap();
         assert_eq!(s.seed, 7);
-        assert_eq!(s.tlp_drop_p, 0.01);
         assert_eq!(s.tlp_corrupt_p, 0.005);
-        assert_eq!((s.tlp_delay_p, s.tlp_delay_cycles), (0.02, 2000));
-        assert_eq!((s.link_down_duration, s.link_down_period), (1000, 200_000));
         assert_eq!(s.ack_loss_p, 1e-4);
-        assert_eq!((s.mmio_stuck_p, s.mmio_garble_p), (0.001, 0.002));
-        assert_eq!((s.stall_duration, s.stall_period), (5000, 300_000));
         assert!(s.recovery && s.is_active());
         assert_eq!(s.watchdog, Some(2_000_000));
         // Display → parse roundtrip.
@@ -693,34 +404,40 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(FaultSpec::parse("drop=2.0").is_err());
-        assert!(FaultSpec::parse("drop").is_err());
-        assert!(FaultSpec::parse("linkdown=5000@100").is_err());
-        assert!(FaultSpec::parse("delay=0.1").is_err());
+        assert!(FaultSpec::parse("corrupt=2.0").is_err());
+        assert!(FaultSpec::parse("corrupt").is_err());
         assert!(FaultSpec::parse("bogus=1").is_err());
         assert!(FaultSpec::parse("recovery=maybe").is_err());
-        // Phase bounds: empty window, backwards window, non-phase key.
-        assert!(FaultSpec::parse("drop=0.1@500..500").is_err());
-        assert!(FaultSpec::parse("drop=0.1@900..500").is_err());
-        assert!(FaultSpec::parse("drop=0.1@a..b").is_err());
+        // Phase bounds: empty window, backwards window, non-phase key,
+        // a bare `@` value.
+        assert!(FaultSpec::parse("corrupt=0.1@500..500").is_err());
+        assert!(FaultSpec::parse("corrupt=0.1@900..500").is_err());
+        assert!(FaultSpec::parse("corrupt=0.1@a..b").is_err());
+        assert!(FaultSpec::parse("corrupt=0.1@5").is_err());
         assert!(FaultSpec::parse("seed=7@1..2").is_err());
         // Removed keys and aliases stay errors, not silent no-ops.
         assert!(FaultSpec::parse("until=5").is_err());
         assert!(FaultSpec::parse("recovery=off").is_err());
+        for stale in [
+            "drop=0.1",
+            "delay=0.1:10",
+            "linkdown=1@2",
+            "stall=1@2",
+            "mmio_stuck=0.1",
+            "mmio_garble=0.1",
+        ] {
+            let err = FaultSpec::parse(stale).expect_err(stale);
+            assert!(err.contains("unknown fault key"), "{stale}: {err}");
+        }
     }
 
     #[test]
     fn parse_phase_bounds() {
-        let s = FaultSpec::parse(
-            "seed=3,drop=0.05@1000..2000,delay=0.1:2000@..50000,\
-             linkdown=1000@200000@0..9000000,ackloss=0.9@30000..",
-        )
-        .unwrap();
-        assert_eq!(s.tlp_drop_phase, Phase { start: 1000, end: Some(2000) });
-        assert_eq!(s.tlp_delay_phase, Phase { start: 0, end: Some(50_000) });
-        assert_eq!(s.link_phase, Phase { start: 0, end: Some(9_000_000) });
-        assert_eq!((s.link_down_duration, s.link_down_period), (1000, 200_000));
+        let s = FaultSpec::parse("seed=3,corrupt=0.05@1000..2000,ackloss=0.9@30000..").unwrap();
+        assert_eq!(s.tlp_corrupt_phase, Phase { start: 1000, end: Some(2000) });
         assert_eq!(s.ack_phase, Phase { start: 30_000, end: None });
+        let s = FaultSpec::parse("ackloss=0.9@..3000000").unwrap();
+        assert_eq!(s.ack_phase, Phase { start: 0, end: Some(3_000_000) });
         // Display → parse roundtrip with every phase shape present.
         assert_eq!(FaultSpec::parse(&s.to_string()).unwrap(), s);
     }
@@ -730,19 +447,34 @@ mod tests {
         // A storm that ends: in-window draws match an unbounded plan's
         // draws exactly (the phase gate sits before the RNG), and
         // out-of-window cycles draw nothing.
-        let bounded = FaultSpec::parse("seed=9,drop=0.5@100..200").unwrap();
-        let unbounded = FaultSpec::parse("seed=9,drop=0.5").unwrap();
+        let bounded = FaultSpec::parse("seed=9,corrupt=0.5@100..200").unwrap();
+        let unbounded = FaultSpec::parse("seed=9,corrupt=0.5").unwrap();
         let pb = FaultPlan::new(bounded, Trace::disabled());
         let pu = FaultPlan::new(unbounded, Trace::disabled());
         for now in 0..300u64 {
-            let b = pb.tlp_fault(now, None);
+            let b = pb.tlp_corrupt(now, None);
             if (100..200).contains(&now) {
-                assert_eq!(b, pu.tlp_fault(now, None));
+                assert_eq!(b, pu.tlp_corrupt(now, None));
             } else {
-                assert_eq!(b, None, "fault fired out of phase at {now}");
+                assert!(!b, "fault fired out of phase at {now}");
             }
         }
-        assert!(pb.tlp_dropped.get() > 0);
+        assert!(pb.tlp_corrupted.get() > 0);
+    }
+
+    #[test]
+    fn streams_keep_their_fork_seeds() {
+        // Each site stream is the root's fork of its own index, 1 to 5,
+        // in order; index 2 is skipped, not reused, so seeded plans draw
+        // the same sequences as before its site was retired.
+        let plan = FaultPlan::new(FaultSpec { seed: 17, ..FaultSpec::none() }, Trace::disabled());
+        let mut root = DetRng::seed_from(17 ^ 0xFA17_AB5E_D15E_A5E5);
+        let mut want: Vec<DetRng> = (1..=5).map(|i| root.fork(i)).collect();
+        let streams =
+            [(&plan.tlp_rng, 1), (&plan.ack_rng, 3), (&plan.garble_rng, 4), (&plan.probe_rng, 5)];
+        for (stream, i) in streams {
+            assert_eq!(stream.borrow_mut().next_u64(), want[i - 1].next_u64(), "stream {i}");
+        }
     }
 
     #[test]
@@ -788,28 +520,25 @@ mod tests {
     fn zero_rates_never_draw() {
         let plan = FaultPlan::new(FaultSpec::none(), Trace::disabled());
         for i in 0..1000u64 {
-            assert_eq!(plan.tlp_fault(i, None), None);
-            assert_eq!(plan.mmio_fault(i), None);
+            assert!(!plan.tlp_corrupt(i, None));
             assert!(!plan.extra_ack_loss(i));
             assert!(!plan.probe_ack_loss(i));
-            assert_eq!(plan.link_down_until(i), None);
-            assert_eq!(plan.stall_until(i), None);
         }
         // No draws means the streams were never touched and no counter moved.
-        assert_eq!(plan.tlp_dropped.get(), 0);
-        assert_eq!(plan.link_down_waits.get(), 0);
+        assert_eq!(plan.tlp_corrupted.get(), 0);
+        assert_eq!(plan.ack_lost.get(), 0);
     }
 
     #[test]
     fn draws_are_deterministic_per_seed() {
-        let spec = FaultSpec::parse("seed=9,drop=0.2,corrupt=0.2,delay=0.2:500").unwrap();
+        let spec = FaultSpec::parse("seed=9,corrupt=0.2").unwrap();
         let draw = |spec: &FaultSpec| {
             let plan = FaultPlan::new(spec.clone(), Trace::disabled());
-            (0..200).map(|i| plan.tlp_fault(i, None)).collect::<Vec<_>>()
+            (0..200).map(|i| plan.tlp_corrupt(i, None)).collect::<Vec<_>>()
         };
         let a = draw(&spec);
         assert_eq!(a, draw(&spec));
-        assert!(a.iter().any(|f| f.is_some()));
+        assert!(a.iter().any(|&f| f));
         let other = FaultSpec { seed: 10, ..spec };
         assert_ne!(a, draw(&other));
     }
@@ -830,26 +559,15 @@ mod tests {
     }
 
     #[test]
-    fn windows_are_pure_clock_arithmetic() {
-        let spec = FaultSpec::parse("linkdown=100@1000").unwrap();
-        let plan = FaultPlan::new(spec, Trace::disabled());
-        assert_eq!(plan.link_down_until(0), Some(100));
-        assert_eq!(plan.link_down_until(99), Some(100));
-        assert_eq!(plan.link_down_until(100), None);
-        assert_eq!(plan.link_down_until(999), None);
-        assert_eq!(plan.link_down_until(1_050), Some(1_100));
-        assert_eq!(plan.link_down_waits.get(), 3);
-    }
-
-    #[test]
     fn trace_gets_fault_category_events() {
-        let spec = FaultSpec::parse("seed=1,drop=1.0").unwrap();
+        let spec = FaultSpec::parse("seed=1,corrupt=1.0").unwrap();
         let trace = Trace::enabled();
         let plan = FaultPlan::new(spec, trace.clone());
-        assert_eq!(plan.tlp_fault(42, Some(7)), Some(TlpFault::Drop));
-        let ev = trace.events_in(Category::Fault);
+        assert!(plan.tlp_corrupt(42, Some(7)));
+        let ev = trace.events();
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].kind, "tlp_drop");
+        assert_eq!(ev[0].cat, Category::Fault);
+        assert_eq!(ev[0].kind, "tlp_corrupt");
         assert_eq!(ev[0].flow, Some(7));
         assert_eq!(ev[0].time, 42);
     }

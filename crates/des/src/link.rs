@@ -114,11 +114,6 @@ impl Link {
         registry.adopt_histogram("latency_cycles", &self.state.latency_hist);
     }
 
-    /// Propagation latency in cycles.
-    pub fn latency(&self) -> Cycles {
-        self.state.latency
-    }
-
     /// Configured bandwidth.
     pub fn bandwidth(&self) -> Bandwidth {
         self.state.bw

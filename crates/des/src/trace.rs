@@ -442,11 +442,6 @@ impl Trace {
         self.with_events(|ev| ev.to_vec())
     }
 
-    /// Events of one category (only matches are cloned).
-    pub fn events_in(&self, cat: Category) -> Vec<TraceEvent> {
-        self.with_events(|ev| ev.iter().filter(|e| e.cat == cat).cloned().collect())
-    }
-
     /// Render as an aligned text timeline (the Figure 2 view).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -551,7 +546,7 @@ mod tests {
         t.instant(2, Category::App, "y", None, || "b", Vec::new);
         t.instant(3, Category::App, "z", None, || "a", Vec::new);
         assert_eq!(t.events().iter().filter(|e| &*e.actor == "a").count(), 2);
-        assert_eq!(t.events_in(Category::App).len(), 3);
+        assert_eq!(t.events().iter().filter(|e| e.cat == Category::App).count(), 3);
     }
 
     #[test]
@@ -587,7 +582,7 @@ mod tests {
         t.instant(2, Category::Pcie, "y", None, || "b", Vec::new);
         let n = t.with_events(|ev| ev.len());
         assert_eq!(n, 2);
-        assert_eq!(t.events_in(Category::Pcie).len(), 1);
+        assert_eq!(t.with_events(|ev| ev.iter().filter(|e| e.cat == Category::Pcie).count()), 1);
         assert_eq!(Trace::disabled().with_events(|ev| ev.len()), 0);
     }
 }

@@ -119,11 +119,6 @@ impl FastAck {
         *self.plan.borrow_mut() = Some(plan);
     }
 
-    /// Whether fast acks are active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Ack-loss probability per posted write in the current configuration
     /// (base instability only; an attached plan adds its own).
     pub fn loss_probability(&self) -> f64 {
@@ -284,7 +279,8 @@ mod tests {
         let with_plan = (0..50_000u64).filter(|i| fa.on_posted_write(*i, Some(1))).count();
         assert_eq!(bare, with_plan, "zero-rate plan must not shift the legacy draw stream");
         assert_eq!(plan.ack_lost.get(), with_plan as u64);
-        assert_eq!(trace.events_in(Category::Fault).len(), with_plan);
+        let faults = trace.with_events(|ev| ev.iter().filter(|e| e.cat == Category::Fault).count());
+        assert_eq!(faults, with_plan);
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl PcieModel {
         self.sif_packet_cycles + self.hw_latency
     }
 
-    /// Per-attempt timeout before the recovery layer retries a tunnel
-    /// transfer: four routed round trips (40 k cycles). Rationale: the
-    /// slowest legitimate single-line exchange is one routed round trip;
-    /// 4× leaves room for queueing behind a concurrent stream without
-    /// declaring a live transfer lost, while still resolving a genuine
-    /// loss well under any watchdog budget.
-    pub fn retry_timeout_cycles(&self) -> Cycles {
-        4 * self.routed_line_round_trip()
-    }
-
     /// First-retry backoff of the recovery layer: one routed round trip.
     /// Doubling from here (bounded by the recovery config's cap) spaces
     /// retries on the same scale as the congestion that delays them.

@@ -10,10 +10,6 @@
 //! ([`DevicePort::stamp_to_host`]). Payload moves as plain reservations
 //! on the two links.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use des::faultplan::FaultPlan;
 use des::link::{Bandwidth, Link};
 use des::obs::Registry;
 use des::stats::Counter;
@@ -44,10 +40,6 @@ pub struct DevicePort {
     pub ingress: Link,
     /// The device this port belongs to.
     pub device: DeviceId,
-    /// Installed fault plan, if any; [`DevicePort::fault_gate`] holds
-    /// tunnel payload transfers during its link-down windows. `None` (the
-    /// default) is the zero-perturbation path.
-    faults: RefCell<Option<Rc<FaultPlan>>>,
     /// The model's minimum boundary-crossing cost; the stamp helpers
     /// assert every stamped arrival respects it.
     min_crossing: Cycles,
@@ -63,7 +55,6 @@ impl DevicePort {
             egress: Link::new(bw, model.hw_latency, model.per_transfer_cycles),
             ingress: Link::new(bw, model.hw_latency, model.per_transfer_cycles),
             device,
-            faults: RefCell::new(None),
             min_crossing: model.mmio_crossing_cycles(),
             conduit_tlps: Counter::new(),
         }
@@ -88,26 +79,6 @@ impl DevicePort {
             arrival.saturating_sub(sim.now()),
             self.min_crossing
         );
-    }
-
-    /// Install a fault plan on this port.
-    pub fn set_faults(&self, plan: Rc<FaultPlan>) {
-        *self.faults.borrow_mut() = Some(plan);
-    }
-
-    /// Hold the caller while the link is in an injected link-down window
-    /// (the switch retains the TLP until the link retrains). A no-op
-    /// without an installed plan or outside a window.
-    ///
-    /// Only tunnel payload transfers pass this gate: posted payload
-    /// deliveries, vDMA deliveries, prefetch chunks and their retries.
-    /// Flag forwards, routed lines, doorbells and fast-ack streams reserve
-    /// the links directly and do not wait out a window.
-    pub async fn fault_gate(&self, sim: &Sim) {
-        let until = self.faults.borrow().as_ref().and_then(|plan| plan.link_down_until(sim.now()));
-        if let Some(until) = until {
-            sim.delay_until(until).await;
-        }
     }
 
     /// Total payload bytes moved in both directions.
@@ -151,13 +122,6 @@ impl HostFabric {
     /// The port of `device`.
     pub fn port(&self, device: DeviceId) -> &DevicePort {
         &self.ports[device.0 as usize]
-    }
-
-    /// Install a fault plan on every port.
-    pub fn set_faults(&self, plan: &Rc<FaultPlan>) {
-        for port in &self.ports {
-            port.set_faults(plan.clone());
-        }
     }
 
     /// Surface every port and the shared host-memory link in `registry`
@@ -276,35 +240,6 @@ mod tests {
         let names = reg.names();
         assert!(names.contains(&"pcie.link0.ingress.queue_depth".to_string()));
         assert!(names.contains(&"pcie.host_mem.latency_cycles".to_string()));
-    }
-
-    #[test]
-    fn link_down_window_stalls_transfers() {
-        use des::faultplan::{FaultPlan, FaultSpec};
-        use des::trace::Trace;
-        // The path a tunnel delivery takes: wait out the gate, then cross.
-        let deliver = |plan: Option<FaultPlan>| {
-            let sim = Sim::new();
-            let fabric = std::rc::Rc::new(HostFabric::new(PcieModel::default(), 1));
-            if let Some(plan) = plan {
-                fabric.set_faults(&Rc::new(plan));
-            }
-            let (s, f) = (sim.clone(), fabric.clone());
-            sim.block_on(async move {
-                let port = f.port(DeviceId(0));
-                port.fault_gate(&s).await;
-                port.ingress.transfer(&s, 32).await;
-                s.now()
-            })
-            .unwrap()
-        };
-        // t=0 is inside the first down window: the line waits for the
-        // link to retrain at t=5000 before crossing.
-        let spec = FaultSpec::parse("linkdown=5000@1000000").unwrap();
-        let t = deliver(Some(FaultPlan::new(spec, Trace::disabled())));
-        assert!(t >= 5_000, "transfer finished at {t}, before the window ended");
-        // Without the plan the same line crosses in well under 5000 cycles.
-        assert!(deliver(None) < 5_000);
     }
 
     #[test]

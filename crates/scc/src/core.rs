@@ -61,11 +61,6 @@ impl CoreHandle {
         &self.device
     }
 
-    /// The L1 model (inspection in tests).
-    pub fn l1(&self) -> &L1Model {
-        &self.l1
-    }
-
     fn is_local_device(&self, addr: MpbAddr) -> bool {
         addr.owner.device == self.who.device
     }

@@ -19,7 +19,6 @@ use crate::MPB_BYTES;
 pub struct MpbRegion {
     data: RefCell<Box<[u8]>>,
     notify: Notify,
-    version: std::cell::Cell<u64>,
     /// Functional read accesses (shared with the owning device's stats).
     reads: Counter,
     /// Functional write accesses (shared with the owning device's stats).
@@ -44,7 +43,6 @@ impl MpbRegion {
         MpbRegion {
             data: RefCell::new(vec![0u8; MPB_BYTES].into_boxed_slice()),
             notify: Notify::new(),
-            version: std::cell::Cell::new(0),
             reads,
             writes,
         }
@@ -82,7 +80,6 @@ impl MpbRegion {
             data[offset..offset + buf.len()].copy_from_slice(buf);
         }
         self.writes.inc();
-        self.version.set(self.version.get() + 1);
         self.notify.notify_all();
     }
 
@@ -110,13 +107,7 @@ impl MpbRegion {
     pub fn write_byte(&self, offset: usize, value: u8) {
         self.data.borrow_mut()[offset] = value;
         self.writes.inc();
-        self.version.set(self.version.get() + 1);
         self.notify.notify_all();
-    }
-
-    /// Monotonic write counter; lets pollers detect any intervening write.
-    pub fn version(&self) -> u64 {
-        self.version.get()
     }
 
     /// Sleep until the region is written and `pred` holds. The predicate is
@@ -124,11 +115,6 @@ impl MpbRegion {
     /// themselves.
     pub async fn wait_until(&self, pred: impl FnMut() -> bool) {
         self.notify.wait_until(pred).await;
-    }
-
-    /// The notifier (for composite wait conditions).
-    pub fn notify(&self) -> &Notify {
-        &self.notify
     }
 }
 
@@ -159,15 +145,6 @@ mod tests {
     fn out_of_bounds_write_panics() {
         let m = MpbRegion::new();
         m.write(MPB_BYTES - 1, &[0, 0]);
-    }
-
-    #[test]
-    fn version_increments_on_write() {
-        let m = MpbRegion::new();
-        let v0 = m.version();
-        m.write_byte(0, 1);
-        m.write(10, &[2, 3]);
-        assert_eq!(m.version(), v0 + 2);
     }
 
     #[test]

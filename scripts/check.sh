@@ -52,6 +52,16 @@ echo "== recovery harnesses (tbl_stability, fig_recovery headline asserts) =="
 cargo bench -q -p vscc-bench --bench tbl_stability >/dev/null
 cargo bench -q -p vscc-bench --bench fig_recovery >/dev/null
 
+echo "== VSCC_FAULTS smoke (one figure target under an env fault plan) =="
+# VSCC_FAULTS is the one environment variable the library reads:
+# VsccBuilder::build merges it into every system the target builds, and
+# the bench banner echoes the parsed plan. Under an env plan the headline
+# asserts are skipped, so the target must simply finish and echo the plan
+# in its canonical form (the Display <-> parse round trip).
+FAULT_PLAN='seed=7,corrupt=0.05,ackloss=0.01,recovery=on,watchdog=20000000'
+VSCC_FAULTS="$FAULT_PLAN" cargo bench -q -p vscc-bench --bench fig6b_interdevice \
+    | grep -F "[faults] VSCC_FAULTS plan active: $FAULT_PLAN" >/dev/null
+
 echo "== golden exports (fault-free runs byte-identical to committed goldens) =="
 # The health plane must be inert without an active fault plan: any drift
 # in these fixed-seed trace/metrics/timeseries/audit exports means the

@@ -80,12 +80,13 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
         metrics_json: reg.snapshot().to_json(),
         trace: v.trace().clone(),
         trace_json: des::obs::chrome_trace_json(&[("chaos", v.trace())]),
-        fault_events: v.trace().events_in(Category::Fault).len(),
+        fault_events: v
+            .trace()
+            .with_events(|ev| ev.iter().filter(|e| e.cat == Category::Fault).count()),
         checksum_detected: rstats.checksum_detected.get(),
         tunnel_retries: rstats.payload_retries.get()
             + rstats.vdma_retries.get()
-            + rstats.prefetch_retries.get()
-            + rstats.mmio_retries.get(),
+            + rstats.prefetch_retries.get(),
         demotions: rstats.demotions.get(),
         fallback_writes: rstats.fallback_writes.get(),
         demoted_pairs: v.host.demoted_pairs().len(),
@@ -97,12 +98,12 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
 }
 
 /// A small cross-device NPB BT run (4 ranks, 2 per device) under the
-/// given fault spec: `Ok(verified)` or the diagnosed error, plus the
-/// run's registry.
-fn bt_chaos(spec: &str) -> (Result<bool, SimError>, Registry) {
+/// given scheme and fault spec: `Ok(verified)` or the diagnosed error,
+/// plus the run's registry.
+fn bt_chaos(scheme: CommScheme, spec: &str) -> (Result<bool, SimError>, Registry) {
     let spec = FaultSpec::parse(spec).expect("chaos spec");
     let sim = Sim::new();
-    let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet).faults(spec).build();
+    let v = VsccBuilder::new(&sim, 2).scheme(scheme).faults(spec).build();
     let s = v.session_builder().cores_per_device(2).build();
     let mut cfg = BtConfig::new(BtClass::S, 4);
     cfg.measured = 2;
@@ -111,16 +112,7 @@ fn bt_chaos(spec: &str) -> (Result<bool, SimError>, Registry) {
 
 /// Each fault key of the spec grammar and the `pcie.fault.*` counter
 /// that counts its injections.
-const FAULT_COUNTERS: [(&str, &str); 8] = [
-    ("drop", "tlp_dropped"),
-    ("corrupt", "tlp_corrupted"),
-    ("delay", "tlp_delayed"),
-    ("linkdown", "link_down_waits"),
-    ("stall", "commtask_stalls"),
-    ("ackloss", "ack_lost"),
-    ("mmio_stuck", "mmio_stuck"),
-    ("mmio_garble", "mmio_garbled"),
-];
+const FAULT_COUNTERS: [(&str, &str); 2] = [("corrupt", "tlp_corrupted"), ("ackloss", "ack_lost")];
 
 /// Every fault key `spec` sets must have moved its counter: a plan that
 /// injects nothing proves nothing about recovery.
@@ -290,31 +282,29 @@ fn demoted_pair_heals_after_the_storm_ends() {
     }
 }
 
-/// The chaos property: seeded fault plans mixing every fault class must
+/// The chaos property: seeded fault plans mixing both fault classes must
 /// end in verified payloads or a diagnosed error — never a hang, never
-/// silent corruption. Each plan's seed (or, for the clock-driven stall
-/// window, its period) is one under which every fault key fires.
+/// silent corruption. Corruption runs over each tunnel path (vDMA
+/// deliveries, prefetch chunks, posted payloads); ack loss only bites on
+/// the fast-ack scheme. Each plan's seed is one under which every fault
+/// key fires.
 #[test]
 fn chaos_plans_end_verified_or_diagnosed() {
     let specs = [
-        format!("seed=16,drop=0.02,recovery=on,{WATCHDOG}"),
-        format!("seed=14,corrupt=0.05,recovery=on,{WATCHDOG}"),
-        format!("seed=3,delay=0.1:5000,recovery=on,{WATCHDOG}"),
-        format!("seed=4,linkdown=4000@400000,recovery=on,{WATCHDOG}"),
-        format!("seed=5,stall=3000@100000,recovery=on,{WATCHDOG}"),
-        format!("seed=6,ackloss=0.01,recovery=on,{WATCHDOG}"),
-        format!("seed=25,drop=0.01,corrupt=0.02,delay=0.05:2000,recovery=on,{WATCHDOG}"),
-        format!("seed=8,mmio_garble=0.05,recovery=on,{WATCHDOG}"),
+        (CommScheme::LocalPutLocalGet, format!("seed=14,corrupt=0.05,recovery=on,{WATCHDOG}")),
+        (CommScheme::LocalPutRemoteGet, format!("seed=16,corrupt=0.05,recovery=on,{WATCHDOG}")),
+        (CommScheme::RemotePutHwAck, format!("seed=6,ackloss=0.01,recovery=on,{WATCHDOG}")),
+        (
+            CommScheme::RemotePutHwAck,
+            format!("seed=25,ackloss=0.02,corrupt=0.05,recovery=on,{WATCHDOG}"),
+        ),
+        (
+            CommScheme::RemotePutHwAck,
+            format!("seed=8,ackloss=0.5@..400000,corrupt=0.1@200000..,recovery=on,{WATCHDOG}"),
+        ),
     ];
-    for spec in &specs {
-        // ackloss only bites on the fast-ack scheme; everything else
-        // exercises the vDMA tunnel path.
-        let scheme = if spec.contains("ackloss") {
-            CommScheme::RemotePutHwAck
-        } else {
-            CommScheme::LocalPutLocalGet
-        };
-        let r = pingpong_chaos(scheme, spec, 6000, 6);
+    for (scheme, spec) in &specs {
+        let r = pingpong_chaos(*scheme, spec, 6000, 6);
         assert!(
             acceptable(&r.result),
             "{spec}: run must end verified or diagnosed, got {:?}",
@@ -329,13 +319,16 @@ fn chaos_plans_end_verified_or_diagnosed() {
 #[test]
 fn chaos_plans_over_bt_end_verified_or_diagnosed() {
     let specs = [
-        format!("seed=21,drop=0.01,recovery=on,{WATCHDOG}"),
-        format!("seed=22,corrupt=0.02,recovery=on,{WATCHDOG}"),
-        format!("seed=23,linkdown=3000@500000,stall=2000@400000,recovery=on,{WATCHDOG}"),
-        format!("seed=24,drop=0.005,corrupt=0.01,delay=0.02:3000,recovery=on,{WATCHDOG}"),
+        (CommScheme::LocalPutLocalGet, format!("seed=22,corrupt=0.02,recovery=on,{WATCHDOG}")),
+        (CommScheme::LocalPutRemoteGet, format!("seed=23,corrupt=0.01,recovery=on,{WATCHDOG}")),
+        (CommScheme::RemotePutHwAck, format!("seed=21,ackloss=0.01,recovery=on,{WATCHDOG}")),
+        (
+            CommScheme::RemotePutHwAck,
+            format!("seed=24,ackloss=0.005,corrupt=0.01,recovery=on,{WATCHDOG}"),
+        ),
     ];
-    for spec in &specs {
-        let (result, reg) = bt_chaos(spec);
+    for (scheme, spec) in &specs {
+        let (result, reg) = bt_chaos(*scheme, spec);
         match result {
             Ok(verified) => assert!(verified, "{spec}: BT completed but payloads are corrupt"),
             Err(SimError::Aborted(_) | SimError::Deadlock(_)) => {}
@@ -346,13 +339,13 @@ fn chaos_plans_over_bt_end_verified_or_diagnosed() {
 
 /// Determinism under faults: two identical faulty runs export
 /// byte-identical metrics snapshots and Chrome traces and land on the
-/// same virtual clock. The seed is one under which both the drop and the
-/// corrupt key fire on this run.
+/// same virtual clock. The seed is one under which both the corrupt and
+/// the ackloss key fire on this run.
 #[test]
 fn faulty_runs_are_byte_identical_across_reruns() {
-    let spec = format!("seed=27,drop=0.02,corrupt=0.02,recovery=on,{WATCHDOG}");
-    let a = pingpong_chaos(CommScheme::LocalPutLocalGet, &spec, 6000, 6);
-    let b = pingpong_chaos(CommScheme::LocalPutLocalGet, &spec, 6000, 6);
+    let spec = format!("seed=27,corrupt=0.05,ackloss=0.02,recovery=on,{WATCHDOG}");
+    let a = pingpong_chaos(CommScheme::RemotePutHwAck, &spec, 6000, 6);
+    let b = pingpong_chaos(CommScheme::RemotePutHwAck, &spec, 6000, 6);
     assert_eq!(a.metrics_json, b.metrics_json, "faulty metrics must be deterministic");
     assert_eq!(a.trace_json, b.trace_json, "faulty traces must be deterministic");
     assert_eq!(a.end, b.end, "faulty runs must land on the same virtual clock");
@@ -403,14 +396,15 @@ fn faulty_audited_exports_are_identical_across_reruns() {
     }
 }
 
-/// A drop storm past what the retry ladder can absorb must be converted
-/// into a diagnosed abort (exhausted retries or a poll-watchdog trip),
-/// not an infinite flag poll.
+/// A corruption storm past what the retry ladder can absorb (every
+/// attempt of a transfer garbled, `MAX_RETRIES` re-sends included) must
+/// be converted into a diagnosed abort (exhausted retries or a
+/// poll-watchdog trip), not an infinite flag poll.
 #[test]
-fn drop_storm_is_diagnosed_not_hung() {
+fn corruption_storm_is_diagnosed_not_hung() {
     let r = pingpong_chaos(
         CommScheme::LocalPutLocalGet,
-        &format!("seed=41,drop=0.95,recovery=on,{WATCHDOG}"),
+        &format!("seed=41,corrupt=0.95,recovery=on,{WATCHDOG}"),
         6000,
         5,
     );

@@ -50,7 +50,7 @@ fn golden_fig6b_shaped_run_is_byte_identical_and_pinned() {
     assert_eq!(metrics_a, metrics_b, "metrics export must not vary between identical runs");
 
     const GOLDEN_TRACE_FNV: u64 = 0xfef8_4418_e1a5_4fe4;
-    const GOLDEN_METRICS_FNV: u64 = 0x72d8_584d_a44c_fb1b;
+    const GOLDEN_METRICS_FNV: u64 = 0xeb1b_11f6_0318_7710;
     assert_eq!(
         fnv1a(trace_a.as_bytes()),
         GOLDEN_TRACE_FNV,
@@ -85,7 +85,7 @@ fn golden_contended_routed_bt_run_is_pinned() {
     assert_eq!(res.gflops.to_bits(), 0x3fcc_8390_ce97_4f1a, "GFLOP/s drifted: {}", res.gflops);
     assert_eq!(
         fnv1a(metrics.as_bytes()),
-        0x9092_09f8_71fd_67f8,
+        0xf735_f764_11bd_f8e1,
         "metrics golden drifted (got {:#018x}) — model change? re-check calibration first",
         fnv1a(metrics.as_bytes())
     );

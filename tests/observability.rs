@@ -594,9 +594,10 @@ fn health_transitions_ride_trace_metrics_and_timeseries() {
 
     // Trace: the arc's transitions land in the Health category and
     // survive the Chrome export with their pair operands.
-    let health: Vec<_> = v.trace().events_in(Category::Health);
-    assert!(!health.is_empty(), "health transitions must be traced");
-    let names: std::collections::BTreeSet<&str> = health.iter().map(|e| e.kind).collect();
+    let names: std::collections::BTreeSet<&str> = v.trace().with_events(|ev| {
+        ev.iter().filter(|e| e.cat == Category::Health).map(|e| e.kind).collect()
+    });
+    assert!(!names.is_empty(), "health transitions must be traced");
     for needed in ["demote", "probe_start", "promote"] {
         assert!(names.contains(needed), "missing {needed} in {names:?}");
     }

@@ -431,50 +431,30 @@ proptest! {
     }
 
     /// `FaultSpec` grammar round trip (DESIGN.md §5c): for any valid
-    /// spec — arbitrary rate/window/phase combinations, recovery,
-    /// watchdog — `parse(spec.to_string())` reproduces the
+    /// spec — arbitrary rate/phase combinations, recovery, watchdog —
+    /// `parse(spec.to_string())` reproduces the
     /// spec field for field. The canonical `Display` form is what the
     /// bench banners echo and what chaos tests embed, so it must never
     /// drift from the parser.
     #[test]
     fn fault_spec_display_parse_round_trips(
         seed in any::<u64>(),
-        drop in (0u32..=1024, 0u8..3, 0u64..1_000_000, 1u64..1_000_000),
         corrupt in (0u32..=1024, 0u8..3, 0u64..1_000_000, 1u64..1_000_000),
-        delay in ((0u32..=1024, 1u64..100_000), (0u8..3, 0u64..1_000_000, 1u64..1_000_000)),
-        linkdown in (0u64..5_000, 1u64..100_000, (0u8..3, 0u64..1_000_000, 1u64..1_000_000)),
         ackloss in (0u32..=1024, 0u8..3, 0u64..1_000_000, 1u64..1_000_000),
-        mmio in ((0u32..=1024, 0u32..=1024), (0u8..3, 0u64..1_000_000, 1u64..1_000_000)),
-        stall in (0u64..5_000, 1u64..100_000, (0u8..3, 0u64..1_000_000, 1u64..1_000_000)),
         recovery in any::<bool>(),
         watchdog in (any::<bool>(), 1u64..100_000_000),
     ) {
         let mut spec = FaultSpec::none();
         spec.seed = seed;
-        // A key is only displayed when its rate/duration is non-zero, so
+        // A key is only displayed when its rate is non-zero, so
         // a phase bound can only survive the round trip on active keys.
         let gate = |active: bool, (m, s, l): (u8, u64, u64)| {
             if active { phase_of(m, s, l) } else { Phase::ALWAYS }
         };
-        spec.tlp_drop_p = prob_of(drop.0);
-        spec.tlp_drop_phase = gate(drop.0 > 0, (drop.1, drop.2, drop.3));
         spec.tlp_corrupt_p = prob_of(corrupt.0);
         spec.tlp_corrupt_phase = gate(corrupt.0 > 0, (corrupt.1, corrupt.2, corrupt.3));
-        spec.tlp_delay_p = prob_of(delay.0.0);
-        spec.tlp_delay_cycles = delay.0.1;
-        spec.tlp_delay_phase = gate(delay.0.0 > 0, delay.1);
-        spec.link_down_duration = linkdown.0;
-        spec.link_down_period = linkdown.0 + linkdown.1;
-        spec.link_phase = gate(linkdown.0 > 0, linkdown.2);
         spec.ack_loss_p = prob_of(ackloss.0);
         spec.ack_phase = gate(ackloss.0 > 0, (ackloss.1, ackloss.2, ackloss.3));
-        spec.mmio_stuck_p = prob_of(mmio.0.0);
-        spec.mmio_stuck_phase = gate(mmio.0.0 > 0, mmio.1);
-        spec.mmio_garble_p = prob_of(mmio.0.1);
-        spec.mmio_garble_phase = gate(mmio.0.1 > 0, mmio.1);
-        spec.stall_duration = stall.0;
-        spec.stall_period = stall.0 + stall.1;
-        spec.stall_phase = gate(stall.0 > 0, stall.2);
         spec.recovery = recovery;
         spec.watchdog = watchdog.0.then_some(watchdog.1);
 
@@ -497,9 +477,9 @@ proptest! {
         let _ = FaultSpec::parse(&String::from_utf8_lossy(&raw));
         // Grammar-adjacent soup: fragments of real keys, separators, and
         // numbers glued in arbitrary orders hit the deep error paths
-        // (half-phases, double '@', empty sides, huge numbers).
+        // (half-phases, double '@', empty sides, huge numbers, stale keys).
         const FRAGMENTS: [&str; 18] = [
-            "drop=", "delay=", "linkdown=", "stall=", "ackloss=", "seed=", "until=",
+            "drop=", "corrupt=", "linkdown=", "stall=", "ackloss=", "seed=", "until=",
             "recovery=", "watchdog=", "0.5", "1000", "@", "..", ",", ":", "on",
             "18446744073709551615", "-3",
         ];
