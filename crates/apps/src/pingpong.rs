@@ -34,7 +34,9 @@ pub fn fig6_sizes() -> Vec<usize> {
     v
 }
 
-async fn bounce(r: rcce::Rcce, size: usize, reps: usize) {
+/// Rank body of a ping-pong: rank 0 sends first, rank 1 echoes, `reps`
+/// times over.
+pub async fn bounce(r: rcce::Rcce, size: usize, reps: usize) {
     let peer = 1 - r.id();
     let msg = vec![0xA5u8; size];
     let mut buf = vec![0u8; size];

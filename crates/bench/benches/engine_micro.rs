@@ -1,110 +1,23 @@
-//! Criterion micro-benchmarks of the simulation engine itself, plus the
-//! wall-clock perf harness behind `BENCH_engine.json`: how fast the
+//! The wall-clock perf harness behind `BENCH_engine.json`: how fast the
 //! reproduction executes on the *host* machine (not simulated time).
 //!
-//! Two layers:
-//!
-//! 1. The criterion section prints mean/min per-iteration wall time for
-//!    a handful of engine-bound workloads — a quick eyeball check.
-//! 2. The harness section measures engine *events/sec* for each hot
-//!    path the PR optimised (executor timers, metric increments,
-//!    disabled-category tracing), prints the headline before/after
-//!    numbers against the recorded pre-optimisation baseline, and
-//!    writes a machine-readable `target/BENCH_engine.json`. With
-//!    `VSCC_PERF_GATE=1` it exits non-zero if any scenario's events/sec
-//!    regressed more than 30 % against the committed repo-root
-//!    `BENCH_engine.json` (the perf-trajectory baseline);
-//!    `VSCC_PERF_FAST=1` shrinks sample counts for CI smoke use.
+//! It measures engine *events/sec* for each hot path (executor timers,
+//! metric increments, disabled-category tracing, the data-path
+//! ping-pongs and the audit stream), prints allocations per one-way
+//! message for the data-path scenarios, and writes a machine-readable
+//! `target/BENCH_engine.json`. With `VSCC_PERF_GATE=1` it exits non-zero
+//! if any scenario's events/sec regressed more than 30 % against the
+//! committed repo-root `BENCH_engine.json` (the perf-trajectory
+//! baseline), if a data-path scenario's allocs/msg rose more than 20 %
+//! above it, or if the audited twin lost more than 10 % events/sec to its
+//! audit-off twin; `VSCC_PERF_FAST=1` shrinks sample counts for CI smoke
+//! use.
 //!
 //! Wall-clock here is measurement-only: nothing read from `Instant`
 //! ever feeds the virtual clock (determinism invariant #1).
 
-use criterion::{criterion_group, Criterion};
-use des::Sim;
-use rcce::SessionBuilder;
-use scc::device::SccDevice;
-use scc::geometry::DeviceId;
-use vscc::{CommScheme, VsccBuilder};
-
 #[global_allocator]
 static ALLOC: vscc_bench::datapath::CountingAlloc = vscc_bench::datapath::CountingAlloc;
-
-fn bench_executor(c: &mut Criterion) {
-    c.bench_function("des/spawn_delay_10k_tasks", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            for i in 0..10_000u64 {
-                let s = sim.clone();
-                sim.spawn(async move {
-                    s.delay(i % 97).await;
-                });
-            }
-            sim.run().unwrap()
-        })
-    });
-
-    c.bench_function("des/link_contention_1k_transfers", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            let link = des::link::Link::new(des::link::Bandwidth::bytes_per_cycle(1), 100, 10);
-            for _ in 0..1_000 {
-                let (s, l) = (sim.clone(), link.clone());
-                sim.spawn(async move {
-                    l.transfer(&s, 256).await;
-                });
-            }
-            sim.run().unwrap()
-        })
-    });
-}
-
-fn bench_onchip(c: &mut Criterion) {
-    c.bench_function("rcce/onchip_pingpong_64k", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            let dev = SccDevice::new(&sim, DeviceId(0));
-            let s = SessionBuilder::new(&sim, vec![dev]).max_ranks(2).build();
-            s.run_app(|r| async move {
-                if r.id() == 0 {
-                    r.send(&vec![1u8; 65_536], 1).await;
-                } else {
-                    let mut buf = vec![0u8; 65_536];
-                    r.recv(&mut buf, 0).await;
-                }
-            })
-            .unwrap();
-            sim.now()
-        })
-    });
-}
-
-fn bench_vscc(c: &mut Criterion) {
-    c.bench_function("vscc/vdma_pingpong_64k", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet).build();
-            let a = v.devices[0].global(scc::geometry::CoreId(0));
-            let d = v.devices[1].global(scc::geometry::CoreId(0));
-            let s = v.session_builder().participants(vec![a, d]).build();
-            s.run_app(|r| async move {
-                if r.id() == 0 {
-                    r.send(&vec![1u8; 65_536], 1).await;
-                } else {
-                    let mut buf = vec![0u8; 65_536];
-                    r.recv(&mut buf, 0).await;
-                }
-            })
-            .unwrap();
-            sim.now()
-        })
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_executor, bench_onchip, bench_vscc
-}
 
 mod harness {
     use std::hint::black_box;
@@ -118,19 +31,6 @@ mod harness {
         self, baseline_field, interdevice_pingpong, PingPong, ALLOC_GATE_RATIO, R_HIGH, SCENARIOS,
     };
 
-    /// Wall-time of the `des/spawn_delay_10k_tasks` criterion bench
-    /// before this optimisation pass (BinaryHeap timers, per-poll
-    /// `Arc<TaskWaker>`, two-allocation tasks), measured on the same
-    /// container that produced the committed baseline. The harness
-    /// prints the current numbers against these.
-    const PRE_PR_SPAWN_DELAY_MEAN_MS: f64 = 5.255;
-    const PRE_PR_SPAWN_DELAY_MIN_MS: f64 = 4.224;
-    /// Allocations per one-way message on the data-path scenarios
-    /// before the zero-copy payload plane (Vec-per-hop tunnel, cloning
-    /// swcache install, per-chunk copies), measured on the same
-    /// container that produced the committed baseline.
-    const PRE_PR_DATAPATH_1K_ALLOCS_PER_MSG: f64 = 101.7;
-    const PRE_PR_DATAPATH_8K_ALLOCS_PER_MSG: f64 = 318.4;
     /// Regression gate: fail `VSCC_PERF_GATE=1` runs when a scenario's
     /// events/sec drops below this fraction of the committed baseline.
     const GATE_RATIO: f64 = 0.70;
@@ -369,11 +269,8 @@ mod harness {
 
     fn write_json(outcomes: &[Outcome], path: &std::path::Path) {
         let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let mut s = String::from("{\n  \"schema\": \"vscc-engine-bench-v4\",\n");
+        let mut s = String::from("{\n  \"schema\": \"vscc-engine-bench-v5\",\n");
         s.push_str(&format!("  \"host_cores\": {cores},\n"));
-        s.push_str(&format!(
-            "  \"pre_pr_baseline\": {{ \"spawn_delay_10k_tasks_ms\": {{ \"mean\": {PRE_PR_SPAWN_DELAY_MEAN_MS}, \"min\": {PRE_PR_SPAWN_DELAY_MIN_MS} }}, \"datapath_allocs_per_msg\": {{ \"interdevice_1k_wcb\": {PRE_PR_DATAPATH_1K_ALLOCS_PER_MSG}, \"interdevice_8k_swcache\": {PRE_PR_DATAPATH_8K_ALLOCS_PER_MSG} }} }},\n"
-        ));
         s.push_str("  \"scenarios\": [\n");
         for (i, o) in outcomes.iter().enumerate() {
             let allocs = match o.allocs_per_msg {
@@ -439,34 +336,6 @@ mod harness {
                 o.events,
                 o.events_per_sec(),
                 allocs
-            );
-        }
-
-        let spawn = &outcomes[0];
-        let (spawn_mean_ms, spawn_min_ms) = (spawn.mean_ns / 1e6, spawn.min_ns / 1e6);
-        println!();
-        println!("headline vs pre-optimisation baseline (des/spawn_delay_10k_tasks):");
-        println!(
-            "  before: mean {PRE_PR_SPAWN_DELAY_MEAN_MS:.3} ms   min {PRE_PR_SPAWN_DELAY_MIN_MS:.3} ms"
-        );
-        println!("  after:  mean {spawn_mean_ms:.3} ms   min {spawn_min_ms:.3} ms");
-        println!(
-            "  speedup: {:.2}x (mean), {:.2}x (min)",
-            PRE_PR_SPAWN_DELAY_MEAN_MS / spawn_mean_ms,
-            PRE_PR_SPAWN_DELAY_MIN_MS / spawn_min_ms
-        );
-
-        println!();
-        println!("data-path allocations per one-way message vs pre-zero-copy baseline:");
-        for (o, pre) in [
-            (&outcomes[6], PRE_PR_DATAPATH_1K_ALLOCS_PER_MSG),
-            (&outcomes[7], PRE_PR_DATAPATH_8K_ALLOCS_PER_MSG),
-        ] {
-            let now = o.allocs_per_msg.expect("datapath scenarios carry alloc counts");
-            println!(
-                "  {:<36} before {pre:.1}   after {now:.1}   ({:.1}x fewer)",
-                o.name,
-                pre / now.max(f64::MIN_POSITIVE)
             );
         }
 
@@ -566,6 +435,5 @@ mod harness {
 }
 
 fn main() {
-    benches();
     harness::run();
 }

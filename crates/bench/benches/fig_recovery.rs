@@ -94,7 +94,7 @@ fn run(faults: FaultSpec, observed: bool) -> (RunOut, Option<Observed>) {
         promotions: v.host.health.promotions.get(),
         first_demote: transitions.iter().find(|t| t.trigger == "demote").map(|t| t.time),
         last_promote: transitions.iter().rev().find(|t| t.trigger == "promote").map(|t| t.time),
-        still_demoted: v.host.demoted_pairs().len(),
+        still_demoted: v.host.health.fallback_pairs().len(),
     };
     (out, series.map(|series| Observed::of(&v, series)))
 }

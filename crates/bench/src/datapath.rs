@@ -13,6 +13,7 @@ use std::cell::Cell;
 
 use des::Sim;
 use vscc::{CommScheme, VsccBuilder};
+use vscc_apps::pingpong::bounce;
 
 /// Rep count of the longer of the two differenced runs; `engine_micro`
 /// times ping-pongs of this length.
@@ -43,7 +44,7 @@ thread_local! {
 /// Counting global allocator: wraps `System`, bumping a per-thread
 /// counter on every `alloc`/`realloc`/`alloc_zeroed`. Install it in the
 /// binary with `#[global_allocator]`. Per-thread counting keeps other
-/// threads (criterion's, the test harness's) out of the numbers; the
+/// threads (the test harness's) out of the numbers; the
 /// counter is a const-initialised `thread_local` `Cell`, so bumping it
 /// never allocates (no recursion into the allocator).
 pub struct CountingAlloc;
@@ -124,22 +125,6 @@ pub fn onchip_pingpong(size: usize, reps: usize) -> Sim {
         .build();
     s.run_app(move |r| bounce(r, size, reps)).unwrap();
     sim
-}
-
-/// Rank body of a ping-pong: rank 0 sends first, rank 1 echoes.
-async fn bounce(r: rcce::Rcce, size: usize, reps: usize) {
-    let peer = 1 - r.id();
-    let msg = vec![0xA5u8; size];
-    let mut buf = vec![0u8; size];
-    for _ in 0..reps {
-        if r.id() == 0 {
-            r.send(&msg, peer).await;
-            r.recv(&mut buf, peer).await;
-        } else {
-            r.recv(&mut buf, peer).await;
-            r.send(&buf, peer).await;
-        }
-    }
 }
 
 /// Pull one numeric field of the named scenario out of a

@@ -2,8 +2,8 @@
 //!
 //! Every `cargo bench` target in this crate rebuilds one table or figure
 //! of the paper's evaluation (§4) and prints its rows/series; the
-//! `engine_micro` target additionally benchmarks the simulator itself with
-//! Criterion. Absolute numbers come from the calibrated simulation (see
+//! `engine_micro` target instead times the simulator itself on the host
+//! (wall-clock events/sec and allocations per message). Absolute numbers come from the calibrated simulation (see
 //! DESIGN.md §5); the *shapes* — orderings, ratios, crossovers — are the
 //! reproduction targets and are recorded in EXPERIMENTS.md.
 

@@ -327,11 +327,6 @@ impl HostSide {
         })
     }
 
-    /// The structured trace host events go to.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
     /// Wire the devices to this host: installs `self` as each device's
     /// fabric and spawns one daemon worker per device.
     pub fn attach(self: &Rc<Self>, devices: &[Rc<SccDevice>]) {
@@ -365,11 +360,6 @@ impl HostSide {
 
     fn device(&self, id: DeviceId) -> Rc<SccDevice> {
         self.devices.borrow()[id.0 as usize].upgrade().expect("device dropped while host running")
-    }
-
-    /// The configured DMA chunk size.
-    pub fn dma_chunk(&self) -> usize {
-        self.cfg.dma_chunk
     }
 
     fn is_payload(addr: MpbAddr) -> bool {
@@ -809,32 +799,59 @@ impl HostSide {
         });
     }
 
-    /// One fully transparent routed line round trip (the 2012 baseline).
+    /// A fully transparent routed access (the 2012 baseline): one
+    /// blocking round trip per MPB line it touches, under one `pcie_wire`
+    /// span.
     ///
     /// Each leg into the daemon is one sleep: the line's arrival and the
     /// daemon's forward time are a single deadline, since nothing happens
     /// between them that the task could observe (DESIGN.md §5d).
-    async fn routed_round_trip(&self, requester: DeviceId, target: DeviceId, flow: Option<u64>) {
+    async fn routed_access(&self, src: GlobalCore, addr: MpbAddr, len: usize, flow: Option<u64>) {
         let sim = &self.sim;
         let m = &self.cfg.model;
         let line = LINE_BYTES as u64;
-        let rport = self.fabric.port(requester);
+        let target = addr.owner.device;
+        let rport = self.fabric.port(src.device);
         let tport = self.fabric.port(target);
-        // Request: requester SIF out -> daemon -> target SIF in.
-        sim.delay_until(rport.egress.reserve(sim, line) + m.sw_forward_cycles).await;
-        tport.ingress.transfer(sim, line).await;
-        // Response: target SIF out -> daemon -> requester SIF in.
-        sim.delay_until(tport.egress.reserve(sim, line) + m.sw_forward_cycles).await;
-        rport.ingress.transfer(sim, line).await;
-        self.stats.routed_lines.inc();
-        self.trace.instant(
-            sim.now(),
-            Category::Pcie,
-            "routed_line",
-            flow,
-            || self.commtask_label(requester.0),
-            || fields![target_dev = target.0 as u64],
-        );
+        let actor = move || self.commtask_label(src.device.0);
+        let n_lines = lines_spanned(addr.offset, len);
+        pcie_hop!(self, "pcie_wire", flow, actor, [bytes = len, lines = n_lines], {
+            for _ in 0..n_lines {
+                // Request: requester SIF out -> daemon -> target SIF in.
+                sim.delay_until(rport.egress.reserve(sim, line) + m.sw_forward_cycles).await;
+                tport.ingress.transfer(sim, line).await;
+                // Response: target SIF out -> daemon -> requester SIF in.
+                sim.delay_until(tport.egress.reserve(sim, line) + m.sw_forward_cycles).await;
+                rport.ingress.transfer(sim, line).await;
+                self.stats.routed_lines.inc();
+                self.trace.instant(sim.now(), Category::Pcie, "routed_line", flow, actor, || {
+                    fields![target_dev = target.0 as u64]
+                });
+            }
+        });
+    }
+
+    /// A host-acked payload forward: the write crosses the sender's SIF,
+    /// the commtask classifies and answers it, then delivers the bytes
+    /// to the owner. The small-message direct path of the local-put
+    /// schemes and a demoted hw-ack pair's fallback both take it.
+    async fn host_acked_forward(
+        self: &Rc<Self>,
+        src: GlobalCore,
+        addr: MpbAddr,
+        data: Bytes,
+        flow: Option<u64>,
+    ) {
+        let sim = &self.sim;
+        let actor = move || self.commtask_label(src.device.0);
+        let bytes = data.len() as u64;
+        pcie_hop!(self, "pcie_wire", flow, actor, [bytes = bytes], {
+            self.fabric.port(src.device).egress.transfer(sim, bytes).await;
+        });
+        pcie_hop!(self, "classify", flow, actor, [bytes = bytes], {
+            sim.delay(self.cfg.model.sw_answer_cycles).await;
+        });
+        self.deliver_payload(src, addr, data, flow);
     }
 }
 
@@ -901,12 +918,7 @@ impl RemoteFabric for HostSide {
                 out.freeze()
             } else {
                 // Transparent routing: one blocking round trip per line.
-                let n_lines = lines_spanned(addr.offset, len);
-                pcie_hop!(self, "pcie_wire", flow, actor, [bytes = len, lines = n_lines], {
-                    for _ in 0..n_lines {
-                        self.routed_round_trip(src.device, addr.owner.device, flow).await;
-                    }
-                });
+                self.routed_access(src, addr, len, flow).await;
                 self.device(addr.owner.device)
                     .mpb(addr.owner.core)
                     .read_bytes(addr.offset as usize, len)
@@ -941,19 +953,7 @@ impl RemoteFabric for HostSide {
             match self.scheme {
                 CommScheme::SimpleRouting => {
                     // Write-with-acknowledge per line: full round trips.
-                    let n_lines = lines_spanned(addr.offset, data.len());
-                    pcie_hop!(
-                        self,
-                        "pcie_wire",
-                        flow,
-                        actor,
-                        [bytes = data.len(), lines = n_lines],
-                        {
-                            for _ in 0..n_lines {
-                                self.routed_round_trip(src.device, addr.owner.device, flow).await;
-                            }
-                        }
-                    );
+                    self.routed_access(src, addr, data.len(), flow).await;
                     self.store(src, addr, &data, flow);
                 }
                 CommScheme::RemotePutHwAck => {
@@ -964,19 +964,7 @@ impl RemoteFabric for HostSide {
                         // local-put delivery path). Slower, but every
                         // byte is accounted for.
                         self.rstats.fallback_writes.inc();
-                        let sport = self.fabric.port(src.device);
-                        pcie_hop!(
-                            self,
-                            "pcie_wire",
-                            flow,
-                            actor,
-                            [bytes = data.len(), fallback = 1u64],
-                            {
-                                sport.egress.transfer(&sim, data.len() as u64).await;
-                            }
-                        );
-                        sim.delay(self.cfg.model.sw_answer_cycles).await;
-                        this.deliver_payload(src, addr, data, flow);
+                        this.host_acked_forward(src, addr, data, flow).await;
                         return;
                     }
                     // Posted line writes with FPGA auto-acks: the sender
@@ -1057,13 +1045,8 @@ impl RemoteFabric for HostSide {
                 CommScheme::LocalPutRemoteGet | CommScheme::LocalPutLocalGet => {
                     // Only the small-message direct path writes payload
                     // remotely under these schemes: host-acked forward.
-                    let sport = self.fabric.port(src.device);
-                    pcie_hop!(self, "pcie_wire", flow, actor, [bytes = data.len() as u64], {
-                        sport.egress.transfer(&sim, data.len() as u64).await;
-                    });
-                    pcie_hop!(self, "classify", flow, actor, [bytes = data.len() as u64], {
-                        sim.delay(self.cfg.model.sw_answer_cycles).await;
-                    });
+                    let bytes = data.len() as u64;
+                    this.host_acked_forward(src, addr, data, flow).await;
                     self.stats.direct_writes.inc();
                     self.trace.instant(
                         sim.now(),
@@ -1071,9 +1054,8 @@ impl RemoteFabric for HostSide {
                         "direct_write",
                         flow,
                         || self.commtask_label(addr.owner.device.0),
-                        || fields![bytes = data.len() as u64],
+                        || fields![bytes = bytes],
                     );
-                    this.deliver_payload(src, addr, data, flow);
                 }
             }
         })
@@ -1101,18 +1083,6 @@ impl HostSide {
     /// spawn owning forwarder tasks.
     fn rc_self(&self) -> Rc<Self> {
         self.me.upgrade().expect("HostSide alive while its methods run")
-    }
-
-    /// Device pairs currently routed through the host-acked fallback path
-    /// (Degraded, Probing, or Quarantined), as `(src_device, dst_device)`
-    /// ids, sorted.
-    pub fn demoted_pairs(&self) -> Vec<(u8, u8)> {
-        self.health.fallback_pairs()
-    }
-
-    /// Snapshot of every tracked pair's health state, sorted by pair.
-    pub fn health_states(&self) -> Vec<((u8, u8), PairHealth)> {
-        self.health.states()
     }
 
     /// Track consecutive lossy posted-write bursts per device pair; at

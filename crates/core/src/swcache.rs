@@ -107,12 +107,6 @@ impl SwCache {
         self.notify.notify_all();
     }
 
-    /// Complete an update in one step: install `data` and finish.
-    pub fn complete_update(&self, owner: GlobalCore, offset: u16, data: &[u8]) {
-        self.install(owner, offset, data);
-        self.finish_update(owner);
-    }
-
     /// Whether `[offset, offset+len)` of `owner`'s mirror is fully valid.
     pub fn range_valid(&self, owner: GlobalCore, offset: u16, len: usize) -> bool {
         let entries = self.entries.borrow();
@@ -141,14 +135,6 @@ impl SwCache {
     /// Whether any update for `owner` is still in flight.
     pub fn has_pending(&self, owner: GlobalCore) -> bool {
         self.entries.borrow().get(&owner).map(|e| e.pending > 0).unwrap_or(false)
-    }
-
-    /// Wait until no update for `owner` is in flight (the "warmup" the
-    /// paper describes: the task answers read requests in parallel with
-    /// prefetching, delaying them until the data is there).
-    pub async fn wait_settled(&self, owner: GlobalCore) {
-        let this = self.clone();
-        self.notify.wait_until(move || !this.has_pending(owner)).await;
     }
 
     /// Try to serve `[offset, offset+len)` of `owner`'s mirror.
@@ -198,7 +184,8 @@ mod tests {
         let c = SwCache::new(&Registry::new());
         assert!(c.read(owner(), 512, 64).is_none());
         c.begin_update(owner());
-        c.complete_update(owner(), 512, &[7u8; 64]);
+        c.install(owner(), 512, &[7u8; 64]);
+        c.finish_update(owner());
         assert_eq!(c.read(owner(), 512, 64).unwrap(), vec![7u8; 64]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.updates), (1, 1, 1));
@@ -210,7 +197,8 @@ mod tests {
         let c = SwCache::new(&reg);
         assert!(c.read(owner(), 0, 8).is_none());
         c.begin_update(owner());
-        c.complete_update(owner(), 0, &[1u8; 8]);
+        c.install(owner(), 0, &[1u8; 8]);
+        c.finish_update(owner());
         assert!(c.read(owner(), 0, 8).is_some());
         c.invalidate(owner(), 0, 8);
         assert_eq!(reg.counter("host.swcache.hits").get(), 1);
@@ -224,7 +212,8 @@ mod tests {
     fn partial_validity_is_a_miss() {
         let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
-        c.complete_update(owner(), 512, &[1u8; 32]);
+        c.install(owner(), 512, &[1u8; 32]);
+        c.finish_update(owner());
         // Request extends past the updated range.
         assert!(c.read(owner(), 512, 64).is_none());
     }
@@ -233,7 +222,8 @@ mod tests {
     fn invalidate_makes_range_stale() {
         let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
-        c.complete_update(owner(), 512, &[1u8; 128]);
+        c.install(owner(), 512, &[1u8; 128]);
+        c.finish_update(owner());
         c.invalidate(owner(), 544, 32);
         assert!(c.read(owner(), 512, 128).is_none());
         // Adjacent untouched range still hits.
@@ -246,7 +236,8 @@ mod tests {
         // update leaves the host copy stale — and the cache serves it.
         let c = SwCache::new(&Registry::new());
         c.begin_update(owner());
-        c.complete_update(owner(), 512, &[0xAA; 32]);
+        c.install(owner(), 512, &[0xAA; 32]);
+        c.finish_update(owner());
         // Device memory changed to 0xBB, but no update was issued:
         assert_eq!(c.read(owner(), 512, 32).unwrap(), vec![0xAA; 32]);
     }
@@ -258,14 +249,15 @@ mod tests {
         c.begin_update(owner());
         let (c2, s2) = (c.clone(), sim.clone());
         sim.spawn_named("reader", async move {
-            c2.wait_settled(owner()).await;
+            c2.wait_range_or_settled(owner(), 0, 8).await;
             assert_eq!(s2.now(), 400);
             assert!(c2.read(owner(), 0, 8).is_some());
         });
         let s = sim.clone();
         sim.spawn_named("dma", async move {
             s.delay(400).await;
-            c.complete_update(owner(), 0, &[3u8; 8]);
+            c.install(owner(), 0, &[3u8; 8]);
+            c.finish_update(owner());
         });
         sim.run().unwrap();
     }
@@ -276,7 +268,8 @@ mod tests {
         let a = GlobalCore::new(0, 0);
         let b = GlobalCore::new(1, 0);
         c.begin_update(a);
-        c.complete_update(a, 0, &[1; 16]);
+        c.install(a, 0, &[1; 16]);
+        c.finish_update(a);
         assert!(c.read(a, 0, 16).is_some());
         assert!(c.read(b, 0, 16).is_none());
         assert!(!c.has_pending(a));

@@ -195,11 +195,6 @@ impl Vscc {
         &self.trace
     }
 
-    /// The invariant monitors installed on every device.
-    pub fn monitors(&self) -> &Rc<Monitors> {
-        &self.monitors
-    }
-
     /// Invariant violations recorded so far (always empty when
     /// `monitor_fail_fast` is on — those panic instead).
     pub fn violations(&self) -> Vec<crate::monitor::Violation> {
@@ -243,14 +238,9 @@ impl Vscc {
     /// ([`des::obs::DEFAULT_CADENCE`] unless a sweep says otherwise).
     /// Call it *after* building the session:
     /// selection is resolved at spawn time, so `rcce.*` metrics (which
-    /// register with the session) are only tracked once they exist. The
-    /// returned series also tracks the global byte-pool occupancy as
-    /// `bytes.pool.free_buffers` (a thread-local gauge that must stay out
-    /// of the registry — the pool outlives any single run).
+    /// register with the session) are only tracked once they exist.
     pub fn spawn_sampler(&self, cadence: Cycles) -> des::obs::TimeSeries {
-        let ts = des::obs::TimeSeries::spawn(&self.sim, &self.metrics, cadence);
-        ts.track_gauge("bytes.pool.free_buffers", &des::bytes::global_pool_free_gauge());
-        ts
+        des::obs::TimeSeries::spawn(&self.sim, &self.metrics, cadence)
     }
 
     /// A session over every alive core.

@@ -28,8 +28,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::rc::{Rc, Weak};
 
-use crate::stats::Gauge;
-
 /// Smallest pooled class (covers flag bytes and MPB lines).
 const MIN_CLASS_BYTES: usize = 32;
 /// Largest pooled class; bigger buffers fall back to plain allocation.
@@ -63,11 +61,6 @@ struct PoolState {
     hits: u64,
     misses: u64,
     returned: u64,
-    /// Live mirror of the total parked free-list depth, for the
-    /// time-series sampler ([`Pool::free_gauge`]). Never registered in a
-    /// metrics registry: pool state is thread-local and persists across
-    /// runs on one thread, so it would break snapshot determinism.
-    free_gauge: Gauge,
 }
 
 /// Pool usage counters (host-side only; never feed the virtual clock).
@@ -107,7 +100,6 @@ impl Pool {
                 hits: 0,
                 misses: 0,
                 returned: 0,
-                free_gauge: Gauge::new(),
             })),
         }
     }
@@ -121,7 +113,6 @@ impl Pool {
                 match st.free[idx].pop() {
                     Some(buf) => {
                         st.hits += 1;
-                        st.free_gauge.sub(1);
                         buf
                     }
                     None => {
@@ -168,13 +159,6 @@ impl Pool {
     pub fn free_buffers(&self) -> usize {
         self.state.borrow().free.iter().map(Vec::len).sum()
     }
-
-    /// A live [`Gauge`] mirroring [`Pool::free_buffers`], for the
-    /// time-series sampler ([`crate::obs::TimeSeries::track_gauge`]).
-    /// Deliberately *not* registry material — see the field docs.
-    pub fn free_gauge(&self) -> Gauge {
-        self.state.borrow().free_gauge.clone()
-    }
 }
 
 fn return_to_pool(pool: &Weak<RefCell<PoolState>>, data: &mut Vec<u8>) {
@@ -190,7 +174,6 @@ fn return_to_pool(pool: &Weak<RefCell<PoolState>>, data: &mut Vec<u8>) {
                 if st.free[idx].len() < MAX_FREE_PER_CLASS {
                     st.returned += 1;
                     st.free[idx].push(std::mem::take(data));
-                    st.free_gauge.add(1);
                 }
             }
         }
@@ -217,12 +200,6 @@ pub fn pooled_with_capacity(cap: usize) -> BytesMut {
 /// Copy `src` into a thread-local pooled buffer and freeze it.
 pub fn pooled_copy(src: &[u8]) -> Bytes {
     GLOBAL_POOL.with(|p| p.copy(src))
-}
-
-/// Free-buffer gauge of the thread-local global pool (see
-/// [`Pool::free_gauge`]).
-pub fn global_pool_free_gauge() -> Gauge {
-    GLOBAL_POOL.with(|p| p.free_gauge())
 }
 
 /// Shared storage. Dropping the last `Rc` returns the chunk to its pool.

@@ -157,10 +157,6 @@ struct Inner {
     /// Previous sample instant (the left edge of the current window).
     last_t: Cell<Cycles>,
     samples: Cell<u64>,
-    /// Set at the first sample; tracked instruments must all be
-    /// attached before it (a series appearing mid-run would have a
-    /// meaningless first delta).
-    sealed: Cell<bool>,
     /// The sampler's own footprint, under `obs.sampler.*`.
     samples_taken: Counter,
 }
@@ -232,7 +228,6 @@ impl TimeSeries {
                 series: RefCell::new(series),
                 last_t: Cell::new(now),
                 samples: Cell::new(0),
-                sealed: Cell::new(false),
                 samples_taken,
             }),
         }
@@ -255,29 +250,7 @@ impl TimeSeries {
         ts
     }
 
-    /// Track a gauge that lives *outside* the registry (e.g. the
-    /// thread-local byte-pool gauge, which must stay out of snapshots
-    /// because its state persists across runs on one thread). Only
-    /// valid before the first sample.
-    pub fn track_gauge(&self, name: &str, g: &Gauge) {
-        assert!(
-            !self.inner.sealed.get(),
-            "cannot track {name:?}: the sampler already took a sample"
-        );
-        let mut series = self.inner.series.borrow_mut();
-        assert!(series.iter().all(|s| s.name != name), "series {name:?} tracked twice");
-        series.push(Series {
-            name: name.to_string(),
-            kind: SeriesKind::Level,
-            source: Source::Gauge(g.clone()),
-            last: Cell::new(0),
-            last_buckets: RefCell::new(Vec::new()),
-            points: RefCell::new(Vec::new()),
-        });
-    }
-
     fn sample_inner(inner: &Inner, now: Cycles) {
-        inner.sealed.set(true);
         let interval = now - inner.last_t.get();
         for s in inner.series.borrow().iter() {
             s.sample(now, interval);
@@ -601,26 +574,6 @@ mod tests {
         let ts = TimeSeries::manual(0, &reg, 10);
         let names: Vec<String> = ts.series().into_iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["pcie.bytes", "scc.writes"]);
-    }
-
-    #[test]
-    fn tracked_externals_join_until_sealed() {
-        let reg = Registry::new();
-        let ts = TimeSeries::manual(0, &reg, 10);
-        let pool = Gauge::new();
-        pool.set(5);
-        ts.track_gauge("bytes.pool.free_buffers", &pool);
-        ts.sample_now(10);
-        assert_eq!(ts.series()[0].points[0], (10, PointValue::Level(5)));
-    }
-
-    #[test]
-    #[should_panic(expected = "already took a sample")]
-    fn tracking_after_first_sample_panics() {
-        let reg = Registry::new();
-        let ts = TimeSeries::manual(0, &reg, 10);
-        ts.sample_now(10);
-        ts.track_gauge("late", &Gauge::new());
     }
 
     #[test]

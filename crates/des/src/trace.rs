@@ -338,14 +338,6 @@ impl Trace {
         self.inner.is_some()
     }
 
-    /// Whether events of `cat` are being collected.
-    pub fn enabled_for(&self, cat: Category) -> bool {
-        match &self.inner {
-            Some(inner) => inner.mask & cat.bit() != 0,
-            None => false,
-        }
-    }
-
     /// Intern an actor name, returning the shared `Rc<str>` for it.
     ///
     /// Hot call sites cache this once and return clones of it from
@@ -472,7 +464,6 @@ mod tests {
         );
         assert!(t.events().is_empty());
         assert!(!t.is_enabled());
-        assert!(!t.enabled_for(Category::App));
     }
 
     #[test]
@@ -490,8 +481,6 @@ mod tests {
     #[test]
     fn category_filter_drops_and_skips() {
         let t = Trace::with_categories(&[Category::Pcie]);
-        assert!(t.enabled_for(Category::Pcie));
-        assert!(!t.enabled_for(Category::Protocol));
         t.instant(
             1,
             Category::Protocol,

@@ -1,4 +1,4 @@
-//! L1 cache model for MPBT-typed data, and the write-combining buffer.
+//! L1 cache model for MPBT-typed data.
 //!
 //! The SCC has no cache coherence: a core that cached an MPB line keeps
 //! serving the *stale* copy until it executes `CL1INVMB`. This model keeps
@@ -7,8 +7,7 @@
 //! produces wrong data in tests, exactly like on the machine.
 //!
 //! Policy, per the EAS: MPBT lines are cacheable in L1 only, write-through,
-//! no write-allocate; a one-line write-combining buffer (WCB) merges
-//! consecutive stores to the same 32 B line.
+//! no write-allocate.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -243,50 +242,6 @@ impl L1Model {
     }
 }
 
-/// One-line write-combining buffer.
-///
-/// Counts how many *transactions* a sequence of stores costs: stores to the
-/// line currently held merge for free; touching a different line flushes.
-/// This is the mechanism the paper exploits to program the vDMA controller's
-/// three registers with a single fused 32 B write (§3.3, Fig. 5).
-#[derive(Default)]
-pub struct Wcb {
-    current: RefCell<Option<LineKey>>,
-    transactions: Counter,
-    merged: Counter,
-}
-
-impl Wcb {
-    /// Empty WCB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a store to `key`; returns `true` if it merged into the
-    /// pending line (no new transaction).
-    pub fn store(&self, key: LineKey) -> bool {
-        let mut cur = self.current.borrow_mut();
-        if *cur == Some(key) {
-            self.merged.inc();
-            true
-        } else {
-            *cur = Some(key);
-            self.transactions.inc();
-            false
-        }
-    }
-
-    /// Explicit flush (e.g. before a synchronizing flag write).
-    pub fn flush(&self) {
-        *self.current.borrow_mut() = None;
-    }
-
-    /// (transactions, merged stores) so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.transactions.get(), self.merged.get())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,24 +366,5 @@ mod tests {
         assert_eq!(s.runs().collect::<Vec<_>>(), [0..1, 60..131, 255..256]);
         let holes = all.zip(s, |a, b| a & !b);
         assert_eq!(holes.runs().collect::<Vec<_>>(), [1..60, 131..255]);
-    }
-
-    #[test]
-    fn wcb_merges_same_line() {
-        let w = Wcb::new();
-        assert!(!w.store(key(0, 5))); // new transaction
-        assert!(w.store(key(0, 5))); // merged
-        assert!(w.store(key(0, 5))); // merged
-        assert!(!w.store(key(0, 6))); // different line: flush + new
-        assert_eq!(w.stats(), (2, 2));
-    }
-
-    #[test]
-    fn wcb_flush_forces_new_transaction() {
-        let w = Wcb::new();
-        w.store(key(0, 1));
-        w.flush();
-        assert!(!w.store(key(0, 1)));
-        assert_eq!(w.stats().0, 2);
     }
 }

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use des::bytes::{pooled, pooled_copy};
 use des::{Cycles, Sim};
 
-use crate::cache::{L1Model, Wcb};
+use crate::cache::L1Model;
 use crate::device::SccDevice;
 use crate::geometry::{GlobalCore, MpbAddr};
 use crate::remote::RegisterLine;
@@ -36,7 +36,6 @@ pub struct CoreHandle {
     /// This core's identity.
     pub who: GlobalCore,
     l1: L1Model,
-    wcb: Wcb,
 }
 
 impl CoreHandle {
@@ -47,7 +46,6 @@ impl CoreHandle {
             device: device.clone(),
             who: device.global(core),
             l1: L1Model::new(),
-            wcb: Wcb::new(),
         }
     }
 
@@ -218,11 +216,9 @@ impl CoreHandle {
         self.sim.delay(self.device.cost.cl1invmb).await;
     }
 
-    /// Write a one-byte synchronization flag at `addr`. Flushes the WCB
-    /// first (a flag write must not linger in the combine buffer). `flow`
-    /// tags the message, as for [`CoreHandle::put`].
+    /// Write a one-byte synchronization flag at `addr`. `flow` tags the
+    /// message, as for [`CoreHandle::put`].
     pub async fn flag_write(&self, addr: MpbAddr, value: u8, flow: Option<u64>) {
-        self.wcb.flush();
         let cost = &self.device.cost;
         if self.is_local_device(addr) {
             let c = cost.mpb_line_cost(self.who.core.tile(), addr.owner.core.tile(), true)
@@ -258,8 +254,6 @@ impl CoreHandle {
     /// transaction (§3.3, Fig. 5); cost model: one local store plus the
     /// fabric's posted-write cost.
     pub async fn mmio_write_fused(&self, line: u16, data: [u8; LINE_BYTES]) {
-        self.wcb.store((self.who, line));
-        self.wcb.flush();
         self.sim.delay(self.device.cost.mpb_local_write + self.device.cost.op_overhead).await;
         self.device.fabric().mmio_write(RegisterLine { src: self.who, line, data }).await;
     }
@@ -269,7 +263,6 @@ impl CoreHandle {
     /// bench. Each store is its own fabric transaction.
     pub async fn mmio_write_discrete(&self, line: u16, data: [u8; LINE_BYTES]) {
         for i in 0..3u16 {
-            self.wcb.flush();
             self.sim.delay(self.device.cost.mpb_local_write + self.device.cost.op_overhead).await;
             // Each partial store travels as a full register-line update.
             self.device

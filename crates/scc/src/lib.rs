@@ -14,7 +14,10 @@
 //! (every access is charged a calibrated cycle cost; memory-controller and
 //! off-chip ports are contended FIFO resources), except the test-and-set
 //! registers: no protocol of the RCCE port uses them (its send and receive
-//! locks are simulated per-UE mutexes). Cross-device traffic is delegated
+//! locks are simulated per-UE mutexes), and the write-combining buffer,
+//! whose one use here, fusing the vDMA register writes into one 32 B line,
+//! [`CoreHandle::mmio_write_fused`] charges directly. Cross-device traffic
+//! is delegated
 //! through the [`remote::RemoteFabric`] trait, implemented by the PCIe/host
 //! layers.
 

@@ -11,7 +11,9 @@ cargo fmt --all -- --check
 rustfmt --edition 2021 --check crates/bench/benches/*.rs
 
 echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+# --locked here and on the workspace tests: a manifest edit that leaves
+# Cargo.lock stale fails the gate instead of being rewritten silently.
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== benchmark compile (the repository benchmark is its own workspace) =="
 # crates/bench/examples/vscc_benchmark builds against the library crates'
@@ -33,7 +35,7 @@ echo "== cargo bench --no-run (figure/table harnesses must keep building) =="
 cargo bench --workspace --no-run
 
 echo "== cargo test =="
-cargo test --workspace -q
+cargo test --locked --workspace -q
 
 echo "== chaos smoke (fixed-seed fault plan, recovery end to end) =="
 cargo test -q --test chaos smoke_fixed_seed

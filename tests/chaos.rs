@@ -89,7 +89,7 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
             + rstats.prefetch_retries.get(),
         demotions: rstats.demotions.get(),
         fallback_writes: rstats.fallback_writes.get(),
-        demoted_pairs: v.host.demoted_pairs().len(),
+        demoted_pairs: v.host.health.fallback_pairs().len(),
         promotions: v.host.health.promotions.get(),
         end: sim.now(),
         result,
@@ -209,6 +209,51 @@ fn lossy_pair_is_demoted_to_the_host_acked_path() {
     );
 }
 
+/// A demoted pair's fallback write is a host-acked forward like the
+/// local-put schemes' direct write: the commtask's answer sits in a
+/// `classify` span on the sender's `commtask-d<N>` track, opening as the
+/// write's `pcie_wire` span closes, so `des::critpath` files those cycles
+/// under `classify` and not under the sender's put.
+#[test]
+fn fallback_writes_charge_their_answer_to_classify() {
+    let r = pingpong_chaos(
+        CommScheme::RemotePutHwAck,
+        &format!("seed=12,ackloss=0.05,recovery=on,{WATCHDOG}"),
+        7680,
+        8,
+    );
+    assert!(r.fallback_writes > 0, "the plan must demote the pair and route writes around it");
+    let events = r.trace.events();
+    // Under hw-ack the posted stream's `pcie_wire` spans carry
+    // `lost_acks`; the fallback's are the only ones without it.
+    let wires: Vec<usize> = (0..events.len())
+        .filter(|&i| {
+            let e = &events[i];
+            e.kind == "pcie_wire"
+                && e.phase == SpanPhase::Begin
+                && !e.fields.iter().any(|(k, _)| *k == "lost_acks")
+        })
+        .collect();
+    assert_eq!(wires.len() as u64, r.fallback_writes, "one wire span per fallback write");
+    for i in wires {
+        let begin = &events[i];
+        assert!(begin.actor.starts_with("commtask-d"), "fallback wire on {}", begin.actor);
+        let same_hop = |e: &des::trace::TraceEvent| e.actor == begin.actor && e.flow == begin.flow;
+        let end = events[i..]
+            .iter()
+            .find(|e| e.kind == "pcie_wire" && e.phase == SpanPhase::End && same_hop(e))
+            .expect("every fallback wire span closes");
+        let answered = events.iter().any(|e| {
+            e.kind == "classify" && e.phase == SpanPhase::Begin && e.time == end.time && same_hop(e)
+        });
+        assert!(
+            answered,
+            "flow {:?}: fallback write at {} has no classify span on {}",
+            begin.flow, begin.time, begin.actor
+        );
+    }
+}
+
 /// The self-healing property (DESIGN.md §5h): a pair demoted during an
 /// ack-loss storm that *ends* (phase-bounded plan) is probed back to
 /// Healthy once the plan goes quiet — zero demoted pairs at the end of
@@ -266,9 +311,9 @@ fn demoted_pair_heals_after_the_storm_ends() {
         assert!(v.host.rstats.demotions.get() >= 1, "the storm must demote the pair");
         assert!(v.host.health.promotions.get() >= 1, "a probe must re-promote the pair");
         assert!(
-            v.host.demoted_pairs().is_empty(),
+            v.host.health.fallback_pairs().is_empty(),
             "no pair may stay demoted once the plan is quiet, got {:?}",
-            v.host.health_states()
+            v.host.health.states()
         );
         (audit.to_json(), sim.now())
     };
@@ -355,8 +400,8 @@ fn faulty_runs_are_byte_identical_across_reruns() {
 /// Audit determinism under fault plans: a seeded corruption plan and a
 /// storm plan (phase-bounded ack-loss burst plus corruption) must each
 /// produce the same virtual clock and a byte-identical audited export
-/// when run twice. Each run renders on a dedicated thread, so both
-/// start from fresh chunk-pool state.
+/// when run twice. Each run renders on a dedicated thread because the
+/// audit sink is thread-local.
 #[test]
 fn faulty_audited_exports_are_identical_across_reruns() {
     fn audited_run(scheme: CommScheme, spec: String, size: usize) -> (u64, String) {

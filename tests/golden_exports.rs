@@ -56,35 +56,24 @@ fn render_exports() -> (String, String) {
 }
 
 /// The time-series export golden: the two headline schemes,
-/// sampled at the default cadence. Rendered on a dedicated thread
-/// because the pool-occupancy series reads the thread-local chunk pool
-/// — a fresh thread pins its starting state.
+/// sampled at the default cadence.
 fn render_timeseries() -> String {
-    std::thread::spawn(|| {
-        let mut out = String::new();
-        for (name, scheme) in [
-            ("local_put_remote_get", CommScheme::LocalPutRemoteGet),
-            ("local_put_local_get", CommScheme::LocalPutLocalGet),
-        ] {
-            let (point, _, _, ts) = vscc_apps::pingpong::interdevice_sampled(
-                scheme,
-                8192,
-                1,
-                des::obs::DEFAULT_CADENCE,
-            );
-            out.push_str(&format!("=== {name} size=8192 cycles={} ===\n", point.cycles));
-            out.push_str(&ts.to_json());
-        }
-        out
-    })
-    .join()
-    .expect("render thread")
+    let mut out = String::new();
+    for (name, scheme) in [
+        ("local_put_remote_get", CommScheme::LocalPutRemoteGet),
+        ("local_put_local_get", CommScheme::LocalPutLocalGet),
+    ] {
+        let (point, _, _, ts) =
+            vscc_apps::pingpong::interdevice_sampled(scheme, 8192, 1, des::obs::DEFAULT_CADENCE);
+        out.push_str(&format!("=== {name} size=8192 cycles={} ===\n", point.cycles));
+        out.push_str(&ts.to_json());
+    }
+    out
 }
 
 /// The audit export golden: the two headline schemes audited at
 /// the default epoch cadence. Rendered on a dedicated thread because
-/// the audit sink is thread-local and the runs must start from a fresh
-/// chunk-pool state, exactly like the time-series golden.
+/// the audit sink is thread-local.
 fn render_audit() -> String {
     std::thread::spawn(|| {
         let mut out = String::new();

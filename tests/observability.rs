@@ -196,27 +196,17 @@ fn rebuilt_protocols_share_one_registrys_metrics() {
 
 #[test]
 fn timeseries_export_is_byte_identical_across_runs() {
-    // The pool-occupancy gauge reads the thread-local chunk pool, whose
-    // state persists across runs within a thread — byte-identity is
-    // defined per fresh thread, which is how the benches run too.
     let run = || {
-        std::thread::spawn(|| {
-            let (_, trace, _, ts) = pingpong::interdevice_sampled(
-                CommScheme::LocalPutLocalGet,
-                8192,
-                2,
-                des::obs::DEFAULT_CADENCE,
-            );
-            (
-                ts.to_json(),
-                des::obs::chrome_trace_json_with_tracks(
-                    &[("pingpong", &trace)],
-                    &[("pingpong", &ts)],
-                ),
-            )
-        })
-        .join()
-        .expect("run thread")
+        let (_, trace, _, ts) = pingpong::interdevice_sampled(
+            CommScheme::LocalPutLocalGet,
+            8192,
+            2,
+            des::obs::DEFAULT_CADENCE,
+        );
+        (
+            ts.to_json(),
+            des::obs::chrome_trace_json_with_tracks(&[("pingpong", &trace)], &[("pingpong", &ts)]),
+        )
     };
     let (ts_a, trace_a) = run();
     let (ts_b, trace_b) = run();
@@ -227,7 +217,6 @@ fn timeseries_export_is_byte_identical_across_runs() {
         "pcie.link0.egress.busy_cycles",
         "vscc.window.vdma_send.bytes",
         "host.commtask.d0.busy_cycles",
-        "bytes.pool.free_buffers",
     ] {
         assert!(ts_a.contains(name), "{name} missing from the time-series export");
         assert!(trace_a.contains(name), "{name} missing from the trace counter tracks");

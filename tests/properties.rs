@@ -250,7 +250,8 @@ proptest! {
             let off = (*off).min(scc::MPB_BYTES - *len);
             let data = vec![i as u8 + 1; *len];
             cache.begin_update(owner);
-            cache.complete_update(owner, off as u16, &data);
+            cache.install(owner, off as u16, &data);
+            cache.finish_update(owner);
             shadow[off..off + len].copy_from_slice(&data);
             valid[off..off + len].fill(true);
         }
