@@ -1,6 +1,6 @@
 //! Golden-file regression for the observability exports on the fig6b
 //! workload (inter-device ping-pong, every scheme), plus the Fig. 2
-//! on-chip protocol timelines.
+//! on-chip protocol timelines and the critical-path tables of both.
 //!
 //! The zero-copy payload plane (and any future data-path change) must
 //! not perturb virtual time or metrics: a clean run's Chrome-trace and
@@ -99,33 +99,65 @@ fn render_audit() -> String {
 }
 
 /// Fig. 2's two runs: one 16 KiB on-chip message under RCCE blocking and
-/// under iRCCE pipelined, rendered as text timelines. The fig6b goldens
-/// cover cross-device pairs only, so this is what pins the on-chip
-/// protocols' hops.
-fn render_onchip_timelines() -> String {
+/// under iRCCE pipelined, each with its completion cycle and trace. The
+/// fig6b goldens cover cross-device pairs only, so these are what pin
+/// the on-chip protocols' hops.
+fn onchip_runs() -> Vec<(&'static str, usize, u64, Trace)> {
     let size = 16 * 1024;
-    let mut out = String::new();
-    for (name, pipelined) in [("blocking", false), ("pipelined", true)] {
-        let sim = Sim::new();
-        let dev = SccDevice::new(&sim, DeviceId(0));
-        let mut b = SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace(Trace::enabled());
-        if pipelined {
-            b = b.onchip_protocol(Rc::new(PipelinedProtocol::default()));
-        }
-        let s = b.build();
-        s.run_app(move |r| async move {
-            if r.id() == 0 {
-                r.send(&vec![7u8; size], 1).await;
-            } else {
-                let mut buf = vec![0u8; size];
-                r.recv(&mut buf, 0).await;
+    [("blocking", false), ("pipelined", true)]
+        .into_iter()
+        .map(|(name, pipelined)| {
+            let sim = Sim::new();
+            let dev = SccDevice::new(&sim, DeviceId(0));
+            let mut b =
+                SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace(Trace::enabled());
+            if pipelined {
+                b = b.onchip_protocol(Rc::new(PipelinedProtocol::default()));
             }
+            let s = b.build();
+            s.run_app(move |r| async move {
+                if r.id() == 0 {
+                    r.send(&vec![7u8; size], 1).await;
+                } else {
+                    let mut buf = vec![0u8; size];
+                    r.recv(&mut buf, 0).await;
+                }
+            })
+            .expect("protocol run");
+            (name, size, sim.now(), s.trace())
         })
-        .expect("protocol run");
-        out.push_str(&format!("=== {name} size={size} cycles={} ===\n", sim.now()));
-        out.push_str(&s.trace().render());
+        .collect()
+}
+
+/// Fig. 2's runs rendered as text timelines.
+fn render_onchip_timelines() -> String {
+    let mut out = String::new();
+    for (name, size, cycles, trace) in onchip_runs() {
+        out.push_str(&format!("=== {name} size={size} cycles={cycles} ===\n"));
+        out.push_str(&trace.render());
     }
     out
+}
+
+/// The critical-path golden: each fig6b export run's and each Fig. 2
+/// run's whole-run phase attribution over `[0, cycles]`, as
+/// `critpath::render_table` prints it.
+fn render_critpath() -> String {
+    let mut rows = Vec::new();
+    for (name, scheme) in SCHEMES {
+        for size in SIZES {
+            let (point, trace, _) = vscc_apps::pingpong::interdevice_observed(scheme, size, 1);
+            let attr = des::critpath::run_attribution(&trace, 0, point.cycles);
+            rows.push((format!("{name} size={size}"), attr));
+        }
+    }
+    for (name, size, cycles, trace) in onchip_runs() {
+        rows.push((
+            format!("{name} size={size}"),
+            des::critpath::run_attribution(&trace, 0, cycles),
+        ));
+    }
+    des::critpath::render_table("run", &rows)
 }
 
 fn goldens_dir() -> PathBuf {
@@ -152,6 +184,11 @@ fn interdevice_audit_export_matches_golden() {
 #[test]
 fn onchip_protocol_timelines_match_golden() {
     assert_matches_golden("timeline", "fig2_onchip_timelines.txt", &render_onchip_timelines());
+}
+
+#[test]
+fn critpath_tables_match_golden() {
+    assert_matches_golden("critpath", "fig6b_critpath.txt", &render_critpath());
 }
 
 /// Compare `got` with the golden `file` (or rewrite it under
