@@ -484,7 +484,7 @@ impl PointToPoint for VdmaProtocol {
                 let n = packets.len();
                 let mut last_gseq = 0u8;
                 for (p0, (lo, hi)) in packets.enumerate() {
-                    let seq = base.wrapping_add(p0 as u8 + 1);
+                    let seq = base.wrapping_add((p0 + 1) as u8);
                     // Wait for the receiver's slot grant (double-buffered),
                     // then until the controller drained the slot we are
                     // about to overwrite (§3.3: "a core spins on a flag
@@ -576,7 +576,7 @@ impl PointToPoint for VdmaProtocol {
                 let granted = base.wrapping_add(n.min(2) as u8);
                 ctx.core.flag_write(layout::ready_flag(peer, me), granted, f).await;
                 for (p0, (lo, hi)) in packets.enumerate() {
-                    let seq = base.wrapping_add(p0 as u8 + 1);
+                    let seq = base.wrapping_add((p0 + 1) as u8);
                     // The vDMA controller raises my sent flag on delivery.
                     hop!(ctx, "recv_poll", f, [flag = "sent", pkt = p0], {
                         flag_wait_reached(ctx, layout::sent_flag(my, src), seq).await;
@@ -590,7 +590,7 @@ impl PointToPoint for VdmaProtocol {
                     });
                     if p0 + 3 <= n {
                         // Re-grant the slot just freed.
-                        let regrant = base.wrapping_add(p0 as u8 + 3);
+                        let regrant = base.wrapping_add((p0 + 3) as u8);
                         ctx.core.flag_write(layout::ready_flag(peer, me), regrant, f).await;
                     }
                 }

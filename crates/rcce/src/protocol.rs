@@ -351,7 +351,7 @@ impl PointToPoint for PipelinedProtocol {
                 hop!(ctx, "sender_put", f, [pkt = p, bytes = hi - lo, slot = p % 2], {
                     ctx.core.put(self.slot_addr(my, p % PIPELINE_SLOTS), &data[lo..hi], f).await;
                 });
-                let cnt = base.wrapping_add(p as u8 + 1);
+                let cnt = base.wrapping_add((p + 1) as u8);
                 ctx.core.flag_write(layout::sent_flag(peer, me), cnt, f).await;
             }
             let total = base.wrapping_add(n_packets as u8);
@@ -386,7 +386,7 @@ impl PointToPoint for PipelinedProtocol {
             let n_packets = ranges.len();
             let f = Some(flow);
             for (p, (lo, hi)) in ranges.enumerate() {
-                let cnt = base.wrapping_add(p as u8 + 1);
+                let cnt = base.wrapping_add((p + 1) as u8);
                 hop!(ctx, "recv_poll", f, [flag = "sent", pkt = p], {
                     flag_wait_reached(ctx, layout::sent_flag(my, src), cnt).await;
                 });

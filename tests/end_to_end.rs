@@ -156,6 +156,42 @@ fn pipelined_onchip_with_vdma_interdevice() {
     assert!(out.iter().all(|&ok| ok));
 }
 
+/// Packet sequence numbers are one-byte wrapping flag counters, so a
+/// message of 256 or more packets must wrap them rather than overflow.
+/// 512 KiB is 274 vDMA packets of 1,920 B; 491,520 B is 256 packets of
+/// the pipelined protocol's 1,920 B slots, confined on a multi-device
+/// system.
+#[test]
+fn messages_of_256_packets_and_more_wrap_their_sequence_counters() {
+    let round_trip = |onchip: OnchipProtocol, cores_per_device: usize, size: usize| {
+        let sim = Sim::new();
+        let v =
+            VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutLocalGet).onchip(onchip).build();
+        let s = v.session_builder().cores_per_device(cores_per_device).build();
+        s.run_app(move |r| async move {
+            if r.id() > 1 {
+                return true;
+            }
+            let msg: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+            if r.id() == 0 {
+                r.send(&msg, 1).await;
+                r.recv_vec(size, 1).await == msg
+            } else {
+                let echo = r.recv_vec(size, 0).await;
+                r.send(&echo, 0).await;
+                echo == msg
+            }
+        })
+        .unwrap()
+    };
+    // Ranks 0 and 1 on different devices: the vDMA path.
+    let vdma = round_trip(OnchipProtocol::Blocking, 1, 512 * 1024);
+    assert!(vdma.iter().all(|&ok| ok), "512 KiB vDMA round trip corrupted: {vdma:?}");
+    // Ranks 0 and 1 on one device: the confined pipelined path.
+    let onchip = round_trip(OnchipProtocol::Pipelined, 2, 491_520);
+    assert!(onchip.iter().all(|&ok| ok), "491,520 B pipelined round trip corrupted: {onchip:?}");
+}
+
 #[test]
 fn whole_system_runs_are_deterministic() {
     let run = || {
