@@ -910,11 +910,16 @@ impl RemoteFabric for HostSide {
                     // packet path (no host-DMA penalty).
                     last_arrival = rport.ingress.reserve(&sim, (hi - lo) as u64);
                 }
-                self.trace.begin(wire_start, Category::Pcie, "pcie_wire", flow, actor, || {
-                    fields![bytes = len as u64]
-                });
                 sim.delay_until(last_arrival).await;
-                self.trace.end(sim.now(), Category::Pcie, "pcie_wire", flow, actor);
+                self.trace.span(
+                    wire_start,
+                    sim.now(),
+                    Category::Pcie,
+                    "pcie_wire",
+                    flow,
+                    actor,
+                    || fields![bytes = len as u64],
+                );
                 out.freeze()
             } else {
                 // Transparent routing: one blocking round trip per line.

@@ -1,24 +1,22 @@
 //! Critical-path reconstruction: where did each message's cycles go?
 //!
-//! The trace records *hops* (spans tagged with a flow id); this module
-//! folds them back into per-message timelines and attributes every cycle
-//! of end-to-end latency to a named [`Phase`]. Attribution is exact by
-//! construction: the window is cut at every span boundary into elementary
-//! segments, each segment is charged to the highest-priority phase active
-//! in it (gaps go to [`Phase::Other`]), so the per-phase cycles always
-//! sum to the window length. That is what lets the fig2/fig6b benches
-//! print tables whose rows add up to the measured latency whenever
-//! `VSCC_OBS` is set, and the run report (`crate::obs::report`) attribute
-//! each exported process's whole run.
+//! The trace records *hops* as spans, each one record with its start and
+//! end; this module attributes every cycle of a window to a named
+//! [`Phase`]. Attribution is exact by construction: the window is cut at
+//! every span boundary into elementary segments, each segment is charged
+//! to the highest-priority phase active in it (gaps go to
+//! [`Phase::Other`]), so the per-phase cycles always sum to the window
+//! length. That is what lets the fig2/fig6b benches print tables whose
+//! rows add up to the measured latency whenever `VSCC_OBS` is set, and
+//! the run report (`crate::obs::report`) attribute each exported
+//! process's whole run.
 //!
 //! The phase vocabulary is defined here, in the engine crate, so the
 //! protocol layers above (rcce, vscc) and the consumers below (benches,
 //! tests) agree on span kind names without depending on each other.
 
-use std::collections::BTreeMap;
-
 use crate::time::Cycles;
-use crate::trace::{SpanPhase, Trace, TraceEvent};
+use crate::trace::Trace;
 
 /// A named latency phase of a message's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,54 +148,8 @@ impl Attribution {
     }
 }
 
-/// One message's reconstructed timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowTimeline {
-    /// The flow id shared by all of the message's hops.
-    pub flow: u64,
-    /// Time of the first traced hop.
-    pub start: Cycles,
-    /// Time of the last traced hop.
-    pub end: Cycles,
-    /// Per-phase latency attribution; `total() == end - start`.
-    pub attribution: Attribution,
-}
-
 /// A phase-tagged closed interval.
 type Interval = (Cycles, Cycles, Phase);
-
-/// Match begin/end pairs into intervals. Spans nest per (actor, kind)
-/// like a call stack; unmatched begins are closed at `close_at`.
-fn intervals_from_events<'a>(
-    events: impl Iterator<Item = &'a TraceEvent>,
-    close_at: Cycles,
-) -> Vec<Interval> {
-    let mut open: BTreeMap<(&str, &str), Vec<Cycles>> = BTreeMap::new();
-    let mut out = Vec::new();
-    for e in events {
-        let Some(phase) = phase_of_kind(e.kind) else { continue };
-        match e.phase {
-            SpanPhase::Begin => {
-                open.entry((&*e.actor, e.kind)).or_default().push(e.time);
-            }
-            SpanPhase::End => {
-                if let Some(t0) = open.get_mut(&(&*e.actor, e.kind)).and_then(Vec::pop) {
-                    out.push((t0, e.time, phase));
-                }
-            }
-            SpanPhase::Instant => {}
-        }
-    }
-    for ((_actor, kind), stack) in open {
-        let phase = phase_of_kind(kind).expect("only vocabulary kinds are stacked");
-        for t0 in stack {
-            if t0 < close_at {
-                out.push((t0, close_at, phase));
-            }
-        }
-    }
-    out
-}
 
 /// Attribute the window `[start, end]` over `intervals`: every elementary
 /// segment goes to the highest-priority active phase, gaps to
@@ -246,32 +198,13 @@ fn winner(active: &[i64; PHASE_COUNT]) -> usize {
         .index()
 }
 
-/// Reconstruct every flow's timeline from `trace`, sorted by flow id.
-pub fn flow_timelines(trace: &Trace) -> Vec<FlowTimeline> {
-    trace.with_events(|events| {
-        let mut by_flow: BTreeMap<u64, Vec<&TraceEvent>> = BTreeMap::new();
-        for e in events {
-            if let Some(flow) = e.flow {
-                by_flow.entry(flow).or_default().push(e);
-            }
-        }
-        by_flow
-            .into_iter()
-            .map(|(flow, evs)| {
-                let start = evs.iter().map(|e| e.time).min().expect("non-empty flow");
-                let end = evs.iter().map(|e| e.time).max().expect("non-empty flow");
-                let intervals = intervals_from_events(evs.into_iter(), end);
-                FlowTimeline { flow, start, end, attribution: attribute(&intervals, start, end) }
-            })
-            .collect()
-    })
-}
-
 /// Attribute a whole run's window `[start, end]` over *all* spans in the
 /// trace, flow-tagged or not. Benches pass the measured completion time
 /// as `end`, so the printed phases sum to the measured latency exactly.
 pub fn run_attribution(trace: &Trace, start: Cycles, end: Cycles) -> Attribution {
-    let intervals = trace.with_events(|events| intervals_from_events(events.iter(), end));
+    let intervals: Vec<Interval> = trace.with_events(|events| {
+        events.iter().filter_map(|e| Some((e.time, e.end?, phase_of_kind(e.kind)?))).collect()
+    });
     attribute(&intervals, start, end)
 }
 
@@ -344,38 +277,19 @@ mod tests {
     }
 
     #[test]
-    fn flow_timelines_reconstruct_per_message() {
+    fn run_attribution_reads_vocabulary_spans() {
         let t = Trace::enabled();
-        let f1 = Some(1u64);
-        let f2 = Some(2u64);
-        t.begin(0, Category::Protocol, "send_lock", f1, || "rank0", Vec::new);
-        t.end(5, Category::Protocol, "send_lock", f1, || "rank0");
-        t.begin(5, Category::Protocol, "sender_put", f1, || "rank0", Vec::new);
-        t.end(20, Category::Protocol, "sender_put", f1, || "rank0");
-        t.begin(8, Category::Protocol, "recv_poll", f2, || "rank1", Vec::new);
-        t.end(30, Category::Protocol, "recv_poll", f2, || "rank1");
-        t.instant(40, Category::Protocol, "flag_set", f1, || "rank0", Vec::new);
-        let tl = flow_timelines(&t);
-        assert_eq!(tl.len(), 2);
-        assert_eq!(tl[0].flow, 1);
-        assert_eq!((tl[0].start, tl[0].end), (0, 40));
-        assert_eq!(tl[0].attribution.get(Phase::SenderLock), 5);
-        assert_eq!(tl[0].attribution.get(Phase::SenderPut), 15);
-        assert_eq!(tl[0].attribution.get(Phase::Other), 20);
-        assert_eq!(tl[0].attribution.total(), 40);
-        assert_eq!(tl[1].flow, 2);
-        assert_eq!(tl[1].attribution.get(Phase::RecvPoll), 22);
-        assert_eq!(tl[1].attribution.total(), 22);
-    }
-
-    #[test]
-    fn unmatched_begin_closes_at_window_end() {
-        let t = Trace::enabled();
-        t.begin(10, Category::Vdma, "vdma", Some(3), || "host", Vec::new);
-        let a = run_attribution(&t, 0, 50);
-        assert_eq!(a.get(Phase::Vdma), 40);
+        t.span(0, 5, Category::Protocol, "send_lock", Some(1), || "rank0", Vec::new);
+        t.span(5, 20, Category::Protocol, "sender_put", Some(1), || "rank0", Vec::new);
+        t.span(8, 30, Category::Protocol, "recv_poll", Some(2), || "rank1", Vec::new);
+        t.span(30, 35, Category::Protocol, "not_a_phase", None, || "rank1", Vec::new);
+        t.instant(40, Category::Protocol, "flag_set", Some(1), || "rank0", Vec::new);
+        let a = run_attribution(&t, 0, 40);
+        assert_eq!(a.get(Phase::SenderLock), 5);
+        assert_eq!(a.get(Phase::RecvPoll), 22);
+        assert_eq!(a.get(Phase::SenderPut), 3);
         assert_eq!(a.get(Phase::Other), 10);
-        assert_eq!(a.total(), 50);
+        assert_eq!(a.total(), 40);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::stats::{Counter, Gauge, Log2Histogram};
-use crate::trace::{SpanPhase, Trace};
+use crate::trace::Trace;
 
 pub mod report;
 pub mod timeseries;
@@ -444,13 +444,15 @@ pub fn json_escape(s: &str) -> String {
 /// `tid`s in order of first appearance, with `process_name` /
 /// `thread_name` metadata events so the Perfetto UI shows real names.
 /// `ts` is the virtual clock in cycles (exported as microseconds purely
-/// so the UI's time axis is readable).
+/// so the UI's time axis is readable). A span is one complete event
+/// (`ph:"X"` with its `dur`), an instant one `ph:"i"`, in record order.
 ///
-/// Events carrying a flow id additionally emit Chrome flow events
-/// (`ph:"s"` at the flow's first hop, `ph:"t"` at intermediate hops,
-/// `ph:"f"` at the last) so Perfetto draws cross-actor arrows along each
-/// message's path. Flows with a single recorded hop are skipped — an
-/// arrow needs two ends.
+/// Events carrying a flow id additionally emit one Chrome flow event
+/// each, at the hop's start (`ph:"s"` at the flow's earliest hop,
+/// `ph:"f"` at its latest, `ph:"t"` between; ties go by record order),
+/// so Perfetto draws cross-actor arrows along each message's path.
+/// Flows with a single recorded hop are skipped — an arrow needs two
+/// ends.
 pub fn chrome_trace_json(processes: &[(&str, &Trace)]) -> String {
     chrome_trace_json_with_tracks(processes, &[])
 }
@@ -483,16 +485,20 @@ pub fn chrome_trace_json_with_tracks(
             ),
         );
         trace.with_events(|events| {
-            // First/last event index per flow id, so each hop knows
-            // whether it starts ("s"), continues ("t"), or finishes
-            // ("f") its flow's arrow chain.
+            // Index of the earliest- and latest-starting hop per flow id
+            // (ties by record order), so each hop knows whether it starts
+            // ("s"), continues ("t"), or finishes ("f") its flow's arrow
+            // chain.
             let mut flow_bounds: HashMap<u64, (usize, usize)> = HashMap::new();
             for (idx, event) in events.iter().enumerate() {
                 if let Some(flow) = event.flow {
-                    flow_bounds
-                        .entry(flow)
-                        .and_modify(|(_, last)| *last = idx)
-                        .or_insert((idx, idx));
+                    let (first, last) = flow_bounds.entry(flow).or_insert((idx, idx));
+                    if event.time < events[*first].time {
+                        *first = idx;
+                    }
+                    if event.time >= events[*last].time {
+                        *last = idx;
+                    }
                 }
             }
             let mut tids: HashMap<std::rc::Rc<str>, usize> = HashMap::new();
@@ -512,18 +518,17 @@ pub fn chrome_trace_json_with_tracks(
                         next_tid
                     }
                 };
-                let ph = match event.phase {
-                    SpanPhase::Instant => "i",
-                    SpanPhase::Begin => "B",
-                    SpanPhase::End => "E",
+                let (ph, dur) = match event.end {
+                    Some(end) => ("X", format!(",\"dur\":{}", end - event.time)),
+                    None => ("i", String::new()),
                 };
                 let mut line = format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{},\"pid\":{pid},\"tid\":{tid}",
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{}{dur},\"pid\":{pid},\"tid\":{tid}",
                     json_escape(event.kind),
                     event.cat.name(),
                     event.time,
                 );
-                if event.phase == SpanPhase::Instant {
+                if event.end.is_none() {
                     line.push_str(",\"s\":\"t\"");
                 }
                 let mut args: Vec<(&str, String)> = Vec::new();
@@ -622,7 +627,7 @@ pub fn chrome_trace_json_with_tracks(
 pub struct ChromeLine<'a> {
     /// 1-based line number in the export.
     pub lineno: usize,
-    /// Chrome phase: `M`etadata, `B`egin, `E`nd, `i`nstant, flow
+    /// Chrome phase: `M`etadata, complete span `X`, `i`nstant, flow
     /// `s`/`t`/`f`, or `C`ounter sample.
     pub ph: &'a str,
     pub name: &'a str,
@@ -635,6 +640,11 @@ impl<'a> ChromeLine<'a> {
     /// The event's `ts`; `None` on metadata lines.
     pub fn ts(&self) -> Option<u64> {
         json_num(self.raw, "ts")
+    }
+
+    /// A span's `dur` (`None` on every other line).
+    pub fn dur(&self) -> Option<u64> {
+        json_num(self.raw, "dur")
     }
 
     /// The event's `cat` (`None` on metadata lines).
@@ -701,12 +711,10 @@ pub fn chrome_lines(json: &str) -> impl Iterator<Item = ChromeLine<'_>> {
 /// message per violation (empty when clean):
 ///
 /// - timestamps are monotone per track: per `(pid, counter name)` for
-///   `ph:"C"` samples, per `(pid, tid)` for span ends and instants
-///   (recorded at the current virtual time; begins may step back,
-///   because wire-occupancy spans open retroactively once the arrival
-///   time is known);
-/// - every `E` closes an open `B` of the same kind on its track, no
-///   earlier than it began, and no span is left open;
+///   `ph:"C"` samples, per `(pid, tid)` for span ends (`ts + dur`) and
+///   instants, which are recorded at the current virtual time (a span's
+///   start may lie before earlier records of its track);
+/// - every span `X` carries a numeric `dur`;
 /// - every flow arrow that starts (`s`) also finishes (`f`), and vice
 ///   versa;
 /// - counter samples carry only non-negative integer values.
@@ -714,9 +722,6 @@ pub fn lint_trace(json: &str) -> Vec<String> {
     let mut violations = Vec::new();
     let mut span_last: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     let mut counter_last: BTreeMap<(u64, &str), u64> = BTreeMap::new();
-    // Open-span stacks per (pid, tid, kind): the matching discipline of
-    // `crate::critpath`, tolerant of retroactive begins.
-    let mut open: BTreeMap<(u64, u64, &str), Vec<u64>> = BTreeMap::new();
     let mut flows: [BTreeSet<u64>; 2] = Default::default();
     let mut events = 0usize;
     for e in chrome_lines(json).filter(|e| e.ph != "M") {
@@ -726,28 +731,21 @@ pub fn lint_trace(json: &str) -> Vec<String> {
             violations.push(format!("line {at}: event without numeric ts"));
             continue;
         };
-        let step = |last: &mut u64, track: String, violations: &mut Vec<String>| {
-            if ts < *last {
-                violations.push(format!("line {at}: {track}: ts {ts} steps back from {last}"));
+        let step = |last: &mut u64, at_ts: u64, track: String, violations: &mut Vec<String>| {
+            if at_ts < *last {
+                violations.push(format!("line {at}: {track}: ts {at_ts} steps back from {last}"));
             }
-            *last = (*last).max(ts);
+            *last = (*last).max(at_ts);
         };
         match e.ph {
-            "B" => open.entry((pid, tid, name)).or_default().push(ts),
-            "E" | "i" => {
+            "X" | "i" => {
+                let end = if e.ph == "i" { Some(ts) } else { e.dur().map(|dur| ts + dur) };
+                let Some(end) = end else {
+                    violations.push(format!("line {at}: span \"{name}\" without numeric dur"));
+                    continue;
+                };
                 let track = format!("pid {pid} tid {tid}");
-                step(span_last.entry((pid, tid)).or_insert(0), track, &mut violations);
-                if e.ph == "E" {
-                    match open.get_mut(&(pid, tid, name)).and_then(Vec::pop) {
-                        Some(t0) if t0 <= ts => {}
-                        Some(t0) => violations.push(format!(
-                            "line {at}: pid {pid} tid {tid}: \"{name}\" ends at {ts} before its begin {t0}"
-                        )),
-                        None => violations.push(format!(
-                            "line {at}: pid {pid} tid {tid}: E \"{name}\" without open B"
-                        )),
-                    }
-                }
+                step(span_last.entry((pid, tid)).or_insert(0), end, track, &mut violations);
             }
             "s" | "t" | "f" => match e.id() {
                 Some(id) if e.ph == "s" => drop(flows[0].insert(id)),
@@ -757,7 +755,7 @@ pub fn lint_trace(json: &str) -> Vec<String> {
             },
             "C" => {
                 let track = format!("counter \"{name}\"");
-                step(counter_last.entry((pid, name)).or_insert(0), track, &mut violations);
+                step(counter_last.entry((pid, name)).or_insert(0), ts, track, &mut violations);
                 let values = e.args().map(|a| a.split(',').filter_map(|kv| kv.split_once(':')));
                 let Some(mut values) = values else {
                     violations.push(format!("line {at}: counter \"{name}\" without args"));
@@ -772,11 +770,6 @@ pub fn lint_trace(json: &str) -> Vec<String> {
                 }
             }
             other => violations.push(format!("line {at}: unknown phase \"{other}\"")),
-        }
-    }
-    for ((pid, tid, kind), stack) in open {
-        for t0 in stack {
-            violations.push(format!("pid {pid} tid {tid}: \"{kind}\" opened at {t0} never closed"));
         }
     }
     for id in flows[0].difference(&flows[1]) {
@@ -888,19 +881,17 @@ mod tests {
     #[test]
     fn chrome_trace_shape() {
         let t = Trace::enabled();
-        t.begin(10, Category::Protocol, "send", None, || "rank0", || fields![bytes = 64u64]);
         t.instant(12, Category::Mpb, "flag_set", None, || "rank1", Vec::new);
-        t.end(20, Category::Protocol, "send", None, || "rank0");
+        t.span(10, 20, Category::Protocol, "send", None, || "rank0", || fields![bytes = 64u64]);
         let json = chrome_trace_json(&[("run", &t)]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"ph\":\"B\",\"ts\":10"));
+        assert!(json.contains("\"ph\":\"X\",\"ts\":10,\"dur\":10,"));
         assert!(json.contains("\"ph\":\"i\",\"ts\":12"));
-        assert!(json.contains("\"ph\":\"E\",\"ts\":20"));
         assert!(json.contains("\"args\":{\"bytes\":64}"));
-        // rank0 saw tid 0, rank1 tid 1, by first appearance.
-        assert!(json.contains("\"tid\":1,\"args\":{\"name\":\"rank1\"}"));
+        // rank1 saw tid 0, rank0 tid 1, by first appearance.
+        assert!(json.contains("\"tid\":1,\"args\":{\"name\":\"rank0\"}"));
         // Balanced braces/brackets — cheap structural validity check.
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
@@ -911,8 +902,9 @@ mod tests {
     #[test]
     fn chrome_trace_flow_events_pair_up() {
         let t = Trace::enabled();
-        t.instant(1, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
         t.instant(5, Category::Vdma, "vdma", Some(7), || "host", Vec::new);
+        // Recorded when it closes, after the hop at 5, but it starts first.
+        t.span(1, 6, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
         t.instant(9, Category::Protocol, "get", Some(7), || "rank1", Vec::new);
         // A single-hop flow must not emit an unpaired "s".
         t.instant(11, Category::Protocol, "lonely", Some(8), || "rank0", Vec::new);
@@ -973,24 +965,27 @@ mod tests {
     #[test]
     fn trace_lint_accepts_the_writer_and_names_violations() {
         let t = Trace::enabled();
-        t.begin(10, Category::Protocol, "send", None, || "rank0", Vec::new);
         t.instant(12, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
         t.instant(15, Category::Vdma, "get", Some(7), || "rank1", Vec::new);
-        t.end(20, Category::Protocol, "send", None, || "rank0");
+        t.span(10, 20, Category::Protocol, "send", None, || "rank0", Vec::new);
         let json = chrome_trace_json(&[("run", &t)]);
         assert_eq!(lint_trace(&json), Vec::<String>::new());
         let names: Vec<(&str, &str)> = chrome_lines(&json).map(|e| (e.ph, e.name)).collect();
         assert_eq!(names[0], ("M", "process_name"));
         assert_eq!(chrome_lines(&json).next().unwrap().arg_str("name"), Some("run"));
-        // A dropped span end, an unpaired arrow and a negative counter.
+        // A span without a numeric duration, an unpaired arrow and a
+        // negative counter.
         let broken = json
-            .replace("\"ph\":\"E\"", "\"ph\":\"i\"")
+            .replace("\"dur\":10,", "\"dur\":\"x\",")
             .replace("\"ph\":\"f\"", "\"ph\":\"t\"")
             .replace("\n]", ",\n{\"name\":\"q\",\"cat\":\"obs\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\"tid\":0,\"args\":{\"level\":-1}}\n]");
         let v = lint_trace(&broken);
-        assert!(v.iter().any(|m| m.contains("\"send\" opened at 10 never closed")), "{v:?}");
+        assert!(v.iter().any(|m| m.contains("span \"send\" without numeric dur")), "{v:?}");
         assert!(v.iter().any(|m| m.contains("never finished")), "{v:?}");
         assert!(v.iter().any(|m| m.contains("non-numeric or negative value -1")), "{v:?}");
+        // A span ending before an instant recorded ahead of it on its track.
+        let v = lint_trace(&json.replace("\"dur\":10,", "\"dur\":1,"));
+        assert!(v.iter().any(|m| m.contains("ts 11 steps back from 12")), "{v:?}");
         assert_eq!(lint_trace("{}"), vec!["no events found (not a Chrome-trace export?)"]);
     }
 

@@ -181,9 +181,6 @@ fn summarize_trace(json: &str) -> TraceSummary {
     // Counter-track pids reuse the run's name but hold only `ph:"C"`
     // samples; they have no spans to attribute.
     let mut has_spans: BTreeSet<u64> = BTreeSet::new();
-    // Open-span stacks per (pid, tid, kind): spans nest like a call
-    // stack within one actor, exactly as `des::critpath` matches them.
-    let mut open: BTreeMap<(u64, u64, &str), Vec<u64>> = BTreeMap::new();
     let mut spans: BTreeMap<u64, Vec<(u64, u64, critpath::Phase)>> = BTreeMap::new();
     let mut events = 0usize;
     for e in chrome_lines(json) {
@@ -195,28 +192,14 @@ fn summarize_trace(json: &str) -> TraceSummary {
         }
         events += 1;
         let ts = e.ts().unwrap_or(0);
+        let span_end = if e.ph == "X" { e.dur().map(|dur| ts + dur) } else { None };
         let end = ends.entry(e.pid).or_insert(0);
-        *end = (*end).max(ts);
+        *end = (*end).max(span_end.unwrap_or(ts));
         if e.ph != "C" {
             has_spans.insert(e.pid);
         }
-        let Some(phase) = critpath::phase_of_kind(e.name) else { continue };
-        match e.ph {
-            "B" => open.entry((e.pid, e.tid, e.name)).or_default().push(ts),
-            "E" => {
-                if let Some(t0) = open.get_mut(&(e.pid, e.tid, e.name)).and_then(Vec::pop) {
-                    spans.entry(e.pid).or_default().push((t0, ts, phase));
-                }
-            }
-            _ => {}
-        }
-    }
-    // Unmatched begins attribute to their process's end of run.
-    for ((pid, _, kind), stack) in open {
-        let end = ends.get(&pid).copied().unwrap_or(0);
-        let phase = critpath::phase_of_kind(kind).expect("only vocabulary kinds are stacked");
-        for t0 in stack.into_iter().filter(|&t0| t0 < end) {
-            spans.entry(pid).or_default().push((t0, end, phase));
+        if let (Some(t1), Some(phase)) = (span_end, critpath::phase_of_kind(e.name)) {
+            spans.entry(e.pid).or_default().push((ts, t1, phase));
         }
     }
     let processes = names

@@ -3,9 +3,15 @@
 //! Events are typed — an actor, a [`Category`], a kind, and named payload
 //! fields — and carry virtual-clock timestamps only, so a trace of a
 //! seeded run is bit-reproducible. Point events ([`Trace::instant`]) and
-//! begin/end spans ([`Trace::begin`] / [`Trace::end`], or [`crate::span!`]
-//! around an awaited body) both feed the Figure 2 text timeline
-//! ([`Trace::render`]) and the Chrome-trace-event export in [`crate::obs`].
+//! spans ([`Trace::span`], or [`crate::span!`] around an awaited body)
+//! both feed the Figure 2 text timeline ([`Trace::render`]) and the
+//! Chrome-trace-event export in [`crate::obs`].
+//!
+//! A span is one record, written when it closes with its start and end
+//! already known, so readers take its interval as it stands and never
+//! pair a begin with an end. Records are in close order; a span whose
+//! body never finishes (a run aborted by a watchdog while the body is
+//! parked) is never recorded.
 //!
 //! Categories can be enabled selectively; a disabled category (or a fully
 //! disabled trace) costs one branch per call site — the actor and field
@@ -21,8 +27,7 @@
 //!
 //! Events may carry a *flow id* (the `flow` argument of every recording
 //! method) tying the hops of one logical message together across actors;
-//! the Chrome exporter in [`crate::obs`] turns these into flow arrows and
-//! [`crate::critpath`] reconstructs per-message timelines from them.
+//! the Chrome exporter in [`crate::obs`] turns these into flow arrows.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -143,18 +148,19 @@ macro_rules! fields {
     };
 }
 
-/// Bracket a body in a traced span: record [`Trace::begin`] at
-/// `$sim.now()`, evaluate `$body` in place, then record [`Trace::end`]
-/// at the new `$sim.now()` and yield the body's value.
+/// Bracket a body in a traced span: when the category is recorded, read
+/// the start at `$sim.now()`, evaluate `$body` in place, then record one
+/// [`Trace::span`] ending at the new `$sim.now()`; yield the body's
+/// value.
 ///
 /// The body is spliced into the enclosing `async` block, so it may
 /// `.await` without the span adding a future layer of its own. A
-/// `return` or `?` inside the body would skip the `end`: keep early
-/// exits outside the bracket. Every argument but the fields and the
-/// body is evaluated again for the `end` record, so nothing of the
-/// span's own is held across the body's awaits: pass cheap expressions
-/// without side effects (locals, constants, field paths). The fields
-/// are only evaluated when the category is enabled, as with the methods.
+/// `return` or `?` inside the body would skip the record: keep early
+/// exits outside the bracket. The start and the fields are read before
+/// the body, and only when the category is recorded; they are all the
+/// span holds across the body's awaits. The trace, category, kind,
+/// flow and actor are evaluated again for the record: pass cheap
+/// expressions without side effects (locals, constants, field paths).
 ///
 /// ```ignore
 /// des::span!(trace, sim, Category::Pcie, "classify", flow, actor, [bytes = len], {
@@ -167,9 +173,11 @@ macro_rules! span {
         $trace:expr, $sim:expr, $cat:expr, $kind:expr, $flow:expr, $actor:expr,
         [$($name:ident = $value:expr),* $(,)?], $body:expr $(,)?
     ) => {{
-        $trace.begin($sim.now(), $cat, $kind, $flow, $actor, || $crate::fields![$($name = $value),*]);
+        let open = $trace.records($cat).then(|| ($sim.now(), $crate::fields![$($name = $value),*]));
         let out = $body;
-        $trace.end($sim.now(), $cat, $kind, $flow, $actor);
+        if let Some((start, fields)) = open {
+            $trace.span(start, $sim.now(), $cat, $kind, $flow, $actor, move || fields);
+        }
         out
     }};
 }
@@ -214,19 +222,14 @@ impl From<&Rc<str>> for ActorLabel {
     }
 }
 
-/// Whether an event is a point or delimits a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPhase {
-    Instant,
-    Begin,
-    End,
-}
-
-/// One traced event.
+/// One traced event: a point, or a span with its end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Simulated timestamp (core cycles).
+    /// Simulated timestamp (core cycles): the point's time, or the
+    /// span's start.
     pub time: Cycles,
+    /// The span's end; `None` for a point event.
+    pub end: Option<Cycles>,
     /// The acting entity, e.g. `"rank0"`, `"host"`, `"vdma1"`.
     /// Interned: events from the same actor share one allocation.
     pub actor: Rc<str>,
@@ -234,8 +237,6 @@ pub struct TraceEvent {
     pub cat: Category,
     /// Event kind, e.g. `"put"`, `"flag_set"`, `"chunk"`.
     pub kind: &'static str,
-    /// Point event or span delimiter.
-    pub phase: SpanPhase,
     /// Flow id of the message this hop belongs to, if any.
     pub flow: Option<u64>,
     /// Named payload fields.
@@ -244,20 +245,11 @@ pub struct TraceEvent {
 
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let marker = match self.phase {
-            SpanPhase::Instant => ' ',
-            SpanPhase::Begin => '[',
-            SpanPhase::End => ']',
-        };
-        write!(
-            f,
-            "{:>12}  {:<12} {:<9}{}{}",
-            self.time,
-            self.actor,
-            self.cat.name(),
-            marker,
-            self.kind
-        )?;
+        write!(f, "{:>12}  {:<12} {:<9}", self.time, self.actor, self.cat.name())?;
+        match self.end {
+            Some(end) => write!(f, "[{}]..{end}", self.kind)?,
+            None => write!(f, " {}", self.kind)?,
+        }
         if let Some(flow) = self.flow {
             write!(f, " flow={flow}")?;
         }
@@ -351,30 +343,34 @@ impl Trace {
         }
     }
 
+    /// Whether events of `cat` are recorded: one branch on a disabled
+    /// trace.
+    pub fn records(&self, cat: Category) -> bool {
+        self.inner.as_ref().is_some_and(|inner| inner.mask & cat.bit() != 0)
+    }
+
     #[allow(clippy::too_many_arguments)] // internal funnel for every emit path
     fn push<A: Into<ActorLabel>>(
         &self,
         time: Cycles,
+        end: Option<Cycles>,
         cat: Category,
-        phase: SpanPhase,
         kind: &'static str,
         flow: Option<u64>,
         actor: impl FnOnce() -> A,
         fields: impl FnOnce() -> Fields,
     ) {
-        if let Some(inner) = &self.inner {
-            if inner.mask & cat.bit() != 0 {
-                let actor = inner.resolve(actor().into());
-                inner.events.borrow_mut().push(TraceEvent {
-                    time,
-                    actor,
-                    cat,
-                    kind,
-                    phase,
-                    flow,
-                    fields: fields(),
-                });
-            }
+        if let Some(inner) = self.inner.as_ref().filter(|inner| inner.mask & cat.bit() != 0) {
+            let actor = inner.resolve(actor().into());
+            inner.events.borrow_mut().push(TraceEvent {
+                time,
+                end,
+                actor,
+                cat,
+                kind,
+                flow,
+                fields: fields(),
+            });
         }
     }
 
@@ -390,35 +386,26 @@ impl Trace {
         actor: impl FnOnce() -> A,
         fields: impl FnOnce() -> Fields,
     ) {
-        self.push(time, cat, SpanPhase::Instant, kind, flow, actor, fields);
+        self.push(time, None, cat, kind, flow, actor, fields);
     }
 
-    /// Open a span, tagged with `flow` if it belongs to a message. Must
-    /// be closed by [`Trace::end`] with the same actor and kind; spans of
-    /// one actor nest like a call stack.
-    pub fn begin<A: Into<ActorLabel>>(
+    /// Record a span over `[start, end]`, tagged with `flow` if it
+    /// belongs to a message. Called when the span closes, so `end` is
+    /// the current virtual time; `start` may be any earlier time.
+    /// `actor` and `fields` are only evaluated when the category is
+    /// enabled.
+    #[allow(clippy::too_many_arguments)] // the instant's arguments plus a start
+    pub fn span<A: Into<ActorLabel>>(
         &self,
-        time: Cycles,
+        start: Cycles,
+        end: Cycles,
         cat: Category,
         kind: &'static str,
         flow: Option<u64>,
         actor: impl FnOnce() -> A,
         fields: impl FnOnce() -> Fields,
     ) {
-        self.push(time, cat, SpanPhase::Begin, kind, flow, actor, fields);
-    }
-
-    /// Close the innermost open span of `actor` with this `kind`, tagging
-    /// the end event with `flow`.
-    pub fn end<A: Into<ActorLabel>>(
-        &self,
-        time: Cycles,
-        cat: Category,
-        kind: &'static str,
-        flow: Option<u64>,
-        actor: impl FnOnce() -> A,
-    ) {
-        self.push(time, cat, SpanPhase::End, kind, flow, actor, Vec::new);
+        self.push(start, Some(end), cat, kind, flow, actor, fields);
     }
 
     /// Run `f` over the recorded events without cloning them.
@@ -496,14 +483,14 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_phases() {
+    fn a_span_is_one_record() {
         let t = Trace::enabled();
-        t.begin(10, Category::Vdma, "dma", None, || "vdma0", || fields![bytes = 4096u64]);
-        t.end(25, Category::Vdma, "dma", None, || "vdma0");
+        t.span(10, 25, Category::Vdma, "dma", None, || "vdma0", || fields![bytes = 4096u64]);
         let ev = t.events();
-        assert_eq!(ev[0].phase, SpanPhase::Begin);
-        assert_eq!(ev[1].phase, SpanPhase::End);
-        assert!(ev[0].time < ev[1].time);
+        assert_eq!(ev.len(), 1);
+        assert_eq!((ev[0].time, ev[0].end), (10, Some(25)));
+        assert_eq!(ev[0].fields, vec![("bytes", FieldValue::U64(4096))]);
+        assert_eq!(ev[0].to_string(), "          10  vdma0        vdma     [dma]..25 bytes=4096");
     }
 
     #[test]
@@ -521,11 +508,24 @@ mod tests {
         });
         sim.run().expect("clean run");
         let ev = t.events();
-        assert_eq!(ev.len(), 2);
-        assert_eq!((ev[0].phase, ev[0].time, ev[0].flow), (SpanPhase::Begin, 5, Some(7)));
+        assert_eq!(ev.len(), 1);
+        assert_eq!((ev[0].time, ev[0].end, ev[0].flow), (5, Some(25), Some(7)));
         assert_eq!(ev[0].fields, vec![("bytes", FieldValue::U64(64))]);
-        assert_eq!((ev[1].phase, ev[1].time, ev[1].flow), (SpanPhase::End, 25, Some(7)));
-        assert_eq!((&*ev[1].actor, ev[1].kind), ("vdma0", "dma"));
+        assert_eq!((&*ev[0].actor, ev[0].kind), ("vdma0", "dma"));
+    }
+
+    #[test]
+    fn span_builds_no_fields_for_an_unrecorded_category() {
+        let sim = crate::Sim::new();
+        let t = Trace::with_categories(&[Category::Pcie]);
+        let built = std::cell::Cell::new(false);
+        let fields_built = || {
+            built.set(true);
+            1u64
+        };
+        span!(t, sim, Category::Vdma, "dma", None, || "vdma0", [bytes = fields_built()], {});
+        assert!(!built.get());
+        assert!(t.events().is_empty());
     }
 
     #[test]
@@ -542,7 +542,7 @@ mod tests {
     fn render_contains_all_lines() {
         let t = Trace::enabled();
         t.instant(1, Category::Protocol, "one", None, || "a", || fields![n = 7u64]);
-        t.begin(2, Category::Mpb, "two", None, || "b", Vec::new);
+        t.span(2, 3, Category::Mpb, "two", None, || "b", Vec::new);
         let s = t.render();
         assert!(s.contains("one") && s.contains("two"));
         assert!(s.contains("n=7"));
@@ -553,14 +553,12 @@ mod tests {
     fn flow_ids_recorded_and_rendered() {
         let t = Trace::enabled();
         t.instant(1, Category::Protocol, "put", Some(42), || "rank0", Vec::new);
-        t.begin(2, Category::Vdma, "dma", Some(42), || "host", Vec::new);
-        t.end(3, Category::Vdma, "dma", Some(42), || "host");
+        t.span(2, 3, Category::Vdma, "dma", Some(42), || "host", Vec::new);
         t.instant(4, Category::Protocol, "idle", None, || "rank1", Vec::new);
         let ev = t.events();
         assert_eq!(ev[0].flow, Some(42));
         assert_eq!(ev[1].flow, Some(42));
-        assert_eq!(ev[2].flow, Some(42));
-        assert_eq!(ev[3].flow, None);
+        assert_eq!(ev[2].flow, None);
         assert!(t.render().contains("flow=42"));
     }
 

@@ -117,18 +117,17 @@ pub(crate) async fn send_locked(ctx: &RankCtx, data: &[u8], dest: usize) {
     lock.lock().await;
     let acquired = session.sim().now();
     let flow = session.next_send_flow(me, dest);
-    // The span opens at the request, back-dated once the grant fixed
-    // the flow id.
-    let trace = session.trace();
-    trace.begin(
+    // The span starts at the request; it is recorded once the grant
+    // fixed the flow id.
+    session.trace().span(
         start,
+        acquired,
         Category::Protocol,
         "send_lock",
         Some(flow),
         || ctx.label.clone(),
         || des::fields![dest = dest, bytes = data.len()],
     );
-    trace.end(acquired, Category::Protocol, "send_lock", Some(flow), || ctx.label.clone());
     metrics.send_lock_wait.add(acquired - start);
     ctx.enter_send(flow);
     session.proto(me, dest).send(ctx, dest, data, flow).await;

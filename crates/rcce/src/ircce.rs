@@ -95,13 +95,11 @@ mod tests {
         })
         .unwrap();
         let events = s.trace().events();
-        let opened = |flow: u64, kind: &'static str| {
-            events.iter().filter(move |e| {
-                e.flow == Some(flow) && e.kind == kind && e.phase == des::trace::SpanPhase::Begin
-            })
+        let spans = |flow: u64, kind: &'static str| {
+            events.iter().filter(move |e| e.flow == Some(flow) && e.kind == kind)
         };
         let bytes = |flow: u64, kind: &'static str| -> u64 {
-            opened(flow, kind)
+            spans(flow, kind)
                 .map(|e| match e.fields.iter().find(|(k, _)| *k == "bytes") {
                     Some((_, des::trace::FieldValue::U64(n))) => *n,
                     other => panic!("{kind} without a byte count: {other:?}"),
@@ -116,7 +114,7 @@ mod tests {
             assert_eq!(bytes(flow, "sender_put"), bytes(flow, "recv_get"), "flow {flow}");
         }
         for &flow in &flows {
-            assert_eq!(opened(flow, "send_lock").count(), 1, "flow {flow}");
+            assert_eq!(spans(flow, "send_lock").count(), 1, "flow {flow}");
         }
     }
 

@@ -11,7 +11,7 @@
 
 use des::faultplan::FaultSpec;
 use des::obs::Registry;
-use des::trace::{Category, SpanPhase, Trace};
+use des::trace::{Category, Trace};
 use des::{Sim, SimError};
 use scc::geometry::CoreId;
 use vscc::{CommScheme, VsccBuilder};
@@ -226,30 +226,23 @@ fn fallback_writes_charge_their_answer_to_classify() {
     let events = r.trace.events();
     // Under hw-ack the posted stream's `pcie_wire` spans carry
     // `lost_acks`; the fallback's are the only ones without it.
-    let wires: Vec<usize> = (0..events.len())
-        .filter(|&i| {
-            let e = &events[i];
-            e.kind == "pcie_wire"
-                && e.phase == SpanPhase::Begin
-                && !e.fields.iter().any(|(k, _)| *k == "lost_acks")
-        })
+    let wires: Vec<&des::trace::TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind == "pcie_wire" && !e.fields.iter().any(|(k, _)| *k == "lost_acks"))
         .collect();
     assert_eq!(wires.len() as u64, r.fallback_writes, "one wire span per fallback write");
-    for i in wires {
-        let begin = &events[i];
-        assert!(begin.actor.starts_with("commtask-d"), "fallback wire on {}", begin.actor);
-        let same_hop = |e: &des::trace::TraceEvent| e.actor == begin.actor && e.flow == begin.flow;
-        let end = events[i..]
-            .iter()
-            .find(|e| e.kind == "pcie_wire" && e.phase == SpanPhase::End && same_hop(e))
-            .expect("every fallback wire span closes");
+    for wire in wires {
+        assert!(wire.actor.starts_with("commtask-d"), "fallback wire on {}", wire.actor);
         let answered = events.iter().any(|e| {
-            e.kind == "classify" && e.phase == SpanPhase::Begin && e.time == end.time && same_hop(e)
+            e.kind == "classify"
+                && Some(e.time) == wire.end
+                && e.actor == wire.actor
+                && e.flow == wire.flow
         });
         assert!(
             answered,
             "flow {:?}: fallback write at {} has no classify span on {}",
-            begin.flow, begin.time, begin.actor
+            wire.flow, wire.time, wire.actor
         );
     }
 }
@@ -468,9 +461,8 @@ fn corruption_storm_is_diagnosed_not_hung() {
     for g in giveups {
         let closed = events.iter().any(|e| {
             e.kind == "vdma"
-                && e.phase == SpanPhase::End
                 && e.flow == g.flow
-                && e.time >= g.time
+                && e.end.is_some_and(|end| end >= g.time)
                 && e.actor.starts_with("commtask-d")
         });
         assert!(closed, "flow {:?} gave up at {} without closing its vdma span", g.flow, g.time);

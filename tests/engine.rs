@@ -49,7 +49,7 @@ fn golden_fig6b_shaped_run_is_byte_identical_and_pinned() {
     assert_eq!(trace_a, trace_b, "trace export must not vary between identical runs");
     assert_eq!(metrics_a, metrics_b, "metrics export must not vary between identical runs");
 
-    const GOLDEN_TRACE_FNV: u64 = 0xfef8_4418_e1a5_4fe4;
+    const GOLDEN_TRACE_FNV: u64 = 0xcf61_fe9f_bde8_af7d;
     const GOLDEN_METRICS_FNV: u64 = 0xeb1b_11f6_0318_7710;
     assert_eq!(
         fnv1a(trace_a.as_bytes()),
