@@ -17,6 +17,11 @@
 //! through a reusable swap buffer, an empty drain reads one flag and takes
 //! no lock, and task names are interned ids resolved to strings only on
 //! the deadlock error path.
+//!
+//! An uncontested delay skips the round trip altogether: when the queued
+//! timer would be the very next event, [`Delay`] completes inside the
+//! poll that armed it (see [`Sim::complete_in_place`]), recording the
+//! same decisions and counters the round trip would have.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -137,7 +142,9 @@ impl std::error::Error for SimError {}
 
 /// Host-side scheduler counters, for the wall-clock perf harness
 /// (`engine_micro`). These count *engine operations*, not simulated
-/// cycles, and never feed the virtual clock.
+/// cycles, and never feed the virtual clock. A delay completed in place
+/// counts the timer set, fire, wake and poll it stands for, so the
+/// counters read the same whichever path a delay took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Tasks spawned (including daemons).
@@ -222,6 +229,37 @@ enum WakeTarget {
 
 /// Sentinel for "no task is being polled right now".
 const NO_TASK: TaskId = usize::MAX;
+
+thread_local! {
+    /// Number of [`SiblingGuard`]s alive on this thread.
+    static SIBLINGS: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Held by a future while it polls more than one child in one poll, or
+/// otherwise does not pass a child's `Pending` straight up: while any
+/// guard is alive on the thread, every [`Sim::delay`] queues its timer
+/// instead of completing in place. [`crate::sync::race`] holds one around its two
+/// child polls, so `race(delay(100), delay(50))` arms both timers before
+/// either fires.
+#[must_use = "the guard only protects the polls made while it is alive"]
+pub struct SiblingGuard {
+    /// Thread-bound: the counter it decrements on drop is thread-local.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl SiblingGuard {
+    /// Start a stretch of sibling polls; it ends when the guard drops.
+    pub fn enter() -> SiblingGuard {
+        SIBLINGS.with(|n| n.set(n.get() + 1));
+        SiblingGuard { _not_send: std::marker::PhantomData }
+    }
+}
+
+impl Drop for SiblingGuard {
+    fn drop(&mut self) {
+        SIBLINGS.with(|n| n.set(n.get() - 1));
+    }
+}
 
 /// The executor's shared waker plumbing. During a poll, `current` holds
 /// the polled task's id; the *hub waker* handed to every poll is a
@@ -518,6 +556,43 @@ impl Sim {
         id
     }
 
+    /// Complete `task`'s delay to `deadline` inside its current poll when
+    /// the queued path would make that timer the very next event: no
+    /// sibling poll is in progress ([`SiblingGuard`]), no abort is
+    /// pending, a non-daemon task is live (else the run would end here),
+    /// nothing is ready or waiting in the wake queue, and every live timer
+    /// fires strictly later. The clock then moves to `deadline`, and the
+    /// decisions and counters of the arm → fire → wake → poll round trip
+    /// are recorded in its order with its operands; nothing else could
+    /// run in between, so no simulated result can tell the two apart.
+    /// Returns `false`, changing nothing, when any condition fails.
+    fn complete_in_place(&self, task: TaskId, deadline: Cycles) -> bool {
+        use crate::audit::{record_at, DecisionKind};
+        let inner = &*self.inner;
+        if SIBLINGS.with(Cell::get) != 0
+            || inner.abort.get()
+            || inner.live.get() == 0
+            || !inner.ready.borrow().is_empty()
+            || inner.wake_queue.pending.load(Ordering::Acquire)
+        {
+            return false;
+        }
+        let Some(seq) = inner.timers.borrow_mut().fire_if_first(deadline) else {
+            return false;
+        };
+        let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+        bump(&inner.stat_timers_set);
+        record_at(inner.now.get(), DecisionKind::TimerArm, deadline, seq);
+        inner.now.set(deadline);
+        record_at(deadline, DecisionKind::TimerFire, deadline, seq);
+        bump(&inner.stat_timers_fired);
+        bump(&inner.stat_wakes);
+        record_at(deadline, DecisionKind::Wake, task as u64, 0);
+        bump(&inner.stat_polls);
+        record_at(deadline, DecisionKind::Poll, task as u64, 0);
+        true
+    }
+
     fn cancel_timer(&self, deadline: Cycles, id: TimerId) {
         if self.inner.timers.borrow_mut().cancel(id) {
             self.inner.stat_timers_cancelled.set(self.inner.stat_timers_cancelled.get() + 1);
@@ -757,6 +832,15 @@ impl<T> Future for JoinHandle<T> {
 /// Dropping an unfired `Delay` cancels its timer: a losing `race` arm no
 /// longer leaves a stale entry to drag the clock (or a deadlock
 /// diagnosis) to its deadline.
+///
+/// Polled inside one of the executor's tasks, a delay whose timer would
+/// be the next event completes at once: the clock jumps to the deadline
+/// and the first poll returns `Ready`. The contract that makes this safe
+/// is that a future polling a `Delay` passes its `Pending` straight up,
+/// so nothing else runs between arming and firing. A future that instead
+/// goes on to poll a sibling, or drops or ignores the `Pending`, must
+/// hold a [`SiblingGuard`] across the poll; the delay then always
+/// queues.
 pub struct Delay {
     sim: Sim,
     deadline: Cycles,
@@ -775,14 +859,16 @@ impl Future for Delay {
             return Poll::Ready(());
         }
         if !self.registered {
-            self.registered = true;
-            // Inside one of the executor's own polls, the timer carries
-            // the bare task id (fired straight onto the ready queue);
-            // only a foreign context pays for a waker clone.
+            // Inside one of the executor's own polls, the delay completes
+            // in place when it can; otherwise its timer carries the bare
+            // task id (fired straight onto the ready queue). Only a
+            // foreign context pays for a waker clone.
             let target = match self.sim.inner.hub.current.get() {
                 NO_TASK => WakeTarget::External(cx.waker().clone()),
+                id if self.sim.complete_in_place(id, self.deadline) => return Poll::Ready(()),
                 id => WakeTarget::Task(id),
             };
+            self.registered = true;
             let id = self.sim.register_timer(self.deadline, target);
             self.timer = Some(id);
         }
@@ -1114,9 +1200,164 @@ mod tests {
         assert_eq!(sim.engine_stats().wakes, 1);
     }
 
-    /// Poll a future exactly once with a no-op waker, then drop it.
+    /// Await `d`, reporting whether it completed on its first poll — that
+    /// is, in place — while passing its `Pending` straight up.
+    async fn in_place(mut d: Delay) -> bool {
+        let mut polls = 0;
+        std::future::poll_fn(|cx| {
+            polls += 1;
+            Pin::new(&mut d).poll(cx)
+        })
+        .await;
+        polls == 1
+    }
+
+    /// Spawn one task that awaits `in_place(delay(cycles))` at once and
+    /// returns the verdict.
+    fn probe(sim: &Sim, cycles: Cycles) -> JoinHandle<bool> {
+        let s = sim.clone();
+        sim.spawn(async move { in_place(s.delay(cycles)).await })
+    }
+
+    /// A lone delay completes in place, with the counters and the clock
+    /// of the queued round trip.
+    #[test]
+    fn lone_delay_completes_in_place() {
+        let sim = Sim::new();
+        let h = probe(&sim, 40);
+        assert_eq!(sim.run().unwrap(), 40);
+        assert_eq!(h.try_take(), Some(true));
+        let st = sim.engine_stats();
+        assert_eq!((st.timers_set, st.timers_fired, st.wakes, st.polls), (1, 1, 1, 2));
+        assert_eq!(sim.pending_timers(), 0);
+    }
+
+    /// An earlier live timer fires first, so the later delay queues.
+    #[test]
+    fn earlier_timer_refuses_in_place() {
+        let sim = Sim::new();
+        let first = probe(&sim, 10);
+        let second = probe(&sim, 20);
+        assert_eq!(sim.run().unwrap(), 20);
+        // `first` ran while `second` was still ready; `second` found
+        // `first`'s timer ahead of it.
+        assert_eq!((first.try_take(), second.try_take()), (Some(false), Some(false)));
+    }
+
+    /// A live timer at the same deadline wins the tie on its `seq`.
+    #[test]
+    fn same_deadline_tie_refuses_in_place() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let armed = Rc::new(Cell::new(false));
+        let a = armed.clone();
+        sim.spawn(async move {
+            a.set(true);
+            s.delay(30).await;
+        });
+        let (s, a) = (sim.clone(), armed.clone());
+        let h = sim.spawn(async move {
+            s.delay(1).await;
+            assert!(a.get());
+            in_place(s.delay(29)).await
+        });
+        assert_eq!(sim.run().unwrap(), 30);
+        assert_eq!(h.try_take(), Some(false));
+    }
+
+    /// A task on the ready queue runs before any timer fires.
+    #[test]
+    fn ready_task_refuses_in_place() {
+        let sim = Sim::new();
+        let h = probe(&sim, 10);
+        sim.spawn(async {});
+        assert_eq!(sim.run().unwrap(), 10);
+        assert_eq!(h.try_take(), Some(false));
+    }
+
+    /// A wake waiting in the wake queue makes a task runnable first.
+    #[test]
+    fn pending_wake_refuses_in_place() {
+        let sim = Sim::new();
+        let notify = crate::event::Notify::new();
+        let n = notify.clone();
+        let woken = Rc::new(Cell::new(false));
+        let w = woken.clone();
+        sim.spawn(async move { n.wait_until(|| w.get()).await });
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            woken.set(true);
+            notify.notify_all();
+            in_place(s.delay(10)).await
+        });
+        assert_eq!(sim.run().unwrap(), 10);
+        assert_eq!(h.try_take(), Some(false));
+    }
+
+    /// With only daemons left the run ends instead of firing a timer, so a
+    /// daemon's delay must not move the clock.
+    #[test]
+    fn daemons_alone_refuse_in_place() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move { s.delay(10).await });
+        let s = sim.clone();
+        let verdicts = Rc::new(RefCell::new(Vec::new()));
+        let v = verdicts.clone();
+        sim.spawn_daemon("ticker", async move {
+            for _ in 0..3 {
+                let in_place = in_place(s.delay(10)).await;
+                v.borrow_mut().push(in_place);
+            }
+        });
+        assert_eq!(sim.run().unwrap(), 10);
+        // The first tick queued behind the task's tie; at 10 the task
+        // finished first, so the second tick found no live task.
+        assert_eq!(*verdicts.borrow(), [false]);
+        assert_eq!(sim.pending_timers(), 1);
+    }
+
+    /// A requested abort surfaces before the clock moves again.
+    #[test]
+    fn abort_refuses_in_place() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.abort("stop");
+            s.delay(10).await;
+        });
+        assert_eq!(sim.run(), Err(SimError::Aborted("stop".into())));
+        assert_eq!(sim.now(), 0);
+        assert_eq!(sim.pending_timers(), 1);
+    }
+
+    /// Under a [`SiblingGuard`] every delay queues, and the guard is
+    /// released when it drops.
+    #[test]
+    fn sibling_guard_refuses_in_place() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let mut d = s.delay(10);
+            let mut polls = 0;
+            std::future::poll_fn(|cx| {
+                polls += 1;
+                let _siblings = SiblingGuard::enter();
+                Pin::new(&mut d).poll(cx)
+            })
+            .await;
+            (polls == 1, in_place(s.delay(10)).await)
+        });
+        assert_eq!(sim.run().unwrap(), 20);
+        assert_eq!(h.try_take(), Some((false, true)));
+    }
+
+    /// Poll a future exactly once, then drop it. The poll ignores the
+    /// child's `Pending`, so it holds a [`SiblingGuard`]: a delay must
+    /// arm its timer here, not complete in place.
     async fn futures_poll_once<F: Future + Unpin>(mut f: F) {
         std::future::poll_fn(move |cx| {
+            let _siblings = SiblingGuard::enter();
             let _ = Pin::new(&mut f).poll(cx);
             Poll::Ready(())
         })

@@ -44,5 +44,5 @@ pub mod time;
 pub mod timer;
 pub mod trace;
 
-pub use executor::{EngineStats, JoinHandle, Sim, SimError};
+pub use executor::{EngineStats, JoinHandle, SiblingGuard, Sim, SimError};
 pub use time::{Cycles, Freq};

@@ -80,9 +80,10 @@ impl Exports {
         let mut md = String::from("# vSCC run report\n\n");
         let _ = writeln!(
             md,
-            "{} trace process(es), {} events; sampler cadence {} cycles, {} series.",
+            "{} trace process(es), {} spans and {} instants; sampler cadence {} cycles, {} series.",
             trace.processes.len(),
-            trace.events,
+            trace.spans,
+            trace.instants,
             ts.cadence,
             ts.series.len()
         );
@@ -171,8 +172,11 @@ struct TraceSummary {
     /// Per process with spans (pid order): name, end-of-run time, and
     /// attribution over `[0, end]`.
     processes: Vec<(String, u64, Attribution)>,
-    /// Non-metadata events.
-    events: usize,
+    /// Spans (`ph:"X"`) and instants (`ph:"i"`): the traced events,
+    /// without the flow-arrow points and sampled counter values that
+    /// share the export.
+    spans: usize,
+    instants: usize,
 }
 
 fn summarize_trace(json: &str) -> TraceSummary {
@@ -182,15 +186,19 @@ fn summarize_trace(json: &str) -> TraceSummary {
     // samples; they have no spans to attribute.
     let mut has_spans: BTreeSet<u64> = BTreeSet::new();
     let mut spans: BTreeMap<u64, Vec<(u64, u64, critpath::Phase)>> = BTreeMap::new();
-    let mut events = 0usize;
+    let (mut span_count, mut instant_count) = (0usize, 0usize);
     for e in chrome_lines(json) {
-        if e.ph == "M" {
-            if e.name == "process_name" {
-                names.insert(e.pid, e.arg_str("name").unwrap_or("?"));
+        match e.ph {
+            "M" => {
+                if e.name == "process_name" {
+                    names.insert(e.pid, e.arg_str("name").unwrap_or("?"));
+                }
+                continue;
             }
-            continue;
+            "X" => span_count += 1,
+            "i" => instant_count += 1,
+            _ => {}
         }
-        events += 1;
         let ts = e.ts().unwrap_or(0);
         let span_end = if e.ph == "X" { e.dur().map(|dur| ts + dur) } else { None };
         let end = ends.entry(e.pid).or_insert(0);
@@ -211,7 +219,7 @@ fn summarize_trace(json: &str) -> TraceSummary {
             (name.to_string(), end, critpath::attribute(&intervals, 0, end))
         })
         .collect();
-    TraceSummary { processes, events }
+    TraceSummary { processes, spans: span_count, instants: instant_count }
 }
 
 /// The "Faults & recovery" section, with the self-healing plane's

@@ -108,7 +108,9 @@ pub enum Either<A, B> {
 /// scheduler step the left one wins — ties are deterministic. The loser is
 /// dropped; a losing [`crate::Sim::delay`] withdraws its timer on drop,
 /// so a timeout race that wins early leaves no stale deadline behind and
-/// cannot drag the clock forward on an otherwise idle simulation.
+/// cannot drag the clock forward on an otherwise idle simulation. Both
+/// child polls run under a [`crate::SiblingGuard`]: a left delay must not
+/// complete in place before the right one has armed.
 pub async fn race<FA, FB>(a: FA, b: FB) -> Either<FA::Output, FB::Output>
 where
     FA: std::future::Future,
@@ -117,6 +119,7 @@ where
     let mut a = std::pin::pin!(a);
     let mut b = std::pin::pin!(b);
     std::future::poll_fn(move |cx| {
+        let _siblings = crate::SiblingGuard::enter();
         if let std::task::Poll::Ready(v) = a.as_mut().poll(cx) {
             return std::task::Poll::Ready(Either::Left(v));
         }

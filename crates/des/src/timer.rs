@@ -16,6 +16,9 @@
 //!   (the timer was cancelled, and the slot maybe reused) is skipped when
 //!   it reaches the top, so a cancelled timer never fires and never moves
 //!   the clock.
+//! * **fire in place** — one peek: [`TimerQueue::fire_if_first`]
+//!   numbers a timer that no live timer precedes without inserting it
+//!   into the heap; the executor completes an uncontested delay with it.
 //!
 //! `seq` is the timer's one identity: [`TimerId`] carries it as the
 //! generation guard of its slot, the pops return it, and the audit stream
@@ -111,9 +114,7 @@ impl<P> TimerQueue<P> {
     /// Panics past 2^40 inserts or 2^24 concurrently live timers, the
     /// widths of a packed key's `seq` and `slot` fields.
     pub fn insert(&mut self, deadline: Cycles, payload: P) -> TimerId {
-        let seq = self.next_seq;
-        assert!(seq < 1 << SEQ_BITS, "timer sequence numbers exhausted");
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Slot { seq, payload: Some(payload) };
@@ -152,22 +153,47 @@ impl<P> TimerQueue<P> {
         self.pop_if(|d| d == deadline).map(|(_, seq, payload)| (seq, payload))
     }
 
-    /// Pop the earliest live timer if `due(deadline)`, discarding the
-    /// stale keys of cancelled timers on the way.
+    /// Number a timer at `deadline` that fires the moment it is armed,
+    /// without entering the heap: returns its `seq` only when every live
+    /// timer fires strictly later, i.e. when an [`TimerQueue::insert`]
+    /// followed by [`TimerQueue::pop_next`] would pop it straight back
+    /// (a live timer at the same deadline has an earlier `seq` and would
+    /// win the tie). Otherwise nothing changes.
+    pub fn fire_if_first(&mut self, deadline: Cycles) -> Option<u64> {
+        match self.top() {
+            Some((first, _, _)) if first <= deadline => None,
+            _ => Some(self.take_seq()),
+        }
+    }
+
+    /// Pop the earliest live timer if `due(deadline)`.
     fn pop_if(&mut self, due: impl FnOnce(Cycles) -> bool) -> Option<(Cycles, u64, P)> {
+        let (deadline, seq, slot) = self.top()?;
+        if !due(deadline) {
+            return None;
+        }
+        self.heap.pop();
+        Some((deadline, seq, self.release(slot)))
+    }
+
+    /// The earliest live timer's unpacked key, discarding the stale keys
+    /// of cancelled timers above it.
+    fn top(&mut self) -> Option<(Cycles, u64, u32)> {
         while let Some(&Reverse(key)) = self.heap.peek() {
             let (deadline, seq, slot) = unpack(key);
-            if !self.holds(slot, seq) {
-                self.heap.pop();
-                continue;
-            }
-            if !due(deadline) {
-                return None;
+            if self.holds(slot, seq) {
+                return Some((deadline, seq, slot));
             }
             self.heap.pop();
-            return Some((deadline, seq, self.release(slot)));
         }
         None
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        assert!(seq < 1 << SEQ_BITS, "timer sequence numbers exhausted");
+        self.next_seq += 1;
+        seq
     }
 
     /// Whether `slot` still holds the live timer numbered `seq`.
@@ -313,6 +339,26 @@ mod tests {
         let fired: Vec<u32> =
             std::iter::from_fn(|| q.pop_next_at(Cycles::MAX)).map(|(_, payload)| payload).collect();
         assert_eq!(fired, (0..8).collect::<Vec<_>>());
+    }
+
+    /// `fire_if_first` numbers a timer exactly when insert-then-pop
+    /// would return it: earlier and equal live deadlines refuse (equal
+    /// ones win on `seq`), stale keys do not, and a refusal burns no
+    /// sequence number.
+    #[test]
+    fn fire_if_first_matches_insert_then_pop() {
+        let mut q = TimerQueue::new();
+        assert_eq!(q.fire_if_first(5), Some(0), "an empty queue never refuses");
+        let early = q.insert(10, 0u32);
+        q.insert(20, 1);
+        assert_eq!(q.fire_if_first(15), None, "a live timer fires first");
+        assert_eq!(q.fire_if_first(10), None, "the earlier seq wins the tie");
+        assert_eq!(q.fire_if_first(9), Some(3), "refusals take no seq");
+        q.cancel(early);
+        assert_eq!(q.fire_if_first(15), Some(4), "a cancelled timer's key never decides");
+        assert_eq!(q.fire_if_first(20), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.insert(1, 2).seq(), 5, "inserts continue the same numbering");
     }
 
     #[test]

@@ -110,6 +110,25 @@ grep -v '^#' tests/goldens/bench_smoke_digests.txt | diff - "$OBS_TMP/smoke_dige
     exit 1
 }
 
+echo "== benchmark full-scale digests (one class-C pass per workload, run twice, pinned) =="
+# --check-determinism runs one full-scale pass of the workload twice in
+# one process and exits 1 if the two digests differ. The digest must then
+# equal its line in tests/goldens/bench_full_digests.txt: BT at class C on
+# up to 225 ranks reaches interleavings the class-W smoke above does not.
+(
+    for v in $(compgen -e | grep '^VSCC_' || true); do unset "$v"; done
+    for w in pingpong_small pingpong_large bt_onchip_36 bt_vdma_225 bt_routed_64 storm_ring; do
+        cargo run --release -q --offline \
+            --manifest-path crates/bench/examples/vscc_benchmark/Cargo.toml -- \
+            --workload "$w" --check-determinism \
+            | awk -v w="$w" '/^determinism: ok,/ { print w, $5 }'
+    done
+) >"$OBS_TMP/full_digests.txt"
+grep -v '^#' tests/goldens/bench_full_digests.txt | diff - "$OBS_TMP/full_digests.txt" || {
+    echo "benchmark full-scale sim_digest differs from tests/goldens/bench_full_digests.txt"
+    exit 1
+}
+
 if [ "${VSCC_PERF_SKIP:-}" = "1" ]; then
     echo "== perf smoke: skipped (VSCC_PERF_SKIP=1) =="
 else

@@ -671,6 +671,16 @@ fn run_report_is_byte_identical_from_the_same_exports() {
     assert_eq!(on_disk, report);
 }
 
+/// The report's headline counts the traced spans and instants of the
+/// designated fig6b run, not the flow-arrow points and counter samples
+/// that share its trace export.
+#[test]
+fn run_report_counts_spans_and_instants() {
+    let report = fig6b_exports().report().expect("exports parse");
+    let headline = report.lines().nth(2).expect("headline line");
+    assert!(headline.starts_with("1 trace process(es), 76 spans and 28 instants;"), "{headline}");
+}
+
 #[test]
 fn export_readers_round_trip_the_writers() {
     let e = fig6b_exports();
