@@ -111,8 +111,7 @@ pub fn interdevice_observed(
 /// Like [`interdevice_observed`], but additionally running the
 /// virtual-time metrics sampler at `cadence` cycles; the returned
 /// [`des::obs::TimeSeries`] is finished at app completion (partial tail
-/// window flushed), ready for a time-series export or Chrome-trace
-/// counter tracks.
+/// window flushed), ready for a time-series export.
 pub fn interdevice_sampled(
     scheme: CommScheme,
     size: usize,

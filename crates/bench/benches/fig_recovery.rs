@@ -178,7 +178,7 @@ fn main() {
     }
 
     // The designated run: the storm run itself, traced and sampled, so
-    // the Health-category instants and the degraded-pairs counter track
+    // the Health-category instants and the degraded-pairs level series
     // show the whole arc.
     vscc_bench::observe("healing", || run(spec, true).1.expect("observed run"));
 }

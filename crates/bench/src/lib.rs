@@ -152,10 +152,7 @@ pub fn observe(label: &str, run: impl FnOnce() -> Observed) -> bool {
     let obs = run();
     drop(guard);
     let exports = Exports {
-        trace: des::obs::chrome_trace_json_with_tracks(
-            &[(label, &obs.trace)],
-            &[(label, &obs.series)],
-        ),
+        trace: des::obs::chrome_trace_json(label, &obs.trace),
         metrics: obs.metrics.snapshot().to_json(),
         timeseries: obs.series.to_json(),
         audit: audit.to_json(),

@@ -43,6 +43,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::faultplan::checksum;
+use crate::obs::{json_num, json_str};
 use crate::time::Cycles;
 
 /// Default epoch length in cycles; matches the timeseries sampler's
@@ -530,19 +531,6 @@ pub struct ParsedAudit {
     pub zoom: Vec<ParsedDecision>,
 }
 
-fn jnum(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn jstr<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    rest.split('"').next()
-}
-
 /// Parse an [`Audit::to_json`] export. Errors on inputs that do not
 /// carry the audit schema marker.
 pub fn parse_export(json: &str) -> Result<ParsedAudit, String> {
@@ -552,22 +540,23 @@ pub fn parse_export(json: &str) -> Result<ParsedAudit, String> {
     let mut parsed = ParsedAudit::default();
     for line in json.lines() {
         let line = line.trim().trim_end_matches(',');
-        if let Some(chain) = jstr(line, "chain") {
-            let (Some(epoch), Some(decisions)) = (jnum(line, "epoch"), jnum(line, "decisions"))
+        if let Some(chain) = json_str(line, "chain") {
+            let (Some(epoch), Some(decisions)) =
+                (json_num(line, "epoch"), json_num(line, "decisions"))
             else {
                 return Err(format!("malformed epoch row: {line}"));
             };
             parsed.rows.push(ParsedEpoch { epoch, chain: chain.to_string(), decisions });
-        } else if let Some(kind) = jstr(line, "kind") {
+        } else if let Some(kind) = json_str(line, "kind") {
             let (Some(cycle), Some(a), Some(b)) =
-                (jnum(line, "cycle"), jnum(line, "a"), jnum(line, "b"))
+                (json_num(line, "cycle"), json_num(line, "a"), json_num(line, "b"))
             else {
                 return Err(format!("malformed zoom decision: {line}"));
             };
             parsed.zoom.push(ParsedDecision { kind: kind.to_string(), cycle, a, b });
-        } else if let Some(c) = jnum(line, "cadence") {
+        } else if let Some(c) = json_num(line, "cadence") {
             parsed.cadence = c;
-        } else if let Some(f) = jstr(line, "final") {
+        } else if let Some(f) = json_str(line, "final") {
             parsed.final_chain = f.to_string();
         }
     }

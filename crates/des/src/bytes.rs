@@ -58,20 +58,6 @@ struct PoolState {
     /// Unique `Rc<Inner>` headers (storage already taken back) parked so
     /// [`BytesMut::freeze`] can reuse the `Rc` allocation itself.
     spare_inners: Vec<Rc<Inner>>,
-    hits: u64,
-    misses: u64,
-    returned: u64,
-}
-
-/// Pool usage counters (host-side only; never feed the virtual clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// `get` calls served from a free list.
-    pub hits: u64,
-    /// `get` calls that had to allocate.
-    pub misses: u64,
-    /// Buffers recycled back into a free list on drop.
-    pub returned: u64,
 }
 
 /// A size-classed recycling pool of byte buffers.
@@ -97,9 +83,6 @@ impl Pool {
             state: Rc::new(RefCell::new(PoolState {
                 free: std::array::from_fn(|_| Vec::new()),
                 spare_inners: Vec::new(),
-                hits: 0,
-                misses: 0,
-                returned: 0,
             })),
         }
     }
@@ -108,23 +91,10 @@ impl Pool {
     /// when a chunk of the right class is free.
     pub fn get(&self, len: usize) -> BytesMut {
         let mut data = match class_of(len.max(1)) {
-            Some(idx) => {
-                let mut st = self.state.borrow_mut();
-                match st.free[idx].pop() {
-                    Some(buf) => {
-                        st.hits += 1;
-                        buf
-                    }
-                    None => {
-                        st.misses += 1;
-                        Vec::with_capacity(class_bytes(idx))
-                    }
-                }
-            }
-            None => {
-                self.state.borrow_mut().misses += 1;
-                Vec::with_capacity(len)
-            }
+            Some(idx) => self.state.borrow_mut().free[idx]
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(class_bytes(idx))),
+            None => Vec::with_capacity(len),
         };
         // Recycled chunks are handed out zeroed: stale payload bytes
         // must never leak into a fresh buffer.
@@ -149,12 +119,6 @@ impl Pool {
         b.freeze()
     }
 
-    /// Usage counters.
-    pub fn stats(&self) -> PoolStats {
-        let st = self.state.borrow();
-        PoolStats { hits: st.hits, misses: st.misses, returned: st.returned }
-    }
-
     /// Total buffers currently parked in free lists.
     pub fn free_buffers(&self) -> usize {
         self.state.borrow().free.iter().map(Vec::len).sum()
@@ -172,7 +136,6 @@ fn return_to_pool(pool: &Weak<RefCell<PoolState>>, data: &mut Vec<u8>) {
             if let Some(state) = pool.upgrade() {
                 let mut st = state.borrow_mut();
                 if st.free[idx].len() < MAX_FREE_PER_CLASS {
-                    st.returned += 1;
                     st.free[idx].push(std::mem::take(data));
                 }
             }
@@ -519,27 +482,27 @@ mod tests {
         let mut b = pool.get(100);
         b[0] = 0xEE;
         b[99] = 0xDD;
-        let cap = {
+        let (cap, ptr) = {
             let frozen = b.freeze();
-            frozen.inner.data.capacity()
+            (frozen.inner.data.capacity(), frozen.as_ptr())
         }; // dropped -> returned
         assert_eq!(cap, 128);
         assert_eq!(pool.free_buffers(), 1);
         let again = pool.get(128);
         assert_eq!(pool.free_buffers(), 0);
+        assert_eq!(again.as_ptr(), ptr, "the parked chunk is handed out again");
         assert!(again.iter().all(|&x| x == 0), "recycled chunk must be zeroed");
-        assert_eq!(pool.stats().hits, 1);
-        assert_eq!(pool.stats().returned, 1);
     }
 
     #[test]
     fn pool_class_mismatch_allocates() {
         let pool = Pool::new();
         drop(pool.get(64)); // returns to class 64
-        let b = pool.get(1024); // different class: miss
+        let b = pool.get(1024); // different class: a fresh allocation
         assert_eq!(b.len(), 1024);
-        assert_eq!(pool.stats().misses, 2);
-        assert_eq!(pool.free_buffers(), 1);
+        assert_eq!(pool.free_buffers(), 1, "the class-64 chunk stays parked");
+        drop(b);
+        assert_eq!(pool.free_buffers(), 2);
     }
 
     #[test]
@@ -548,7 +511,6 @@ mod tests {
         let b = pool.get(MAX_CLASS_BYTES + 1);
         drop(b);
         assert_eq!(pool.free_buffers(), 0);
-        assert_eq!(pool.stats().returned, 0);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The registry names the primitive instruments of [`crate::stats`] with
 //! hierarchical dot-separated keys (`host.swcache.hits`,
 //! `pcie.link0.bytes`, `rcce.send.lock_wait_cycles`) and snapshots them
-//! as a sorted text table or JSON. The exporters turn a
-//! [`crate::trace::Trace`] into Chrome-trace-event JSON (loadable in
-//! Perfetto; `ts` is the virtual clock in cycles) and a [`Registry`]
-//! into a metrics-snapshot JSON. Each export's reader sits next to its
+//! as name-sorted JSON. The exporters turn a [`crate::trace::Trace`]
+//! into Chrome-trace-event JSON (loadable in Perfetto; `ts` is the
+//! virtual clock in cycles) and a [`Registry`] into a metrics-snapshot
+//! JSON. Each export's reader sits next to its
 //! writer ([`chrome_lines`] and [`lint_trace`], [`Snapshot::from_json`],
 //! [`timeseries::parse_json`], [`crate::audit::parse_export`]), and
 //! [`report::Exports`] renders one run's four exports as a Markdown
@@ -223,25 +223,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Render as an aligned text table.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.entries {
-            match value {
-                MetricValue::Counter { value } => {
-                    let _ = writeln!(out, "{name:<48} {value:>12}");
-                }
-                MetricValue::Gauge { value, high_watermark } => {
-                    let _ = writeln!(out, "{name:<48} {value:>12}  (max {high_watermark})");
-                }
-                MetricValue::Histogram { count, max, p50, p99, .. } => {
-                    let _ = writeln!(out, "{name:<48} {count:>12}  p50={p50} p99={p99} max={max}");
-                }
-            }
-        }
-        out
-    }
-
     /// Serialize as deterministic JSON (sorted keys, integer values).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"metrics\": {");
@@ -437,10 +418,10 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serialize traces as Chrome-trace-event JSON (the "JSON array format"
+/// Serialize a trace as Chrome-trace-event JSON (the "JSON array format"
 /// Perfetto and `chrome://tracing` load).
 ///
-/// Each `(process_name, trace)` pair becomes one `pid`; actors become
+/// The trace becomes one process (`pid` 0) named `name`; actors become
 /// `tid`s in order of first appearance, with `process_name` /
 /// `thread_name` metadata events so the Perfetto UI shows real names.
 /// `ts` is the virtual clock in cycles (exported as microseconds purely
@@ -449,189 +430,131 @@ pub fn json_escape(s: &str) -> String {
 ///
 /// Events carrying a flow id additionally emit one Chrome flow event
 /// each, at the hop's start (`ph:"s"` at the flow's earliest hop,
-/// `ph:"f"` at its latest, `ph:"t"` between; ties go by record order),
-/// so Perfetto draws cross-actor arrows along each message's path.
-/// Flows with a single recorded hop are skipped — an arrow needs two
-/// ends.
-pub fn chrome_trace_json(processes: &[(&str, &Trace)]) -> String {
-    chrome_trace_json_with_tracks(processes, &[])
-}
-
-/// [`chrome_trace_json`], additionally merging sampled time-series as
-/// Perfetto *counter tracks* (`ph:"C"`): each `(track_name, series)`
-/// pair becomes one extra `pid` after the trace processes, every series
-/// in it one counter whose curve renders alongside the actor spans.
-/// Virtual-clock timestamps, name-sorted series, time-ordered points —
-/// the export stays byte-identical across identical runs.
-pub fn chrome_trace_json_with_tracks(
-    processes: &[(&str, &Trace)],
-    tracks: &[(&str, &timeseries::TimeSeries)],
-) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push_line = |out: &mut String, line: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
+/// `ph:"f"` at its latest, `ph:"t"` between; ties go by record order;
+/// the arrow `id` is the flow id), so Perfetto draws cross-actor arrows
+/// along each message's path. Flows with a single recorded hop are
+/// skipped — an arrow needs two ends.
+pub fn chrome_trace_json(name: &str, trace: &Trace) -> String {
+    let mut out = format!(
+        "{{\"traceEvents\":[\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
+        json_escape(name)
+    );
+    let push_line = |out: &mut String, line: String| {
+        out.push_str(",\n");
         out.push_str(&line);
     };
-    for (pid, (pname, trace)) in processes.iter().enumerate() {
-        push_line(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(pname)
-            ),
-        );
-        trace.with_events(|events| {
-            // Index of the earliest- and latest-starting hop per flow id
-            // (ties by record order), so each hop knows whether it starts
-            // ("s"), continues ("t"), or finishes ("f") its flow's arrow
-            // chain.
-            let mut flow_bounds: HashMap<u64, (usize, usize)> = HashMap::new();
-            for (idx, event) in events.iter().enumerate() {
-                if let Some(flow) = event.flow {
-                    let (first, last) = flow_bounds.entry(flow).or_insert((idx, idx));
-                    if event.time < events[*first].time {
-                        *first = idx;
-                    }
-                    if event.time >= events[*last].time {
-                        *last = idx;
-                    }
+    trace.with_events(|events| {
+        // Index of the earliest- and latest-starting hop per flow id
+        // (ties by record order), so each hop knows whether it starts
+        // ("s"), continues ("t"), or finishes ("f") its flow's arrow
+        // chain.
+        let mut flow_bounds: HashMap<u64, (usize, usize)> = HashMap::new();
+        for (idx, event) in events.iter().enumerate() {
+            if let Some(flow) = event.flow {
+                let (first, last) = flow_bounds.entry(flow).or_insert((idx, idx));
+                if event.time < events[*first].time {
+                    *first = idx;
                 }
-            }
-            let mut tids: HashMap<std::rc::Rc<str>, usize> = HashMap::new();
-            for (idx, event) in events.iter().enumerate() {
-                let next_tid = tids.len();
-                let tid = match tids.get(&*event.actor) {
-                    Some(&t) => t,
-                    None => {
-                        tids.insert(event.actor.clone(), next_tid);
-                        push_line(
-                            &mut out,
-                            format!(
-                                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{next_tid},\"args\":{{\"name\":\"{}\"}}}}",
-                                json_escape(&event.actor)
-                            ),
-                        );
-                        next_tid
-                    }
-                };
-                let (ph, dur) = match event.end {
-                    Some(end) => ("X", format!(",\"dur\":{}", end - event.time)),
-                    None => ("i", String::new()),
-                };
-                let mut line = format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{}{dur},\"pid\":{pid},\"tid\":{tid}",
-                    json_escape(event.kind),
-                    event.cat.name(),
-                    event.time,
-                );
-                if event.end.is_none() {
-                    line.push_str(",\"s\":\"t\"");
+                if event.time >= events[*last].time {
+                    *last = idx;
                 }
-                let mut args: Vec<(&str, String)> = Vec::new();
-                if let Some(flow) = event.flow {
-                    args.push(("flow", flow.to_string()));
-                }
-                for (name, value) in &event.fields {
-                    use crate::trace::FieldValue;
-                    let rendered = match value {
-                        FieldValue::U64(v) => v.to_string(),
-                        FieldValue::I64(v) => v.to_string(),
-                        FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
-                        FieldValue::Text(s) => format!("\"{}\"", json_escape(s)),
-                    };
-                    args.push((name, rendered));
-                }
-                if !args.is_empty() {
-                    line.push_str(",\"args\":{");
-                    for (i, (name, rendered)) in args.iter().enumerate() {
-                        if i > 0 {
-                            line.push(',');
-                        }
-                        let _ = write!(line, "\"{}\":{rendered}", json_escape(name));
-                    }
-                    line.push('}');
-                }
-                line.push('}');
-                push_line(&mut out, line);
-                if let Some(flow) = event.flow {
-                    let (first_idx, last_idx) = flow_bounds[&flow];
-                    if first_idx != last_idx {
-                        let fph = if idx == first_idx {
-                            "s"
-                        } else if idx == last_idx {
-                            "f"
-                        } else {
-                            "t"
-                        };
-                        // Chrome flow ids are global to the export, but each
-                        // (process_name, trace) pair allocates flows from 1 —
-                        // namespace by pid so arrows never cross sub-traces.
-                        let arrow_id = ((pid as u64) << 56) | flow;
-                        let mut fline = format!(
-                            "{{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"{fph}\",\"id\":{arrow_id},\"ts\":{},\"pid\":{pid},\"tid\":{tid}",
-                            event.time,
-                        );
-                        if fph == "f" {
-                            fline.push_str(",\"bp\":\"e\"");
-                        }
-                        fline.push('}');
-                        push_line(&mut out, fline);
-                    }
-                }
-            }
-        });
-    }
-    for (k, (tname, series)) in tracks.iter().enumerate() {
-        let pid = processes.len() + k;
-        push_line(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(tname)
-            ),
-        );
-        for s in series.series() {
-            for (t, v) in &s.points {
-                use timeseries::PointValue;
-                let args = match v {
-                    PointValue::Rate(r) => format!("\"rate\":{r}"),
-                    PointValue::Busy(pct) => format!("\"busy_pct\":{pct}"),
-                    PointValue::Level(l) => format!("\"level\":{l}"),
-                    PointValue::Window { count, p50, p99 } => {
-                        format!("\"count\":{count},\"p50\":{p50},\"p99\":{p99}")
-                    }
-                };
-                push_line(
-                    &mut out,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"C\",\"ts\":{t},\"pid\":{pid},\"tid\":0,\"args\":{{{args}}}}}",
-                        json_escape(&s.name)
-                    ),
-                );
             }
         }
-    }
+        let mut tids: HashMap<std::rc::Rc<str>, usize> = HashMap::new();
+        for (idx, event) in events.iter().enumerate() {
+            let next_tid = tids.len();
+            let tid = match tids.get(&*event.actor) {
+                Some(&t) => t,
+                None => {
+                    tids.insert(event.actor.clone(), next_tid);
+                    push_line(
+                        &mut out,
+                        format!(
+                            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{next_tid},\"args\":{{\"name\":\"{}\"}}}}",
+                            json_escape(&event.actor)
+                        ),
+                    );
+                    next_tid
+                }
+            };
+            let (ph, dur) = match event.end {
+                Some(end) => ("X", format!(",\"dur\":{}", end - event.time)),
+                None => ("i", String::new()),
+            };
+            let mut line = format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{}{dur},\"pid\":0,\"tid\":{tid}",
+                json_escape(event.kind),
+                event.cat.name(),
+                event.time,
+            );
+            if event.end.is_none() {
+                line.push_str(",\"s\":\"t\"");
+            }
+            let mut args: Vec<(&str, String)> = Vec::new();
+            if let Some(flow) = event.flow {
+                args.push(("flow", flow.to_string()));
+            }
+            for (name, value) in &event.fields {
+                use crate::trace::FieldValue;
+                let rendered = match value {
+                    FieldValue::U64(v) => v.to_string(),
+                    FieldValue::I64(v) => v.to_string(),
+                    FieldValue::Str(s) => format!("\"{}\"", json_escape(s)),
+                    FieldValue::Text(s) => format!("\"{}\"", json_escape(s)),
+                };
+                args.push((name, rendered));
+            }
+            if !args.is_empty() {
+                line.push_str(",\"args\":{");
+                for (i, (name, rendered)) in args.iter().enumerate() {
+                    if i > 0 {
+                        line.push(',');
+                    }
+                    let _ = write!(line, "\"{}\":{rendered}", json_escape(name));
+                }
+                line.push('}');
+            }
+            line.push('}');
+            push_line(&mut out, line);
+            if let Some(flow) = event.flow {
+                let (first_idx, last_idx) = flow_bounds[&flow];
+                if first_idx != last_idx {
+                    let fph = if idx == first_idx {
+                        "s"
+                    } else if idx == last_idx {
+                        "f"
+                    } else {
+                        "t"
+                    };
+                    let mut fline = format!(
+                        "{{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"{fph}\",\"id\":{flow},\"ts\":{},\"pid\":0,\"tid\":{tid}",
+                        event.time,
+                    );
+                    if fph == "f" {
+                        fline.push_str(",\"bp\":\"e\"");
+                    }
+                    fline.push('}');
+                    push_line(&mut out, fline);
+                }
+            }
+        }
+    });
     out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
     out
 }
 
-/// One event line of a [`chrome_trace_json_with_tracks`] export, read
-/// back. The reader knows exactly that line format (one event per line,
-/// compact `"key":value` pairs, the event's own keys before its `args`);
-/// it is not a general JSON parser.
+/// One event line of a [`chrome_trace_json`] export, read back. The
+/// reader knows exactly that line format (one event per line, compact
+/// `"key":value` pairs, the event's own keys before its `args`); it is
+/// not a general JSON parser.
 #[derive(Clone, Copy, Debug)]
 pub struct ChromeLine<'a> {
     /// 1-based line number in the export.
     pub lineno: usize,
-    /// Chrome phase: `M`etadata, complete span `X`, `i`nstant, flow
-    /// `s`/`t`/`f`, or `C`ounter sample.
+    /// Chrome phase: `M`etadata, complete span `X`, `i`nstant, or flow
+    /// `s`/`t`/`f`.
     pub ph: &'a str,
     pub name: &'a str,
-    pub pid: u64,
     pub tid: u64,
     raw: &'a str,
 }
@@ -674,16 +597,22 @@ impl<'a> ChromeLine<'a> {
     }
 }
 
-/// First string value of compact `"key":"..."` in `s`.
-fn json_str<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    s[s.find(&pat)? + pat.len()..].split('"').next()
-}
-
-/// First unsigned value of compact `"key":N` in `s`.
-fn json_num(s: &str, key: &str) -> Option<u64> {
+/// The text after the first `"key":` in `s`, past one optional space
+/// (the trace export writes `"key":v`, the audit export `"key": v`).
+fn json_value<'a>(s: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":");
     let rest = &s[s.find(&pat)? + pat.len()..];
+    Some(rest.strip_prefix(' ').unwrap_or(rest))
+}
+
+/// First string value of `"key":"..."` in `s`.
+pub(crate) fn json_str<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+    json_value(s, key)?.strip_prefix('"')?.split('"').next()
+}
+
+/// First unsigned value of `"key":N` in `s`.
+pub(crate) fn json_num(s: &str, key: &str) -> Option<u64> {
+    let rest = json_value(s, key)?;
     let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
@@ -700,7 +629,6 @@ pub fn chrome_lines(json: &str) -> impl Iterator<Item = ChromeLine<'_>> {
             lineno: i + 1,
             ph: json_str(raw, "ph")?,
             name: json_str(raw, "name").unwrap_or("?"),
-            pid: json_num(raw, "pid").unwrap_or(0),
             tid: json_num(raw, "tid").unwrap_or(0),
             raw,
         })
@@ -710,32 +638,29 @@ pub fn chrome_lines(json: &str) -> impl Iterator<Item = ChromeLine<'_>> {
 /// Check a Chrome-trace export's structural invariants; returns one
 /// message per violation (empty when clean):
 ///
-/// - timestamps are monotone per track: per `(pid, counter name)` for
-///   `ph:"C"` samples, per `(pid, tid)` for span ends (`ts + dur`) and
+/// - every event is metadata `M`, a span `X`, an instant `i` or a flow
+///   point `s`/`t`/`f` (a stray counter sample `C` is a violation);
+/// - timestamps are monotone per `tid` for span ends (`ts + dur`) and
 ///   instants, which are recorded at the current virtual time (a span's
 ///   start may lie before earlier records of its track);
 /// - every span `X` carries a numeric `dur`;
 /// - every flow arrow that starts (`s`) also finishes (`f`), and vice
-///   versa;
-/// - counter samples carry only non-negative integer values.
+///   versa.
 pub fn lint_trace(json: &str) -> Vec<String> {
     let mut violations = Vec::new();
-    let mut span_last: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    let mut counter_last: BTreeMap<(u64, &str), u64> = BTreeMap::new();
+    let mut track_last: BTreeMap<u64, u64> = BTreeMap::new();
     let mut flows: [BTreeSet<u64>; 2] = Default::default();
     let mut events = 0usize;
     for e in chrome_lines(json).filter(|e| e.ph != "M") {
         events += 1;
-        let (pid, tid, name, at) = (e.pid, e.tid, e.name, e.lineno);
+        let (tid, name, at) = (e.tid, e.name, e.lineno);
+        if !matches!(e.ph, "X" | "i" | "s" | "t" | "f") {
+            violations.push(format!("line {at}: unknown phase \"{}\"", e.ph));
+            continue;
+        }
         let Some(ts) = e.ts() else {
             violations.push(format!("line {at}: event without numeric ts"));
             continue;
-        };
-        let step = |last: &mut u64, at_ts: u64, track: String, violations: &mut Vec<String>| {
-            if at_ts < *last {
-                violations.push(format!("line {at}: {track}: ts {at_ts} steps back from {last}"));
-            }
-            *last = (*last).max(at_ts);
         };
         match e.ph {
             "X" | "i" => {
@@ -744,32 +669,19 @@ pub fn lint_trace(json: &str) -> Vec<String> {
                     violations.push(format!("line {at}: span \"{name}\" without numeric dur"));
                     continue;
                 };
-                let track = format!("pid {pid} tid {tid}");
-                step(span_last.entry((pid, tid)).or_insert(0), end, track, &mut violations);
+                let last = track_last.entry(tid).or_insert(0);
+                if end < *last {
+                    violations
+                        .push(format!("line {at}: tid {tid}: ts {end} steps back from {last}"));
+                }
+                *last = (*last).max(end);
             }
-            "s" | "t" | "f" => match e.id() {
+            _ => match e.id() {
                 Some(id) if e.ph == "s" => drop(flows[0].insert(id)),
                 Some(id) if e.ph == "f" => drop(flows[1].insert(id)),
                 Some(_) => {}
                 None => violations.push(format!("line {at}: flow event without id")),
             },
-            "C" => {
-                let track = format!("counter \"{name}\"");
-                step(counter_last.entry((pid, name)).or_insert(0), ts, track, &mut violations);
-                let values = e.args().map(|a| a.split(',').filter_map(|kv| kv.split_once(':')));
-                let Some(mut values) = values else {
-                    violations.push(format!("line {at}: counter \"{name}\" without args"));
-                    continue;
-                };
-                if let Some((_, v)) =
-                    values.find(|(_, v)| v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()))
-                {
-                    violations.push(format!(
-                        "line {at}: counter \"{name}\": non-numeric or negative value {v}"
-                    ));
-                }
-            }
-            other => violations.push(format!("line {at}: unknown phase \"{other}\"")),
         }
     }
     for id in flows[0].difference(&flows[1]) {
@@ -883,7 +795,7 @@ mod tests {
         let t = Trace::enabled();
         t.instant(12, Category::Mpb, "flag_set", None, || "rank1", Vec::new);
         t.span(10, 20, Category::Protocol, "send", None, || "rank0", || fields![bytes = 64u64]);
-        let json = chrome_trace_json(&[("run", &t)]);
+        let json = chrome_trace_json("run", &t);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"thread_name\""));
@@ -908,7 +820,7 @@ mod tests {
         t.instant(9, Category::Protocol, "get", Some(7), || "rank1", Vec::new);
         // A single-hop flow must not emit an unpaired "s".
         t.instant(11, Category::Protocol, "lonely", Some(8), || "rank0", Vec::new);
-        let json = chrome_trace_json(&[("run", &t)]);
+        let json = chrome_trace_json("run", &t);
         assert!(json.contains("\"ph\":\"s\",\"id\":7,\"ts\":1"));
         assert!(json.contains("\"ph\":\"t\",\"id\":7,\"ts\":5"));
         assert!(json.contains("\"ph\":\"f\",\"id\":7,\"ts\":9,"));
@@ -968,21 +880,17 @@ mod tests {
         t.instant(12, Category::Protocol, "put", Some(7), || "rank0", Vec::new);
         t.instant(15, Category::Vdma, "get", Some(7), || "rank1", Vec::new);
         t.span(10, 20, Category::Protocol, "send", None, || "rank0", Vec::new);
-        let json = chrome_trace_json(&[("run", &t)]);
+        let json = chrome_trace_json("run", &t);
         assert_eq!(lint_trace(&json), Vec::<String>::new());
         let names: Vec<(&str, &str)> = chrome_lines(&json).map(|e| (e.ph, e.name)).collect();
         assert_eq!(names[0], ("M", "process_name"));
         assert_eq!(chrome_lines(&json).next().unwrap().arg_str("name"), Some("run"));
-        // A span without a numeric duration, an unpaired arrow and a
-        // negative counter.
-        let broken = json
-            .replace("\"dur\":10,", "\"dur\":\"x\",")
-            .replace("\"ph\":\"f\"", "\"ph\":\"t\"")
-            .replace("\n]", ",\n{\"name\":\"q\",\"cat\":\"obs\",\"ph\":\"C\",\"ts\":1,\"pid\":1,\"tid\":0,\"args\":{\"level\":-1}}\n]");
+        // A span without a numeric duration and an unpaired arrow.
+        let broken =
+            json.replace("\"dur\":10,", "\"dur\":\"x\",").replace("\"ph\":\"f\"", "\"ph\":\"t\"");
         let v = lint_trace(&broken);
         assert!(v.iter().any(|m| m.contains("span \"send\" without numeric dur")), "{v:?}");
         assert!(v.iter().any(|m| m.contains("never finished")), "{v:?}");
-        assert!(v.iter().any(|m| m.contains("non-numeric or negative value -1")), "{v:?}");
         // A span ending before an instant recorded ahead of it on its track.
         let v = lint_trace(&json.replace("\"dur\":10,", "\"dur\":1,"));
         assert!(v.iter().any(|m| m.contains("ts 11 steps back from 12")), "{v:?}");
@@ -990,15 +898,13 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_two_processes() {
-        let a = Trace::enabled();
-        a.instant(1, Category::App, "x", None, || "r0", Vec::new);
-        let b = Trace::enabled();
-        b.instant(2, Category::App, "y", None, || "r0", Vec::new);
-        let json = chrome_trace_json(&[("blocking", &a), ("pipelined", &b)]);
-        assert!(json.contains("\"pid\":0"));
-        assert!(json.contains("\"pid\":1"));
-        assert!(json.contains("\"name\":\"blocking\""));
-        assert!(json.contains("\"name\":\"pipelined\""));
+    fn trace_lint_rejects_a_counter_sample() {
+        let t = Trace::enabled();
+        t.span(10, 20, Category::Protocol, "send", None, || "rank0", Vec::new);
+        let json = chrome_trace_json("run", &t);
+        let counter = "{\"name\":\"q\",\"cat\":\"obs\",\"ph\":\"C\",\"ts\":1,\"pid\":0,\"tid\":0,\"args\":{\"level\":1}}";
+        let stray = json.replace("\n]", &format!(",\n{counter}\n]"));
+        let at = stray.lines().position(|l| l.starts_with(counter)).unwrap() + 1;
+        assert_eq!(lint_trace(&stray), vec![format!("line {at}: unknown phase \"C\"")]);
     }
 }

@@ -7,12 +7,12 @@
 //! directory with the same [`Exports::report`], so it prints exactly the
 //! bytes the bench wrote. The report answers "why is this number what
 //! it is?" in one page: headline counters, faults & recovery (only when
-//! a fault plan fired), per-process critical-path attribution (phase
-//! columns sum to each process's end-of-run time exactly), peak/mean
+//! a fault plan fired), the traced process's critical-path attribution
+//! (phase columns sum to its end-of-run time exactly), peak/mean
 //! utilization per sampled resource, windowed tail latency, and the
 //! audit stream's digest. Identical exports render identical bytes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -25,7 +25,7 @@ use crate::critpath::{self, Attribution};
 /// The four machine-readable exports of one observed run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Exports {
-    /// Chrome trace, the sampled series merged in as counter tracks.
+    /// Chrome trace of the run's spans, instants and flow arrows.
     pub trace: String,
     /// Metrics-registry snapshot.
     pub metrics: String,
@@ -80,8 +80,7 @@ impl Exports {
         let mut md = String::from("# vSCC run report\n\n");
         let _ = writeln!(
             md,
-            "{} trace process(es), {} spans and {} instants; sampler cadence {} cycles, {} series.",
-            trace.processes.len(),
+            "1 trace process(es), {} spans and {} instants; sampler cadence {} cycles, {} series.",
             trace.spans,
             trace.instants,
             ts.cadence,
@@ -104,12 +103,8 @@ impl Exports {
         md.push_str("\n## Critical path\n\n");
         md.push_str("Cycles of each process's `[0, end]` window attributed per phase\n");
         md.push_str("(columns sum to the end-of-run time exactly):\n\n```text\n");
-        let rows: Vec<(String, Attribution)> = trace
-            .processes
-            .iter()
-            .map(|(name, end, attr)| (format!("{name} (end {end})"), *attr))
-            .collect();
-        md.push_str(&critpath::render_table("process", &rows));
+        let row = (format!("{} (end {})", trace.process, trace.end), trace.attribution);
+        md.push_str(&critpath::render_table("process", &[row]));
         md.push_str("```\n");
 
         md.push_str("\n## Utilization\n\n| resource | kind | mean | peak |\n|---|---|---:|---:|\n");
@@ -169,57 +164,43 @@ impl Exports {
 
 /// The critical-path view of a trace export.
 struct TraceSummary {
-    /// Per process with spans (pid order): name, end-of-run time, and
-    /// attribution over `[0, end]`.
-    processes: Vec<(String, u64, Attribution)>,
+    /// The traced process's name, end-of-run time, and attribution over
+    /// `[0, end]`.
+    process: String,
+    end: u64,
+    attribution: Attribution,
     /// Spans (`ph:"X"`) and instants (`ph:"i"`): the traced events,
-    /// without the flow-arrow points and sampled counter values that
-    /// share the export.
+    /// without the flow-arrow points that share the export.
     spans: usize,
     instants: usize,
 }
 
 fn summarize_trace(json: &str) -> TraceSummary {
-    let mut names: BTreeMap<u64, &str> = BTreeMap::new();
-    let mut ends: BTreeMap<u64, u64> = BTreeMap::new();
-    // Counter-track pids reuse the run's name but hold only `ph:"C"`
-    // samples; they have no spans to attribute.
-    let mut has_spans: BTreeSet<u64> = BTreeSet::new();
-    let mut spans: BTreeMap<u64, Vec<(u64, u64, critpath::Phase)>> = BTreeMap::new();
-    let (mut span_count, mut instant_count) = (0usize, 0usize);
+    let mut process = "?";
+    let mut end = 0;
+    let mut intervals = Vec::new();
+    let (mut spans, mut instants) = (0usize, 0usize);
     for e in chrome_lines(json) {
         match e.ph {
             "M" => {
                 if e.name == "process_name" {
-                    names.insert(e.pid, e.arg_str("name").unwrap_or("?"));
+                    process = e.arg_str("name").unwrap_or("?");
                 }
                 continue;
             }
-            "X" => span_count += 1,
-            "i" => instant_count += 1,
+            "X" => spans += 1,
+            "i" => instants += 1,
             _ => {}
         }
         let ts = e.ts().unwrap_or(0);
         let span_end = if e.ph == "X" { e.dur().map(|dur| ts + dur) } else { None };
-        let end = ends.entry(e.pid).or_insert(0);
-        *end = (*end).max(span_end.unwrap_or(ts));
-        if e.ph != "C" {
-            has_spans.insert(e.pid);
-        }
+        end = end.max(span_end.unwrap_or(ts));
         if let (Some(t1), Some(phase)) = (span_end, critpath::phase_of_kind(e.name)) {
-            spans.entry(e.pid).or_default().push((ts, t1, phase));
+            intervals.push((ts, t1, phase));
         }
     }
-    let processes = names
-        .iter()
-        .filter(|(pid, _)| has_spans.contains(pid))
-        .map(|(pid, name)| {
-            let end = ends.get(pid).copied().unwrap_or(0);
-            let intervals = spans.remove(pid).unwrap_or_default();
-            (name.to_string(), end, critpath::attribute(&intervals, 0, end))
-        })
-        .collect();
-    TraceSummary { processes, spans: span_count, instants: instant_count }
+    let attribution = critpath::attribute(&intervals, 0, end);
+    TraceSummary { process: process.to_string(), end, attribution, spans, instants }
 }
 
 /// The "Faults & recovery" section, with the self-healing plane's

@@ -22,11 +22,11 @@
 //! keep the simulation alive, so enabling it cannot move `sim.now()` at
 //! app completion or any non-`obs.*` metric — see DESIGN.md §5f.
 //!
-//! Exports: [`TimeSeries::to_json`] (`timeseries.json` under a
-//! `VSCC_OBS` directory, byte-identical across identical runs) and
-//! [`super::chrome_trace_json_with_tracks`] (Perfetto counter tracks
-//! merged into `trace.json`). [`parse_json`] reads the former back;
-//! [`lint`] checks it and [`diff`] names where two exports first part.
+//! Export: [`TimeSeries::to_json`] (`timeseries.json` under a
+//! `VSCC_OBS` directory, byte-identical across identical runs), the only
+//! home of the sampled series — `trace.json` holds no copy of them.
+//! [`parse_json`] reads it back; [`lint`] checks it and [`diff`] names
+//! where two exports first part.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

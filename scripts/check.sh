@@ -64,10 +64,12 @@ FAULT_PLAN='seed=7,corrupt=0.05,ackloss=0.01,recovery=on,watchdog=20000000'
 VSCC_FAULTS="$FAULT_PLAN" cargo bench -q -p vscc-bench --bench fig6b_interdevice \
     | grep -F "[faults] VSCC_FAULTS plan active: $FAULT_PLAN" >/dev/null
 
-echo "== golden exports (fault-free runs byte-identical to committed goldens) =="
+echo "== golden exports (fixed-seed exports and run reports byte-identical to goldens) =="
 # The health plane must be inert without an active fault plan: any drift
 # in these fixed-seed trace/metrics/timeseries/audit exports means the
-# recovery layer perturbed a clean run.
+# recovery layer perturbed a clean run. The two pinned report.md files
+# (fig6b's designated run and the storm-then-quiet healing run) cover
+# the report renderer, its fault section and health timeline included.
 cargo test -q --test golden_exports
 
 echo "== cadence-sweep smoke (two cadences, same run, same final snapshot) =="
@@ -77,7 +79,9 @@ echo "== obs smoke (two VSCC_OBS fig6b runs: identical exports, clean lint, repo
 # VSCC_OBS=<dir> makes the fig6b target export its designated run (the
 # vDMA 8 KiB point: trace, metrics, time series, audit stream, report).
 # Two back-to-back runs (separate processes) must be byte-identical, the
-# trace and time-series exports must lint clean, vscc_obs diff must find
+# trace and time-series exports must lint clean (the trace lint rejects
+# any event outside M/X/i/s/t/f, so a counter line copied in from the
+# time series fails it), vscc_obs diff must find
 # no divergence (exit 1 would kill the script), and vscc_obs report must
 # reproduce report.md byte for byte.
 OBS_TMP="$(mktemp -d)"

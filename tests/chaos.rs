@@ -79,7 +79,7 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
     ChaosRun {
         metrics_json: reg.snapshot().to_json(),
         trace: v.trace().clone(),
-        trace_json: des::obs::chrome_trace_json(&[("chaos", v.trace())]),
+        trace_json: des::obs::chrome_trace_json("chaos", v.trace()),
         fault_events: v
             .trace()
             .with_events(|ev| ev.iter().filter(|e| e.cat == Category::Fault).count()),

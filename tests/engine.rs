@@ -40,7 +40,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 fn fig6b_shaped_run() -> (String, String) {
     let (_, trace, reg) = pingpong::interdevice_observed(CommScheme::LocalPutLocalGet, 65_536, 2);
-    (des::obs::chrome_trace_json(&[("fig6b", &trace)]), reg.snapshot().to_json())
+    (des::obs::chrome_trace_json("fig6b", &trace), reg.snapshot().to_json())
 }
 
 /// Two in-process runs of the same fixed-seed workload must export
