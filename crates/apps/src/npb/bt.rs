@@ -220,18 +220,24 @@ impl BtRank {
         let me = self.r.id();
         // Deadlock-free pairwise exchange on a torus: lower rank sends
         // first. (NPB posts receives early; this is the blocking-RCCE
-        // equivalent.)
-        let out = Self::payload(len, iter, phase, stage, me);
-        let mut inbuf = vec![0u8; len];
+        // equivalent.) Every rank sits in here at once during
+        // `copy_faces`, so each side holds one face buffer at a time:
+        // the payload is dropped before the receive buffer exists, and
+        // the receive buffer is dropped before the payload is built.
         if me < to.min(from) || (to == from && me < to) {
-            self.r.send(&out, to).await;
-            self.r.recv(&mut inbuf, from).await;
+            self.send_face(to, len, iter, phase, stage).await;
+            self.recv_stage(from, len, iter, phase, stage).await;
         } else {
-            self.r.recv(&mut inbuf, from).await;
-            self.r.send(&out, to).await;
+            self.recv_stage(from, len, iter, phase, stage).await;
+            self.send_face(to, len, iter, phase, stage).await;
         }
-        self.ok &= Self::first_bad(&inbuf, iter, phase, stage, from).is_none();
-        self.messages += 2;
+    }
+
+    /// Blocking send of this rank's payload, dropped once sent.
+    async fn send_face(&mut self, to: usize, len: usize, iter: usize, phase: u8, stage: usize) {
+        let out = Self::payload(len, iter, phase, stage, self.r.id());
+        self.r.send(&out, to).await;
+        self.messages += 1;
     }
 
     /// Non-blocking stage send (the RCCE BT port posts its solve-info
@@ -249,6 +255,8 @@ impl BtRank {
         self.r.isend(out, to)
     }
 
+    /// Receive into a zeroed buffer (stale bytes cannot pass the check),
+    /// verify it in place and drop it.
     async fn recv_stage(&mut self, from: usize, len: usize, iter: usize, phase: u8, stage: usize) {
         let mut buf = vec![0u8; len];
         self.r.recv(&mut buf, from).await;

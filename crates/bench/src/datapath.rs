@@ -1,5 +1,5 @@
 //! The data-path ping-pongs behind the allocations-per-message gate, and
-//! the counting allocator that measures them.
+//! the counting allocator that measures them (and BT's peak live heap).
 //!
 //! `engine_micro` reports and gates `allocs_per_msg` for these scenarios
 //! against the committed repo-root `BENCH_engine.json`; the root
@@ -37,40 +37,61 @@ pub const SCENARIOS: [(&str, PingPong); 3] = [
     ("datapath/onchip_8k_blocking", |reps| onchip_pingpong(8192, reps)),
 ];
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// One thread's allocator counters.
+struct Counts {
+    allocs: Cell<u64>,
+    live: Cell<isize>,
+    peak: Cell<isize>,
 }
 
-/// Counting global allocator: wraps `System`, bumping a per-thread
-/// counter on every `alloc`/`realloc`/`alloc_zeroed`. Install it in the
-/// binary with `#[global_allocator]`. Per-thread counting keeps other
-/// threads (the test harness's) out of the numbers; the
-/// counter is a const-initialised `thread_local` `Cell`, so bumping it
-/// never allocates (no recursion into the allocator).
+thread_local! {
+    static COUNTS: Counts = const {
+        Counts { allocs: Cell::new(0), live: Cell::new(0), peak: Cell::new(0) }
+    };
+}
+
+/// Counting global allocator: wraps `System`, counting on the calling
+/// thread every `alloc`/`realloc`/`alloc_zeroed` and the heap bytes it
+/// holds live (and their peak). Install it in the binary with
+/// `#[global_allocator]`. Per-thread counting keeps other threads (the
+/// test harness's) out of the numbers; the counters are const-initialised
+/// `thread_local` `Cell`s, so updating them never allocates (no recursion
+/// into the allocator).
 pub struct CountingAlloc;
 
-fn bump() {
+/// Count `allocs` allocations and a live-byte change of `bytes`.
+fn record(allocs: u64, bytes: isize) {
     // try_with: TLS may be mid-teardown during thread exit.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = COUNTS.try_with(|c| {
+        c.allocs.set(c.allocs.get() + allocs);
+        let live = c.live.get() + bytes;
+        c.live.set(live);
+        c.peak.set(c.peak.get().max(live));
+    });
 }
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the only addition is a thread-local counter update, which
+// neither allocates nor touches the returned memory. Layout sizes and a
+// realloc's `new_size` fit in `isize` by `GlobalAlloc`'s contract.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(1, layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(0, -(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        record(1, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(1, layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 }
@@ -78,7 +99,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Allocations performed by this thread so far (0 unless
 /// [`CountingAlloc`] is the global allocator).
 pub fn allocations() -> u64 {
-    ALLOCS.try_with(|c| c.get()).unwrap_or(0)
+    COUNTS.try_with(|c| c.allocs.get()).unwrap_or(0)
+}
+
+/// Heap bytes this thread allocated and has not freed. A thread that
+/// frees another thread's allocations can read below zero.
+pub fn live_bytes() -> isize {
+    COUNTS.try_with(|c| c.live.get()).unwrap_or(0)
+}
+
+/// Highest [`live_bytes`] since the last [`reset_peak`].
+pub fn peak_live_bytes() -> isize {
+    COUNTS.try_with(|c| c.peak.get()).unwrap_or(0)
+}
+
+/// Restart this thread's peak at its current live bytes.
+pub fn reset_peak() {
+    let _ = COUNTS.try_with(|c| c.peak.set(c.live.get()));
 }
 
 /// Host allocations per one-way message of `pingpong`, isolated by rep

@@ -552,7 +552,7 @@ pub struct ChromeLine<'a> {
     /// 1-based line number in the export.
     pub lineno: usize,
     /// Chrome phase: `M`etadata, complete span `X`, `i`nstant, or flow
-    /// `s`/`t`/`f`.
+    /// `s`/`t`/`f`; empty when the line has no `ph`.
     pub ph: &'a str,
     pub name: &'a str,
     pub tid: u64,
@@ -617,17 +617,18 @@ pub(crate) fn json_num(s: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// Every event line of a Chrome-trace export, metadata included, in
+/// Every event line (a `{...}` object with at least one key) of a
+/// Chrome-trace export, metadata and lines without a `ph` included, in
 /// file order.
 pub fn chrome_lines(json: &str) -> impl Iterator<Item = ChromeLine<'_>> {
     json.lines().enumerate().filter_map(|(i, line)| {
         let raw = line.trim().trim_end_matches(',');
-        if !raw.starts_with('{') || !raw.ends_with('}') {
+        if !raw.starts_with('{') || !raw.ends_with('}') || !raw.contains("\":") {
             return None;
         }
         Some(ChromeLine {
             lineno: i + 1,
-            ph: json_str(raw, "ph")?,
+            ph: json_str(raw, "ph").unwrap_or(""),
             name: json_str(raw, "name").unwrap_or("?"),
             tid: json_num(raw, "tid").unwrap_or(0),
             raw,
@@ -638,8 +639,9 @@ pub fn chrome_lines(json: &str) -> impl Iterator<Item = ChromeLine<'_>> {
 /// Check a Chrome-trace export's structural invariants; returns one
 /// message per violation (empty when clean):
 ///
-/// - every event is metadata `M`, a span `X`, an instant `i` or a flow
-///   point `s`/`t`/`f` (a stray counter sample `C` is a violation);
+/// - every event has a phase, and it is metadata `M`, a span `X`, an
+///   instant `i` or a flow point `s`/`t`/`f` (a stray counter sample `C`
+///   is a violation);
 /// - timestamps are monotone per `tid` for span ends (`ts + dur`) and
 ///   instants, which are recorded at the current virtual time (a span's
 ///   start may lie before earlier records of its track);
@@ -654,6 +656,10 @@ pub fn lint_trace(json: &str) -> Vec<String> {
     for e in chrome_lines(json).filter(|e| e.ph != "M") {
         events += 1;
         let (tid, name, at) = (e.tid, e.name, e.lineno);
+        if e.ph.is_empty() {
+            violations.push(format!("line {at}: event without ph"));
+            continue;
+        }
         if !matches!(e.ph, "X" | "i" | "s" | "t" | "f") {
             violations.push(format!("line {at}: unknown phase \"{}\"", e.ph));
             continue;
@@ -906,5 +912,16 @@ mod tests {
         let stray = json.replace("\n]", &format!(",\n{counter}\n]"));
         let at = stray.lines().position(|l| l.starts_with(counter)).unwrap() + 1;
         assert_eq!(lint_trace(&stray), vec![format!("line {at}: unknown phase \"C\"")]);
+    }
+
+    #[test]
+    fn trace_lint_names_an_event_without_ph() {
+        let phaseless = concat!(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"run\"}}\n",
+            "{\"name\":\"put\",\"cat\":\"protocol\",\"ph\":\"i\",\"ts\":12,\"pid\":0,\"tid\":1,\"s\":\"t\"}\n",
+            "{\"name\":\"send\",\"cat\":\"protocol\",\"ts\":10,\"dur\":10,\"pid\":0,\"tid\":1}\n",
+        );
+        assert_eq!(chrome_lines(phaseless).map(|e| e.ph).collect::<Vec<_>>(), ["M", "i", ""]);
+        assert_eq!(lint_trace(phaseless), vec!["line 3: event without ph"]);
     }
 }

@@ -80,7 +80,7 @@ impl Exports {
         let mut md = String::from("# vSCC run report\n\n");
         let _ = writeln!(
             md,
-            "1 trace process(es), {} spans and {} instants; sampler cadence {} cycles, {} series.",
+            "{} spans and {} instants; sampler cadence {} cycles, {} series.",
             trace.spans,
             trace.instants,
             ts.cadence,
