@@ -3,16 +3,18 @@
 //! Two ranks bounce a message back and forth; throughput is the payload
 //! volume over the simulated round-trip time. The helpers here build a
 //! fresh system per measurement point so runs are independent and
-//! deterministic.
+//! deterministic. Two-rank inter-device runs use one pair
+//! ([`pair_session`]), and ping-pongs one rep loop ([`bounce`], run and
+//! timed by [`measure`]).
 
-use des::obs::Registry;
+use des::obs::{Registry, TimeSeries};
 use des::time::CORE_FREQ;
 use des::trace::{Category, Trace};
-use des::Sim;
-use rcce::{PipelinedProtocol, SessionBuilder};
+use des::{Cycles, Sim};
+use rcce::{PipelinedProtocol, Session, SessionBuilder};
 use scc::device::SccDevice;
 use scc::geometry::{CoreId, DeviceId};
-use vscc::{CommScheme, VsccBuilder};
+use vscc::{CommScheme, Vscc, VsccBuilder};
 
 /// One measured point of a ping-pong sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,8 +53,10 @@ pub async fn bounce(r: rcce::Rcce, size: usize, reps: usize) {
     }
 }
 
-fn point(sim: &Sim, size: usize, reps: usize) -> PingPongPoint {
-    let cycles = sim.now();
+/// Run [`bounce`] over the two ranks of `s` to completion and measure it.
+pub fn measure(s: &Session, size: usize, reps: usize) -> PingPongPoint {
+    s.run_app(move |r| bounce(r, size, reps)).expect("ping-pong");
+    let cycles = s.inner.sim().now();
     // 2*reps one-way messages in `cycles`.
     let mbps = CORE_FREQ.mbytes_per_sec((2 * reps * size) as u64, cycles);
     PingPongPoint { size, cycles, mbps }
@@ -66,9 +70,7 @@ pub fn onchip(pipelined: bool, size: usize, reps: usize) -> PingPongPoint {
     if pipelined {
         b = b.onchip_protocol(std::rc::Rc::new(PipelinedProtocol::default()));
     }
-    let s = b.build();
-    s.run_app(move |r| bounce(r, size, reps)).expect("on-chip ping-pong");
-    point(&sim, size, reps)
+    measure(&b.build(), size, reps)
 }
 
 /// The fig6b platform: the paper's physical setup is five SCC devices
@@ -84,11 +86,46 @@ pub fn onchip(pipelined: bool, size: usize, reps: usize) -> PingPongPoint {
 /// 8,940,861 cycles at 128 KiB.
 pub const FIG_DEVICES: u8 = 5;
 
-/// Inter-device ping-pong between core 0 of device 0 and core 0 of
-/// device 1 under the given scheme, on the full [`FIG_DEVICES`]-device
-/// platform.
+/// A fresh [`FIG_DEVICES`]-device system under `scheme`.
+pub fn fig_platform(scheme: CommScheme) -> VsccBuilder {
+    VsccBuilder::new(&Sim::new(), FIG_DEVICES).scheme(scheme)
+}
+
+/// A session builder over the pair every inter-device measurement runs
+/// on: core 0 of device 0 (rank 0) and core 0 of device 1 (rank 1).
+pub fn pair_session(v: &Vscc) -> SessionBuilder {
+    let a = v.devices[0].global(CoreId(0));
+    let b = v.devices[1].global(CoreId(0));
+    v.session_builder().participants(vec![a, b])
+}
+
+/// Inter-device ping-pong over the [`pair_session`] of the system `b`
+/// builds; every inter-device point runs through here. With a `cadence`,
+/// the virtual-time metrics sampler runs at it and is finished at app
+/// completion (partial tail window flushed), ready for a time-series
+/// export. Returns the point, the system (its clock, trace and metrics)
+/// and the sampler.
+pub fn interdevice_run(
+    b: VsccBuilder,
+    size: usize,
+    reps: usize,
+    cadence: Option<Cycles>,
+) -> (PingPongPoint, Vscc, Option<TimeSeries>) {
+    let v = b.build();
+    // Build the session before spawning the sampler so the `rcce.*`
+    // metrics exist when the selection is resolved.
+    let s = pair_session(&v).build();
+    let series = cadence.map(|c| v.spawn_sampler(c));
+    let point = measure(&s, size, reps);
+    if let Some(ts) = &series {
+        ts.finish(v.sim.now());
+    }
+    (point, v, series)
+}
+
+/// Inter-device ping-pong under `scheme` on the [`fig_platform`].
 pub fn interdevice(scheme: CommScheme, size: usize, reps: usize) -> PingPongPoint {
-    interdevice_on(scheme, size, reps, FIG_DEVICES)
+    interdevice_run(fig_platform(scheme), size, reps, None).0
 }
 
 /// Like [`interdevice`], but with every layer's metrics in one registry
@@ -98,95 +135,22 @@ pub fn interdevice_observed(
     size: usize,
     reps: usize,
 ) -> (PingPongPoint, Trace, Registry) {
-    let sim = Sim::new();
-    let v =
-        VsccBuilder::new(&sim, FIG_DEVICES).scheme(scheme).trace_categories(&Category::ALL).build();
-    let a = v.devices[0].global(CoreId(0));
-    let b = v.devices[1].global(CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
-    s.run_app(move |r| bounce(r, size, reps)).expect("inter-device ping-pong");
-    (point(&sim, size, reps), v.trace().clone(), v.metrics().clone())
+    let b = fig_platform(scheme).trace_categories(&Category::ALL);
+    let (point, v, _) = interdevice_run(b, size, reps, None);
+    (point, v.trace().clone(), v.metrics().clone())
 }
 
 /// Like [`interdevice_observed`], but additionally running the
-/// virtual-time metrics sampler at `cadence` cycles; the returned
-/// [`des::obs::TimeSeries`] is finished at app completion (partial tail
-/// window flushed), ready for a time-series export.
+/// virtual-time metrics sampler at `cadence` cycles.
 pub fn interdevice_sampled(
     scheme: CommScheme,
     size: usize,
     reps: usize,
-    cadence: des::Cycles,
-) -> (PingPongPoint, Trace, Registry, des::obs::TimeSeries) {
-    let sim = Sim::new();
-    let v =
-        VsccBuilder::new(&sim, FIG_DEVICES).scheme(scheme).trace_categories(&Category::ALL).build();
-    let a = v.devices[0].global(CoreId(0));
-    let b = v.devices[1].global(CoreId(0));
-    // Build the session before spawning the sampler so the `rcce.*`
-    // metrics exist when the selection is resolved.
-    let s = v.session_builder().participants(vec![a, b]).build();
-    let ts = v.spawn_sampler(cadence);
-    s.run_app(move |r| bounce(r, size, reps)).expect("inter-device ping-pong");
-    ts.finish(sim.now());
-    (point(&sim, size, reps), v.trace().clone(), v.metrics().clone(), ts)
-}
-
-/// Like [`interdevice`], but running under an installed
-/// [`des::audit::Audit`] stream: every scheduler decision of the run is
-/// folded into per-epoch chain hashes at `cadence` cycles per epoch
-/// (ready for [`des::audit::Audit::to_json`]). `zoom` selects an epoch
-/// whose raw decisions are kept; it arms nothing else (the run's trace
-/// stays disabled). `faults` optionally runs the whole thing under
-/// a seeded fault plan, so two audits differing only in the seed can be
-/// bisected to the first divergent decision.
-pub fn interdevice_audited(
-    scheme: CommScheme,
-    size: usize,
-    reps: usize,
-    cadence: u64,
-    zoom: Option<u64>,
-    faults: Option<des::faultplan::FaultSpec>,
-) -> (PingPongPoint, des::audit::Audit) {
-    let audit = match zoom {
-        Some(epoch) => des::audit::Audit::with_zoom(cadence, epoch),
-        None => des::audit::Audit::new(cadence),
-    };
-    let guard = audit.install();
-    let sim = Sim::new();
-    let mut b = VsccBuilder::new(&sim, FIG_DEVICES).scheme(scheme);
-    if let Some(spec) = faults {
-        b = b.faults(spec);
-    }
-    let v = b.build();
-    let a = v.devices[0].global(CoreId(0));
-    let b = v.devices[1].global(CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
-    s.run_app(move |r| bounce(r, size, reps)).expect("inter-device ping-pong");
-    drop(guard);
-    (point(&sim, size, reps), audit)
-}
-
-/// Inter-device ping-pong on a system of `n_devices` (the extra devices
-/// only add fabric structure; the traffic stays on one pair).
-pub fn interdevice_on(
-    scheme: CommScheme,
-    size: usize,
-    reps: usize,
-    n_devices: u8,
-) -> PingPongPoint {
-    let sim = Sim::new();
-    let v = VsccBuilder::new(&sim, n_devices).scheme(scheme).build();
-    let a = v.devices[0].global(CoreId(0));
-    let b = v.devices[1].global(CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
-    s.run_app(move |r| bounce(r, size, reps)).expect("inter-device ping-pong");
-    point(&sim, size, reps)
-}
-
-/// Round-trip latency (cycles) of a single message of `size` bytes.
-pub fn latency_cycles(scheme: CommScheme, size: usize) -> u64 {
-    interdevice(scheme, size, 1).cycles
+    cadence: Cycles,
+) -> (PingPongPoint, Trace, Registry, TimeSeries) {
+    let b = fig_platform(scheme).trace_categories(&Category::ALL);
+    let (point, v, series) = interdevice_run(b, size, reps, Some(cadence));
+    (point, v.trace().clone(), v.metrics().clone(), series.expect("sampled run"))
 }
 
 #[cfg(test)]
@@ -270,16 +234,19 @@ mod tests {
     fn small_message_latency_below_programming_overhead_path() {
         // The direct-transfer threshold keeps small messages cheap: a
         // 64 B vDMA-scheme message must not cost more than ~4 routed RTs.
-        let l = latency_cycles(CommScheme::LocalPutLocalGet, 64);
+        let l = interdevice(CommScheme::LocalPutLocalGet, 64, 1).cycles;
         assert!(l < 40_000, "64 B latency {l} cycles too high");
     }
 
     #[test]
     fn idle_devices_only_slow_hw_ack() {
+        let cycles = |scheme, size, n_devices| {
+            let b = VsccBuilder::new(&Sim::new(), n_devices).scheme(scheme);
+            interdevice_run(b, size, 2, None).0.cycles
+        };
         for size in [64, 8 * 1024, 128 * 1024] {
             for scheme in CommScheme::ALL {
-                let two = interdevice_on(scheme, size, 2, 2).cycles;
-                let five = interdevice_on(scheme, size, 2, 5).cycles;
+                let (two, five) = (cycles(scheme, size, 2), cycles(scheme, size, 5));
                 if scheme == CommScheme::RemotePutHwAck {
                     assert!(five >= two, "{scheme:?} {size} B: 5 devices faster than 2");
                 } else {

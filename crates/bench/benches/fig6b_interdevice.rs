@@ -70,18 +70,8 @@ fn main() {
         dip(CommScheme::LocalPutLocalGet)
     );
 
-    // The designated run: the vDMA 8 KiB point, sampled (tunnel
-    // busy-fraction, MPB window occupancy, commtask busy-fraction, ...)
-    // and audited. An active VSCC_FAULTS plan rides along, seed and all.
-    let observed = vscc_bench::observe("vdma-8K", || {
-        let (_, trace, metrics, series) = pingpong::interdevice_sampled(
-            CommScheme::LocalPutLocalGet,
-            8192,
-            1,
-            des::obs::DEFAULT_CADENCE,
-        );
-        vscc_bench::Observed { trace, metrics, series }
-    });
+    // The designated run: the vDMA 8 KiB point, sampled and audited.
+    let observed = vscc_bench::observe(vscc_bench::fig6b::LABEL, vscc_bench::fig6b::designated);
     if observed {
         // Where does one round trip spend its cycles? The per-phase
         // columns sum to the measured completion exactly.

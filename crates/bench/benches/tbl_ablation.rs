@@ -9,47 +9,24 @@
 use std::rc::Rc;
 
 use des::Sim;
-use rcce::Session;
+use rcce::PointToPoint;
 use scc::geometry::CoreId;
 use vscc::host::HostConfig;
 use vscc::schemes::CachedGetProtocol;
-use vscc::{CommScheme, VsccBuilder};
+use vscc::{CommScheme, Vscc, VsccBuilder};
+use vscc_apps::pingpong;
 
 const SIZE: usize = 64 * 1024;
 const REPS: usize = 3;
 
-fn pair_throughput(v: &vscc::Vscc, proto: Option<Rc<dyn rcce::PointToPoint>>) -> f64 {
-    pingpong(v, &pair_session(v, proto))
-}
-
-/// A session over core 0 of devices 0 and 1.
-fn pair_session(v: &vscc::Vscc, proto: Option<Rc<dyn rcce::PointToPoint>>) -> Session {
-    let a = v.devices[0].global(CoreId(0));
-    let b = v.devices[1].global(CoreId(0));
-    let mut sb = v.session_builder().participants(vec![a, b]);
+/// MB/s of `REPS` round trips of `SIZE` bytes over `v`'s measured pair,
+/// with `proto` (if any) in place of the scheme's protocol.
+fn pair_throughput(v: &Vscc, proto: Option<Rc<dyn PointToPoint>>) -> f64 {
+    let mut sb = pingpong::pair_session(v);
     if let Some(p) = proto {
         sb = sb.interdevice_protocol(p);
     }
-    sb.build()
-}
-
-/// `REPS` round trips of `SIZE` bytes over `s`; returns MB/s.
-fn pingpong(v: &vscc::Vscc, s: &Session) -> f64 {
-    s.run_app(move |r| async move {
-        for _ in 0..REPS {
-            if r.id() == 0 {
-                r.send(&vec![9u8; SIZE], 1).await;
-                let mut buf = vec![0u8; SIZE];
-                r.recv(&mut buf, 1).await;
-            } else {
-                let mut buf = vec![0u8; SIZE];
-                r.recv(&mut buf, 0).await;
-                r.send(&buf, 0).await;
-            }
-        }
-    })
-    .expect("ablation run");
-    des::time::CORE_FREQ.mbytes_per_sec((2 * REPS * SIZE) as u64, v.sim.now())
+    pingpong::measure(&sb.build(), SIZE, REPS).mbps
 }
 
 fn main() {
@@ -60,7 +37,7 @@ fn main() {
         let both = vscc_bench::parallel_sweep(&[true, false], |&prefetch| {
             let sim = Sim::new();
             let v = VsccBuilder::new(&sim, 2).scheme(CommScheme::LocalPutRemoteGet).build();
-            let proto: Option<Rc<dyn rcce::PointToPoint>> = if prefetch {
+            let proto: Option<Rc<dyn PointToPoint>> = if prefetch {
                 None
             } else {
                 Some(Rc::new(CachedGetProtocol { prefetch: false, ..Default::default() }))
@@ -150,15 +127,12 @@ fn main() {
     // The designated run: the small end of the vDMA-chunk ablation,
     // where per-chunk overhead dominates, fully traced.
     vscc_bench::observe("chunk-256", || {
-        let sim = Sim::new();
-        let v = VsccBuilder::new(&sim, 2)
+        let b = VsccBuilder::new(&Sim::new(), 2)
             .scheme(CommScheme::LocalPutLocalGet)
             .host_config(HostConfig { dma_chunk: 256, ..HostConfig::default() })
-            .trace_categories(&des::trace::Category::ALL)
-            .build();
-        let s = pair_session(&v, None);
-        let series = v.spawn_sampler(des::obs::DEFAULT_CADENCE);
-        pingpong(&v, &s);
-        vscc_bench::Observed::of(&v, series)
+            .trace_categories(&des::trace::Category::ALL);
+        let (_, v, series) =
+            pingpong::interdevice_run(b, SIZE, REPS, Some(des::obs::DEFAULT_CADENCE));
+        vscc_bench::Observed::of(&v, series.expect("sampled run"))
     });
 }

@@ -18,8 +18,10 @@
 //! seeds and code path, so they stay byte-identical.
 
 use des::faultplan::FaultSpec;
+use des::obs::TimeSeries;
 use des::Sim;
-use vscc::{host::HostConfig, CommScheme, VsccBuilder};
+use vscc::{host::HostConfig, CommScheme, Vscc, VsccBuilder};
+use vscc_apps::pingpong;
 use vscc_bench::Observed;
 
 /// Generous per-wait watchdog for the recovered runs: an order of
@@ -27,31 +29,49 @@ use vscc_bench::Observed;
 /// full retry ladder), so it only trips on a genuine hang.
 const WATCHDOG_CYCLES: u64 = 20_000_000;
 
-/// Stream `volume` bytes across one pair on an `n_devices` system with
-/// fast write-acks; returns (posted writes, lost acks).
-fn stream(n_devices: u8, volume: usize, seed: u64) -> (u64, u64) {
+/// Stream `volume` bytes in messages of up to 7680 B across the measured
+/// pair of an `n_devices` system with fast write-acks, seeded `seed`,
+/// under `faults`. Rank 1 verifies every payload. Each rank reports
+/// (payloads verified, its completion time); the times are taken in-app
+/// because watchdog timers can keep the virtual clock ticking after the
+/// last rank finishes. `observed` traces every category and samples the
+/// run for `VSCC_OBS`. Returns the system (its fast-ack tracker holds
+/// the posted writes and lost acks), the rank reports and the sampler.
+fn stream(
+    n_devices: u8,
+    volume: usize,
+    seed: u64,
+    faults: FaultSpec,
+    observed: bool,
+) -> (Vscc, Vec<(bool, u64)>, Option<TimeSeries>) {
     let sim = Sim::new();
-    let v = VsccBuilder::new(&sim, n_devices)
+    let mut builder = VsccBuilder::new(&sim, n_devices)
         .scheme(CommScheme::RemotePutHwAck)
-        .host_config(HostConfig { seed, ..HostConfig::default() })
-        .build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+        .host_config(HostConfig { seed, faults, ..HostConfig::default() });
+    if observed {
+        builder = builder.trace_categories(&des::trace::Category::ALL);
+    }
+    let v = builder.build();
+    let s = pingpong::pair_session(&v).build();
+    let series = observed.then(|| v.spawn_sampler(des::obs::DEFAULT_CADENCE));
     let msg = 7680usize.min(volume);
     let msgs = volume / msg;
-    s.run_app(move |r| async move {
-        for _ in 0..msgs {
-            if r.id() == 0 {
-                r.send(&vec![3u8; msg], 1).await;
-            } else {
-                let mut buf = vec![0u8; msg];
-                r.recv(&mut buf, 0).await;
+    let out = s
+        .run_app(move |r| async move {
+            let mut ok = true;
+            for _ in 0..msgs {
+                if r.id() == 0 {
+                    r.send(&vec![3u8; msg], 1).await;
+                } else {
+                    let mut buf = vec![0u8; msg];
+                    r.recv(&mut buf, 0).await;
+                    ok &= buf == vec![3u8; msg];
+                }
             }
-        }
-    })
-    .expect("stability stream");
-    v.host.fastack.stats()
+            (ok, r.now())
+        })
+        .expect("stability stream must complete");
+    (v, out, series)
 }
 
 /// Outcome of one recovered stream.
@@ -70,47 +90,15 @@ struct Recovered {
 
 /// The same stream with the host recovery layer on: identical seeds and
 /// fast-ack draw sequence, but lost acks are retransmitted and lossy
-/// pairs demoted instead of poisoning the session. `observed` traces
-/// every category and samples the run for `VSCC_OBS`.
+/// pairs demoted instead of poisoning the session.
 fn stream_recovered(
     n_devices: u8,
     volume: usize,
     seed: u64,
     observed: bool,
 ) -> (Recovered, Option<Observed>) {
-    let sim = Sim::new();
     let faults = FaultSpec { recovery: true, watchdog: Some(WATCHDOG_CYCLES), ..FaultSpec::none() };
-    let mut builder = VsccBuilder::new(&sim, n_devices)
-        .scheme(CommScheme::RemotePutHwAck)
-        .host_config(HostConfig { seed, faults, ..HostConfig::default() });
-    if observed {
-        builder = builder.trace_categories(&des::trace::Category::ALL);
-    }
-    let v = builder.build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
-    let series = observed.then(|| v.spawn_sampler(des::obs::DEFAULT_CADENCE));
-    let msg = 7680usize.min(volume);
-    let msgs = volume / msg;
-    // Each rank reports (payloads verified, its completion time). The
-    // completion times are taken in-app because watchdog timers can keep
-    // the virtual clock ticking after the last rank finishes.
-    let out = s
-        .run_app(move |r| async move {
-            let mut ok = true;
-            for _ in 0..msgs {
-                if r.id() == 0 {
-                    r.send(&vec![3u8; msg], 1).await;
-                } else {
-                    let mut buf = vec![0u8; msg];
-                    r.recv(&mut buf, 0).await;
-                    ok &= buf == vec![3u8; msg];
-                }
-            }
-            (ok, r.now())
-        })
-        .expect("recovered stream must complete");
+    let (v, out, series) = stream(n_devices, volume, seed, faults, observed);
     let end = out.iter().map(|&(_, t)| t).max().unwrap_or(0);
     let (_writes, lost) = v.host.fastack.stats();
     // Mean demote→re-promote span across the run's health transitions:
@@ -164,7 +152,9 @@ fn main() {
     let grid: Vec<(u8, usize, u64)> = (2u8..=5)
         .flat_map(|n| volumes.iter().enumerate().map(move |(i, &vol)| (n, vol, 40 + i as u64)))
         .collect();
-    let losses = vscc_bench::parallel_sweep(&grid, |&(n, vol, seed)| stream(n, vol, seed).1);
+    let losses = vscc_bench::parallel_sweep(&grid, |&(n, vol, seed)| {
+        stream(n, vol, seed, FaultSpec::none(), false).0.host.fastack.stats().1
+    });
     let mut failures_at = [0u64; 6];
     for (chunk, n) in losses.chunks(volumes.len()).zip(2u8..=5) {
         let row: Vec<f64> = chunk.iter().map(|&lost| lost as f64).collect();
@@ -175,29 +165,9 @@ fn main() {
     // Show what the prototype reports for one failing configuration: the
     // StabilityError now carries the virtual-clock time and flow id of
     // each lost ack.
-    {
-        let sim = Sim::new();
-        let v = VsccBuilder::new(&sim, 5)
-            .scheme(CommScheme::RemotePutHwAck)
-            .host_config(HostConfig { seed: 42, ..HostConfig::default() })
-            .build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let b = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, b]).build();
-        s.run_app(|r| async move {
-            for _ in 0..2048 {
-                if r.id() == 0 {
-                    r.send(&vec![3u8; 7680], 1).await;
-                } else {
-                    let mut buf = vec![0u8; 7680];
-                    r.recv(&mut buf, 0).await;
-                }
-            }
-        })
-        .expect("diagnosis stream");
-        if let Err(e) = v.host.fastack.check() {
-            println!("example diagnosis at 5 devices: {e}");
-        }
+    let (v, _, _) = stream(5, 2048 * 7680, 42, FaultSpec::none(), false);
+    if let Err(e) = v.host.fastack.check() {
+        println!("example diagnosis at 5 devices: {e}");
     }
 
     // The same seeds with the host recovery layer on: retransmission and

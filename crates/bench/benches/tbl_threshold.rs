@@ -11,15 +11,15 @@
 
 use std::rc::Rc;
 
+use des::time::CORE_FREQ;
 use des::Sim;
 use vscc::schemes::{CachedGetProtocol, VdmaProtocol};
 use vscc::{CommScheme, VsccBuilder};
+use vscc_apps::pingpong;
 
 fn latency(scheme: CommScheme, threshold: usize, size: usize) -> f64 {
     let sim = Sim::new();
     let v = VsccBuilder::new(&sim, 2).scheme(scheme).build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
     let proto: Rc<dyn rcce::PointToPoint> = match scheme {
         CommScheme::LocalPutLocalGet => Rc::new(VdmaProtocol::with_threshold(threshold)),
         CommScheme::LocalPutRemoteGet => {
@@ -27,7 +27,7 @@ fn latency(scheme: CommScheme, threshold: usize, size: usize) -> f64 {
         }
         _ => unreachable!("threshold applies to the explicit schemes"),
     };
-    let s = v.session_builder().participants(vec![a, b]).interdevice_protocol(proto).build();
+    let s = pingpong::pair_session(&v).interdevice_protocol(proto).build();
     s.run_app(move |r| async move {
         if r.id() == 0 {
             r.send(&vec![1u8; size], 1).await;
@@ -37,8 +37,8 @@ fn latency(scheme: CommScheme, threshold: usize, size: usize) -> f64 {
         }
     })
     .expect("latency run");
-    // One-way latency in microseconds at 533 MHz.
-    sim.now() as f64 / 533.0
+    // One-way latency in microseconds.
+    sim.now() as f64 / CORE_FREQ.as_mhz() as f64
 }
 
 fn main() {
@@ -75,7 +75,7 @@ fn main() {
 
     // The designated run: one sub-threshold message on the direct path.
     vscc_bench::observe("direct-64B", || {
-        let (_, trace, metrics, series) = vscc_apps::pingpong::interdevice_sampled(
+        let (_, trace, metrics, series) = pingpong::interdevice_sampled(
             CommScheme::LocalPutLocalGet,
             64,
             1,

@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use des::Sim;
 use vscc::{CommScheme, VsccBuilder};
-use vscc_apps::pingpong::bounce;
+use vscc_apps::pingpong::{self, bounce};
 
 /// Rep count of the longer of the two differenced runs; `engine_micro`
 /// times ping-pongs of this length.
@@ -137,17 +137,12 @@ pub fn allocs_per_msg(pingpong: impl Fn(usize) -> Sim) -> f64 {
     (high - low) as f64 / (2 * (R_HIGH - R_LOW)) as f64
 }
 
-/// One inter-device ping-pong (core 0 of device 0 and of device 1)
-/// through the full payload stack (MPB → tunnel → host delivery);
-/// returns the `Sim` for its engine counters.
+/// One inter-device ping-pong on a two-device system through the full
+/// payload stack (MPB → tunnel → host delivery); returns the `Sim` for
+/// its engine counters.
 pub fn interdevice_pingpong(scheme: CommScheme, size: usize, reps: usize) -> Sim {
-    let sim = Sim::new();
-    let v = VsccBuilder::new(&sim, 2).scheme(scheme).build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let d = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, d]).build();
-    s.run_app(move |r| bounce(r, size, reps)).unwrap();
-    sim
+    let b = VsccBuilder::new(&Sim::new(), 2).scheme(scheme);
+    pingpong::interdevice_run(b, size, reps, None).1.sim
 }
 
 /// Two cores of one device bouncing `size` bytes through the on-chip

@@ -11,6 +11,9 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 pub mod datapath;
+pub mod fig2;
+pub mod fig6b;
+pub mod recovery;
 
 use des::audit::Audit;
 use des::obs::report::Exports;
@@ -23,15 +26,19 @@ use vscc::Vscc;
 /// numbers. A `VSCC_OBS` request is parsed (and a malformed one
 /// rejected) here too, before the target spends time on its tables.
 pub fn banner(id: &str, caption: &str) {
-    println!("\n================================================================");
-    println!("{id}: {caption}");
-    println!("================================================================");
+    print!("{}", banner_text(id, caption));
     if let Some(spec) = des::faultplan::spec_from_env() {
         println!("[faults] {} plan active: {spec}", des::obs::FAULTS_ENV);
     }
     if let Some(req) = obs_request() {
         println!("[obs] designated run exports to {} ({OBS_ENV})", req.dir.display());
     }
+}
+
+/// The banner lines every target prints first, whatever the environment.
+pub fn banner_text(id: &str, caption: &str) -> String {
+    let rule = "================================================================";
+    format!("\n{rule}\n{id}: {caption}\n{rule}\n")
 }
 
 /// Format one numeric row with a label column.
@@ -130,34 +137,48 @@ impl Observed {
     }
 }
 
+/// Run `run` on this thread under a fresh hash-chained audit stream at
+/// the default epoch cadence, keeping the raw decisions of epoch `zoom`.
+/// The stream closes before `run`'s result is dropped, so whatever that
+/// result owns (a system and its pending timers) is not audited.
+pub fn audited<T>(zoom: Option<u64>, run: impl FnOnce() -> T) -> (T, Audit) {
+    let cadence = des::audit::DEFAULT_EPOCH_CYCLES;
+    let audit = match zoom {
+        Some(epoch) => Audit::with_zoom(cadence, epoch),
+        None => Audit::new(cadence),
+    };
+    let guard = audit.install();
+    let out = run();
+    drop(guard);
+    (out, audit)
+}
+
+/// The four exports of a designated run: `run` executes on this thread
+/// under [`audited`], and its trace is exported as process `label`.
+pub fn exports(label: &str, zoom: Option<u64>, run: impl FnOnce() -> Observed) -> Exports {
+    let (obs, audit) = audited(zoom, run);
+    Exports {
+        trace: des::obs::chrome_trace_json(label, &obs.trace),
+        metrics: obs.metrics.snapshot().to_json(),
+        timeseries: obs.series.to_json(),
+        audit: audit.to_json(),
+    }
+}
+
 /// The observability front door. When `VSCC_OBS=<dir>[@<epoch>]` is set,
-/// execute the target's designated run (`run`, on this thread) under a
-/// hash-chained audit stream, then write `trace.json`, `metrics.json`,
+/// render the target's designated run (`run`, labelled `label`) with
+/// [`exports`], then write `trace.json`, `metrics.json`,
 /// `timeseries.json`, `audit.json` and `report.md` into `<dir>` (see
-/// `des::obs::report`) and print what was written. `label` names the
-/// run in the trace. Returns whether `VSCC_OBS` was set, so targets can
-/// print their extra diagnostics (critical-path tables) alongside. An
-/// unwritable directory is reported on stderr; the target still passes.
+/// `des::obs::report`) and print what was written. Returns whether
+/// `VSCC_OBS` was set, so targets can print their extra diagnostics
+/// (critical-path tables) alongside. An unwritable directory is reported
+/// on stderr; the target still passes.
 pub fn observe(label: &str, run: impl FnOnce() -> Observed) -> bool {
     let Some(req) = obs_request() else {
         return false;
     };
     let started = std::time::Instant::now();
-    let cadence = des::audit::DEFAULT_EPOCH_CYCLES;
-    let audit = match req.zoom {
-        Some(epoch) => Audit::with_zoom(cadence, epoch),
-        None => Audit::new(cadence),
-    };
-    let guard = audit.install();
-    let obs = run();
-    drop(guard);
-    let exports = Exports {
-        trace: des::obs::chrome_trace_json(label, &obs.trace),
-        metrics: obs.metrics.snapshot().to_json(),
-        timeseries: obs.series.to_json(),
-        audit: audit.to_json(),
-    };
-    match exports.write_dir(&req.dir) {
+    match exports(label, req.zoom, run).write_dir(&req.dir) {
         Ok(files) => {
             let sizes: Vec<String> = files.iter().map(|(f, n)| format!("{f} {n} B")).collect();
             let zoom = req.zoom.map(|e| format!(", audit zoom epoch {e}")).unwrap_or_default();

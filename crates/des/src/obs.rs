@@ -799,7 +799,7 @@ mod tests {
     #[test]
     fn chrome_trace_shape() {
         let t = Trace::enabled();
-        t.instant(12, Category::Mpb, "flag_set", None, || "rank1", Vec::new);
+        t.instant(12, Category::Protocol, "flag_set", None, || "rank1", Vec::new);
         t.span(10, 20, Category::Protocol, "send", None, || "rank0", || fields![bytes = 64u64]);
         let json = chrome_trace_json("run", &t);
         assert!(json.starts_with("{\"traceEvents\":["));

@@ -46,8 +46,6 @@ pub enum Category {
     Pcie,
     /// Host-side vDMA operations.
     Vdma,
-    /// Message-passing-buffer accesses.
-    Mpb,
     /// Application-level events (e.g. NPB BT payload verification).
     App,
     /// Injected faults and the recovery actions they trigger (drops,
@@ -60,11 +58,10 @@ pub enum Category {
 
 impl Category {
     /// All categories, in declaration order.
-    pub const ALL: [Category; 7] = [
+    pub const ALL: [Category; 6] = [
         Category::Protocol,
         Category::Pcie,
         Category::Vdma,
-        Category::Mpb,
         Category::App,
         Category::Fault,
         Category::Health,
@@ -80,7 +77,6 @@ impl Category {
             Category::Protocol => "protocol",
             Category::Pcie => "pcie",
             Category::Vdma => "vdma",
-            Category::Mpb => "mpb",
             Category::App => "app",
             Category::Fault => "fault",
             Category::Health => "health",
@@ -542,7 +538,7 @@ mod tests {
     fn render_contains_all_lines() {
         let t = Trace::enabled();
         t.instant(1, Category::Protocol, "one", None, || "a", || fields![n = 7u64]);
-        t.span(2, 3, Category::Mpb, "two", None, || "b", Vec::new);
+        t.span(2, 3, Category::Pcie, "two", None, || "b", Vec::new);
         let s = t.render();
         assert!(s.contains("one") && s.contains("two"));
         assert!(s.contains("n=7"));

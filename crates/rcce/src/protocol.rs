@@ -10,17 +10,13 @@
 //! `ready[dest]` at the sender, and each side busy-waits on its *local*
 //! flag for the counter to reach a target.
 
-use std::future::Future;
-use std::pin::Pin;
-
 use des::fields;
 use des::trace::Category;
 
 use crate::layout::{self, counter_reached, CHUNK_BYTES, PIPELINE_SLOTS, SLOT_BYTES};
 use crate::session::RankCtx;
 
-/// Boxed non-`Send` future (single-threaded simulator).
-pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
+pub use scc::remote::LocalBoxFuture;
 
 /// A point-to-point transport between two ranks.
 ///

@@ -68,14 +68,15 @@ echo "== golden exports (fixed-seed exports and run reports byte-identical to go
 # The health plane must be inert without an active fault plan: any drift
 # in these fixed-seed trace/metrics/timeseries/audit exports means the
 # recovery layer perturbed a clean run. The two pinned report.md files
-# (fig6b's designated run and the storm-then-quiet healing run) cover
-# the report renderer, its fault section and health timeline included.
+# (the designated runs of fig6b and of fig_recovery, the storm-then-quiet
+# healing run) cover the report renderer, its fault section and health
+# timeline included.
 cargo test -q --test golden_exports
 
 echo "== cadence-sweep smoke (two cadences, same run, same final snapshot) =="
 cargo test -q --test observability cadence_sweep
 
-echo "== obs smoke (two VSCC_OBS fig6b runs: identical exports, clean lint, report) =="
+echo "== obs smoke (VSCC_OBS fig6b and fig_recovery: identical exports, clean lint, golden reports) =="
 # VSCC_OBS=<dir> makes the fig6b target export its designated run (the
 # vDMA 8 KiB point: trace, metrics, time series, audit stream, report).
 # Two back-to-back runs (separate processes) must be byte-identical, the
@@ -83,7 +84,9 @@ echo "== obs smoke (two VSCC_OBS fig6b runs: identical exports, clean lint, repo
 # any event outside M/X/i/s/t/f, so a counter line copied in from the
 # time series fails it), vscc_obs diff must find
 # no divergence (exit 1 would kill the script), and vscc_obs report must
-# reproduce report.md byte for byte.
+# reproduce report.md byte for byte. The targets' own report.md files
+# must equal the goldens the tests render from the same designated runs:
+# fig6b's, and fig_recovery's healing run.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 VSCC_OBS="$OBS_TMP/a" cargo bench -p vscc-bench --bench fig6b_interdevice >/dev/null
@@ -94,6 +97,9 @@ done
 cargo run -q --example vscc_obs -- lint "$OBS_TMP/a"
 cargo run -q --example vscc_obs -- diff "$OBS_TMP/a" "$OBS_TMP/b"
 cargo run -q --example vscc_obs -- report "$OBS_TMP/a" | cmp - "$OBS_TMP/a/report.md"
+cmp "$OBS_TMP/a/report.md" tests/goldens/fig6b_report.md
+VSCC_OBS="$OBS_TMP/healing" cargo bench -p vscc-bench --bench fig_recovery >/dev/null
+cmp "$OBS_TMP/healing/report.md" tests/goldens/healing_report.md
 
 echo "== benchmark smoke (all six workloads at ~1/20 scale: no failed op, digests pinned) =="
 # Exits non-zero on a failed op or a digest mismatch between passes. The

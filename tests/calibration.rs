@@ -105,9 +105,7 @@ fn zero_fault_spec_perturbs_nothing() {
             b = b.faults(spec);
         }
         let v = b.build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let c = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, c]).build();
+        let s = pingpong::pair_session(&v).build();
         s.run_app(|r| async move {
             if r.id() == 0 {
                 r.send(&vec![5u8; 12_000], 1).await;

@@ -13,9 +13,10 @@ use des::faultplan::FaultSpec;
 use des::obs::Registry;
 use des::trace::{Category, Trace};
 use des::{Sim, SimError};
-use scc::geometry::CoreId;
 use vscc::{CommScheme, VsccBuilder};
 use vscc_apps::npb::{run_bt, BtClass, BtConfig};
+use vscc_apps::pingpong;
+use vscc_bench::recovery;
 
 /// Generous watchdog for recovered runs: well above the worst legitimate
 /// wait (a full message plus a complete retry ladder), so it only trips
@@ -54,9 +55,7 @@ fn pingpong_chaos(scheme: CommScheme, spec: &str, size: usize, reps: usize) -> C
         .faults(spec)
         .build();
     let reg = v.metrics().clone();
-    let a = v.devices[0].global(CoreId(0));
-    let b = v.devices[1].global(CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+    let s = pingpong::pair_session(&v).build();
     let result = s.run_app(move |r| async move {
         let mut ok = true;
         for i in 0..reps {
@@ -247,72 +246,23 @@ fn fallback_writes_charge_their_answer_to_classify() {
     }
 }
 
-/// The self-healing property (DESIGN.md §5h): a pair demoted during an
-/// ack-loss storm that *ends* (phase-bounded plan) is probed back to
-/// Healthy once the plan goes quiet — zero demoted pairs at the end of
-/// the run, with the promotion on the books — and the whole healing arc
-/// is deterministic: two identical runs export byte-identical audit
-/// digests.
+/// The self-healing property (DESIGN.md §5h), on fig_recovery's run: a
+/// pair demoted during an ack-loss storm that *ends* (phase-bounded
+/// plan) is probed back to Healthy once the plan goes quiet — zero
+/// demoted pairs at the end of the run, with the promotion on the books,
+/// and every payload verified across demote and heal — and the whole
+/// healing arc is deterministic: two identical runs export
+/// byte-identical audit digests.
 #[test]
 fn demoted_pair_heals_after_the_storm_ends() {
-    let run = || {
-        // Storm then quiet: 80% ack loss on every posted line until cycle
-        // 800 k, nothing after. 512 B messages keep the per-burst loss
-        // penalty small enough that several bursts land inside the storm
-        // (the demotion needs three consecutive lossy ones).
-        let spec =
-            FaultSpec::parse(&format!("seed=13,ackloss=0.8@..800000,recovery=on,{WATCHDOG}"))
-                .expect("healing spec");
-        let audit = des::audit::Audit::new(25_000);
-        let guard = audit.install();
-        let sim = Sim::new();
-        // Dense probing so the heal-and-repromote arc fits a fast test;
-        // production cadence comes from the PCIe model (DESIGN.md §5h).
-        let recovery =
-            vscc::host::RecoveryConfig { probe_interval: 20_000, probe_backoff_max: 160_000 };
-        let v = VsccBuilder::new(&sim, 2)
-            .scheme(CommScheme::RemotePutHwAck)
-            .host_config(vscc::host::HostConfig { faults: spec, recovery, ..Default::default() })
-            .build();
-        let a = v.devices[0].global(CoreId(0));
-        let b = v.devices[1].global(CoreId(0));
-        let s = v.session_builder().participants(vec![a, b]).build();
-        // Hold the virtual clock open past the storm plus the full probe
-        // backoff, so the (daemon) probers get to finish the healing arc
-        // even after the app's traffic drains.
-        let keepalive = sim.clone();
-        sim.spawn_named("post-storm-idle", async move {
-            keepalive.delay(3_000_000).await;
-        });
-        let result = s.run_app(move |r| async move {
-            let mut ok = true;
-            for i in 0..16u32 {
-                let fill = (i as u8).wrapping_mul(29).wrapping_add(3);
-                if r.id() == 0 {
-                    r.send(&vec![fill; 512], 1).await;
-                } else {
-                    let mut buf = vec![0u8; 512];
-                    r.recv(&mut buf, 0).await;
-                    ok &= buf == vec![fill; 512];
-                }
-            }
-            ok
-        });
-        drop(guard);
-        let oks = result.expect("healing run must complete");
-        assert!(oks.iter().all(|&ok| ok), "payloads must verify across demote and heal");
-        assert!(v.host.rstats.demotions.get() >= 1, "the storm must demote the pair");
-        assert!(v.host.health.promotions.get() >= 1, "a probe must re-promote the pair");
-        assert!(
-            v.host.health.fallback_pairs().is_empty(),
-            "no pair may stay demoted once the plan is quiet, got {:?}",
-            v.host.health.states()
-        );
-        (audit.to_json(), sim.now())
-    };
-    let (audit_a, end_a) = run();
-    let (audit_b, end_b) = run();
-    assert_eq!(end_a, end_b, "healing runs must land on the same virtual clock");
+    let run = || vscc_bench::audited(None, || recovery::run(recovery::storm(), false).0);
+    let (out_a, audit_a) = run();
+    let (out_b, audit_b) = run();
+    assert!(out_a.demotions >= 1, "the storm must demote the pair");
+    assert!(out_a.promotions >= 1, "a probe must re-promote the pair");
+    assert_eq!(out_a.still_demoted, 0, "no pair may stay demoted once the plan is quiet");
+    assert_eq!(out_a, out_b, "healing runs must complete every message at the same cycle");
+    let (audit_a, audit_b) = (audit_a.to_json(), audit_b.to_json());
     assert_eq!(audit_a, audit_b, "healing runs must export byte-identical audit digests");
     match des::audit::diff_exports(&audit_a, &audit_b) {
         Ok(None) => {}
@@ -400,14 +350,9 @@ fn faulty_audited_exports_are_identical_across_reruns() {
     fn audited_run(scheme: CommScheme, spec: String, size: usize) -> (u64, String) {
         std::thread::spawn(move || {
             let spec = FaultSpec::parse(&spec).expect("chaos spec");
-            let (point, audit) = vscc_apps::pingpong::interdevice_audited(
-                scheme,
-                size,
-                4,
-                des::audit::DEFAULT_EPOCH_CYCLES,
-                None,
-                Some(spec),
-            );
+            let b = pingpong::fig_platform(scheme).faults(spec);
+            let ((point, ..), audit) =
+                vscc_bench::audited(None, || pingpong::interdevice_run(b, size, 4, None));
             (point.cycles, audit.to_json())
         })
         .join()

@@ -3,6 +3,7 @@
 use des::Sim;
 use vscc::{CommScheme, OnchipProtocol, VsccBuilder};
 use vscc_apps::npb::{run_bt, BtClass, BtConfig};
+use vscc_apps::pingpong;
 use vscc_apps::stencil::{initial_heat, run_stencil, StencilConfig};
 use vscc_apps::traffic::TrafficMatrix;
 
@@ -211,9 +212,7 @@ fn fastack_scheme_errors_surface_in_stats() {
     // Heavy traffic on 3 coupled devices must record lost acks.
     let sim = Sim::new();
     let v = VsccBuilder::new(&sim, 3).scheme(CommScheme::RemotePutHwAck).build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+    let s = pingpong::pair_session(&v).build();
     s.run_app(|r| async move {
         for _ in 0..40 {
             if r.id() == 0 {

@@ -502,9 +502,7 @@ fn clean_watchdogged_run_leaves_clock_at_app_completion() {
         // Generous: must never trip.
         .faults(FaultSpec { watchdog: Some(50_000_000), ..FaultSpec::none() })
         .build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+    let s = pingpong::pair_session(&v).build();
 
     let app_end = Rc::new(Cell::new(0u64));
     let app_end2 = app_end.clone();

@@ -21,15 +21,10 @@
 
 mod common;
 
-use std::path::PathBuf;
-use std::rc::Rc;
-
-use des::trace::Trace;
-use des::Sim;
-use rcce::{PipelinedProtocol, SessionBuilder};
-use scc::device::SccDevice;
-use scc::geometry::DeviceId;
+use common::assert_matches_golden;
 use vscc::CommScheme;
+use vscc_apps::pingpong;
+use vscc_bench::fig2;
 
 const SCHEMES: [(&str, CommScheme); 5] = [
     ("simple_routing", CommScheme::SimpleRouting),
@@ -48,7 +43,7 @@ fn render_exports() -> (String, String) {
     let mut metrics = String::new();
     for (name, scheme) in SCHEMES {
         for size in SIZES {
-            let (point, trace, reg) = vscc_apps::pingpong::interdevice_observed(scheme, size, 1);
+            let (point, trace, reg) = pingpong::interdevice_observed(scheme, size, 1);
             traces.push_str(&format!("=== {name} size={size} cycles={} ===\n", point.cycles));
             traces.push_str(&des::obs::chrome_trace_json("pingpong", &trace));
             traces.push('\n');
@@ -69,7 +64,7 @@ fn render_timeseries() -> String {
         ("local_put_local_get", CommScheme::LocalPutLocalGet),
     ] {
         let (point, _, _, ts) =
-            vscc_apps::pingpong::interdevice_sampled(scheme, 8192, 1, des::obs::DEFAULT_CADENCE);
+            pingpong::interdevice_sampled(scheme, 8192, 1, des::obs::DEFAULT_CADENCE);
         out.push_str(&format!("=== {name} size=8192 cycles={} ===\n", point.cycles));
         out.push_str(&ts.to_json());
     }
@@ -86,14 +81,9 @@ fn render_audit() -> String {
             ("local_put_remote_get", CommScheme::LocalPutRemoteGet),
             ("local_put_local_get", CommScheme::LocalPutLocalGet),
         ] {
-            let (point, audit) = vscc_apps::pingpong::interdevice_audited(
-                scheme,
-                8192,
-                1,
-                des::audit::DEFAULT_EPOCH_CYCLES,
-                None,
-                None,
-            );
+            let ((point, ..), audit) = vscc_bench::audited(None, || {
+                pingpong::interdevice_run(pingpong::fig_platform(scheme), 8192, 1, None)
+            });
             out.push_str(&format!("=== {name} size=8192 cycles={} ===\n", point.cycles));
             out.push_str(&audit.to_json());
         }
@@ -103,33 +93,15 @@ fn render_audit() -> String {
     .expect("render thread")
 }
 
-/// Fig. 2's two runs: one 16 KiB on-chip message under RCCE blocking and
-/// under iRCCE pipelined, each with its completion cycle and trace. The
-/// fig6b goldens cover cross-device pairs only, so these are what pin
-/// the on-chip protocols' hops.
-fn onchip_runs() -> Vec<(&'static str, usize, u64, Trace)> {
-    let size = 16 * 1024;
+/// Fig. 2's two runs, named as in the goldens, with their completion
+/// cycles and traces. The fig6b goldens cover cross-device pairs only, so
+/// these are what pin the on-chip protocols' hops.
+fn onchip_runs() -> Vec<(&'static str, u64, des::trace::Trace)> {
     [("blocking", false), ("pipelined", true)]
         .into_iter()
         .map(|(name, pipelined)| {
-            let sim = Sim::new();
-            let dev = SccDevice::new(&sim, DeviceId(0));
-            let mut b =
-                SessionBuilder::new(&sim, vec![dev]).max_ranks(2).with_trace(Trace::enabled());
-            if pipelined {
-                b = b.onchip_protocol(Rc::new(PipelinedProtocol::default()));
-            }
-            let s = b.build();
-            s.run_app(move |r| async move {
-                if r.id() == 0 {
-                    r.send(&vec![7u8; size], 1).await;
-                } else {
-                    let mut buf = vec![0u8; size];
-                    r.recv(&mut buf, 0).await;
-                }
-            })
-            .expect("protocol run");
-            (name, size, sim.now(), s.trace())
+            let (cycles, obs) = fig2::run(pipelined);
+            (name, cycles, obs.trace)
         })
         .collect()
 }
@@ -137,8 +109,8 @@ fn onchip_runs() -> Vec<(&'static str, usize, u64, Trace)> {
 /// Fig. 2's runs rendered as text timelines.
 fn render_onchip_timelines() -> String {
     let mut out = String::new();
-    for (name, size, cycles, trace) in onchip_runs() {
-        out.push_str(&format!("=== {name} size={size} cycles={cycles} ===\n"));
+    for (name, cycles, trace) in onchip_runs() {
+        out.push_str(&format!("=== {name} size={} cycles={cycles} ===\n", fig2::SIZE));
         out.push_str(&trace.render());
     }
     out
@@ -151,22 +123,18 @@ fn render_critpath() -> String {
     let mut rows = Vec::new();
     for (name, scheme) in SCHEMES {
         for size in SIZES {
-            let (point, trace, _) = vscc_apps::pingpong::interdevice_observed(scheme, size, 1);
+            let (point, trace, _) = pingpong::interdevice_observed(scheme, size, 1);
             let attr = des::critpath::run_attribution(&trace, 0, point.cycles);
             rows.push((format!("{name} size={size}"), attr));
         }
     }
-    for (name, size, cycles, trace) in onchip_runs() {
+    for (name, cycles, trace) in onchip_runs() {
         rows.push((
-            format!("{name} size={size}"),
+            format!("{name} size={}", fig2::SIZE),
             des::critpath::run_attribution(&trace, 0, cycles),
         ));
     }
     des::critpath::render_table("run", &rows)
-}
-
-fn goldens_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
 }
 
 #[test]
@@ -204,43 +172,4 @@ fn run_reports_match_goldens() {
     ] {
         assert_matches_golden("report", file, &exports.report().expect("exports parse"));
     }
-}
-
-/// Compare `got` with the golden `file` (or rewrite it under
-/// `VSCC_GOLDEN_REGEN=1`).
-fn assert_matches_golden(kind: &str, file: &str, got: &str) {
-    let path = goldens_dir().join(file);
-    if std::env::var("VSCC_GOLDEN_REGEN").map(|v| v == "1").unwrap_or(false) {
-        std::fs::create_dir_all(goldens_dir()).unwrap();
-        std::fs::write(&path, got).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {} ({e}); run with VSCC_GOLDEN_REGEN=1 to create it", path.display())
-    });
-    assert_exports_equal(kind, &want, got);
-}
-
-/// Byte-compare with a diff-friendly failure: report the first
-/// divergent line instead of dumping two multi-hundred-KiB blobs.
-fn assert_exports_equal(kind: &str, want: &str, got: &str) {
-    if want == got {
-        return;
-    }
-    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
-        if w != g {
-            panic!(
-                "{kind} export diverged from golden at line {}:\n  golden:  {w}\n  current: {g}\n\
-                 (a data-path change must not shift virtual time or metrics; \
-                 regenerate with VSCC_GOLDEN_REGEN=1 only if the change is intentional)",
-                i + 1
-            );
-        }
-    }
-    panic!(
-        "{kind} export length diverged from golden ({} vs {} lines)",
-        want.lines().count(),
-        got.lines().count()
-    );
 }

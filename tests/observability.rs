@@ -110,9 +110,7 @@ fn clean_runs_record_no_monitor_violations() {
         .scheme(CommScheme::LocalPutLocalGet)
         .monitor_fail_fast(false)
         .build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+    let s = pingpong::pair_session(&v).build();
     s.run_app(|r| async move {
         if r.id() == 0 {
             r.send(&[7u8; 6000], 1).await;
@@ -137,9 +135,7 @@ fn seeded_window_violation_is_caught_by_the_monitor() {
         .scheme(CommScheme::LocalPutLocalGet)
         .monitor_fail_fast(false)
         .build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+    let s = pingpong::pair_session(&v).build();
     s.run_app(|r| async move {
         if r.id() == 0 {
             let who = r.who();
@@ -332,14 +328,9 @@ fn audit_export_is_byte_identical_across_fresh_threads() {
     // how the benches and the golden render it.
     let run = || {
         std::thread::spawn(|| {
-            let (_, audit) = pingpong::interdevice_audited(
-                CommScheme::LocalPutLocalGet,
-                8192,
-                1,
-                audit::DEFAULT_EPOCH_CYCLES,
-                None,
-                None,
-            );
+            let b = pingpong::fig_platform(CommScheme::LocalPutLocalGet);
+            let (_, audit) =
+                vscc_bench::audited(None, || pingpong::interdevice_run(b, 8192, 1, None));
             audit.to_json()
         })
         .join()
@@ -361,14 +352,9 @@ fn audit_does_not_perturb_the_run() {
     // match exactly — the audit stream reads decisions, it never makes
     // them.
     let plain = pingpong::interdevice(CommScheme::LocalPutLocalGet, 8192, 2);
-    let (audited, audit) = pingpong::interdevice_audited(
-        CommScheme::LocalPutLocalGet,
-        8192,
-        2,
-        audit::DEFAULT_EPOCH_CYCLES,
-        None,
-        None,
-    );
+    let b = pingpong::fig_platform(CommScheme::LocalPutLocalGet);
+    let ((audited, ..), audit) =
+        vscc_bench::audited(None, || pingpong::interdevice_run(b, 8192, 2, None));
     assert!(audit.total_decisions() > 0, "the audited run must actually fold decisions");
     assert_eq!(plain, audited, "auditing must not shift the virtual clock");
 }
@@ -462,14 +448,9 @@ fn seeded_divergence_is_bisected_to_the_first_decision() {
                 "seed={seed},corrupt=0.2,recovery=on,watchdog=20000000"
             ))
             .expect("valid fault spec");
-            let (_, audit) = pingpong::interdevice_audited(
-                CommScheme::LocalPutLocalGet,
-                8192,
-                1,
-                audit::DEFAULT_EPOCH_CYCLES,
-                zoom,
-                Some(spec),
-            );
+            let b = pingpong::fig_platform(CommScheme::LocalPutLocalGet).faults(spec);
+            let (_, audit) =
+                vscc_bench::audited(zoom, || pingpong::interdevice_run(b, 8192, 1, None));
             audit.to_json()
         })
         .join()
@@ -514,9 +495,7 @@ fn category_filter_is_selective() {
         .scheme(CommScheme::LocalPutLocalGet)
         .trace_categories(&[Category::Protocol])
         .build();
-    let a = v.devices[0].global(scc::geometry::CoreId(0));
-    let b = v.devices[1].global(scc::geometry::CoreId(0));
-    let s = v.session_builder().participants(vec![a, b]).build();
+    let s = pingpong::pair_session(&v).build();
     s.run_app(|r| async move {
         if r.id() == 0 {
             r.send(&[7u8; 6000], 1).await;
@@ -533,7 +512,7 @@ fn category_filter_is_selective() {
 
 #[test]
 fn health_transitions_ride_trace_metrics_and_timeseries() {
-    // The healing scenario from `tests/chaos.rs`, observed end to end:
+    // fig_recovery's healing run, observed end to end:
     // an ack-loss storm demotes the (0,1) pair, the storm ends, canary
     // probes re-promote it. Every layer of the observability plane must
     // carry the arc — Health-category trace instants, `host.health.*`

@@ -16,6 +16,7 @@ use rcce::protocol::chunk_ranges;
 use scc::cache::L1Model;
 use scc::{GlobalCore, LINE_BYTES, MPB_BYTES};
 use vscc::{CommScheme, VsccBuilder};
+use vscc_apps::pingpong;
 
 /// Map a generated `(mode, start, len)` triple onto a valid phase bound:
 /// unbounded, open-ended, or a proper `[start, start+len)` window.
@@ -100,9 +101,7 @@ proptest! {
     ) {
         let sim = Sim::new();
         let v = VsccBuilder::new(&sim, 2).scheme(scheme).build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let b = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, b]).build();
+        let s = pingpong::pair_session(&v).build();
         // Deterministic pseudo-random payloads.
         let msgs: Vec<Vec<u8>> = lens
             .iter()
@@ -143,9 +142,7 @@ proptest! {
     ) {
         let sim = Sim::new();
         let v = VsccBuilder::new(&sim, 2).scheme(scheme).build();
-        let a = v.devices[0].global(scc::geometry::CoreId(0));
-        let b = v.devices[1].global(scc::geometry::CoreId(0));
-        let s = v.session_builder().participants(vec![a, b]).build();
+        let s = pingpong::pair_session(&v).build();
         s.run_app(move |r| async move {
             if r.id() == 0 {
                 let req = r.isend(vec![0xA1; len_a], 1);
