@@ -10,10 +10,12 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+pub mod ablation;
 pub mod datapath;
 pub mod fig2;
 pub mod fig6b;
 pub mod recovery;
+pub mod threshold;
 
 use des::audit::Audit;
 use des::obs::report::Exports;

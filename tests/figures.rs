@@ -13,7 +13,7 @@
 mod common;
 
 use common::assert_matches_golden;
-use vscc_bench::{banner_text, fig2, recovery};
+use vscc_bench::{ablation, banner_text, fig2, recovery, threshold};
 
 #[test]
 fn fig2_protocol_stdout_matches_golden() {
@@ -26,4 +26,16 @@ fn fig_recovery_stdout_matches_golden() {
     let text = recovery::table(&recovery::storm()).text;
     let got = banner_text(recovery::ID, recovery::CAPTION) + &text;
     assert_matches_golden("fig_recovery", "fig_recovery_stdout.txt", &got);
+}
+
+#[test]
+fn tbl_threshold_stdout_matches_golden() {
+    let got = banner_text(threshold::ID, threshold::CAPTION) + &threshold::table().text;
+    assert_matches_golden("tbl_threshold", "tbl_threshold_stdout.txt", &got);
+}
+
+#[test]
+fn tbl_ablation_stdout_matches_golden() {
+    let got = banner_text(ablation::ID, ablation::CAPTION) + &ablation::table().text;
+    assert_matches_golden("tbl_ablation", "tbl_ablation_stdout.txt", &got);
 }
