@@ -60,9 +60,10 @@ pub struct Threshold {
 pub fn table() -> Threshold {
     let mut text = String::new();
     let mut at_64 = Vec::new();
-    for (scheme, default_thr) in
-        [(CommScheme::LocalPutLocalGet, 128usize), (CommScheme::LocalPutRemoteGet, 96usize)]
-    {
+    for (scheme, default_thr) in [
+        (CommScheme::LocalPutLocalGet, VdmaProtocol::default().direct_threshold),
+        (CommScheme::LocalPutRemoteGet, CachedGetProtocol::default().direct_threshold),
+    ] {
         text += &format!("\n{} (default threshold {default_thr} B)\n", scheme.name());
         text += &header("size", &["direct on".into(), "direct off".into(), "speedup".into()]);
         text.push('\n');

@@ -5,6 +5,7 @@
 //! cargo run --release --example scheme_shootout [message_bytes]
 //! ```
 
+use des::time::CORE_FREQ;
 use vscc::CommScheme;
 use vscc_apps::pingpong;
 
@@ -17,7 +18,7 @@ fn main() {
     let mut results = Vec::new();
     for scheme in CommScheme::ALL {
         let p = pingpong::interdevice(scheme, size, reps);
-        let rt_us = p.cycles as f64 / reps as f64 / 533.0;
+        let rt_us = p.cycles as f64 / reps as f64 / CORE_FREQ.as_mhz() as f64;
         println!("{:<40} {:>12.2} {:>14.1}", scheme.name(), p.mbps, rt_us);
         results.push((scheme, p.mbps));
     }
