@@ -10,7 +10,5 @@
 //! DESIGN.md §2 for why this substitution preserves Fig. 7/8.
 
 pub mod bt;
-pub mod cg;
 
 pub use bt::{run_bt, BtClass, BtConfig, BtResult};
-pub use cg::{run_cg, CgClass, CgConfig, CgResult};
