@@ -6,9 +6,6 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
-# Belt and braces: the bench targets are harness=false binaries and easy
-# to leave out of a fmt pass when editing them standalone.
-rustfmt --edition 2021 --check crates/bench/benches/*.rs
 
 echo "== cargo clippy (deny warnings) =="
 # --locked here and on the workspace tests: a manifest edit that leaves
