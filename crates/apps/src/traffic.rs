@@ -27,12 +27,6 @@ impl TrafficMatrix {
         }
     }
 
-    /// Build directly from parts (tests, scaled projections).
-    pub fn from_parts(bytes: Vec<Vec<u64>>, device_of: Vec<u8>) -> Self {
-        assert_eq!(bytes.len(), device_of.len());
-        TrafficMatrix { bytes, device_of }
-    }
-
     /// Number of ranks.
     pub fn n(&self) -> usize {
         self.bytes.len()
@@ -194,7 +188,7 @@ mod tests {
         for s in 0..4usize {
             bytes[s][(s + 1) % 4] = 1000 * (s as u64 + 1);
         }
-        TrafficMatrix::from_parts(bytes, vec![0, 0, 1, 1])
+        TrafficMatrix { bytes, device_of: vec![0, 0, 1, 1] }
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl Pool {
         b.copy_from_slice(src);
         b.freeze()
     }
-
-    /// Total buffers currently parked in free lists.
-    pub fn free_buffers(&self) -> usize {
-        self.state.borrow().free.iter().map(Vec::len).sum()
-    }
 }
 
 fn return_to_pool(pool: &Weak<RefCell<PoolState>>, data: &mut Vec<u8>) {
@@ -436,6 +431,11 @@ impl fmt::Debug for BytesMut {
 mod tests {
     use super::*;
 
+    /// Total buffers currently parked in `pool`'s free lists.
+    fn free_buffers(pool: &Pool) -> usize {
+        pool.state.borrow().free.iter().map(Vec::len).sum()
+    }
+
     #[test]
     fn clone_shares_storage_and_slice_is_a_window() {
         let b = Bytes::copy_from_slice(&[1, 2, 3, 4, 5]);
@@ -487,9 +487,9 @@ mod tests {
             (frozen.inner.data.capacity(), frozen.as_ptr())
         }; // dropped -> returned
         assert_eq!(cap, 128);
-        assert_eq!(pool.free_buffers(), 1);
+        assert_eq!(free_buffers(&pool), 1);
         let again = pool.get(128);
-        assert_eq!(pool.free_buffers(), 0);
+        assert_eq!(free_buffers(&pool), 0);
         assert_eq!(again.as_ptr(), ptr, "the parked chunk is handed out again");
         assert!(again.iter().all(|&x| x == 0), "recycled chunk must be zeroed");
     }
@@ -500,9 +500,9 @@ mod tests {
         drop(pool.get(64)); // returns to class 64
         let b = pool.get(1024); // different class: a fresh allocation
         assert_eq!(b.len(), 1024);
-        assert_eq!(pool.free_buffers(), 1, "the class-64 chunk stays parked");
+        assert_eq!(free_buffers(&pool), 1, "the class-64 chunk stays parked");
         drop(b);
-        assert_eq!(pool.free_buffers(), 2);
+        assert_eq!(free_buffers(&pool), 2);
     }
 
     #[test]
@@ -510,7 +510,7 @@ mod tests {
         let pool = Pool::new();
         let b = pool.get(MAX_CLASS_BYTES + 1);
         drop(b);
-        assert_eq!(pool.free_buffers(), 0);
+        assert_eq!(free_buffers(&pool), 0);
     }
 
     #[test]
@@ -530,9 +530,9 @@ mod tests {
         let c2 = b.slice(10..20);
         drop(b);
         drop(c1);
-        assert_eq!(pool.free_buffers(), 0, "storage still referenced by a slice");
+        assert_eq!(free_buffers(&pool), 0, "storage still referenced by a slice");
         drop(c2);
-        assert_eq!(pool.free_buffers(), 1);
+        assert_eq!(free_buffers(&pool), 1);
     }
 
     #[test]

@@ -66,8 +66,6 @@ impl Freq {
 pub const CORE_FREQ: Freq = Freq::mhz(533);
 /// SCC mesh clock in the paper's configuration (800 MHz).
 pub const MESH_FREQ: Freq = Freq::mhz(800);
-/// SCC memory clock in the paper's configuration (800 MHz).
-pub const MEM_FREQ: Freq = Freq::mhz(800);
 
 #[cfg(test)]
 mod tests {

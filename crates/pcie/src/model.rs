@@ -91,13 +91,6 @@ impl PcieModel {
             + self.sw_forward_cycles
     }
 
-    /// Round-trip cycles of a line read answered from host memory (the
-    /// software cache hit path): one SIF crossing each way plus the host
-    /// answer cost, no second device and no daemon forwarding.
-    pub fn host_answered_round_trip(&self) -> Cycles {
-        2 * (self.sif_packet_cycles + self.hw_latency) + self.sw_answer_cycles
-    }
-
     /// One-way cost of an MMIO doorbell crossing the SIF boundary: one
     /// 32 B packet through the SIF pipeline plus the PCIe hardware hop.
     /// The vSCC MMIO plane stamps every doorbell (a posted TLP, the only
@@ -136,6 +129,13 @@ impl PcieModel {
 mod tests {
     use super::*;
 
+    /// Round-trip cycles of a line read answered from host memory (the
+    /// software cache hit path): one SIF crossing each way plus the host
+    /// answer cost, no second device and no daemon forwarding.
+    fn host_answered_round_trip(m: &PcieModel) -> Cycles {
+        2 * (m.sif_packet_cycles + m.hw_latency) + m.sw_answer_cycles
+    }
+
     #[test]
     fn routed_round_trip_matches_paper_factor() {
         let m = PcieModel::default();
@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn host_answer_is_much_faster_than_routing() {
         let m = PcieModel::default();
-        assert!(m.host_answered_round_trip() * 4 < m.routed_line_round_trip());
+        assert!(host_answered_round_trip(&m) * 4 < m.routed_line_round_trip());
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
         // Default calibration: 400 (SIF packet) + 600 (hw hop) = 1000.
         assert_eq!(m.mmio_crossing_cycles(), 1_000);
         // It must lower-bound every modeled cross-device interaction.
-        assert!(m.mmio_crossing_cycles() <= m.host_answered_round_trip());
+        assert!(m.mmio_crossing_cycles() <= host_answered_round_trip(&m));
         assert!(m.mmio_crossing_cycles() * 4 <= m.routed_line_round_trip());
     }
 

@@ -13,8 +13,6 @@ pub enum Op {
     Sum,
     /// Maximum.
     Max,
-    /// Minimum.
-    Min,
 }
 
 impl Op {
@@ -22,7 +20,6 @@ impl Op {
         match self {
             Op::Sum => a + b,
             Op::Max => a.max(b),
-            Op::Min => a.min(b),
         }
     }
 }
@@ -198,17 +195,5 @@ mod tests {
             })
             .unwrap();
         assert!(out.iter().all(|&v| v == 6.0));
-    }
-
-    #[test]
-    fn allreduce_min() {
-        let sim = Sim::new();
-        let s = session(&sim, 4);
-        let out = s
-            .run_app(|r| async move {
-                r.allreduce_f64(10.0 - r.id() as f64, crate::collectives::Op::Min).await
-            })
-            .unwrap();
-        assert!(out.iter().all(|&v| v == 7.0));
     }
 }

@@ -17,8 +17,6 @@ pub const TILES_PER_DEVICE: u8 = MESH_X * MESH_Y;
 pub const CORES_PER_TILE: u8 = 2;
 /// Cores per device (48).
 pub const CORES_PER_DEVICE: u8 = TILES_PER_DEVICE * CORES_PER_TILE;
-/// Tile hosting the system interface (SIF) to the PCIe FPGA.
-pub const SIF_TILE: TileCoord = TileCoord { x: 3, y: 0 };
 
 /// A tile position on the 2-D mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -229,7 +227,7 @@ mod tests {
         // Core 6 is on tile (3,0), the SIF tile.
         let g = GlobalCore::new(2, 6);
         assert_eq!(g.xyz(), (3, 0, 2));
-        assert_eq!(CoreId(6).tile(), SIF_TILE);
+        assert_eq!(CoreId(6).tile(), TileCoord { x: 3, y: 0 });
     }
 
     #[test]
