@@ -1,97 +1,5 @@
-//! Figure 6b — detail of inter-device communication: all five schemes
-//! over the message-size sweep, plus the headline ratios of §4.1/§5:
-//!
-//! * simple packet routing (2012 prototype) is the lower bound;
-//! * remote put with FPGA fast write-acks is the non-scalable upper bound
-//!   (dashed black curve);
-//! * local put / remote get reaches ~72 % of that bound (paper: 71.72 %);
-//! * local put / local get (vDMA) sits close to the bound and has no
-//!   throughput drop at the 8 KiB MPB boundary (the "slope" the
-//!   communication task's pipelining removes);
-//! * the best scheme recovers ~24 % of on-chip throughput.
-
-use vscc::CommScheme;
-use vscc_apps::pingpong;
+//! Figure 6b, inter-device Ping-Pong throughput per scheme: `vscc_bench::fig6`.
 
 fn main() {
-    vscc_bench::banner("Figure 6b", "inter-device Ping-Pong throughput per scheme, MB/s");
-    let sizes = pingpong::fig6_sizes();
-    let reps = 3;
-
-    let cols: Vec<String> =
-        ["routed", "hw-ack", "WCB", "LPRG", "vDMA"].iter().map(|s| s.to_string()).collect();
-    println!("{}", vscc_bench::header("size", &cols));
-
-    let rows = vscc_bench::parallel_sweep(&sizes, |&size| {
-        CommScheme::ALL
-            .iter()
-            .map(|&s| pingpong::interdevice(s, size, reps).mbps)
-            .collect::<Vec<f64>>()
-    });
-    for (size, vals) in sizes.iter().zip(&rows) {
-        println!("{}", vscc_bench::row(&format!("{size:>8} B"), vals));
-    }
-
-    // Headline ratios at steady state (large messages).
-    let big = 128 * 1024;
-    let bound = pingpong::interdevice(CommScheme::RemotePutHwAck, big, reps).mbps;
-    let lprg = pingpong::interdevice(CommScheme::LocalPutRemoteGet, big, reps).mbps;
-    let vdma = pingpong::interdevice(CommScheme::LocalPutLocalGet, big, reps).mbps;
-    let routed = pingpong::interdevice(CommScheme::SimpleRouting, big, reps).mbps;
-    let onchip = pingpong::onchip(true, 256 * 1024, reps).mbps;
-
-    println!("\nheadline ratios at {big} B:");
-    println!("  hw-accelerated bound            {bound:>7.2} MB/s");
-    println!(
-        "  local put / remote get          {lprg:>7.2} MB/s = {:.1}% of bound (paper: 71.72%)",
-        lprg / bound * 100.0
-    );
-    println!(
-        "  local put / local get (vDMA)    {vdma:>7.2} MB/s = {:.1}% of bound (paper: 'close to')",
-        vdma / bound * 100.0
-    );
-    println!(
-        "  simple routing                  {routed:>7.2} MB/s = {:.1}% of bound",
-        routed / bound * 100.0
-    );
-    println!(
-        "  best scheme / on-chip ({onchip:.0} MB/s) = {:.1}% (paper: 'recover 24 %')",
-        vdma.max(lprg) / onchip * 100.0
-    );
-
-    // The 8 KiB drop: present for LPRG, absent for vDMA (§4.1).
-    let dip = |scheme: CommScheme| {
-        pingpong::interdevice(scheme, 8192, reps).mbps
-            / pingpong::interdevice(scheme, 7424, reps).mbps
-    };
-    println!(
-        "  8 KiB dip: LPRG x{:.3}, vDMA x{:.3} (vDMA slope removed)",
-        dip(CommScheme::LocalPutRemoteGet),
-        dip(CommScheme::LocalPutLocalGet)
-    );
-
-    // The designated run: the vDMA 8 KiB point, sampled and audited.
-    let observed = vscc_bench::observe(vscc_bench::fig6b::LABEL, vscc_bench::fig6b::designated);
-    if observed {
-        // Where does one round trip spend its cycles? The per-phase
-        // columns sum to the measured completion exactly.
-        println!("\ncritical-path attribution (cycles per 1-rep round trip):");
-        for size in [2048usize, 7424, 8192, 32 * 1024] {
-            let rows: Vec<(String, des::trace::Trace, u64)> = CommScheme::ALL
-                .iter()
-                .map(|&s| {
-                    let (p, trace, _) = pingpong::interdevice_observed(s, size, 1);
-                    (s.name().to_string(), trace, p.cycles)
-                })
-                .collect();
-            println!("\n  {size} B:");
-            print!("{}", vscc_bench::critpath_table("scheme", &rows));
-        }
-        println!(
-            "\n  reading the dip: above 7424 B the sw-cache scheme pays a second\n  \
-             prefetch round (cache-stale + pcie-wire grow between 7424 B and\n  \
-             8192 B), while vDMA keeps streaming chunk-pipelined (pcie-wire\n  \
-             scales smoothly) -- the local put / local get curve has no 8 KiB dip."
-        );
-    }
+    vscc_bench::run("fig6b_interdevice");
 }

@@ -5,9 +5,6 @@
 //! 3. host write-combining-buffer flush granularity;
 //! 4. fused vs discrete programming of the vDMA registers (the 32 B
 //!    alignment trick of §3.3 / Fig. 5).
-//!
-//! The `tbl_ablation` target prints [`table`] and `tests/figures.rs` pins
-//! it.
 
 use std::rc::Rc;
 
@@ -19,16 +16,12 @@ use vscc::schemes::CachedGetProtocol;
 use vscc::{CommScheme, Vscc, VsccBuilder};
 use vscc_apps::pingpong;
 
-use crate::row;
+use crate::{row, Observed, Table};
 
-/// Banner id of the table.
-pub const ID: &str = "Table (ablations)";
-/// Banner caption of the table.
-pub const CAPTION: &str = "design-choice ablations, ping-pong MB/s at 64 KiB";
 /// Ping-pong message size in bytes.
-pub const SIZE: usize = 64 * 1024;
+const SIZE: usize = 64 * 1024;
 /// Ping-pong round trips per point.
-pub const REPS: usize = 3;
+const REPS: usize = 3;
 
 /// MB/s of `REPS` round trips of `SIZE` bytes over `v`'s measured pair,
 /// with `proto` (if any) in place of the scheme's protocol.
@@ -64,23 +57,9 @@ fn programming_cycles(fused: bool) -> u64 {
     t / 64
 }
 
-/// The table as printed, and the pairs its headline shapes compare.
-pub struct Ablation {
-    /// Everything the target prints after its banner.
-    pub text: String,
-    /// Software-cache MB/s with prefetch (on, off).
-    pub prefetch: (f64, f64),
-    /// Cycles per vDMA controller setup (fused, discrete).
-    pub programming: (u64, u64),
-}
-
 /// All four ablations.
-pub fn table() -> Ablation {
-    let mut text = String::new();
-    let mut line = |s: String| {
-        text += &s;
-        text.push('\n');
-    };
+pub fn table() -> Table {
+    let mut table = Table::default();
 
     // 1. Prefetch on/off for the software cache.
     let both = crate::parallel_sweep(&[true, false], |&prefetch| {
@@ -94,12 +73,12 @@ pub fn table() -> Ablation {
         pair_throughput(&v, proto)
     });
     let prefetch = (both[0], both[1]);
-    line("\n1. software-cache prefetch (local put / remote get)".into());
-    line(row("   prefetch on", &[prefetch.0]));
-    line(row("   prefetch off (demand misses)", &[prefetch.1]));
+    table.line("\n1. software-cache prefetch (local put / remote get)");
+    table.line(row("   prefetch on", &[prefetch.0]));
+    table.line(row("   prefetch off (demand misses)", &[prefetch.1]));
 
     // 2. vDMA chunk size.
-    line("\n2. vDMA transfer granularity (local put / local get)".into());
+    table.line("\n2. vDMA transfer granularity (local put / local get)");
     let chunks = [256usize, 512, 1024, 1920];
     let rows = crate::parallel_sweep(&chunks, |&chunk| {
         let sim = Sim::new();
@@ -110,11 +89,11 @@ pub fn table() -> Ablation {
         pair_throughput(&v, None)
     });
     for (&chunk, &t) in chunks.iter().zip(&rows) {
-        line(row(&format!("   chunk {chunk:>5} B"), &[t]));
+        table.line(row(&format!("   chunk {chunk:>5} B"), &[t]));
     }
 
     // 3. WCB flush granularity.
-    line("\n3. host WCB flush granularity (remote put)".into());
+    table.line("\n3. host WCB flush granularity (remote put)");
     let granules = [128usize, 512, 1024, 3840];
     let rows = crate::parallel_sweep(&granules, |&g| {
         let sim = Sim::new();
@@ -125,19 +104,32 @@ pub fn table() -> Ablation {
         pair_throughput(&v, None)
     });
     for (&g, &t) in granules.iter().zip(&rows) {
-        line(row(&format!("   granule {g:>5} B"), &[t]));
+        table.line(row(&format!("   granule {g:>5} B"), &[t]));
     }
 
     // 4. Fused vs discrete vDMA register programming.
     let both = crate::parallel_sweep(&[true, false], |&f| programming_cycles(f));
     let (fused, discrete) = (both[0], both[1]);
-    line("\n4. vDMA register programming (cycles per controller setup)".into());
-    line(row("   fused 32B-aligned write", &[fused as f64]));
-    line(row("   three discrete writes", &[discrete as f64]));
-    line(format!(
+    table.line("\n4. vDMA register programming (cycles per controller setup)");
+    table.line(row("   fused 32B-aligned write", &[fused as f64]));
+    table.line(row("   three discrete writes", &[discrete as f64]));
+    table.line(format_args!(
         "   write-combining saves {:.1}% of the programming overhead (Fig. 5 layout)",
         (1.0 - fused as f64 / discrete as f64) * 100.0
     ));
 
-    Ablation { text, prefetch, programming: (fused, discrete) }
+    table.check(prefetch.0 > prefetch.1, "prefetching must hide the device->host leg");
+    table.check(fused * 2 < discrete, "fusing must save at least half the transactions");
+    table
+}
+
+/// The designated run: the small end of the vDMA-chunk ablation, where
+/// per-chunk overhead dominates, fully traced.
+pub fn designated() -> Observed {
+    let b = VsccBuilder::new(&Sim::new(), 2)
+        .scheme(CommScheme::LocalPutLocalGet)
+        .host_config(HostConfig { dma_chunk: 256, ..HostConfig::default() })
+        .trace_categories(&des::trace::Category::ALL);
+    let (_, v, series) = pingpong::interdevice_run(b, SIZE, REPS, Some(des::obs::DEFAULT_CADENCE));
+    Observed::of(&v, series.expect("sampled run"))
 }

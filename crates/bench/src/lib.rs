@@ -1,46 +1,212 @@
 //! Shared infrastructure for the figure/table regeneration harnesses.
 //!
-//! Every `cargo bench` target in this crate rebuilds one table or figure
-//! of the paper's evaluation (§4) and prints its rows/series; the
-//! `engine_micro` target instead times the simulator itself on the host
-//! (wall-clock events/sec and allocations per message). Absolute numbers come from the calibrated simulation (see
-//! DESIGN.md §5); the *shapes* — orderings, ratios, crossovers — are the
-//! reproduction targets and are recorded in EXPERIMENTS.md.
+//! Every `cargo bench` target in this crate except `engine_micro` rebuilds
+//! one table or figure of the paper's evaluation (§4): its `main` is
+//! `vscc_bench::run("<target>")`, and [`FIGURES`] holds what each one
+//! prints, checks and observes. `engine_micro` instead times the simulator
+//! itself on the host (wall-clock events/sec and allocations per message).
+//! Absolute numbers come from the calibrated simulation (see DESIGN.md §5);
+//! the *shapes* — orderings, ratios, crossovers — are the reproduction
+//! targets and are recorded in EXPERIMENTS.md.
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 pub mod ablation;
+pub mod bt;
 pub mod datapath;
 pub mod fig2;
-pub mod fig6b;
+pub mod fig6;
 pub mod recovery;
+pub mod stability;
 pub mod threshold;
 
 use des::audit::Audit;
 use des::obs::report::Exports;
 use des::obs::{Registry, TimeSeries};
 use des::trace::Trace;
-use vscc::Vscc;
+use vscc::{CommScheme, Vscc};
 
-/// Print a figure/table banner. If a `VSCC_FAULTS` plan is active it is
-/// echoed here, so exported tables are never mistaken for clean-run
-/// numbers. A `VSCC_OBS` request is parsed (and a malformed one
-/// rejected) here too, before the target spends time on its tables.
-pub fn banner(id: &str, caption: &str) {
-    print!("{}", banner_text(id, caption));
-    if let Some(spec) = des::faultplan::spec_from_env() {
-        println!("[faults] {} plan active: {spec}", des::obs::FAULTS_ENV);
+/// One figure/table bench target.
+pub struct Figure {
+    /// The `[[bench]]` name, also the stem of its stdout golden
+    /// `tests/goldens/<name>_stdout.txt`.
+    pub name: &'static str,
+    /// Banner title: the paper's figure or table id and a caption.
+    pub title: &'static str,
+    /// Renders what the target prints after its banner and runs its
+    /// headline checks.
+    pub table: fn() -> Table,
+    /// Trace label of the designated run.
+    pub label: &'static str,
+    /// The designated run, which `VSCC_OBS` exports.
+    pub designated: fn() -> Observed,
+    /// Printed after the exports under `VSCC_OBS` (critical-path tables).
+    pub explain: Option<fn() -> String>,
+    /// Too slow for a debug `cargo test`: only `scripts/check.sh` pins its
+    /// stdout, in release.
+    pub slow: bool,
+}
+
+/// Every figure/table target, in `Cargo.toml` order.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        name: "fig2_protocol",
+        title: "Figure 2: timely behaviour of blocking vs pipelined protocols",
+        table: fig2::table,
+        label: "ircce-pipelined-16K",
+        designated: || fig2::run(true).1,
+        explain: Some(fig2::critpath),
+        slow: false,
+    },
+    Figure {
+        name: "fig6a_pingpong",
+        title: "Figure 6a: Ping-Pong throughput (on-chip and inter-device), MB/s",
+        table: fig6::fig6a,
+        label: "vdma-interdevice-64K",
+        designated: || sampled_vdma(64 * 1024),
+        explain: None,
+        slow: false,
+    },
+    Figure {
+        name: "fig6b_interdevice",
+        title: "Figure 6b: inter-device Ping-Pong throughput per scheme, MB/s",
+        table: fig6::fig6b,
+        label: "vdma-8K",
+        designated: || sampled_vdma(8192),
+        explain: Some(fig6::critpath),
+        slow: false,
+    },
+    Figure {
+        name: "fig7_npb_bt",
+        title: "Figure 7: NPB BT class C (162^3) performance, GFLOP/s vs cores (peak 0.533/core)",
+        table: bt::fig7,
+        label: "bt-class-c-64x2",
+        designated: || bt::traced(1),
+        explain: None,
+        slow: true,
+    },
+    Figure {
+        name: "fig8_traffic",
+        title: "Figure 8: NPB BT (class C) communication traffic of 64 cores",
+        table: bt::fig8,
+        label: "bt-class-c-64",
+        designated: || bt::traced(bt::FIG8_MEASURED),
+        explain: None,
+        slow: true,
+    },
+    Figure {
+        name: "tbl_threshold",
+        title: "Table (threshold): small-message one-way latency in us: direct transfer vs controller path",
+        table: threshold::table,
+        label: "direct-64B",
+        designated: || sampled_vdma(64),
+        explain: None,
+        slow: false,
+    },
+    Figure {
+        name: "tbl_stability",
+        title: "Table (stability): fast write-ack: lost acknowledges vs device count and traffic volume",
+        table: stability::table,
+        label: "hwack-recovered-5dev-1MB",
+        designated: stability::designated,
+        explain: None,
+        slow: false,
+    },
+    Figure {
+        name: "fig_recovery",
+        title: "Figure (recovery): self-healing plane: demote under an ack-loss storm, probe back to health",
+        table: || recovery::table(&recovery::plan()),
+        label: "healing",
+        designated: || recovery::designated(recovery::plan()),
+        explain: None,
+        slow: false,
+    },
+    Figure {
+        name: "tbl_ablation",
+        title: "Table (ablations): design-choice ablations, ping-pong MB/s at 64 KiB",
+        table: ablation::table,
+        label: "chunk-256",
+        designated: ablation::designated,
+        explain: None,
+        slow: false,
+    },
+];
+
+/// The [`FIGURES`] entry of bench target `name`.
+pub fn figure(name: &str) -> &'static Figure {
+    FIGURES.iter().find(|f| f.name == name).unwrap_or_else(|| panic!("no figure target {name}"))
+}
+
+/// What a target prints after its banner, and the headline checks it
+/// failed.
+#[derive(Default)]
+pub struct Table {
+    /// Everything the target prints after its banner.
+    pub text: String,
+    /// The message of each failed headline check.
+    pub failed: Vec<String>,
+}
+
+impl Table {
+    /// Append `line` and a newline to the text.
+    pub fn line(&mut self, line: impl Display) {
+        self.text += &format!("{line}\n");
     }
-    if let Some(req) = obs_request() {
-        println!("[obs] designated run exports to {} ({OBS_ENV})", req.dir.display());
+
+    /// A headline check: keep `msg` if `ok` is false.
+    pub fn check(&mut self, ok: bool, msg: impl Display) {
+        if !ok {
+            self.failed.push(msg.to_string());
+        }
     }
 }
 
+/// The `main` of bench target `name`: the banner, the table, then its
+/// headline checks, which encode the paper's clean-run results. An
+/// injected `VSCC_FAULTS` plan legitimately shifts them (it always runs
+/// with the recovery layer on, so payloads still verify, but retries and
+/// demotions move the timings), so an active env plan skips them; the
+/// banner already flags the run as faulty. Under `VSCC_OBS` the
+/// designated run is then exported and explained (`observe`).
+pub fn run(name: &str) {
+    let fig = figure(name);
+    print!("{}", banner_text(fig.title));
+    let plan = des::faultplan::spec_from_env();
+    if let Some(spec) = &plan {
+        println!("[faults] {} plan active: {spec}", des::obs::FAULTS_ENV);
+    }
+    // Parsed (and a malformed value rejected) before the table's runs.
+    if let Some(req) = obs_request() {
+        println!("[obs] designated run exports to {} ({OBS_ENV})", req.dir.display());
+    }
+    let table = (fig.table)();
+    print!("{}", table.text);
+    if plan.is_none() {
+        assert!(table.failed.is_empty(), "{}", table.failed.join("; "));
+    }
+    observe(fig);
+}
+
 /// The banner lines every target prints first, whatever the environment.
-pub fn banner_text(id: &str, caption: &str) -> String {
+pub fn banner_text(title: &str) -> String {
     let rule = "================================================================";
-    format!("\n{rule}\n{id}: {caption}\n{rule}\n")
+    format!("\n{rule}\n{title}\n{rule}\n")
+}
+
+/// One vDMA round trip of `size` bytes on the figure platform, traced and
+/// sampled (tunnel busy-fraction, MPB window occupancy, commtask
+/// busy-fraction, ...): the designated run of fig6a, fig6b and
+/// tbl_threshold. An active `VSCC_FAULTS` plan rides along, seed and all.
+pub fn sampled_vdma(size: usize) -> Observed {
+    let (_, trace, metrics, series) = vscc_apps::pingpong::interdevice_sampled(
+        CommScheme::LocalPutLocalGet,
+        size,
+        1,
+        des::obs::DEFAULT_CADENCE,
+    );
+    Observed { trace, metrics, series }
 }
 
 /// Format one numeric row with a label column.
@@ -68,16 +234,6 @@ pub fn size_label(bytes: usize) -> String {
     } else {
         format!("{bytes}")
     }
-}
-
-/// Whether the headline shape assertions should run. They encode the
-/// paper's clean-run results, and an injected `VSCC_FAULTS` plan
-/// legitimately shifts them (it always runs with the recovery layer on,
-/// so payloads still verify, but retries and demotions move the
-/// timings), so an active env plan downgrades the assertions to printed tables — the banner already
-/// flags the run as faulty.
-pub fn headline_asserts() -> bool {
-    des::faultplan::spec_from_env().is_none()
 }
 
 /// The observability switch, `VSCC_OBS=<dir>[@<epoch>]`: the one
@@ -168,19 +324,17 @@ pub fn exports(label: &str, zoom: Option<u64>, run: impl FnOnce() -> Observed) -
 }
 
 /// The observability front door. When `VSCC_OBS=<dir>[@<epoch>]` is set,
-/// render the target's designated run (`run`, labelled `label`) with
-/// [`exports`], then write `trace.json`, `metrics.json`,
-/// `timeseries.json`, `audit.json` and `report.md` into `<dir>` (see
-/// `des::obs::report`) and print what was written. Returns whether
-/// `VSCC_OBS` was set, so targets can print their extra diagnostics
-/// (critical-path tables) alongside. An unwritable directory is reported
-/// on stderr; the target still passes.
-pub fn observe(label: &str, run: impl FnOnce() -> Observed) -> bool {
+/// render `fig`'s designated run with [`exports`], write `trace.json`,
+/// `metrics.json`, `timeseries.json`, `audit.json` and `report.md` into
+/// `<dir>` (see `des::obs::report`), print what was written, then print
+/// `fig`'s explanation. An unwritable directory is reported on stderr;
+/// the target still passes.
+fn observe(fig: &Figure) {
     let Some(req) = obs_request() else {
-        return false;
+        return;
     };
-    let started = std::time::Instant::now();
-    match exports(label, req.zoom, run).write_dir(&req.dir) {
+    let (label, started) = (fig.label, std::time::Instant::now());
+    match exports(label, req.zoom, fig.designated).write_dir(&req.dir) {
         Ok(files) => {
             let sizes: Vec<String> = files.iter().map(|(f, n)| format!("{f} {n} B")).collect();
             let zoom = req.zoom.map(|e| format!(", audit zoom epoch {e}")).unwrap_or_default();
@@ -193,7 +347,9 @@ pub fn observe(label: &str, run: impl FnOnce() -> Observed) -> bool {
         }
         Err(e) => eprintln!("[obs] {OBS_ENV} export to {} failed: {e}", req.dir.display()),
     }
-    true
+    if let Some(explain) = fig.explain {
+        print!("{}", explain());
+    }
 }
 
 /// Render per-run phase attribution: each row is one traced run

@@ -4,9 +4,13 @@
 //! A storm-then-quiet ack-loss plan ([`STORM`]) batters one fast-ack
 //! device pair: consecutive lossy bursts demote it to the host-acked
 //! fallback, the storm ends, and deterministic canary probes re-promote
-//! it to the fast path. The `fig_recovery` target prints [`table`] and
-//! exports [`run`] as its designated run; `tests/figures.rs`,
-//! `tests/golden_exports.rs` and `tests/chaos.rs` check the same run.
+//! it to the fast path. The table shows the throughput arc — collapsed
+//! during the storm, limping through the fallback window, restored after
+//! re-promotion — against a fault-free same-seed twin. Its headline
+//! shapes: at least one demotion lands *inside* the storm, at least one
+//! probe-driven re-promotion lands *after* it, and the post-recovery
+//! per-message gap is within 5% of the twin's steady state.
+//! `tests/golden_exports.rs` and `tests/chaos.rs` check the same [`run`].
 
 use des::faultplan::FaultSpec;
 use des::Sim;
@@ -14,21 +18,14 @@ use vscc::host::{HostConfig, RecoveryConfig};
 use vscc::{CommScheme, VsccBuilder};
 use vscc_apps::pingpong;
 
-use crate::{header, row, Observed};
+use crate::{header, row, Observed, Table};
 
-/// Banner id of the figure.
-pub const ID: &str = "Figure (recovery)";
-/// Banner caption of the figure.
-pub const CAPTION: &str =
-    "self-healing plane: demote under an ack-loss storm, probe back to health";
-/// Trace label of the designated run.
-pub const LABEL: &str = "healing";
 /// The storm: 80% injected ack loss on every posted line until cycle
 /// 800 k, nothing after. Recovery on; a generous watchdog converts any
 /// genuine hang into a diagnosed abort.
 pub const STORM: &str = "seed=13,ackloss=0.8@..800000,recovery=on,watchdog=20000000";
 /// End of the injection phase (keep in sync with [`STORM`]).
-pub const STORM_END: u64 = 800_000;
+const STORM_END: u64 = 800_000;
 /// Message size: small enough that several lossy bursts (and therefore
 /// the demotion threshold) fit inside the storm window.
 const SIZE: usize = 512;
@@ -39,6 +36,13 @@ const MSGS: usize = 96;
 /// The parsed [`STORM`] plan.
 pub fn storm() -> FaultSpec {
     FaultSpec::parse(STORM).expect("built-in storm spec")
+}
+
+/// The figure's plan: an env `VSCC_FAULTS` plan replaces the built-in
+/// storm (the banner and the skipped headline checks flag the run as
+/// custom).
+pub fn plan() -> FaultSpec {
+    des::faultplan::spec_from_env().unwrap_or_else(storm)
 }
 
 /// One run's harvest: per-message completion times at the receiver plus
@@ -118,7 +122,7 @@ pub fn designated(faults: FaultSpec) -> Observed {
 
 /// Mean cycles per message across `times[lo..hi]`, measured from the
 /// completion of the preceding message (`times[lo - 1]`, or 0).
-pub fn mean_gap(times: &[u64], lo: usize, hi: usize) -> f64 {
+fn mean_gap(times: &[u64], lo: usize, hi: usize) -> f64 {
     let start = if lo == 0 { 0 } else { times[lo - 1] };
     (times[hi - 1] - start) as f64 / (hi - lo) as f64
 }
@@ -127,22 +131,10 @@ fn mbps(gap_cycles: f64) -> f64 {
     des::time::CORE_FREQ.mbytes_per_sec(SIZE as u64, gap_cycles.max(1.0) as u64)
 }
 
-/// The figure as printed, and what its headline shapes are judged on.
-pub struct Recovery {
-    /// Everything the target prints after its banner.
-    pub text: String,
-    /// The run under the plan.
-    pub faulty: RunOut,
-    /// Index of the first message completed after the last re-promotion.
-    pub healed_from: usize,
-    /// The fault-free twin's mean gap over the same tail.
-    pub clean_gap: f64,
-}
-
 /// The throughput arc of a run under `spec` — collapsed during the storm,
 /// limping through the fallback window, restored after re-promotion —
 /// against a fault-free same-seed twin, plus the health ledger.
-pub fn table(spec: &FaultSpec) -> Recovery {
+pub fn table(spec: &FaultSpec) -> Table {
     let (faulty, _) = run(spec.clone(), false);
     let (clean, _) = run(FaultSpec { recovery: true, ..FaultSpec::none() }, false);
 
@@ -152,14 +144,13 @@ pub fn table(spec: &FaultSpec) -> Recovery {
     let heal_t = faulty.last_promote.unwrap_or(u64::MAX);
     let in_storm = faulty.times.partition_point(|&t| t <= STORM_END);
     let healed_from = faulty.times.partition_point(|&t| t <= heal_t);
-    let mut text = format!("plan: {spec}\n");
-    text += &header("phase", &["msgs".into(), "cyc/msg".into(), "MB/s".into()]);
-    text += "\n";
+    let mut table = Table::default();
+    table.line(format_args!("plan: {spec}"));
+    table.line(header("phase", &["msgs".into(), "cyc/msg".into(), "MB/s".into()]));
     let mut phase_row = |label: &str, lo: usize, hi: usize| {
         if lo < hi {
             let gap = mean_gap(&faulty.times, lo, hi);
-            text += &row(label, &[(hi - lo) as f64, gap, mbps(gap)]);
-            text += "\n";
+            table.line(row(label, &[(hi - lo) as f64, gap, mbps(gap)]));
         }
     };
     phase_row("storm (injected ack loss)", 0, in_storm);
@@ -168,10 +159,44 @@ pub fn table(spec: &FaultSpec) -> Recovery {
     let clean_tail = clean.times.len() - (clean.times.len() - healed_from).min(clean.times.len());
     let clean_gap = mean_gap(&clean.times, clean_tail, clean.times.len());
     let tail_msgs = (clean.times.len() - clean_tail) as f64;
-    text += &row("fault-free twin (same tail)", &[tail_msgs, clean_gap, mbps(clean_gap)]);
-    text += &format!(
-        "\n\nhealth ledger: {} demotion(s), {} re-promotion(s), {} pair(s) still demoted\n",
+    table.line(row("fault-free twin (same tail)", &[tail_msgs, clean_gap, mbps(clean_gap)]));
+    table.line(format_args!(
+        "\nhealth ledger: {} demotion(s), {} re-promotion(s), {} pair(s) still demoted",
         faulty.demotions, faulty.promotions, faulty.still_demoted
-    );
-    Recovery { text, faulty, healed_from, clean_gap }
+    ));
+
+    match faulty.first_demote {
+        Some(t) => table.check(
+            t <= STORM_END,
+            format_args!("demotion at {t} must land inside the storm (.. {STORM_END})"),
+        ),
+        None => table.check(false, "the storm must demote the pair"),
+    }
+    table.check(faulty.promotions >= 1, "a canary probe must re-promote the pair");
+    match faulty.last_promote {
+        Some(t) => table.check(
+            t > STORM_END,
+            format_args!("re-promotion at {t} must land after the storm (.. {STORM_END})"),
+        ),
+        None => table.check(faulty.promotions == 0, "promotions counted but none logged"),
+    }
+    table.check(faulty.still_demoted == 0, "no pair may stay demoted once the plan is quiet");
+    let tail = faulty.times.len() - healed_from;
+    if tail < 8 {
+        table.check(
+            false,
+            format_args!("recovered tail too thin ({tail} msgs) to judge throughput"),
+        );
+    } else {
+        let recovered_gap = mean_gap(&faulty.times, healed_from, faulty.times.len());
+        let ratio = recovered_gap / clean_gap;
+        table.check(
+            (0.95..=1.05).contains(&ratio),
+            format_args!(
+                "post-recovery gap {recovered_gap:.0} vs clean {clean_gap:.0} (ratio {ratio:.3}) \
+                 outside the 5% band"
+            ),
+        );
+    }
+    table
 }

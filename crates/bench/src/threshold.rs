@@ -1,9 +1,13 @@
 //! §3.3 — the direct-transfer threshold.
 //!
+//! "Because programming the vDMA controller represents a certain
+//! overhead, to recover low latency for small messages we have defined a
+//! threshold for a core to directly transfer data, which is about 32 B to
+//! 128 B dependent on the communication scheme."
+//!
 //! One-way small-message latency with the threshold enabled (default) and
 //! disabled (every message programs the controller / triggers the
-//! prefetch), showing where the crossover sits. The `tbl_threshold`
-//! target prints [`table`] and `tests/figures.rs` pins it.
+//! prefetch), showing where the crossover sits.
 
 use std::rc::Rc;
 
@@ -13,12 +17,8 @@ use vscc::schemes::{CachedGetProtocol, VdmaProtocol};
 use vscc::{CommScheme, VsccBuilder};
 use vscc_apps::pingpong;
 
-use crate::{header, row};
+use crate::{header, row, Table};
 
-/// Banner id of the table.
-pub const ID: &str = "Table (threshold)";
-/// Banner caption of the table.
-pub const CAPTION: &str = "small-message one-way latency in us: direct transfer vs controller path";
 /// Message sizes of each scheme's rows.
 const SIZES: [usize; 8] = [16, 32, 64, 96, 128, 192, 256, 512];
 
@@ -47,37 +47,29 @@ fn latency(scheme: CommScheme, threshold: usize, size: usize) -> f64 {
     sim.now() as f64 / CORE_FREQ.as_mhz() as f64
 }
 
-/// The table as printed, and each scheme's 64 B latencies.
-pub struct Threshold {
-    /// Everything the target prints after its banner.
-    pub text: String,
-    /// Per scheme: (scheme, direct on, direct off) one-way latency in
-    /// microseconds of a 64 B message, well below both thresholds.
-    pub at_64: Vec<(CommScheme, f64, f64)>,
-}
-
-/// Both explicit schemes' latency rows, direct path on and off.
-pub fn table() -> Threshold {
-    let mut text = String::new();
-    let mut at_64 = Vec::new();
+/// Both explicit schemes' latency rows, direct path on and off; below
+/// the threshold, the direct path must win clearly.
+pub fn table() -> Table {
+    let mut table = Table::default();
     for (scheme, default_thr) in [
         (CommScheme::LocalPutLocalGet, VdmaProtocol::default().direct_threshold),
         (CommScheme::LocalPutRemoteGet, CachedGetProtocol::default().direct_threshold),
     ] {
-        text += &format!("\n{} (default threshold {default_thr} B)\n", scheme.name());
-        text += &header("size", &["direct on".into(), "direct off".into(), "speedup".into()]);
-        text.push('\n');
+        table.line(format_args!("\n{} (default threshold {default_thr} B)", scheme.name()));
+        table.line(header("size", &["direct on".into(), "direct off".into(), "speedup".into()]));
         // Every (size, threshold) point is an independent simulation:
         // sweep them across threads.
         let points = crate::parallel_sweep(&SIZES, |&size| {
             (latency(scheme, default_thr, size), latency(scheme, 0, size))
         });
         for (&size, &(on, off)) in SIZES.iter().zip(&points) {
-            text += &row(&format!("{size:>5} B"), &[on, off, off / on]);
-            text.push('\n');
+            table.line(row(&format!("{size:>5} B"), &[on, off, off / on]));
         }
         let (on, off) = points[SIZES.iter().position(|&s| s == 64).expect("64 B point")];
-        at_64.push((scheme, on, off));
+        table.check(
+            on < off,
+            format_args!("{}: direct path must cut small-message latency", scheme.name()),
+        );
     }
-    Threshold { text, at_64 }
+    table
 }

@@ -43,13 +43,19 @@ echo "== heal-and-repromote smoke (storm-then-quiet must end re-promoted) =="
 # demoted at exit, and the audited rerun byte-identical (DESIGN.md §5h).
 cargo test -q --test chaos demoted_pair_heals_after_the_storm_ends
 
-echo "== recovery harnesses (tbl_stability, fig_recovery headline asserts) =="
-# The only non-test builders of recovered systems: the stability table's
-# recovered rows and the storm -> demote -> probe -> re-promote figure.
-# Each runs in well under a second and panics if its headline shape
-# breaks (the asserts are skipped when VSCC_FAULTS is set).
-cargo bench -q -p vscc-bench --bench tbl_stability >/dev/null
-cargo bench -q -p vscc-bench --bench fig_recovery >/dev/null
+echo "== figure stdout goldens (release: every figure/table target's stdout equals its golden) =="
+# One golden per entry of vscc_bench::FIGURES (tests/figures.rs checks the
+# two correspond). Each target also panics if a headline check fails.
+# The debug test suite skips the slow entries (fig7 alone takes about
+# 30 s on a 2-vCPU host); this stage runs them all. The run must be
+# clean: an env plan or export adds banner lines and skips the checks.
+(
+    for v in $(compgen -e | grep '^VSCC_' || true); do unset "$v"; done
+    for golden in tests/goldens/*_stdout.txt; do
+        target="$(basename "$golden" _stdout.txt)"
+        cargo bench -q -p vscc-bench --bench "$target" | cmp - "$golden"
+    done
+)
 
 echo "== VSCC_FAULTS smoke (one figure target under an env fault plan) =="
 # VSCC_FAULTS is the one environment variable the library reads:

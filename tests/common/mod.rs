@@ -7,22 +7,25 @@
 use std::path::PathBuf;
 
 use des::obs::report::Exports;
-use vscc_bench::{fig6b, recovery, Observed};
 
-/// Render `run`'s exports with `vscc_bench::exports` on a fresh thread
-/// (the audit sink is thread-local), as `vscc_bench::observe` does.
-fn observed(label: &'static str, run: fn() -> Observed) -> Exports {
-    std::thread::spawn(move || vscc_bench::exports(label, None, run)).join().expect("render thread")
+/// Render the exports of bench target `name`'s designated run with
+/// `vscc_bench::exports` on a fresh thread (the audit sink is
+/// thread-local), as the target does under `VSCC_OBS`.
+fn observed(name: &str) -> Exports {
+    let fig = vscc_bench::figure(name);
+    std::thread::spawn(|| vscc_bench::exports(fig.label, None, fig.designated))
+        .join()
+        .expect("render thread")
 }
 
 /// fig6b's designated run: the vDMA 8 KiB point.
 pub fn fig6b_exports() -> Exports {
-    observed(fig6b::LABEL, fig6b::designated)
+    observed("fig6b_interdevice")
 }
 
 /// fig_recovery's designated run: the storm-then-quiet healing run.
 pub fn healing_exports() -> Exports {
-    observed(recovery::LABEL, || recovery::designated(recovery::storm()))
+    observed("fig_recovery")
 }
 
 /// Compare `got` with the golden `tests/goldens/<file>` (or rewrite it

@@ -1,41 +1,58 @@
-//! Figure stdout as tier-1 goldens: each pinned target's text, rendered
-//! by the same `vscc_bench` function its `main` prints, must equal the
-//! clean-environment stdout of `cargo bench -p vscc-bench --bench <t>`
-//! committed under `tests/goldens/<t>_stdout.txt`.
+//! Figure stdout as tier-1 goldens. Every target in `vscc_bench::FIGURES`
+//! has its clean-environment stdout of `cargo bench -p vscc-bench --bench
+//! <name>` committed as `tests/goldens/<name>_stdout.txt`. Each fast
+//! target's text, rendered by the same table function its `main` prints,
+//! must equal that golden, and none of its headline checks may fail. The
+//! slow ones (`slow: true`) are compared in release by `scripts/check.sh`.
 //!
-//! Regenerate (only when an *intentional* model change moves a figure)
-//! with:
+//! Regenerate the fast goldens (only when an *intentional* model change
+//! moves a figure) with:
 //!
 //! ```sh
 //! VSCC_GOLDEN_REGEN=1 cargo test --test figures
 //! ```
+//!
+//! and a slow one with `cargo bench -q -p vscc-bench --bench <name> >
+//! tests/goldens/<name>_stdout.txt`.
 
 mod common;
 
+use std::path::Path;
+
 use common::assert_matches_golden;
-use vscc_bench::{ablation, banner_text, fig2, recovery, threshold};
+use vscc_bench::{banner_text, FIGURES};
 
 #[test]
-fn fig2_protocol_stdout_matches_golden() {
-    let got = banner_text(fig2::ID, fig2::CAPTION) + &fig2::table().text;
-    assert_matches_golden("fig2_protocol", "fig2_protocol_stdout.txt", &got);
+fn fast_figures_match_their_goldens_and_pass_their_checks() {
+    for fig in FIGURES.iter().filter(|f| !f.slow) {
+        let table = (fig.table)();
+        let got = banner_text(fig.title) + &table.text;
+        assert_matches_golden(fig.name, &format!("{}_stdout.txt", fig.name), &got);
+        assert!(table.failed.is_empty(), "{}: {}", fig.name, table.failed.join("; "));
+    }
 }
 
+/// `FIGURES` names every figure/table `[[bench]]` target exactly once,
+/// and each has a committed stdout golden.
 #[test]
-fn fig_recovery_stdout_matches_golden() {
-    let text = recovery::table(&recovery::storm()).text;
-    let got = banner_text(recovery::ID, recovery::CAPTION) + &text;
-    assert_matches_golden("fig_recovery", "fig_recovery_stdout.txt", &got);
-}
-
-#[test]
-fn tbl_threshold_stdout_matches_golden() {
-    let got = banner_text(threshold::ID, threshold::CAPTION) + &threshold::table().text;
-    assert_matches_golden("tbl_threshold", "tbl_threshold_stdout.txt", &got);
-}
-
-#[test]
-fn tbl_ablation_stdout_matches_golden() {
-    let got = banner_text(ablation::ID, ablation::CAPTION) + &ablation::table().text;
-    assert_matches_golden("tbl_ablation", "tbl_ablation_stdout.txt", &got);
+fn every_bench_target_has_one_entry_and_a_golden() {
+    let manifest = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/Cargo.toml"),
+    )
+    .expect("bench manifest");
+    let mut benches: Vec<&str> = manifest
+        .split("[[bench]]")
+        .skip(1)
+        .filter_map(|section| section.split('"').nth(1))
+        .filter(|&name| name != "engine_micro")
+        .collect();
+    let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    benches.sort_unstable();
+    names.sort_unstable();
+    assert_eq!(names, benches, "FIGURES must list each figure/table bench target once");
+    for name in names {
+        let golden =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/goldens/{name}_stdout.txt"));
+        assert!(golden.is_file(), "{name} has no stdout golden {}", golden.display());
+    }
 }
