@@ -1,8 +1,9 @@
 //! Figure stdout as tier-1 goldens. Every target in `vscc_bench::FIGURES`
 //! has its clean-environment stdout of `cargo bench -p vscc-bench --bench
 //! <name>` committed as `tests/goldens/<name>_stdout.txt`. Each fast
-//! target's text, rendered by the same table function its `main` prints,
-//! must equal that golden, and none of its headline checks may fail. The
+//! target has its own test: its text, rendered by the same table function
+//! its `main` prints, must equal that golden, and none of its headline
+//! checks may fail. The
 //! slow ones (`slow: true`) are compared in release by `scripts/check.sh`.
 //!
 //! Regenerate the fast goldens (only when an *intentional* model change
@@ -20,16 +21,71 @@ mod common;
 use std::path::Path;
 
 use common::assert_matches_golden;
-use vscc_bench::{banner_text, FIGURES};
+use vscc_bench::{banner_text, figure, FIGURES};
+
+/// The fast targets, one test each below.
+const FAST: &[&str] = &[
+    "fig2_protocol",
+    "fig6a_pingpong",
+    "fig6b_interdevice",
+    "tbl_threshold",
+    "tbl_stability",
+    "fig_recovery",
+    "tbl_ablation",
+];
+
+/// Target `name`'s text equals its golden and none of its checks fails.
+fn assert_figure(name: &str) {
+    let fig = figure(name);
+    let table = (fig.table)();
+    let got = banner_text(fig.title) + &table.text;
+    assert_matches_golden(name, &format!("{name}_stdout.txt"), &got);
+    assert!(table.failed.is_empty(), "{name}: {}", table.failed.join("; "));
+}
 
 #[test]
-fn fast_figures_match_their_goldens_and_pass_their_checks() {
-    for fig in FIGURES.iter().filter(|f| !f.slow) {
-        let table = (fig.table)();
-        let got = banner_text(fig.title) + &table.text;
-        assert_matches_golden(fig.name, &format!("{}_stdout.txt", fig.name), &got);
-        assert!(table.failed.is_empty(), "{}: {}", fig.name, table.failed.join("; "));
-    }
+fn fig2_protocol_stdout_matches_golden() {
+    assert_figure("fig2_protocol");
+}
+
+#[test]
+fn fig6a_pingpong_stdout_matches_golden() {
+    assert_figure("fig6a_pingpong");
+}
+
+#[test]
+fn fig6b_interdevice_stdout_matches_golden() {
+    assert_figure("fig6b_interdevice");
+}
+
+#[test]
+fn tbl_threshold_stdout_matches_golden() {
+    assert_figure("tbl_threshold");
+}
+
+#[test]
+fn tbl_stability_stdout_matches_golden() {
+    assert_figure("tbl_stability");
+}
+
+#[test]
+fn fig_recovery_stdout_matches_golden() {
+    assert_figure("fig_recovery");
+}
+
+#[test]
+fn tbl_ablation_stdout_matches_golden() {
+    assert_figure("tbl_ablation");
+}
+
+/// Each fast `FIGURES` entry has its own test above.
+#[test]
+fn every_fast_figure_has_a_test() {
+    let mut fast: Vec<&str> = FIGURES.iter().filter(|f| !f.slow).map(|f| f.name).collect();
+    let mut tested = FAST.to_vec();
+    fast.sort_unstable();
+    tested.sort_unstable();
+    assert_eq!(tested, fast, "each fast figure needs its own *_stdout_matches_golden test");
 }
 
 /// `FIGURES` names every figure/table `[[bench]]` target exactly once,
